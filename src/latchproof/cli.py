@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -99,6 +98,8 @@ def _verdict_json(path: str, v: Verdict, dump_trace: bool) -> dict:
         out["lemma"] = v.lemma
     if v.message:
         out["message"] = v.message
+    if v.warnings:
+        out["warnings"] = list(v.warnings)
     if dump_trace and v.trace is not None:
         out["trace"] = [
             {"span": {"line": sp.line, "col": sp.col}, "state": format_state(f)}
@@ -142,12 +143,10 @@ def main(argv=None) -> int:
         from .smt import SmtBackend
         pure.set_external_backend(SmtBackend(cfg.smt_external))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(cfg.files))) as pool:
-        reports = list(pool.map(lambda f: _run_file(f, cfg), cfg.files))
-
     exit_code = 0
     json_out = []
-    for rep in reports:
+    for path in cfg.files:
+        rep = _run_file(path, cfg)
         if rep.error:
             exit_code = max(exit_code, 2)
         for v in rep.verdicts:

@@ -1,17 +1,20 @@
-"""Lemma-based rewriting: normalization to fixpoint, inconsistency detection,
-demand-driven splitting at par/fork points, and the resource-preservation
-(RS) accounting that validates the lemma table at startup.
+"""Lemma-based rewriting: one lemma table, normalization to fixpoint,
+inconsistency detection, demand-driven splitting at par/fork points, and the
+resource-preservation (RS) accounting that validates the table at startup.
 
-Normalization applies, per disjunct: count combination, final-state
-absorption, trapped-resource release, dead-thread collapsing/release, and
-wait-for union/reset; consistency is checked after every pass, turning the
-inconsistency patterns into race/deadlock verdicts.
+Each `LEMMAS` entry holds a lemma's declarative form and the rule that runs
+it. Normalization applies the rewrite rules per disjunct, first applicable
+in table order: unit payloads, count combination, final-state absorption,
+trapped-resource release, dead-thread collapsing/release, wait-for
+union/reset and completion-order arcs. The inconsistency rules are checked
+after every rewrite, turning their patterns into race/deadlock verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import reduce
+from typing import Callable, Optional
 
 from . import names
 from . import pure as solver
@@ -21,7 +24,7 @@ from .pure import SolverUnknown, Status
 from .syntax import (
     Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, pand, star, substitute, eq as peq, le as ple, lt as plt,
+    TRUE, pand, star, subst_disjunct, substitute, eq as peq, le as ple, lt as plt,
 )
 from .waitgraph import is_cyclic
 from .diagnostics import Diagnostic
@@ -108,59 +111,8 @@ def rs_net(pre: Formula, post: Formula) -> list[RSItem]:
 
 
 # ---------------------------------------------------------------------------
-# The lemma table (declarative forms drive the startup RS check; the
-# executable rewrites live in normalize/check_consistency/split_for)
-
-
-@dataclass(frozen=True)
-class Lemma:
-    name: str
-    lhs: Formula
-    rhs: Optional[Formula]         # None for inconsistency lemmas
-    error: Optional[str] = None    # verdict kind for inconsistency lemmas
-
-
-def _lemma_table() -> tuple[Lemma, ...]:
-    F = parse_formula
-    return (
-        Lemma("N1", F("CNT(c,n)@f1 * CNT(c,-1)@f2 & n<=0"), F("CNT(c,-1)@f3")),
-        Lemma("N2", F("CNT(c,n1)@f1 * CNT(c,n2)@f2 & n1>=0 & n2>=0"),
-              F("CNT(c,n1+n2)@f3")),
-        Lemma("N3", F("LatchOut(c, P) * CNT(c,-1)@f"), F("CNT(c,-1)@f * P")),
-        Lemma("S1", F("LatchOut(i, P * Q)"), F("LatchOut(i, P) * LatchOut(i, Q)")),
-        Lemma("S2", F("LatchIn(i, P * Q)"), F("LatchIn(i, P) * LatchIn(i, Q)")),
-        Lemma("S3", F("CNT(c,n)@1 & n=n1+n2 & n1>=0 & n2>=0"),
-              F("CNT(c,n1)@1/2 * CNT(c,n2)@1/2")),
-        Lemma("W1", F("WAIT{a->b}@1"), F("WAIT{}@1")),
-        Lemma("W2", F("CNT(c1,a)@f1 * CNT(c2,-1)@f2 * WAIT{s1->s2}@f & a>0"),
-              F("CNT(c1,a)@f1 * CNT(c2,-1)@f2 * WAIT{s1->s2, c2->c1}@f & a>0")),
-        Lemma("W3", F("WAIT{s1->s2}@f1 * WAIT{s3->s4}@f2"),
-              F("WAIT{s1->s2, s3->s4}@f3")),
-        Lemma("DeadIdem", F("dead(t)"), F("dead(t) * dead(t)")),
-        Lemma("DeadRelease", F("thread(t, Q) * dead(t)"), F("dead(t) * Q")),
-        Lemma("ThrdSplit", F("thread(t, Q1 * Q2)"), F("thread(t, Q1) * thread(t, Q2)")),
-        Lemma("E1", F("LatchIn(c, P) * CNT(c,-1)@f"), None, "RaceError"),
-        Lemma("E2", F("CNT(c,a)@f1 * CNT(c,-1)@f2 & a>0"), None, "DeadlockError"),
-        Lemma("E3", F("WAIT{s1->s2, s2->s1}@f"), None, "DeadlockError"),
-    )
-
-
-LEMMAS = _lemma_table()
-
-
-def verify_lemma_table() -> None:
-    """Startup check: every non-error lemma must be resource-preserving."""
-    for lemma in LEMMAS:
-        if lemma.rhs is None:
-            continue
-        net = rs_net(lemma.lhs, lemma.rhs)
-        if net:
-            raise AssertionError(
-                f"lemma {lemma.name} is not resource-preserving: {net}")
-
-
-# ---------------------------------------------------------------------------
-# Normalization to fixpoint
+# Normalization rules (one per rewrite lemma; each returns the rewritten
+# disjuncts, or None where it does not apply)
 
 
 def _implied(pi: Pure, p: Pure) -> bool:
@@ -192,11 +144,19 @@ def _concretize_counts(d: Disjunct) -> Disjunct:
     return Disjunct(d.exists, tuple(atoms), d.pure) if changed else d
 
 
+def _without(d: Disjunct, *drop: int) -> list[HeapAtom]:
+    return [x for k, x in enumerate(d.heap) if k not in drop]
+
+
+def _with(d: Disjunct, atoms: list[HeapAtom]) -> Disjunct:
+    return Disjunct(d.exists, tuple(atoms), d.pure)
+
+
 def _merge_payload(d: Disjunct, atoms: list[HeapAtom], payload: ResArg,
                    gen) -> list[Disjunct]:
     """Replace a released predicate by its payload, distributing disjunctive
     payloads over the host disjunct."""
-    host = Formula((Disjunct(d.exists, tuple(atoms), d.pure),))
+    host = Formula((_with(d, atoms),))
     if isinstance(payload, RVar):
         extra = Formula((Disjunct((), (ResVarAtom(payload.name),), TRUE),))
     else:
@@ -211,136 +171,267 @@ def _is_trivial_payload(arg: ResArg) -> bool:
     return all(not dd.heap and isinstance(dd.pure, PTrue) for dd in f.disjuncts)
 
 
-def _rewrite_once(d: Disjunct, gen) -> Optional[list[Disjunct]]:
-    """Apply the first applicable normalization lemma; None at fixpoint."""
-    atoms = list(d.heap)
-    pi = d.pure
+def _wait_union(a: Wait, b: Wait) -> Wait:
+    return Wait(a.arcs | b.arcs, a.perm + b.perm)
 
-    # Latch predicates with nothing to carry are units and disappear
-    for i, a in enumerate(atoms):
+
+def _unit(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """Latch predicates with nothing to carry are units and disappear."""
+    for i, a in enumerate(d.heap):
         if isinstance(a, (LatchIn, LatchOut)) and _is_trivial_payload(a.payload):
-            rest = [x for k, x in enumerate(atoms) if k != i]
-            return [Disjunct(d.exists, tuple(rest), pi)]
+            return [_with(d, _without(d, i))]
+    return None
 
-    # N2: combine counter shares that are both provably non-negative
-    for i in range(len(atoms)):
-        if not isinstance(atoms[i], Cnt):
+
+def _n2(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """Combine counter shares that are both provably non-negative."""
+    atoms = d.heap
+    for i, a in enumerate(atoms):
+        if not isinstance(a, Cnt):
             continue
         for j in range(i + 1, len(atoms)):
-            a, b = atoms[i], atoms[j]
+            b = atoms[j]
             if not (isinstance(b, Cnt) and b.latch == a.latch):
                 continue
-            if _implied(pi, pand([ple(Term.of(0), a.count), ple(Term.of(0), b.count)])):
+            if _implied(d.pure, pand([ple(Term.of(0), a.count), ple(Term.of(0), b.count)])):
                 merged = Cnt(a.latch, a.count + b.count, a.perm + b.perm)
-                rest = [x for k, x in enumerate(atoms) if k not in (i, j)]
-                return [_concretize_counts(Disjunct(d.exists, tuple(rest + [merged]), pi))]
+                return [_concretize_counts(_with(d, _without(d, i, j) + [merged]))]
+    return None
 
-    # N1: absorb an exhausted share into the final state
-    for i in range(len(atoms)):
-        if not isinstance(atoms[i], Cnt):
+
+def _n1(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """Absorb an exhausted share into the final state."""
+    atoms = d.heap
+    for i, a in enumerate(atoms):
+        if not isinstance(a, Cnt):
             continue
-        for j in range(len(atoms)):
-            if i == j or not isinstance(atoms[j], Cnt):
+        for j, b in enumerate(atoms):
+            if i == j or not isinstance(b, Cnt):
                 continue
-            a, b = atoms[i], atoms[j]
-            if b.latch != a.latch or not _count_is(pi, b.count, -1):
+            if b.latch != a.latch or not _count_is(d.pure, b.count, -1):
                 continue
-            if _implied(pi, ple(a.count, Term.of(0))):
+            if _implied(d.pure, ple(a.count, Term.of(0))):
                 merged = Cnt(a.latch, Term.of(-1), a.perm + b.perm)
-                rest = [x for k, x in enumerate(atoms) if k not in (i, j)]
-                return [Disjunct(d.exists, tuple(rest + [merged]), pi)]
+                return [_with(d, _without(d, i, j) + [merged])]
+    return None
 
-    # N3: an expired latch releases the resource trapped in its out-flow
-    for i, a in enumerate(atoms):
-        if not isinstance(a, LatchOut):
-            continue
-        if any(isinstance(b, Cnt) and b.latch == a.latch and _count_is(pi, b.count, -1)
-               for b in atoms):
-            rest = [x for k, x in enumerate(atoms) if k != i]
-            return _merge_payload(d, rest, a.payload, gen)
 
-    # dead(t) * dead(t) -> dead(t)
-    seen: dict[str, int] = {}
-    for i, a in enumerate(atoms):
+def _n3(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """An expired latch releases the resource trapped in its out-flow."""
+    for i, a in enumerate(d.heap):
+        if isinstance(a, LatchOut) and any(
+                isinstance(b, Cnt) and b.latch == a.latch and _count_is(d.pure, b.count, -1)
+                for b in d.heap):
+            return _merge_payload(d, _without(d, i), a.payload, gen)
+    return None
+
+
+def _dead_idem(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    seen: set[str] = set()
+    for i, a in enumerate(d.heap):
         if isinstance(a, Dead):
             if a.tid in seen:
-                rest = [x for k, x in enumerate(atoms) if k != i]
-                return [Disjunct(d.exists, tuple(rest), pi)]
-            seen[a.tid] = i
-
-    # thread(t, Q) * dead(t) -> dead(t) * Q
-    for i, a in enumerate(atoms):
-        if isinstance(a, ThreadNode) and any(
-                isinstance(b, Dead) and b.tid == a.tid for b in atoms):
-            rest = [x for k, x in enumerate(atoms) if k != i]
-            return _merge_payload(d, rest, RForm(a.post), gen)
-
-    # W3: union wait-for shares
-    waits = [i for i, a in enumerate(atoms) if isinstance(a, Wait)]
-    if len(waits) >= 2:
-        i, j = waits[0], waits[1]
-        a, b = atoms[i], atoms[j]
-        merged = Wait(a.arcs | b.arcs, a.perm + b.perm)
-        rest = [x for k, x in enumerate(atoms) if k not in (i, j)]
-        return [Disjunct(d.exists, tuple(rest + [merged]), pi)]
-
-    # W1: a complete acyclic wait-for view resets
-    for i, a in enumerate(atoms):
-        if isinstance(a, Wait) and a.arcs and a.perm.is_one and not is_cyclic(a.arcs):
-            rest = [x for k, x in enumerate(atoms) if k != i]
-            return [Disjunct(d.exists, tuple(rest + [Wait(frozenset(), a.perm)]), pi)]
-
+                return [_with(d, _without(d, i))]
+            seen.add(a.tid)
     return None
+
+
+def _dead_release(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    for i, a in enumerate(d.heap):
+        if isinstance(a, ThreadNode) and any(
+                isinstance(b, Dead) and b.tid == a.tid for b in d.heap):
+            return _merge_payload(d, _without(d, i), RForm(a.post), gen)
+    return None
+
+
+def _w3(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """Union wait-for shares."""
+    waits = [i for i, a in enumerate(d.heap) if isinstance(a, Wait)]
+    if len(waits) < 2:
+        return None
+    i, j = waits[0], waits[1]
+    return [_with(d, _without(d, i, j) + [_wait_union(d.heap[i], d.heap[j])])]
+
+
+def _w1(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """A complete acyclic wait-for view resets."""
+    for i, a in enumerate(d.heap):
+        if isinstance(a, Wait) and a.arcs and a.perm.is_one and not is_cyclic(a.arcs):
+            return [_with(d, _without(d, i) + [Wait(frozenset(), a.perm)])]
+    return None
+
+
+def _w2(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """Record completion order: a positive share of c1 beside the final state
+    of c2 means c2 completes before c1 (arc c2->c1). A full view is skipped:
+    these arcs run from final latches to positive ones, so W1 would erase
+    them at once (a cycle among them needs a latch both final and positive,
+    which E2 reports)."""
+    if not any(isinstance(a, Wait) and not a.perm.is_one for a in d.heap):
+        return None
+    finals, positives = set(), set()
+    for a in d.heap:
+        if isinstance(a, Cnt):
+            if a.count.is_const and a.count.const == -1:
+                finals.add(a.latch)
+            elif _implied(d.pure, plt(Term.of(0), a.count)):
+                positives.add(a.latch)
+    arcs = {(c2, c1) for c1 in positives for c2 in finals if c1 != c2}
+    grown = [i for i, a in enumerate(d.heap)
+             if isinstance(a, Wait) and not a.perm.is_one and not arcs <= a.arcs]
+    if not grown:
+        return None
+    return [_with(d, [Wait(a.arcs | arcs, a.perm) if i in grown else a
+                      for i, a in enumerate(d.heap)])]
+
+
+# ---------------------------------------------------------------------------
+# Inconsistency rules (each returns its message, or None)
+
+
+def _e1(d: Disjunct) -> Optional[str]:
+    """Resource still flowing in while the latch already expired."""
+    for a in d.heap:
+        if isinstance(a, LatchIn) and any(
+                isinstance(b, Cnt) and b.latch == a.latch and _count_is(d.pure, b.count, -1)
+                for b in d.heap):
+            if solver.is_sat(d.pure, want_model=False).status != Status.SAT:
+                return None
+            return f"latch {a.latch} expired while resource still in-flight"
+    return None
+
+
+def _e2(d: Disjunct) -> Optional[str]:
+    """A positive share coexists with the final state."""
+    for a in d.heap:
+        if not isinstance(a, Cnt):
+            continue
+        for b in d.heap:
+            if b is a or not isinstance(b, Cnt) or b.latch != a.latch:
+                continue
+            if _count_is(d.pure, b.count, -1) and _implied(d.pure, plt(Term.of(0), a.count)):
+                return f"latch {a.latch}: pending countdowns can never complete"
+    return None
+
+
+def _e3(d: Disjunct) -> Optional[str]:
+    """Cycle in the wait-for graph."""
+    for a in d.heap:
+        if isinstance(a, Wait) and is_cyclic(a.arcs):
+            cycle = ", ".join(f"{x}->{y}" for x, y in sorted(a.arcs))
+            return f"cyclic wait-for graph {{{cycle}}}"
+    return None
+
+
+def _forked_before_join(d: Disjunct) -> Optional[str]:
+    """Thread usage protocol: an unstarted descriptor cannot be dead."""
+    for a in d.heap:
+        if isinstance(a, ThreadSpec) and any(
+                isinstance(b, Dead) and b.tid == a.tid for b in d.heap):
+            return f"thread {a.tid} joined before it was forked"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The lemma table: each entry's declarative form next to the rule that runs.
+# normalize applies the rewrite entries, and check_consistency the error
+# entries, in table order; verify_lemma_table runs every rule on its own lhs.
+# S1-S3 and ThrdSplit have no rule here: entail and split_for apply them on
+# demand.
+
+
+@dataclass(frozen=True)
+class Lemma:
+    name: str
+    lhs: Formula
+    rhs: Optional[Formula]         # None for inconsistency lemmas
+    error: Optional[str] = None    # verdict kind for inconsistency lemmas
+    # rewrites: (Disjunct, gen) -> list[Disjunct] | None;
+    # inconsistency lemmas: Disjunct -> message | None
+    rule: Optional[Callable] = None
+
+
+def _lemma_table() -> tuple[Lemma, ...]:
+    F = parse_formula
+    return (
+        Lemma("Unit", F("LatchIn(c, emp)"), F("emp"), rule=_unit),
+        Lemma("N2", F("CNT(c,n1)@f1 * CNT(c,n2)@f2 & n1>=0 & n2>=0"),
+              F("CNT(c,n1+n2)@f3"), rule=_n2),
+        Lemma("N1", F("CNT(c,n)@f1 * CNT(c,-1)@f2 & n<=0"), F("CNT(c,-1)@f3"), rule=_n1),
+        Lemma("N3", F("LatchOut(c, P) * CNT(c,-1)@f"), F("CNT(c,-1)@f * P"), rule=_n3),
+        Lemma("DeadIdem", F("dead(t) * dead(t)"), F("dead(t)"), rule=_dead_idem),
+        Lemma("DeadRelease", F("thread(t, Q) * dead(t)"), F("dead(t) * Q"),
+              rule=_dead_release),
+        Lemma("W3", F("WAIT{s1->s2}@f1 * WAIT{s3->s4}@f2"),
+              F("WAIT{s1->s2, s3->s4}@f3"), rule=_w3),
+        Lemma("W1", F("WAIT{a->b}@1"), F("WAIT{}@1"), rule=_w1),
+        Lemma("W2", F("CNT(c1,a)@f1 * CNT(c2,-1)@f2 * WAIT{s1->s2}@f & a>0"),
+              F("CNT(c1,a)@f1 * CNT(c2,-1)@f2 * WAIT{s1->s2, c2->c1}@f & a>0"), rule=_w2),
+        Lemma("E1", F("LatchIn(c, P) * CNT(c,-1)@f"), None, "RaceError", _e1),
+        Lemma("E2", F("CNT(c,a)@f1 * CNT(c,-1)@f2 & a>0"), None, "DeadlockError", _e2),
+        Lemma("E3", F("WAIT{s1->s2, s2->s1}@f"), None, "DeadlockError", _e3),
+        # a SpecFailure, which names no lemma in its verdict
+        Lemma("Protocol", F("threadspec(t, P, Q) * dead(t)"), None, "SpecFailure",
+              _forked_before_join),
+        Lemma("S1", F("LatchOut(i, P * Q)"), F("LatchOut(i, P) * LatchOut(i, Q)")),
+        Lemma("S2", F("LatchIn(i, P * Q)"), F("LatchIn(i, P) * LatchIn(i, Q)")),
+        Lemma("S3", F("CNT(c,n)@1 & n=n1+n2 & n1>=0 & n2>=0"),
+              F("CNT(c,n1)@1/2 * CNT(c,n2)@1/2")),
+        Lemma("ThrdSplit", F("thread(t, Q1 * Q2)"), F("thread(t, Q1) * thread(t, Q2)")),
+    )
+
+
+LEMMAS = _lemma_table()
+_REWRITES = tuple(lm for lm in LEMMAS if lm.rule is not None and lm.rhs is not None)
+_CHECKS = tuple(lm for lm in LEMMAS if lm.rhs is None)
+
+
+def verify_lemma_table() -> None:
+    """Startup check: every rule fires on its own lhs, and every rewrite
+    (run by its rule, or declarative where it has none) preserves resources."""
+    gen = names.FreshGen()
+    for lemma in LEMMAS:
+        if lemma.rule is None:
+            out = lemma.rhs
+        elif lemma.rhs is None:
+            out = lemma.rule(lemma.lhs.single())
+        else:
+            step = lemma.rule(lemma.lhs.single(), gen)
+            out = None if step is None else Formula(tuple(step))
+        if out is None:
+            raise AssertionError(f"lemma {lemma.name} does not fire on its own lhs")
+        net = rs_net(lemma.lhs, out) if lemma.rhs is not None else []
+        if net:
+            raise AssertionError(f"lemma {lemma.name} is not resource-preserving: {net}")
+
+
+# ---------------------------------------------------------------------------
+# Normalization to fixpoint
 
 
 def check_consistency(delta: Formula) -> Optional[Inconsistency]:
     """Fire the inconsistency lemmas on each disjunct."""
     for d in delta.disjuncts:
-        pi = d.pure
-        sat = None
-        # E1: resource still flowing in while the latch already expired
-        for a in d.heap:
-            if not isinstance(a, LatchIn):
-                continue
-            for b in d.heap:
-                if isinstance(b, Cnt) and b.latch == a.latch and _count_is(pi, b.count, -1):
-                    if sat is None:
-                        sat = solver.is_sat(pi, want_model=False).status == Status.SAT
-                    if sat:
-                        return Inconsistency(
-                            "RaceError", "E1",
-                            f"latch {a.latch} expired while resource still in-flight",
-                            delta)
-        # E2: a positive share coexists with the final state
-        for a in d.heap:
-            if not isinstance(a, Cnt):
-                continue
-            for b in d.heap:
-                if b is a or not isinstance(b, Cnt) or b.latch != a.latch:
-                    continue
-                if _count_is(pi, b.count, -1) and _implied(pi, plt(Term.of(0), a.count)):
-                    return Inconsistency(
-                        "DeadlockError", "E2",
-                        f"latch {a.latch}: pending countdowns can never complete",
-                        delta)
-        # E3: cycle in the wait-for graph
-        for a in d.heap:
-            if isinstance(a, Wait) and is_cyclic(a.arcs):
-                cycle = ", ".join(f"{x}->{y}" for x, y in sorted(a.arcs))
-                return Inconsistency(
-                    "DeadlockError", "E3", f"cyclic wait-for graph {{{cycle}}}", delta)
-        # thread usage protocol: an unstarted descriptor cannot be dead
-        for a in d.heap:
-            if isinstance(a, ThreadSpec) and any(
-                    isinstance(b, Dead) and b.tid == a.tid for b in d.heap):
-                return Inconsistency(
-                    "SpecFailure", None,
-                    f"thread {a.tid} joined before it was forked", delta)
+        for lemma in _CHECKS:
+            message = lemma.rule(d)
+            if message is not None:
+                cited = lemma.name if lemma.error != "SpecFailure" else None
+                return Inconsistency(lemma.error, cited, message, delta)
+    return None
+
+
+def _rewrite_first(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+    """The result of the first rewrite lemma that applies; None at fixpoint."""
+    for lemma in _REWRITES:
+        step = lemma.rule(d, gen)
+        if step is not None:
+            return step
     return None
 
 
 def normalize(delta: Formula, gen=None):
-    """Rewrite to fixpoint; returns the normal form or an Inconsistency."""
+    """Rewrite to fixpoint, first applicable lemma in table order; returns the
+    normal form or an Inconsistency."""
     gen = gen or names.default_gen()
     out: list[Disjunct] = []
     for d0 in delta.disjuncts:
@@ -350,7 +441,7 @@ def normalize(delta: Formula, gen=None):
             d = queue.pop(0)
             rounds = 0
             while True:
-                step = _rewrite_once(d, gen)
+                step = _rewrite_first(d, gen)
                 if step is not None:
                     rounds += 1
                     if rounds > cap:
@@ -472,7 +563,6 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
         demands.append(my)
         td_rest = Disjunct(td.exists, tuple(rest_atoms), td.pure)
         if rho_counts:
-            from .syntax import subst_disjunct
             td_rest = subst_disjunct(td_rest, rho_counts, gen)
         rest_targets.append(td_rest)
 
@@ -503,9 +593,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
 
     wait_share = None
     if waits:
-        merged = waits[0]
-        for w in waits[1:]:
-            merged = Wait(merged.arcs | w.arcs, merged.perm + w.perm)
+        merged = reduce(_wait_union, waits)
         if not merged.perm.is_concrete:
             raise SplitFailure(Diagnostic("SpecFailure", "symbolic wait-for permission"))
         wait_share = Wait(merged.arcs, merged.perm.divide(k + 1))

@@ -331,20 +331,11 @@ def _solve_system(cons: list, budget: _Budget) -> Optional[dict[str, int]]:
     raise SolverUnknown(f"enumeration window exhausted for {var}")
 
 
-def _trivial(c) -> bool:
-    if isinstance(c, _Eq):
-        return c.term.const == 0
-    return c.term.const <= 0
-
-
 def _project(p: Pure, vars: set[str], gen: names.FreshGen) -> Pure:
     """Quantifier-free projection of exists vars . p (p quantifier-free NNF)."""
     if not vars:
         return p
-    try:
-        conjs = _dnf(p)
-    except SolverUnknown:
-        raise
+    conjs = _dnf(p)
     out_disjuncts: list[Pure] = []
     for conj in conjs:
         for system in _constraints(conj):

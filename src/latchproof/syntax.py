@@ -466,10 +466,6 @@ def emp(pure: Pure = TRUE) -> Formula:
 EMP = emp()
 
 
-def of_atoms(atoms: Iterable[HeapAtom], pure: Pure = TRUE, exists: tuple[str, ...] = ()) -> Formula:
-    return Formula((Disjunct(exists, tuple(atoms), pure),))
-
-
 def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula:
     """Separating conjunction, distributing over disjuncts."""
     gen = gen or names.default_gen()
@@ -492,19 +488,6 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
                 Disjunct(d1.exists + d2r.exists, d1.heap + d2r.heap, pand([d1.pure, d2r.pure]))
             )
     return Formula(tuple(out))
-
-
-def conj_pure(f: Formula, p: Pure) -> Formula:
-    return Formula(tuple(Disjunct(d.exists, d.heap, pand([d.pure, p])) for d in f.disjuncts))
-
-
-def disj(fs: Iterable[Formula]) -> Formula:
-    ds: list[Disjunct] = []
-    for f in fs:
-        ds.extend(f.disjuncts)
-    if not ds:
-        ds = [Disjunct()]
-    return Formula(tuple(ds))
 
 
 # ---------------------------------------------------------------------------

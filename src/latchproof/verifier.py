@@ -3,8 +3,9 @@
 Every construct is handled by spec-pair application: the state must entail
 the chosen pre-condition (discovering resource bindings), and the residue
 is starred with the instantiated post-condition. Each step normalizes the
-state, checks the inconsistency lemmas, and records wait-for arcs; par
-points split the state along the branches' computed footprints.
+state with the lemma table (which also records wait-for arcs and checks the
+inconsistency lemmas); par points split the state along the branches'
+computed footprints.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from . import pure as solver
 from .diagnostics import Span, NO_SPAN
 from .entail import EntailmentOutcome, entail, subst as apply_bindings
 from .lemmas import (
-    Inconsistency, SplitFailure, SplitTarget, ambiguous_disjuncts, normalize, split_for,
+    Inconsistency, SplitFailure, SplitTarget, _implied, ambiguous_disjuncts, normalize,
+    split_for,
 )
-from .parser import format_state
+from .parser import format_state, unparse_atom
 from .pure import SolverUnknown, Status
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch,
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
-    If, Join, LatchIn, LatchOut, New, Par, Perm, PNot, PointsTo, ProcDecl, Program,
+    If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
     Pure, PTrue, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, TRUE, FULL, check_wellformed, EMP, free_vars,
-    is_resvar, pand, star, substitute, eq as peq, lt as plt,
+    is_resvar, pand, pure_free_vars, star, subst_perms, substitute, eq as peq, lt as plt,
 )
 
 
@@ -70,13 +72,6 @@ class VerdictError(Exception):
 
 
 LEAKABLE = (LatchIn, LatchOut, ThreadNode, ThreadSpec)
-
-
-def _implied(pi: Pure, p: Pure) -> bool:
-    try:
-        return solver.implies(pi, p)
-    except SolverUnknown:
-        return False
 
 
 class _ProcVerifier:
@@ -203,20 +198,11 @@ class _ProcVerifier:
             r, post = chosen
             post = substitute(post, r.var_bindings, self.gen) if r.var_bindings else post
             post = apply_bindings(r.bindings, post, self.gen)
-            from .syntax import subst_perms
             post = subst_perms(post, r.perm_bindings) if r.perm_bindings else post
             out.extend(star(r.residue, post, self.gen).disjuncts)
         return Formula(tuple(out))
 
     # -- per-step housekeeping ---------------------------------------------
-
-    def _post_step(self, state: Formula, span: Span) -> Formula:
-        state = self._normalize(state, span)
-        while True:
-            grown = self._w2_scan(state)
-            if grown is None:
-                return state
-            state = self._normalize(grown, span)
 
     def _normalize(self, state: Formula, span: Span) -> Formula:
         res = normalize(state, self.gen)
@@ -225,35 +211,6 @@ class _ProcVerifier:
                 self.trace.add(span, res.state)
             raise VerdictError(res.kind, span, res.message, res.lemma)
         return res
-
-    def _w2_scan(self, state: Formula) -> Optional[Formula]:
-        """Record completion-order arcs: a positive share of c1 alongside the
-        final state of c2 means c2 completes before c1."""
-        changed = False
-        out = []
-        for d in state.disjuncts:
-            finals, positives = set(), set()
-            for a in d.heap:
-                if isinstance(a, Cnt):
-                    if a.count.is_const and a.count.const == -1:
-                        finals.add(a.latch)
-                    elif _implied(d.pure, plt(Term.of(0), a.count)):
-                        positives.add(a.latch)
-            arcs = {(c2, c1) for c1 in positives for c2 in finals if c1 != c2}
-            if not arcs:
-                out.append(d)
-                continue
-            heap = []
-            d_changed = False
-            for a in d.heap:
-                if isinstance(a, Wait) and not arcs <= a.arcs:
-                    heap.append(Wait(a.arcs | arcs, a.perm))
-                    d_changed = True
-                else:
-                    heap.append(a)
-            changed = changed or d_changed
-            out.append(Disjunct(d.exists, tuple(heap), d.pure))
-        return Formula(tuple(out)) if changed else None
 
     # -- the dispatcher -----------------------------------------------------
 
@@ -280,7 +237,7 @@ class _ProcVerifier:
             what = type(e).__name__.lower() + f"({e.var})"
             new = self._apply_pairs(state, self._builtin_pairs(e), span, what,
                                     warn_multi=False)
-            new = self._post_step(new, span)
+            new = self._normalize(new, span)
             self._trace(span, new)
             return new
 
@@ -317,7 +274,7 @@ class _ProcVerifier:
             raise VerdictError("SpecFailure", span, f"call to undeclared procedure {e.name}")
         pairs = self._user_pairs(callee, e.args, res_var)
         new = self._apply_pairs(state, pairs, span, f"call {e.name}")
-        new = self._post_step(new, span)
+        new = self._normalize(new, span)
         self._trace(span, new)
         return new
 
@@ -340,7 +297,7 @@ class _ProcVerifier:
             state, rho = self._rename_lhs(state, e.lhs)
             cell = PointsTo(e.lhs, rhs.ctor, tuple(t.subst(rho) for t in rhs.args), FULL)
             new = star(state, Formula((Disjunct((), (cell,), TRUE),)), self.gen)
-            new = self._post_step(new, span)
+            new = self._normalize(new, span)
             self._trace(span, new)
             return new
 
@@ -356,7 +313,7 @@ class _ProcVerifier:
             atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, self.gen),
                               substitute(rhs.post, rho, self.gen))
             new = star(state, Formula((Disjunct((), (atom,), TRUE),)), self.gen)
-            new = self._post_step(new, span)
+            new = self._normalize(new, span)
             self._trace(span, new)
             return new
 
@@ -394,7 +351,7 @@ class _ProcVerifier:
                     f"create_latch({count}): count sign undecided (needs n>0 or n=0)")
             out.extend(star(Formula((d,)),
                             Formula((Disjunct((), atoms, TRUE),)), self.gen).disjuncts)
-        new = self._post_step(Formula(tuple(out)), span)
+        new = self._normalize(Formula(tuple(out)), span)
         self._trace(span, new)
         return new
 
@@ -463,7 +420,7 @@ class _ProcVerifier:
                 out.extend(res.disjuncts)
         if not out:
             raise VerdictError("SpecFailure", span, "both branches of if are unreachable")
-        new = self._post_step(Formula(tuple(out)), span)
+        new = self._normalize(Formula(tuple(out)), span)
         self._trace(span, new)
         return new
 
@@ -484,7 +441,7 @@ class _ProcVerifier:
             combined = split.frame
             for r in results:
                 combined = star(combined, r, self.gen)
-            combined = self._post_step(combined, span)
+            combined = self._normalize(combined, span)
             out.extend(combined.disjuncts)
         new = Formula(tuple(out))
         self._trace(span, new)
@@ -501,7 +458,7 @@ class _ProcVerifier:
                         self.gen)
         span = self.proc.span
         try:
-            state = self._post_step(init, span)
+            state = self._normalize(init, span)
             self._trace(span, state)
             final = self.exec(state, body)
             residues = []
@@ -540,7 +497,6 @@ def check_leak(residue: Formula, declared_post: Formula, gen=None) -> Optional[s
     for d in res.disjuncts:
         for a in d.heap:
             if isinstance(a, LEAKABLE):
-                from .parser import unparse_atom
                 trapped.append(unparse_atom(a))
     if trapped:
         return "trapped resources at procedure exit: " + ", ".join(sorted(set(trapped)))
@@ -747,7 +703,6 @@ class _FootprintWalk:
             if not isinstance(d.pure, PTrue):
                 # Counter guards are resolved into concrete demands below;
                 # keep only the constraints about other spec variables.
-                from .syntax import PAnd, pure_free_vars
                 parts = d.pure.parts if isinstance(d.pure, PAnd) else (d.pure,)
                 kept = [p for p in parts if not (pure_free_vars(p) & cnt_vars)]
                 if kept:

@@ -1,32 +1,9 @@
-"""Wait-for graph bookkeeping: arc insertion, union/split, acyclicity."""
+"""Wait-for acyclicity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .syntax import Perm
-
-
-class PermissionOverflow(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class WaitGraph:
-    arcs: frozenset[tuple[str, str]]
-    perm: Perm
-
-    @staticmethod
-    def empty(perm: Perm = Perm.one()) -> "WaitGraph":
-        return WaitGraph(frozenset(), perm)
-
-
-def add_arc(g: WaitGraph, frm: str, to: str) -> WaitGraph:
-    return WaitGraph(g.arcs | {(frm, to)}, g.perm)
-
-
-def is_cyclic(g: WaitGraph | frozenset) -> bool:
-    arcs = g.arcs if isinstance(g, WaitGraph) else g
+def is_cyclic(arcs: frozenset[tuple[str, str]]) -> bool:
     succ: dict[str, list[str]] = {}
     for a, b in arcs:
         succ.setdefault(a, []).append(b)
@@ -53,22 +30,3 @@ def is_cyclic(g: WaitGraph | frozenset) -> bool:
                 color[node] = BLACK
                 stack.pop()
     return False
-
-
-def combine(g1: WaitGraph, g2: WaitGraph) -> WaitGraph:
-    perm = g1.perm + g2.perm
-    if perm.is_concrete and perm.frac > 1:
-        raise PermissionOverflow(f"combined wait-for permission {perm} exceeds 1")
-    return WaitGraph(g1.arcs | g2.arcs, perm)
-
-
-def split(g: WaitGraph, k: int) -> list[WaitGraph]:
-    """Split into k parts: arcs duplicate, the permission partitions evenly."""
-    share = g.perm.divide(k)
-    return [WaitGraph(g.arcs, share) for _ in range(k)]
-
-
-def try_reset(g: WaitGraph) -> WaitGraph:
-    if g.perm.is_one and not is_cyclic(g):
-        return WaitGraph(frozenset(), g.perm)
-    return g

@@ -24,6 +24,7 @@ from latchproof.syntax import (
     TRUE, pand, por, pure_eval,
 )
 from latchproof.verifier import VerifyOptions, verify_program
+from latchproof.waitgraph import is_cyclic
 from tests.conftest import CORPUS
 
 
@@ -364,22 +365,36 @@ def _enumerate_graphs(n, self_loops):
 
 
 def _check_graphs(n, self_loops):
-    from latchproof.waitgraph import is_cyclic
     pairs, masks = _enumerate_graphs(n, self_loops)
     expected = _np_cyclic(masks, n)
     nodes = [f"v{i}" for i in range(n)]
+    arcs = [(nodes[i], nodes[j]) for i, j in pairs]
+    # graph g's arcs are its low-bit arcs plus its high-bit arcs
+    low = len(arcs) // 2
+
+    def subsets(part):
+        return [tuple(a for idx, a in enumerate(part) if bits >> idx & 1)
+                for bits in range(1 << len(part))]
+    lows, highs = subsets(arcs[:low]), subsets(arcs[low:])
     bad = 0
-    m = len(pairs)
-    for g in range(masks.shape[0]):
-        arcs = frozenset(
-            (nodes[i], nodes[j]) for idx, (i, j) in enumerate(pairs) if g >> idx & 1)
-        if is_cyclic(arcs) != bool(expected[g]):
+    for g, want in enumerate(expected.tolist()):
+        if is_cyclic(frozenset(lows[g & ((1 << low) - 1)] + highs[g >> low])) != want:
             bad += 1
-    return masks.shape[0], bad
+    return len(expected), bad
+
+
+def _sample_graphs(r, n, count):
+    """`count` random simple graphs over n nodes: arc sets and adjacency masks."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    graphs = [r.sample(pairs, r.randint(0, 2 * n)) for _ in range(count)]
+    masks = np.zeros((count, n, n), dtype=bool)
+    for g, arcs in enumerate(graphs):
+        for i, j in arcs:
+            masks[g, i, j] = True
+    return graphs, masks
 
 
 def test_criterion_8_graph_oracle():
-    from latchproof.waitgraph import is_cyclic
     total = 0
     bad = 0
     for n in (1, 2, 3, 4):
@@ -389,18 +404,23 @@ def test_criterion_8_graph_oracle():
     c, b = _check_graphs(5, self_loops=False)
     total += c
     bad += b
-    # 5-node graphs with self-loops are always cyclic; spot the risk class
-    # with a large random sample over the loop-free enumeration
+    # beyond exhaustive reach: a seeded sample of 6- and 7-node simple
+    # graphs with 0..2n arcs, about half of them cyclic
     r = random.Random(5)
-    nodes = [f"v{i}" for i in range(5)]
-    for _ in range(50_000):
-        arcs = {(random.choice(nodes), random.choice(nodes)) for _ in range(r.randint(0, 8))}
-        v = r.choice(nodes)
-        arcs.add((v, v))
-        total += 1
-        if not is_cyclic(frozenset(arcs)):
-            bad += 1
+    cyclic = 0
+    for n in (6, 7):
+        graphs, masks = _sample_graphs(r, n, 25_000)
+        expected = _np_cyclic(masks, n)
+        cyclic += int(expected.sum())
+        nodes = [f"v{i}" for i in range(n)]
+        for graph, want in zip(graphs, expected.tolist()):
+            arcs = frozenset((nodes[i], nodes[j]) for i, j in graph)
+            total += 1
+            if is_cyclic(arcs) != want:
+                bad += 1
+    assert 0.3 < cyclic / 50_000 < 0.7
     assert bad == 0
     _report(8, f"is_cyclic matches brute-force reachability on {total} graphs "
                "(exhaustive through 4 nodes with self-loops and all 5-node "
-               "simple graphs); zero disagreements")
+               "simple graphs, plus 50000 sampled 6- and 7-node simple graphs, "
+               f"{cyclic} of them cyclic); zero disagreements")

@@ -44,6 +44,22 @@ def test_json_and_human_same_verdicts(capsys):
         e["verdict"] == "DeadlockError" for e in data)
 
 
+def test_json_carries_warnings(tmp_path, capsys):
+    f = tmp_path / "overlap.lp"
+    f.write_text("void main(int x) requires emp & x >= 0 | emp & x >= 1 ensures emp; "
+                 "{ skip }")
+    _, human = run_cli(capsys, "verify", str(f))
+    assert "spec disjuncts 1 and 2 overlap" in human
+    _, machine = run_cli(capsys, "verify", str(f), "--json")
+    entry = next(e for e in json.loads(machine) if e["proc"] == "main")
+    assert any("spec disjuncts 1 and 2 overlap" in w for w in entry["warnings"])
+
+
+def test_json_omits_empty_warnings(capsys):
+    _, machine = run_cli(capsys, "verify", str(CORPUS / "cdl2.lp"), "--json")
+    assert all("warnings" not in e for e in json.loads(machine))
+
+
 def test_dump_trace(capsys):
     code, out = run_cli(capsys, "verify", str(CORPUS / "deadlock_intra.lp"),
                         "--dump-trace")

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from latchproof import lemmas
 from latchproof.lemmas import (
     Inconsistency, LEMMAS, SplitFailure, SplitTarget, ambiguous_disjuncts,
     check_consistency, normalize, rs, rs_net, split_for, verify_lemma_table,
@@ -140,6 +142,38 @@ def test_split_permission_conservation():
 
 def test_rs_table_startup_check():
     verify_lemma_table()  # raises on any non-preserving lemma
+
+
+def _with_rule(name, rule):
+    return tuple(dataclasses.replace(lm, rule=rule) if lm.name == name else lm
+                 for lm in LEMMAS)
+
+
+def test_rs_check_runs_the_rules(monkeypatch):
+    # N3's rule, swapped for one that drops the released payload
+    def lossy(d, gen):
+        return [Disjunct(d.exists, tuple(a for a in d.heap if isinstance(a, Cnt)), d.pure)]
+    monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("N3", lossy))
+    with pytest.raises(AssertionError, match="N3 is not resource-preserving"):
+        verify_lemma_table()
+
+
+def test_rs_check_needs_each_rule_to_fire(monkeypatch):
+    monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("W1", lambda d, gen: None))
+    with pytest.raises(AssertionError, match="W1 does not fire"):
+        verify_lemma_table()
+
+
+def test_every_rewrite_and_check_has_a_rule():
+    # S1-S3 and ThrdSplit are applied on demand by entail/split_for
+    declarative = {lm.name for lm in LEMMAS if lm.rule is None}
+    assert declarative == {"S1", "S2", "S3", "ThrdSplit"}
+
+
+def test_w2_arcs_skip_a_full_view():
+    # W1 would erase them at once and W2 add them again, with no fixpoint
+    f = F("CNT(c1,1)@1 * CNT(c2,-1)@1 * WAIT{}@1")
+    assert normalize(f) == f
 
 
 def test_rs_every_nonerror_lemma_preserving():

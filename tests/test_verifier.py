@@ -1,6 +1,7 @@
 import pytest
 
 from latchproof import names
+from latchproof.oracle import explore
 from latchproof.parser import SourceFile, format_state, parse_formula, parse_program
 from latchproof.syntax import Cnt, Term
 from latchproof.verifier import (
@@ -220,3 +221,20 @@ def test_exec_deterministic(load):
     t1 = [format_state(f) for _, f in by_proc(vs1)["main"].trace.points]
     t2 = [format_state(f) for _, f in by_proc(vs2)["main"].trace.points]
     assert t1 == t2
+
+
+# -- completion-order arcs beside a full wait-for view ------------------------
+
+@pytest.mark.parametrize("body,states", [
+    ("c1 = create_latch(1); c2 = create_latch(0); countDown(c1)", 7),
+    ("c1 = create_latch(1); c2 = create_latch(1); ( countDown(c2) || await(c2) ); "
+     "countDown(c1)", 16),
+])
+def test_expired_and_pending_latches_terminate(body, states):
+    # one latch expired beside another still pending, in main's full view:
+    # W2 must leave that view alone, or it and W1 undo each other forever
+    p = parse_program(SourceFile("t", f"void main() requires emp ensures emp; {{ {body} }}"))
+    assert [(v.proc, v.kind) for v in verify_program(p, VerifyOptions())] == [
+        ("main", "Verified")]
+    rep = explore(p)
+    assert rep.kinds == {"Clean"} and rep.explored == states and rep.exhaustive

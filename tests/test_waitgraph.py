@@ -1,76 +1,85 @@
+"""Wait-for views: acyclicity, and the W1-W3 lemmas as normalize and
+split_for run them."""
+
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from latchproof.syntax import Perm
-from latchproof.waitgraph import (
-    PermissionOverflow, WaitGraph, add_arc, combine, is_cyclic, split, try_reset,
-)
+from latchproof.lemmas import Inconsistency, SplitTarget, normalize, split_for
+from latchproof.parser import format_state, parse_formula
+from latchproof.syntax import Disjunct, Formula, Perm, TRUE, Wait
+from latchproof.waitgraph import is_cyclic
 
 
-def G(arcs, perm=Fraction(1)):
-    return WaitGraph(frozenset(arcs), Perm(perm, ()))
+def F(s):
+    return parse_formula(s)
+
+
+def views(*graphs):
+    """A state holding one wait-for view per (arcs, permission) pair."""
+    atoms = tuple(Wait(frozenset(arcs), Perm(Fraction(perm), ())) for arcs, perm in graphs)
+    return Formula((Disjunct((), atoms, TRUE),))
 
 
 def test_add_arc():
-    g = G([], Fraction(1, 2))
-    g2 = add_arc(g, "c2", "c1")
-    assert g2.arcs == {("c2", "c1")}
-    assert g2.perm == g.perm
+    # W2: a positive c1 beside a final c2 adds c2->c1; the share is unchanged
+    out = normalize(F("CNT(c1,1)@1/2 * CNT(c2,-1)@1/2 * WAIT{}@1/2"))
+    assert format_state(out) == "CNT(c1,1)@1/2 * CNT(c2,-1)@1/2 * WAIT{c2->c1}@1/2"
 
 
 def test_add_existing_arc_noop():
-    g = add_arc(G([("a", "b")]), "a", "b")
-    assert g.arcs == {("a", "b")}
+    f = F("CNT(c1,1)@1/2 * CNT(c2,-1)@1/2 * WAIT{c2->c1}@1/2")
+    assert normalize(f) == f
 
 
 def test_self_arc_is_cyclic():
-    g = add_arc(G([]), "c", "c")
-    assert is_cyclic(g)
+    assert is_cyclic(frozenset({("c", "c")}))
 
 
 def test_two_cycle():
-    assert is_cyclic(G([("c2", "c1"), ("c1", "c2")]))
+    assert is_cyclic(frozenset({("c2", "c1"), ("c1", "c2")}))
 
 
 def test_empty_acyclic():
-    assert not is_cyclic(G([]))
+    assert not is_cyclic(frozenset())
 
 
 def test_dag_not_cyclic():
-    assert not is_cyclic(G([("a", "b"), ("b", "c"), ("a", "c")]))
+    assert not is_cyclic(frozenset({("a", "b"), ("b", "c"), ("a", "c")}))
 
 
 def test_combine_two_halves():
-    g = combine(G([("c2", "c1")], Fraction(1, 2)), G([("c1", "c2")], Fraction(1, 2)))
-    assert g.arcs == {("c2", "c1"), ("c1", "c2")}
-    assert g.perm.is_one
+    # W3 unions the arcs and sums the shares; the full view is cyclic (E3)
+    out = normalize(F("WAIT{c2->c1}@1/2 * WAIT{c1->c2}@1/2"))
+    assert isinstance(out, Inconsistency) and out.lemma == "E3"
+    assert out.message == "cyclic wait-for graph {c1->c2, c2->c1}"
+    out = normalize(F("WAIT{a->b}@1/4 * WAIT{b->c}@1/4"))
+    assert format_state(out) == "WAIT{a->b, b->c}@1/2"
 
 
 def test_split_duplicates_arcs():
-    parts = split(G([("a", "b")]), 2)
-    assert len(parts) == 2
-    assert all(p.arcs == {("a", "b")} for p in parts)
-    assert all(p.perm.frac == Fraction(1, 2) for p in parts)
-
-
-def test_combine_overflow():
-    with pytest.raises(PermissionOverflow):
-        combine(G([], Fraction(3, 4)), G([], Fraction(3, 4)))
+    r = split_for(F("WAIT{a->b}@1"), [SplitTarget(F("emp"))])
+    assert format_state(r.branches[0]) == "WAIT{a->b}@1/2"
+    assert format_state(r.frame) == "WAIT{a->b}@1/2"
+    # several views are merged by W3 before the split
+    r = split_for(F("WAIT{a->b}@1/2 * WAIT{b->c}@1/2"),
+                  [SplitTarget(F("emp")), SplitTarget(F("emp"))])
+    for part in r.branches + [r.frame]:
+        assert format_state(part) == "WAIT{a->b, b->c}@1/3"
 
 
 def test_try_reset():
-    assert try_reset(G([("a", "b")])).arcs == frozenset()
-    half = G([("a", "b")], Fraction(1, 2))
-    assert try_reset(half) == half
-    cyc = G([("a", "b"), ("b", "a")])
-    assert try_reset(cyc) == cyc
+    # W1 resets a full acyclic view only
+    assert format_state(normalize(F("WAIT{a->b}@1"))) == "WAIT{}"
+    half = F("WAIT{a->b}@1/2")
+    assert normalize(half) == half
+    assert isinstance(normalize(F("WAIT{a->b, b->a}@1")), Inconsistency)
 
 
 def test_try_reset_idempotent():
-    for g in [G([("a", "b")]), G([("a", "b")], Fraction(1, 2)), G([("a", "a")])]:
-        assert try_reset(try_reset(g)) == try_reset(g)
+    for s in ["WAIT{a->b}@1", "WAIT{a->b}@1/2", "WAIT{a->b, b->c}@1/3"]:
+        once = normalize(F(s))
+        assert normalize(once) == once
 
 
 def _reaches_itself(arcs, nodes):
@@ -97,8 +106,15 @@ def test_cyclic_matches_bruteforce_small():
         assert is_cyclic(arcs) == _reaches_itself(arcs, nodes), arcs
 
 
+def _summary(out):
+    if isinstance(out, Inconsistency):
+        return out.kind, out.lemma, out.message
+    return out
+
+
 @given(st.sets(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), max_size=8),
        st.sets(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), max_size=8))
 def test_combine_commutative(a1, a2):
-    g1, g2 = G(a1, Fraction(1, 4)), G(a2, Fraction(1, 4))
-    assert combine(g1, g2) == combine(g2, g1)
+    one = normalize(views((a1, Fraction(1, 4)), (a2, Fraction(1, 4))))
+    other = normalize(views((a2, Fraction(1, 4)), (a1, Fraction(1, 4))))
+    assert _summary(one) == _summary(other)
