@@ -4,14 +4,23 @@ resource-preservation (RS) accounting that validates the table at startup.
 
 Each `LEMMAS` entry holds a lemma's declarative form and the rule that runs
 it. Normalization applies the rewrite rules per disjunct, first applicable
-in table order: unit payloads, count combination, final-state absorption,
-trapped-resource release, dead-thread collapsing/release, wait-for
-union/reset and completion-order arcs. The inconsistency rules are checked
-after every rewrite, turning their patterns into race/deadlock verdicts.
+in table order and at the lowest heap position: unit payloads, count
+combination, final-state absorption, trapped-resource release, dead-thread
+collapsing/release, wait-for union/reset and completion-order arcs. The
+inconsistency rules are checked on every state the fixpoint reaches,
+turning their patterns into race/deadlock verdicts.
+
+Each rule reads the atoms of one key at a time (a latch, a thread id, or
+the wait-for shares), except W2, which reads every count. The fixpoint
+keeps each disjunct's heap indexed by key, and after a rewrite it runs
+each rule and check only on the keys whose atoms have changed since that
+rule or check last found them clean. The keys left out hold no match, so
+the first match found is the one a scan of the whole heap finds.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Optional
@@ -24,7 +33,8 @@ from .pure import SolverUnknown, Status
 from .syntax import (
     Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, pand, star, subst_disjunct, substitute, eq as peq, le as ple, lt as plt,
+    TRUE, pand, pure_eval, pure_free_vars, star, subst_disjunct, substitute,
+    eq as peq, le as ple, lt as plt,
 )
 from .waitgraph import is_cyclic
 from .diagnostics import Diagnostic
@@ -111,11 +121,134 @@ def rs_net(pre: Formula, post: Formula) -> list[RSItem]:
 
 
 # ---------------------------------------------------------------------------
-# Normalization rules (one per rewrite lemma; each returns the rewritten
-# disjuncts, or None where it does not apply)
+# The working heap. Every rule reads the atoms of one key at a time: a latch
+# (CNT, LatchIn, LatchOut), a thread id (dead, thread, threadspec) or the
+# wait-for shares. Atoms under no key (cells, resource variables) are read by
+# no rule.
+
+_WAIT = ("wait",)
+
+
+def _key(a: HeapAtom) -> Optional[tuple]:
+    if isinstance(a, (Cnt, LatchIn, LatchOut)):
+        return ("latch", a.latch)
+    if isinstance(a, (Dead, ThreadNode, ThreadSpec)):
+        return ("thread", a.tid)
+    if isinstance(a, Wait):
+        return _WAIT
+    return None
+
+
+def _symbolic(a: HeapAtom) -> bool:
+    return isinstance(a, Cnt) and not a.count.is_const
+
+
+@dataclass(frozen=True)
+class Rewrite:
+    """What a rule does to a disjunct, by slot: `put` replaces atoms where
+    they stand, the atoms at `drop` go, `add` is appended, and a `release`d
+    payload is starred onto the result last."""
+    drop: tuple[int, ...] = ()
+    put: tuple[tuple[int, HeapAtom], ...] = ()
+    add: tuple[HeapAtom, ...] = ()
+    release: Optional[ResArg] = None
+
+
+class _Heap:
+    """A disjunct being rewritten. Its atoms sit in numbered slots in heap
+    order; a rewrite empties the slots of the atoms it removes and appends
+    new ones, so a slot keeps its number while its atom stays, and the index
+    from each key to its slots is updated from the rewrite alone."""
+
+    def __init__(self, d: Disjunct):
+        self.exists, self.pure = d.exists, d.pure
+        self.slots: list[Optional[HeapAtom]] = []
+        self.keys: list[Optional[tuple]] = []      # each slot's key
+        self.index: dict[tuple, list[int]] = {}    # key -> its slots, ascending
+        self.symbolic: set[int] = set()    # slots of counts that are not constants
+        for a in d.heap:
+            self._place(len(self.slots), a)
+
+    def disjunct(self) -> Disjunct:
+        return Disjunct(self.exists, tuple(a for a in self.slots if a is not None), self.pure)
+
+    def _place(self, s: int, a: HeapAtom) -> Optional[tuple]:
+        k = _key(a)
+        if s == len(self.slots):
+            self.slots.append(a)
+            self.keys.append(k)
+        else:
+            self.slots[s], self.keys[s] = a, k
+        if k is not None:
+            insort(self.index.setdefault(k, []), s)
+        if _symbolic(a):
+            self.symbolic.add(s)
+        return k
+
+    def _empty(self, s: int) -> Optional[tuple]:
+        k = self.keys[s]
+        if k is not None:
+            group = self.index[k]
+            group.remove(s)
+            if not group:
+                del self.index[k]
+        self.symbolic.discard(s)
+        self.slots[s] = self.keys[s] = None
+        return k
+
+    def apply(self, rw: Rewrite, gen) -> tuple[Optional[set[tuple]], list[Disjunct]]:
+        """Carry out a rewrite. Returns the keys whose atoms it removed or
+        added (None, every key, when it changed the pure part or the
+        existentials) and the further disjuncts a disjunctive payload made."""
+        touched = set()
+        for s, a in rw.put:
+            touched |= {self._empty(s), self._place(s, a)}
+        for s in rw.drop:
+            touched.add(self._empty(s))
+        for a in rw.add:
+            touched.add(self._place(len(self.slots), a))
+        rest: list[Disjunct] = []
+        if rw.release is not None:
+            host = self.disjunct()
+            first, *rest = _release(host, rw.release, gen)
+            if (first.exists, first.pure) == (self.exists, self.pure):
+                for a in first.heap[len(host.heap):]:
+                    touched.add(self._place(len(self.slots), a))
+            else:
+                self.__init__(first)
+                return None, rest
+        touched.discard(None)
+        return touched, rest
+
+
+def _by_key(h: _Heap, keys: Optional[set[tuple]], kind: str):
+    """Yield (slot, atom, slots of its key) for every atom under the `keys`
+    of one kind (every key when None), in heap order."""
+    if keys is None:
+        for s, k in enumerate(h.keys):
+            if k is not None and k[0] == kind:
+                yield s, h.slots[s], h.index[k]
+    else:
+        for s, k in sorted((s, k) for k in keys if k[0] == kind for s in h.index.get(k, ())):
+            yield s, h.slots[s], h.index[k]
+
+
+# ---------------------------------------------------------------------------
+# Normalization rules (one per rewrite lemma; each returns its Rewrite, or
+# None where it does not apply). `keys` are the keys to look at, None
+# meaning every key; a rule finds the same first match among them as among
+# all keys whenever the keys left out hold no match.
 
 
 def _implied(pi: Pure, p: Pure) -> bool:
+    """pi entails p; an undecided query counts as not entailed. A ground p
+    is decided by evaluation, and a false one holds only under an
+    unsatisfiable pi."""
+    if not pure_free_vars(p):
+        if pure_eval(p, {}):
+            return True
+        return (not isinstance(pi, PTrue)
+                and solver.is_sat(pi, want_model=False).status == Status.UNSAT)
     try:
         return solver.implies(pi, p)
     except SolverUnknown:
@@ -128,40 +261,28 @@ def _count_is(pi: Pure, t: Term, k: int) -> bool:
     return _implied(pi, peq(t, Term.of(k)))
 
 
-def _concretize_counts(d: Disjunct) -> Disjunct:
+def _concretize_counts(pi: Pure, atoms: list[HeapAtom]) -> list[HeapAtom]:
     """Replace symbolic CNT counts that the pure part pins to a constant."""
-    changed = False
-    atoms = list(d.heap)
+    atoms = list(atoms)
     for i, a in enumerate(atoms):
-        if isinstance(a, Cnt) and not a.count.is_const:
-            res = solver.is_sat(d.pure)
+        if _symbolic(a):
+            res = solver.is_sat(pi)
             if res.status != Status.SAT or res.model is None:
                 break
             k = a.count.eval(res.model)
-            if _implied(d.pure, peq(a.count, Term.of(k))):
+            if _implied(pi, peq(a.count, Term.of(k))):
                 atoms[i] = Cnt(a.latch, Term.of(k), a.perm)
-                changed = True
-    return Disjunct(d.exists, tuple(atoms), d.pure) if changed else d
+    return atoms
 
 
-def _without(d: Disjunct, *drop: int) -> list[HeapAtom]:
-    return [x for k, x in enumerate(d.heap) if k not in drop]
-
-
-def _with(d: Disjunct, atoms: list[HeapAtom]) -> Disjunct:
-    return Disjunct(d.exists, tuple(atoms), d.pure)
-
-
-def _merge_payload(d: Disjunct, atoms: list[HeapAtom], payload: ResArg,
-                   gen) -> list[Disjunct]:
-    """Replace a released predicate by its payload, distributing disjunctive
-    payloads over the host disjunct."""
-    host = Formula((_with(d, atoms),))
+def _release(host: Disjunct, payload: ResArg, gen) -> list[Disjunct]:
+    """Star a released predicate's payload onto the host disjunct,
+    distributing a disjunctive payload over it."""
     if isinstance(payload, RVar):
         extra = Formula((Disjunct((), (ResVarAtom(payload.name),), TRUE),))
     else:
         extra = payload.formula
-    return list(star(host, extra, gen).disjuncts)
+    return list(star(Formula((host,)), extra, gen).disjuncts)
 
 
 def _is_trivial_payload(arg: ResArg) -> bool:
@@ -175,159 +296,157 @@ def _wait_union(a: Wait, b: Wait) -> Wait:
     return Wait(a.arcs | b.arcs, a.perm + b.perm)
 
 
-def _unit(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """Latch predicates with nothing to carry are units and disappear."""
-    for i, a in enumerate(d.heap):
+    for i, a, _ in _by_key(h, keys, "latch"):
         if isinstance(a, (LatchIn, LatchOut)) and _is_trivial_payload(a.payload):
-            return [_with(d, _without(d, i))]
+            return Rewrite(drop=(i,))
     return None
 
 
-def _n2(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """Combine counter shares that are both provably non-negative."""
-    atoms = d.heap
-    for i, a in enumerate(atoms):
+    for i, a, same in _by_key(h, keys, "latch"):
         if not isinstance(a, Cnt):
             continue
-        for j in range(i + 1, len(atoms)):
-            b = atoms[j]
-            if not (isinstance(b, Cnt) and b.latch == a.latch):
+        for j in same:
+            b = h.slots[j]
+            if j <= i or not isinstance(b, Cnt):
                 continue
-            if _implied(d.pure, pand([ple(Term.of(0), a.count), ple(Term.of(0), b.count)])):
+            if _implied(h.pure, pand([ple(Term.of(0), a.count), ple(Term.of(0), b.count)])):
                 merged = Cnt(a.latch, a.count + b.count, a.perm + b.perm)
-                return [_concretize_counts(_with(d, _without(d, i, j) + [merged]))]
+                kept = sorted(h.symbolic - {i, j})
+                *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
+                put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
+                return Rewrite(drop=(i, j), put=put, add=(merged,))
     return None
 
 
-def _n1(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """Absorb an exhausted share into the final state."""
-    atoms = d.heap
-    for i, a in enumerate(atoms):
+    for i, a, same in _by_key(h, keys, "latch"):
         if not isinstance(a, Cnt):
             continue
-        for j, b in enumerate(atoms):
-            if i == j or not isinstance(b, Cnt):
+        for j in same:
+            b = h.slots[j]
+            if i == j or not isinstance(b, Cnt) or not _count_is(h.pure, b.count, -1):
                 continue
-            if b.latch != a.latch or not _count_is(d.pure, b.count, -1):
-                continue
-            if _implied(d.pure, ple(a.count, Term.of(0))):
-                merged = Cnt(a.latch, Term.of(-1), a.perm + b.perm)
-                return [_with(d, _without(d, i, j) + [merged])]
+            if _implied(h.pure, ple(a.count, Term.of(0))):
+                return Rewrite(drop=(i, j), add=(Cnt(a.latch, Term.of(-1), a.perm + b.perm),))
     return None
 
 
-def _n3(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """An expired latch releases the resource trapped in its out-flow."""
-    for i, a in enumerate(d.heap):
+    for i, a, same in _by_key(h, keys, "latch"):
         if isinstance(a, LatchOut) and any(
-                isinstance(b, Cnt) and b.latch == a.latch and _count_is(d.pure, b.count, -1)
-                for b in d.heap):
-            return _merge_payload(d, _without(d, i), a.payload, gen)
+                isinstance(b, Cnt) and _count_is(h.pure, b.count, -1)
+                for b in (h.slots[j] for j in same)):
+            return Rewrite(drop=(i,), release=a.payload)
     return None
 
 
-def _dead_idem(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _dead_idem(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     seen: set[str] = set()
-    for i, a in enumerate(d.heap):
+    for i, a, _ in _by_key(h, keys, "thread"):
         if isinstance(a, Dead):
             if a.tid in seen:
-                return [_with(d, _without(d, i))]
+                return Rewrite(drop=(i,))
             seen.add(a.tid)
     return None
 
 
-def _dead_release(d: Disjunct, gen) -> Optional[list[Disjunct]]:
-    for i, a in enumerate(d.heap):
-        if isinstance(a, ThreadNode) and any(
-                isinstance(b, Dead) and b.tid == a.tid for b in d.heap):
-            return _merge_payload(d, _without(d, i), RForm(a.post), gen)
+def _dead_release(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+    for i, a, same in _by_key(h, keys, "thread"):
+        if isinstance(a, ThreadNode) and any(isinstance(h.slots[j], Dead) for j in same):
+            return Rewrite(drop=(i,), release=RForm(a.post))
     return None
 
 
-def _w3(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _w3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """Union wait-for shares."""
-    waits = [i for i, a in enumerate(d.heap) if isinstance(a, Wait)]
+    waits = [i for i, _, _ in _by_key(h, keys, "wait")]
     if len(waits) < 2:
         return None
     i, j = waits[0], waits[1]
-    return [_with(d, _without(d, i, j) + [_wait_union(d.heap[i], d.heap[j])])]
+    return Rewrite(drop=(i, j), add=(_wait_union(h.slots[i], h.slots[j]),))
 
 
-def _w1(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _w1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """A complete acyclic wait-for view resets."""
-    for i, a in enumerate(d.heap):
-        if isinstance(a, Wait) and a.arcs and a.perm.is_one and not is_cyclic(a.arcs):
-            return [_with(d, _without(d, i) + [Wait(frozenset(), a.perm)])]
+    for i, a, _ in _by_key(h, keys, "wait"):
+        if a.arcs and a.perm.is_one and not is_cyclic(a.arcs):
+            return Rewrite(drop=(i,), add=(Wait(frozenset(), a.perm),))
     return None
 
 
-def _w2(d: Disjunct, gen) -> Optional[list[Disjunct]]:
+def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """Record completion order: a positive share of c1 beside the final state
     of c2 means c2 completes before c1 (arc c2->c1). A full view is skipped:
     these arcs run from final latches to positive ones, so W1 would erase
     them at once (a cycle among them needs a latch both final and positive,
-    which E2 reports)."""
-    if not any(isinstance(a, Wait) and not a.perm.is_one for a in d.heap):
+    which E2 reports). The arcs depend on every count, so W2 reads the
+    whole heap whatever `keys` holds; as the last rewrite in the table it
+    runs only where no other rule applies."""
+    views = [(s, h.slots[s]) for s in h.index.get(_WAIT, ()) if not h.slots[s].perm.is_one]
+    if not views:
         return None
     finals, positives = set(), set()
-    for a in d.heap:
+    for _, a, _ in _by_key(h, None, "latch"):
         if isinstance(a, Cnt):
             if a.count.is_const and a.count.const == -1:
                 finals.add(a.latch)
-            elif _implied(d.pure, plt(Term.of(0), a.count)):
+            elif _implied(h.pure, plt(Term.of(0), a.count)):
                 positives.add(a.latch)
     arcs = {(c2, c1) for c1 in positives for c2 in finals if c1 != c2}
-    grown = [i for i, a in enumerate(d.heap)
-             if isinstance(a, Wait) and not a.perm.is_one and not arcs <= a.arcs]
-    if not grown:
-        return None
-    return [_with(d, [Wait(a.arcs | arcs, a.perm) if i in grown else a
-                      for i, a in enumerate(d.heap)])]
+    put = tuple((s, Wait(a.arcs | arcs, a.perm)) for s, a in views if not arcs <= a.arcs)
+    return Rewrite(put=put) if put else None
 
 
 # ---------------------------------------------------------------------------
-# Inconsistency rules (each returns its message, or None)
+# Inconsistency rules (each returns its message, or None; `keys` as for
+# the rewrite rules)
 
 
-def _e1(d: Disjunct) -> Optional[str]:
+def _e1(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Resource still flowing in while the latch already expired."""
-    for a in d.heap:
+    for _, a, same in _by_key(h, keys, "latch"):
         if isinstance(a, LatchIn) and any(
-                isinstance(b, Cnt) and b.latch == a.latch and _count_is(d.pure, b.count, -1)
-                for b in d.heap):
-            if solver.is_sat(d.pure, want_model=False).status != Status.SAT:
+                isinstance(b, Cnt) and _count_is(h.pure, b.count, -1)
+                for b in (h.slots[j] for j in same)):
+            if solver.is_sat(h.pure, want_model=False).status != Status.SAT:
                 return None
             return f"latch {a.latch} expired while resource still in-flight"
     return None
 
 
-def _e2(d: Disjunct) -> Optional[str]:
+def _e2(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """A positive share coexists with the final state."""
-    for a in d.heap:
+    for _, a, same in _by_key(h, keys, "latch"):
         if not isinstance(a, Cnt):
             continue
-        for b in d.heap:
-            if b is a or not isinstance(b, Cnt) or b.latch != a.latch:
+        for j in same:
+            b = h.slots[j]
+            if b is a or not isinstance(b, Cnt):
                 continue
-            if _count_is(d.pure, b.count, -1) and _implied(d.pure, plt(Term.of(0), a.count)):
+            if _count_is(h.pure, b.count, -1) and _implied(h.pure, plt(Term.of(0), a.count)):
                 return f"latch {a.latch}: pending countdowns can never complete"
     return None
 
 
-def _e3(d: Disjunct) -> Optional[str]:
+def _e3(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Cycle in the wait-for graph."""
-    for a in d.heap:
-        if isinstance(a, Wait) and is_cyclic(a.arcs):
+    for _, a, _ in _by_key(h, keys, "wait"):
+        if is_cyclic(a.arcs):
             cycle = ", ".join(f"{x}->{y}" for x, y in sorted(a.arcs))
             return f"cyclic wait-for graph {{{cycle}}}"
     return None
 
 
-def _forked_before_join(d: Disjunct) -> Optional[str]:
+def _forked_before_join(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Thread usage protocol: an unstarted descriptor cannot be dead."""
-    for a in d.heap:
-        if isinstance(a, ThreadSpec) and any(
-                isinstance(b, Dead) and b.tid == a.tid for b in d.heap):
+    for _, a, same in _by_key(h, keys, "thread"):
+        if isinstance(a, ThreadSpec) and any(isinstance(h.slots[j], Dead) for j in same):
             return f"thread {a.tid} joined before it was forked"
     return None
 
@@ -346,8 +465,8 @@ class Lemma:
     lhs: Formula
     rhs: Optional[Formula]         # None for inconsistency lemmas
     error: Optional[str] = None    # verdict kind for inconsistency lemmas
-    # rewrites: (Disjunct, gen) -> list[Disjunct] | None;
-    # inconsistency lemmas: Disjunct -> message | None
+    # rewrites: (_Heap, gen, keys=None) -> Rewrite | None;
+    # inconsistency lemmas: (_Heap, keys=None) -> message | None
     rule: Optional[Callable] = None
 
 
@@ -394,10 +513,14 @@ def verify_lemma_table() -> None:
         if lemma.rule is None:
             out = lemma.rhs
         elif lemma.rhs is None:
-            out = lemma.rule(lemma.lhs.single())
+            out = lemma.rule(_Heap(lemma.lhs.single()))
         else:
-            step = lemma.rule(lemma.lhs.single(), gen)
-            out = None if step is None else Formula(tuple(step))
+            h = _Heap(lemma.lhs.single())
+            step = lemma.rule(h, gen)
+            out = None
+            if step is not None:
+                _, rest = h.apply(step, gen)
+                out = Formula((h.disjunct(), *rest))
         if out is None:
             raise AssertionError(f"lemma {lemma.name} does not fire on its own lhs")
         net = rs_net(lemma.lhs, out) if lemma.rhs is not None else []
@@ -409,51 +532,75 @@ def verify_lemma_table() -> None:
 # Normalization to fixpoint
 
 
-def check_consistency(delta: Formula) -> Optional[Inconsistency]:
-    """Fire the inconsistency lemmas on each disjunct."""
-    for d in delta.disjuncts:
-        for lemma in _CHECKS:
-            message = lemma.rule(d)
-            if message is not None:
-                cited = lemma.name if lemma.error != "SpecFailure" else None
-                return Inconsistency(lemma.error, cited, message, delta)
+def _inconsistency(h: _Heap, keys: Optional[set[tuple]],
+                   state: Optional[Formula] = None) -> Optional[Inconsistency]:
+    """The first inconsistency lemma, in table order, that fires on h."""
+    for lemma in _CHECKS:
+        message = lemma.rule(h, keys)
+        if message is not None:
+            cited = lemma.name if lemma.error != "SpecFailure" else None
+            return Inconsistency(lemma.error, cited, message,
+                                 Formula((h.disjunct(),)) if state is None else state)
     return None
 
 
-def _rewrite_first(d: Disjunct, gen) -> Optional[list[Disjunct]]:
-    """The result of the first rewrite lemma that applies; None at fixpoint."""
-    for lemma in _REWRITES:
-        step = lemma.rule(d, gen)
-        if step is not None:
-            return step
+def check_consistency(delta: Formula) -> Optional[Inconsistency]:
+    """Fire the inconsistency lemmas on each disjunct, every key looked at."""
+    for d in delta.disjuncts:
+        bad = _inconsistency(_Heap(d), None, delta)
+        if bad is not None:
+            return bad
     return None
 
 
 def normalize(delta: Formula, gen=None):
-    """Rewrite to fixpoint, first applicable lemma in table order; returns the
-    normal form or an Inconsistency."""
+    """Rewrite each disjunct to fixpoint, first applicable lemma in table
+    order, and check every state reached with the inconsistency lemmas;
+    returns the normal form or the first Inconsistency.
+
+    For each rewrite rule, and for the checks, the fixpoint keeps the keys
+    not found clean since their atoms last changed (None: every key). A rule
+    or check that finds nothing empties its set, and one with an empty set
+    is not run. A rewrite adds the keys whose atoms it removed or added to
+    every set, or sets them all to every key when it changed the pure part
+    or the existentials."""
     gen = gen or names.default_gen()
     out: list[Disjunct] = []
     for d0 in delta.disjuncts:
-        queue = [_concretize_counts(d0)]
+        queue = [Disjunct(d0.exists, tuple(_concretize_counts(d0.pure, d0.heap)), d0.pure)]
         cap = 10 * (len(d0.heap) + 1) + 10
         while queue:
-            d = queue.pop(0)
+            h = _Heap(queue.pop(0))
+            # one key set per rewrite, in table order, and the checks' last
+            dirty: list[Optional[set[tuple]]] = [None] * (len(_REWRITES) + 1)
             rounds = 0
             while True:
-                step = _rewrite_first(d, gen)
+                step = None
+                for r, lemma in enumerate(_REWRITES):
+                    if dirty[r] is None or dirty[r]:
+                        step = lemma.rule(h, gen, dirty[r])
+                        if step is not None:
+                            break
+                        dirty[r] = set()
                 if step is not None:
                     rounds += 1
                     if rounds > cap:
                         raise NormalizationDiverged(f"no fixpoint after {rounds} rounds")
-                    d = step[0]
-                    queue.extend(step[1:])
-                bad = check_consistency(Formula((d,)))
-                if bad is not None:
-                    return bad
+                    touched, rest = h.apply(step, gen)
+                    queue.extend(rest)
+                    if touched is None:
+                        dirty = [None] * len(dirty)
+                    for keys in dirty:
+                        if keys is not None:
+                            keys |= touched
+                if dirty[-1] is None or dirty[-1]:
+                    bad = _inconsistency(h, dirty[-1])
+                    if bad is not None:
+                        return bad
+                    dirty[-1] = set()
                 if step is None:
                     break
-            out.append(d)
+            out.append(h.disjunct())
     return Formula(tuple(out), delta.span)
 
 

@@ -1,4 +1,5 @@
-"""The showcase traces and the corpus agreement matrix, byte for byte."""
+"""The showcase traces, the corpus agreement matrix and the symbolic traces
+of generated program families, byte for byte."""
 
 import os
 import pathlib
@@ -7,7 +8,12 @@ import sys
 
 import pytest
 
+from latchproof import names
+from latchproof.parser import SourceFile, parse_program
+from latchproof.verifier import VerifyOptions, verify_program
+
 ROOT = pathlib.Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("name", ["showcase", "corpus"])
@@ -15,4 +21,57 @@ def test_script_output_matches_golden(name):
     env = {k: v for k, v in os.environ.items() if k != "LATCHPROOF_SEED"}
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / f"run_{name}.py")],
                          capture_output=True, env=env, check=True).stdout
-    assert out == (ROOT / "tests" / "golden" / f"{name}.txt").read_bytes()
+    assert out == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# Families with up to six latches per heap, where the rewrites of different
+# latches interleave; the showcase and corpus programs hold one or two.
+
+def _main(par, decls):
+    body = "".join(f"  {d};\n" for d in decls)
+    return ("void main()\n  requires emp\n  ensures  emp;\n{\n" + body
+            + f"  ( {' || '.join(par)} )\n}}\n")
+
+
+def _chain(n):
+    par = (["countDown(c0)"] + [f"await(c{i}); countDown(c{i + 1})" for i in range(n - 1)]
+           + [f"await(c{n - 1})"])
+    return _main(par, [f"c{i} = create_latch(1)" for i in range(n)])
+
+
+def _ring(n):
+    return _main([f"await(c{i}); countDown(c{(i + 1) % n})" for i in range(n)],
+                 [f"c{i} = create_latch(1)" for i in range(n)])
+
+
+def _fan_in(n):
+    return _main(["countDown(c)"] * n + ["await(c)"], [f"c = create_latch({n})"])
+
+
+FAMILIES = [("chain-6", _chain(6)), ("ring-4", _ring(4)), ("fan-in-4", _fan_in(4))]
+
+
+def render_families() -> str:
+    lines = []
+    for name, source in FAMILIES:
+        names.reset_fresh()
+        program = parse_program(SourceFile(name, source))
+        lines.append(f"=== {name}")
+        for v in verify_program(program, VerifyOptions(collect_trace=True)):
+            lemma = f" by {v.lemma}" if v.lemma else ""
+            lines.append(f"{v.proc}: {v.kind}{lemma} {v.message}".rstrip())
+            lines.append(v.trace.render())
+    return "\n".join(lines) + "\n"
+
+
+def test_family_traces_match_golden(monkeypatch):
+    monkeypatch.delenv("LATCHPROOF_SEED", raising=False)
+    names.reset_fresh(0)
+    assert render_families() == (GOLDEN / "families.txt").read_text()
+
+
+if __name__ == "__main__":
+    # regenerate: python tests/test_golden.py > tests/golden/families.txt
+    os.environ.pop("LATCHPROOF_SEED", None)
+    names.reset_fresh(0)
+    sys.stdout.write(render_families())

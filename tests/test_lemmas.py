@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from latchproof import lemmas
+from latchproof import lemmas, names, pure
 from latchproof.lemmas import (
-    Inconsistency, LEMMAS, SplitFailure, SplitTarget, ambiguous_disjuncts,
-    check_consistency, normalize, rs, rs_net, split_for, verify_lemma_table,
+    Inconsistency, LEMMAS, NormalizationDiverged, SplitFailure, SplitTarget,
+    ambiguous_disjuncts, check_consistency, normalize, rs, rs_net, split_for,
+    verify_lemma_table,
 )
-from latchproof.parser import format_state, parse_formula
+from latchproof.parser import (
+    SourceFile, format_state, parse_formula, parse_program, unparse_atom,
+)
 from latchproof.syntax import (
-    Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE,
+    Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE, pand, le, lt,
 )
+from latchproof.verifier import VerifyOptions, verify_program
 
 
 def F(s):
@@ -151,8 +155,9 @@ def _with_rule(name, rule):
 
 def test_rs_check_runs_the_rules(monkeypatch):
     # N3's rule, swapped for one that drops the released payload
-    def lossy(d, gen):
-        return [Disjunct(d.exists, tuple(a for a in d.heap if isinstance(a, Cnt)), d.pure)]
+    def lossy(h, gen):
+        return lemmas.Rewrite(drop=tuple(s for s, a in enumerate(h.slots)
+                                         if not isinstance(a, Cnt)))
     monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("N3", lossy))
     with pytest.raises(AssertionError, match="N3 is not resource-preserving"):
         verify_lemma_table()
@@ -246,6 +251,145 @@ def test_normalize_idempotent_and_conserving_random():
             continue
         assert normalize(out) == out
         assert _cnt_perm_totals(out) == _cnt_perm_totals(f)
+
+
+# -- the indexed fixpoint against a full scan ------------------------------------
+
+def _rewrite_first(d, gen):
+    """The first rewrite lemma that applies, each rule scanning every key."""
+    for lemma in lemmas._REWRITES:
+        h = lemmas._Heap(d)
+        step = lemma.rule(h, gen)
+        if step is not None:
+            _, rest = h.apply(step, gen)
+            return [h.disjunct(), *rest]
+    return None
+
+
+def _full_scan_normalize(delta, gen):
+    """Reference: restart the table after every rewrite and check the whole
+    disjunct after every step."""
+    out = []
+    for d0 in delta.disjuncts:
+        queue = [Disjunct(d0.exists, tuple(lemmas._concretize_counts(d0.pure, d0.heap)), d0.pure)]
+        cap = 10 * (len(d0.heap) + 1) + 10
+        while queue:
+            d = queue.pop(0)
+            rounds = 0
+            while True:
+                step = _rewrite_first(d, gen)
+                if step is not None:
+                    rounds += 1
+                    if rounds > cap:
+                        raise NormalizationDiverged(f"no fixpoint after {rounds} rounds")
+                    d = step[0]
+                    queue.extend(step[1:])
+                bad = check_consistency(Formula((d,)))
+                if bad is not None:
+                    return bad
+                if step is None:
+                    break
+            out.append(d)
+    return Formula(tuple(out), delta.span)
+
+
+_PAYLOADS = ["emp", "P", "x::cell(1)", "P | Q", "x::cell(v) & v>0", "ex v. y::cell(v) & v>1",
+             "emp & m>0 | P", "CNT(c2,1)@1/2", "CNT(c1,n)@1/4 * CNT(c2,0)@1/4 & n=1",
+             "CNT(c2,0)@1/4 * CNT(c1,1)@1/4", "CNT(c1,-1)@1/4 * CNT(c2,n)@1/4"]
+
+
+def _random_disjunct(r):
+    latches = ["c1", "c2", "c3", "c4"][:r.randint(2, 4)]
+    atoms = []
+    for _ in range(r.randint(1, 9)):
+        c, t, kind = r.choice(latches), r.choice(["t1", "t2"]), r.random()
+        if kind < 0.45:
+            count = r.choice(["-1", "-1", "0", "0", "1", "2", "n", "n+1", "m", "k-1"])
+            atoms.append(f"CNT({c},{count})" + r.choice(["", "@1/2", "@1/3", "@2/3", "@f"]))
+        elif kind < 0.65:
+            atoms.append(f"{r.choice(['LatchIn', 'LatchOut'])}({c}, {r.choice(_PAYLOADS)})")
+        elif kind < 0.78:
+            arcs = ", ".join(f"{r.choice(latches)}->{r.choice(latches)}"
+                             for _ in range(r.randint(0, 3)))
+            atoms.append("WAIT{" + arcs + "}" + r.choice(["", "@1/2", "@1/3", "@2/3"]))
+        elif kind < 0.88:
+            atoms.append(f"dead({t})")
+        elif kind < 0.96:
+            atoms.append(f"thread({t}, {r.choice(_PAYLOADS)})")
+        else:
+            atoms.append(f"threadspec({t}, P, Q)")
+    pure_parts = r.sample(["n>=0", "n=1", "n=0", "m>0", "m=2", "k=0", "v=1", "n=m"],
+                          r.randint(0, 3))
+    return F(" & ".join([" * ".join(atoms)] + pure_parts))
+
+
+def test_indexed_fixpoint_matches_full_scan():
+    r = random.Random(7)
+    outcomes = set()
+    for _ in range(1500):
+        f = _random_disjunct(r)
+        want = _full_scan_normalize(f, names.FreshGen(0))
+        got = normalize(f, names.FreshGen(0))
+        assert got == want, format_state(f)
+        outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
+    assert outcomes == {"normal form", "E1", "E2", "E3", None}   # None: the thread protocol
+
+
+@pytest.mark.parametrize("text, heap", [
+    # a released payload brings a count its pure part pins: the next N2 pins it
+    ("LatchOut(c1, CNT(c3,n)@1/2 * CNT(c2,0)@1/4 & n=1) * CNT(c1,-1)@1/2 * CNT(c2,1)@1/2",
+     ["CNT(c1,-1)@1/2", "CNT(c3,1)@1/2", "CNT(c2,1)@3/4"]),
+    # a release makes three latches match N2 at once: they merge in heap order
+    ("CNT(c4,1)@1/4 * CNT(c2,1)@1/4 * CNT(c1,1)@1/4 * CNT(c3,-1)@1/2"
+     " * LatchOut(c3, CNT(c1,0)@1/4 * CNT(c2,0)@1/4 * CNT(c4,0)@1/4)",
+     ["CNT(c3,-1)@1/2", "CNT(c4,1)@1/2", "CNT(c2,1)@1/2", "CNT(c1,1)@1/2"]),
+])
+def test_rewrites_after_a_release(text, heap):
+    out = normalize(F(text), names.FreshGen(0))
+    assert [unparse_atom(a) for a in out.single().heap] == heap
+    assert out == _full_scan_normalize(F(text), names.FreshGen(0))
+
+
+# -- solver work -------------------------------------------------------------------
+
+def test_implied_decides_ground_consequents_by_evaluation(monkeypatch):
+    x, zero = Term.var("x"), Term.of(0)
+    assert lemmas._implied(TRUE, lt(zero, Term.of(1)))
+    assert not lemmas._implied(le(zero, x), lt(zero, Term.of(-1)))
+    assert lemmas._implied(pand([le(zero, x), lt(x, zero)]), lt(zero, Term.of(-1)))
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a true ground consequent needs no solver call")
+    monkeypatch.setattr(pure, "is_sat", no_solver)
+    assert lemmas._implied(le(zero, x), lt(zero, Term.of(1)))
+
+
+def _latch_program(n, par):
+    decls = "".join(f"  c{i} = create_latch(1);\n" for i in range(n))
+    source = ("void main()\n  requires emp\n  ensures emp;\n{\n" + decls
+              + f"  ( {' || '.join(par)} )\n}}\n")
+    return parse_program(SourceFile("family", source))
+
+
+def test_chain_and_ring_solver_work(monkeypatch):
+    counts = {"is_sat": 0, "is_cyclic": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(pure, "is_sat", counted("is_sat", pure.is_sat))
+    monkeypatch.setattr(lemmas, "is_cyclic", counted("is_cyclic", lemmas.is_cyclic))
+    n = 32
+    chain = _latch_program(n, ["countDown(c0)"] + [f"await(c{i}); countDown(c{i + 1})"
+                                                   for i in range(n - 1)] + [f"await(c{n - 1})"])
+    [v] = verify_program(chain, VerifyOptions(collect_trace=False))
+    assert v.kind == "Verified"
+    assert counts["is_sat"] <= 2000 and counts["is_cyclic"] <= 400, counts
+    ring = _latch_program(n, [f"await(c{i}); countDown(c{(i + 1) % n})" for i in range(n)])
+    [v] = verify_program(ring, VerifyOptions(collect_trace=False))
+    assert (v.kind, v.lemma) == ("DeadlockError", "E3")
 
 
 # -- precision lint ----------------------------------------------------------------
