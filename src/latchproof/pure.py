@@ -1,19 +1,23 @@
 """Decision procedure for the pure fragment (linear integer arithmetic).
 
 Satisfiability goes through negation normal form, quantifier elimination,
-and a DNF split; each conjunct is solved by equality substitution plus
-Fourier-Motzkin elimination with integer tightening. Strict bounds are
-integer-tightened up front (a < b becomes a <= b-1) so elimination of
-unit-coefficient variables is exact; variables with larger coefficients
-fall back to bounded enumeration inside their rational feasibility
-interval. Exceeding the step budget yields Unknown, never a wrong answer.
+and a DNF split (is_sat drops repeated conjuncts first); each conjunct is a
+system of dense integer rows decided exactly by Pugh's Omega test: gcd
+normalization with floor tightening, equality elimination by unit
+substitution or the symmetric-mod step, Fourier-Motzkin on the real shadow
+where it is exact, else the dark shadow and then grey-shadow splinters. A
+Sat answer carries a model built by back-substitution and checked by
+evaluation. Only the step budget (MAX_STEPS) yields Unknown. `eliminate`
+projects with unit-coefficient Fourier-Motzkin and gives up (SolverUnknown)
+on other coefficients.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from . import names
@@ -40,8 +44,7 @@ class SolverUnknown(Exception):
     """Raised when implication/elimination cannot be decided within limits."""
 
 
-MAX_STEPS = 10**5
-_ENUM_WINDOW = 64
+MAX_STEPS = 10**5  # safety budget: solver steps per query
 
 # Pluggable external backend (SMT-LIB client); see smt.py.
 _external_backend = None
@@ -51,20 +54,6 @@ def set_external_backend(backend) -> None:
     global _external_backend
     _external_backend = backend
     _sat_cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# Linear constraints: term <= 0 / term = 0 over integers
-
-
-@dataclass(frozen=True)
-class _Le:
-    term: Term  # term <= 0
-
-
-@dataclass(frozen=True)
-class _Eq:
-    term: Term  # term = 0
 
 
 def _nnf(p: Pure, positive: bool) -> Pure:
@@ -145,37 +134,23 @@ def _dnf(p: Pure) -> list[list[Cmp]]:
     raise TypeError(p)
 
 
-def _constraints(conj: list[Cmp]) -> list[list]:
-    """Expand a conjunct into constraint systems (disequalities split)."""
+def _constraints(conj: list[Cmp]) -> list[list[tuple[str, Term]]]:
+    """Expand a conjunct into constraint systems of ("eq", t) for t = 0 and
+    ("le", t) for t <= 0 (disequalities split)."""
     systems: list[list] = [[]]
     for c in conj:
         d = c.lhs - c.rhs
-        if c.op == "eq":
+        if c.op in ("eq", "le"):
             for s in systems:
-                s.append(_Eq(d))
-        elif c.op == "le":
-            for s in systems:
-                s.append(_Le(d))
+                s.append((c.op, d))
         elif c.op == "lt":
             for s in systems:
-                s.append(_Le(d + Term.of(1)))
+                s.append(("le", d + Term.of(1)))
         else:  # ne: d <= -1 or -d <= -1
-            new = []
-            for s in systems:
-                new.append(s + [_Le(d + Term.of(1))])
-                new.append(s + [_Le(d.neg() + Term.of(1))])
-            systems = new
+            systems = [s + [("le", e + Term.of(1))] for s in systems for e in (d, d.neg())]
             if len(systems) > 4096:
                 raise SolverUnknown("disequality blow-up")
     return systems
-
-
-def _gcd_list(xs) -> int:
-    from math import gcd
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g
 
 
 class _Budget:
@@ -189,146 +164,148 @@ class _Budget:
 
 
 def _solve_system(cons: list, budget: _Budget) -> Optional[dict[str, int]]:
-    """Find an integer model of a conjunction of _Eq/_Le constraints."""
-    import math
+    """Find an integer model of a conjunction of ("eq"/"le", term) constraints."""
+    vs = sorted({v for _, t in cons for v, _ in t.coeffs})
+    col = {v: i for i, v in enumerate(vs, 1)}
+    rows: dict[str, list] = {"eq": [], "le": []}
+    for op, t in cons:
+        row = [t.const] + [0] * len(vs)
+        for v, k in t.coeffs:
+            row[col[v]] = k
+        rows[op].append(row)
+    model = _omega(rows["eq"], rows["le"], len(vs), budget)
+    return None if model is None else dict(zip(vs, model[1:]))
 
-    budget.spend()
-    live = []
-    for c in cons:
-        if not c.term.coeffs:
-            if isinstance(c, _Eq) and c.term.const != 0:
-                return None
-            if isinstance(c, _Le) and c.term.const > 0:
+
+# ---------------------------------------------------------------------------
+# The Omega test (W. Pugh, CACM 35(8), 1992) over dense integer rows. A row
+# [c, a1, ..., an] stands for c + a1*x1 + ... + an*xn; equality rows are = 0
+# and inequality rows <= 0. A model is [1, x1, ..., xn], so the value of a
+# row at a model is their dot product.
+
+
+def _dot(row: list[int], model: list[int]) -> int:
+    return sum(map(operator.mul, row, model))
+
+
+def _tighten(eqs: list, les: list) -> Optional[tuple[list, list]]:
+    """Divide each row by the gcd of its coefficients, rounding an inequality's
+    constant up (no integer point is lost); drop constant rows and all but the
+    tightest of parallel inequalities; merge opposite inequalities that meet
+    into an equality. None when some row has no integer point."""
+    out_eqs = []
+    for r in eqs:
+        g = math.gcd(*r[1:])
+        if (g == 0 and r[0]) or (g and r[0] % g):
+            return None
+        if g:
+            out_eqs.append([x // g for x in r])
+    tight: dict[tuple, int] = {}
+    for r in les:
+        g = math.gcd(*r[1:])
+        if g == 0:
+            if r[0] > 0:
                 return None
             continue
-        live.append(c)
-    cons = live
-
-    # Equalities: gcd normalization/test, then unit-coefficient substitution.
-    for c in cons:
-        if isinstance(c, _Eq):
-            g = _gcd_list(k for _, k in c.term.coeffs)
-            if c.term.const % g != 0:
+        key, c = tuple(x // g for x in r[1:]), -(-r[0] // g)
+        if c > tight.get(key, c - 1):
+            tight[key] = c
+    out_les = []
+    for key, c in tight.items():
+        opp = tuple(-x for x in key)
+        if opp in tight and c + tight[opp] >= 0:
+            if c + tight[opp] > 0:
                 return None
-            if g > 1:
-                t = Term(tuple((v, k // g) for v, k in c.term.coeffs), c.term.const // g)
-                new_cons = [d for d in cons if d is not c] + [_Eq(t)]
-                return _solve_system(new_cons, budget)
-            unit = next((v for v, k in c.term.coeffs if abs(k) == 1), None)
-            if unit is not None:
-                k = dict(c.term.coeffs)[unit]
-                rest = Term(tuple((v, co) for v, co in c.term.coeffs if v != unit), c.term.const)
-                image = rest.scale(-1) if k == 1 else rest
-                rho = {unit: image}
-                new_cons = [type(d)(d.term.subst(rho)) for d in cons if d is not c]
-                sub = _solve_system(new_cons, budget)
-                if sub is None:
-                    return None
-                sub[unit] = image.eval(sub)
-                return sub
+            if key > opp:
+                out_eqs.append([c, *key])
+            continue
+        out_les.append([c, *key])
+    return out_eqs, out_les
 
-    all_vars = sorted({v for c in cons for v, _ in c.term.coeffs})
-    if not all_vars:
-        return {}
 
-    def coeffs_of(v):
-        out = []
-        for c in cons:
-            k = dict(c.term.coeffs).get(v, 0)
-            if k:
-                out.append((c, k))
+def _omega(eqs: list, les: list, n: int, budget: _Budget) -> Optional[list[int]]:
+    """An integer model of the rows over n variables, or None if none exists."""
+    budget.spend()
+    tight = _tighten(eqs, les)
+    if tight is None:
+        return None
+    eqs, les = tight
+    if eqs:
+        return _omega_eq(eqs, les, n, budget)
+    # Eliminate the variable whose bound pairs leave the least room between
+    # real and dark shadow (none: the real shadow is exact), then the one
+    # with the fewest pairs.
+    best = None
+    for j in range(1, n + 1):
+        lo = [r for r in les if r[j] < 0]
+        up = [r for r in les if r[j] > 0]
+        if lo or up:
+            cost = (sum((u[j] - 1) * (-l[j] - 1) for l in lo for u in up), len(lo) * len(up))
+            if best is None or cost < best[0]:
+                best = (cost, j, lo, up)
+    if best is None:
+        return [1] + [0] * n
+    (gap, _), j, lo, up = best
+    rest = [r for r in les if not r[j]]
+
+    def shadow(dark: bool) -> list:
+        # -b*x + L <= 0 and a*x + U <= 0 give a*L + b*U <= 0 (real shadow);
+        # adding (a-1)(b-1) keeps only pairs with an integer x between them.
+        out = list(rest)
+        for l in lo:
+            for u in up:
+                a, b = u[j], -l[j]
+                row = [a * p + b * q for p, q in zip(l, u)]
+                row[0] += (a - 1) * (b - 1) if dark else 0
+                out.append(row)
         return out
 
-    # Prefer a variable occurring with unit coefficients in inequalities only:
-    # its Fourier-Motzkin elimination is exact over the integers.
-    unit_var = None
-    for v in all_vars:
-        occ = coeffs_of(v)
-        if all(abs(k) == 1 and isinstance(c, _Le) for c, k in occ):
-            unit_var = v
-            break
-
-    if unit_var is not None:
-        var = unit_var
-        lowers, uppers, rest = [], [], []
-        for c in cons:
-            k = dict(c.term.coeffs).get(var, 0)
-            if k == 0:
-                rest.append(c)
-                continue
-            other = Term(tuple((v, co) for v, co in c.term.coeffs if v != var), c.term.const)
-            if k > 0:
-                uppers.append(other)   # var <= -other
-            else:
-                lowers.append(other)   # var >= other
-        projected = list(rest)
-        for lo in lowers:
-            for up in uppers:
-                projected.append(_Le(lo + up))
-        sub = _solve_system(projected, budget)
-        if sub is None:
+    model = _omega([], shadow(dark=gap > 0), n, budget)
+    if model is None:
+        if not gap or _omega([], shadow(dark=False), n, budget) is None:
             return None
-        lo_vals = [lo.eval(sub) for lo in lowers]
-        up_vals = [-up.eval(sub) for up in uppers]
-        if lo_vals:
-            val = max(lo_vals)
-        elif up_vals:
-            val = min(up_vals)
-        else:
-            val = 0
-        sub[var] = val
-        return sub
-
-    # General case: enumerate the first variable inside rational bounds read
-    # off from constraints whose remainder is constant.
-    var = all_vars[0]
-    lo_bound: Optional[Fraction] = None
-    hi_bound: Optional[Fraction] = None
-    for c in cons:
-        k = dict(c.term.coeffs).get(var, 0)
-        other = Term(tuple((v, co) for v, co in c.term.coeffs if v != var), c.term.const)
-        if k == 0 or other.coeffs:
-            continue
-        b = Fraction(-other.const, k)
-        if isinstance(c, _Eq):
-            lo_bound = b if lo_bound is None else max(lo_bound, b)
-            hi_bound = b if hi_bound is None else min(hi_bound, b)
-        elif k > 0:
-            hi_bound = b if hi_bound is None else min(hi_bound, b)
-        else:
-            lo_bound = b if lo_bound is None else max(lo_bound, b)
-
-    exhaustive = lo_bound is not None and hi_bound is not None
-    if exhaustive:
-        start, stop = math.ceil(lo_bound), math.floor(hi_bound)
-        if stop - start > 4 * _ENUM_WINDOW:
-            stop = start + 4 * _ENUM_WINDOW
-            exhaustive = False
-    elif lo_bound is not None:
-        start = math.ceil(lo_bound)
-        stop = start + _ENUM_WINDOW
-    elif hi_bound is not None:
-        stop = math.floor(hi_bound)
-        start = stop - _ENUM_WINDOW
-    else:
-        start, stop = -_ENUM_WINDOW, _ENUM_WINDOW
-
-    saw_unknown = False
-    for val in range(start, stop + 1):
-        budget.spend()
-        rho = {var: Term.of(val)}
-        new_cons = [type(c)(c.term.subst(rho)) for c in cons]
-        try:
-            sub = _solve_system(new_cons, budget)
-        except SolverUnknown:
-            saw_unknown = True
-            continue
-        if sub is not None:
-            sub[var] = val
-            return sub
-    if (exhaustive or start > stop) and not saw_unknown:
+        # Grey shadow: an integer point the dark shadow misses lies close to
+        # some lower bound b*x >= L, on a splinter b*x = L + i.
+        m = max(u[j] for u in up)
+        for l in lo:
+            b = -l[j]
+            for i in range((m * b - m - b) // m + 1):
+                model = _omega([[l[0] + i, *l[1:]]], les, n, budget)
+                if model is not None:
+                    return model
         return None
-    raise SolverUnknown(f"enumeration window exhausted for {var}")
+    # x_j is absent from the shadow, so model[j] is 0 here; both shadows
+    # leave an integer between x_j's tightest bounds.
+    if lo:
+        model[j] = max(-(-_dot(l, model) // -l[j]) for l in lo)
+    else:
+        model[j] = min(-_dot(u, model) // u[j] for u in up)
+    return model
+
+
+def _omega_eq(eqs: list, les: list, n: int, budget: _Budget) -> Optional[list[int]]:
+    """Eliminate x_k through the equality e holding the smallest coefficient
+    a = e[k]. A unit a gives x_k by substitution. Otherwise Pugh's
+    symmetric-mod step adds a variable sigma with m*sigma = sum of
+    (e[i] mod^ m)*x_i, m = |a| + 1, where a mod^ m = -sign(a), and
+    substitutes the x_k it yields; e's coefficients then shrink."""
+    e, k = min(((r, j) for r in eqs for j in range(1, n + 1) if r[j]),
+               key=lambda rj: abs(rj[0][rj[1]]))
+    a = e[k]
+    if abs(a) == 1:
+        sub = [-a * x for x in e]
+    else:
+        m, s = abs(a) + 1, 1 if a > 0 else -1
+        sub = [s * (x - m * ((2 * x + m) // (2 * m))) for x in e] + [-s * m]
+        eqs, les = [r + [0] for r in eqs], [r + [0] for r in les]
+    # sub[k] == -1, so adding r[k]*sub to a row r replaces x_k by the rest of sub
+    model = _omega([[x + r[k] * y for x, y in zip(r, sub)] for r in eqs],
+                   [[x + r[k] * y for x, y in zip(r, sub)] if r[k] else r for r in les],
+                   len(sub) - 1, budget)
+    if model is None:
+        return None
+    model[k] += _dot(sub, model)
+    return model[:n + 1]
 
 
 def _project(p: Pure, vars: set[str], gen: names.FreshGen) -> Pure:
@@ -349,38 +326,33 @@ def _project_system(cons: list, vars: set[str]) -> list[Pure]:
     for var in sorted(vars):
         # substitute via equalities when possible
         eq = next(
-            (c for c in cons if isinstance(c, _Eq) and abs(dict(c.term.coeffs).get(var, 0)) == 1),
+            (c for c in cons if c[0] == "eq" and abs(dict(c[1].coeffs).get(var, 0)) == 1),
             None,
         )
         if eq is not None:
-            k = dict(eq.term.coeffs)[var]
-            rest = Term(tuple((v, co) for v, co in eq.term.coeffs if v != var), eq.term.const)
+            k = dict(eq[1].coeffs)[var]
+            rest = Term(tuple((v, co) for v, co in eq[1].coeffs if v != var), eq[1].const)
             image = rest.scale(-1) if k == 1 else rest
             rho = {var: image}
-            cons = [type(c)(c.term.subst(rho)) for c in cons if c is not eq]
+            cons = [(c[0], c[1].subst(rho)) for c in cons if c is not eq]
             continue
         lowers, uppers, rest_cons = [], [], []
         for c in cons:
-            k = dict(c.term.coeffs).get(var, 0)
+            op, t = c
+            k = dict(t.coeffs).get(var, 0)
             if k == 0:
                 rest_cons.append(c)
                 continue
-            if isinstance(c, _Eq) or abs(k) != 1:
+            if op == "eq" or abs(k) != 1:
                 raise SolverUnknown(f"cannot eliminate {var}: non-unit coefficient")
-            other = Term(tuple((v, co) for v, co in c.term.coeffs if v != var), c.term.const)
+            other = Term(tuple((v, co) for v, co in t.coeffs if v != var), t.const)
             (uppers if k > 0 else lowers).append(other)
         new_cons = list(rest_cons)
         for lo in lowers:
             for up in uppers:
-                new_cons.append(_Le(lo + up))
+                new_cons.append(("le", lo + up))
         cons = new_cons
-    out: list[Pure] = []
-    for c in cons:
-        if isinstance(c, _Eq):
-            out.append(Cmp("eq", c.term, Term.of(0)))
-        else:
-            out.append(Cmp("le", c.term, Term.of(0)))
-    return out
+    return [Cmp(op, t, Term.of(0)) for op, t in cons]
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +375,8 @@ def _has_quantifier(p: Pure) -> bool:
 def is_sat(p: Pure, want_model: bool = True) -> SolverResult:
     if _external_backend is not None:
         return _external_backend.is_sat(p, want_model)
+    if isinstance(p, PAnd):  # a `par` join repeats each guard
+        p = pand(dict.fromkeys(p.parts))
     key = p
     cached = _sat_cache.get(key)
     if cached is not None and (not want_model or cached.model is not None or cached.status != Status.SAT):

@@ -410,11 +410,8 @@ class _ProcVerifier:
         for d in state.disjuncts:
             for cond, branch in ((e.cond, e.then), (PNot(e.cond), e.els)):
                 guarded = Disjunct(d.exists, d.heap, pand([d.pure, cond]))
-                try:
-                    reachable = solver.is_sat(guarded.pure, want_model=False).status == Status.SAT
-                except SolverUnknown:
-                    reachable = True
-                if not reachable:
+                # an undecided guard leaves its branch reachable
+                if solver.is_sat(guarded.pure, want_model=False).status == Status.UNSAT:
                     continue
                 res = self.exec(Formula((guarded,)), branch)
                 out.extend(res.disjuncts)

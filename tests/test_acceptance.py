@@ -324,7 +324,9 @@ def test_criterion_7_pure_solver_grid():
         mask = _np_eval(f)
         brute_sat = bool(mask.any())
         res = is_sat(f)
-        if brute_sat:
+        if res.status == Status.UNKNOWN:  # every formula must be decided
+            disagreements += 1
+        elif brute_sat:
             if res.status != Status.SAT or not pure_eval(f, res.model):
                 disagreements += 1
         else:
@@ -333,8 +335,8 @@ def test_criterion_7_pure_solver_grid():
             if res.status == Status.SAT and not pure_eval(f, res.model):
                 disagreements += 1
     assert disagreements == 0
-    _report(7, "10000 random formulas agree with the [-10,10]^3 brute force; "
-               "zero disagreements")
+    _report(7, "10000 random formulas decided and in agreement with the "
+               "[-10,10]^3 brute force; zero disagreements")
 
 
 # -- 8. graph oracle ------------------------------------------------------------------------

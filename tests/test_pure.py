@@ -84,9 +84,9 @@ def _rand_formula(r, depth=2):
     return pand(parts) if kind == "and" else por(parts)
 
 
-def _brute_model(f):
+def _brute_model(f, box=10):
     import numpy as np
-    grid = np.arange(-10, 11)
+    grid = np.arange(-box, box + 1)
     X, Y, Z = np.meshgrid(grid, grid, grid, indexing="ij")
 
     def ev_term(t):
@@ -148,3 +148,102 @@ def test_model_soundness(a, b):
     r = is_sat(f)
     if r.status == Status.SAT:
         assert pure_eval(f, r.model)
+
+
+# -- exactness: every answer decided, checked against complete references ------
+
+BOX = 12
+
+
+def _boxed_system(r, names):
+    """A conjunction of 1-4 random constraints over `names` (coefficients
+    <= 9), with every variable boxed to |v| <= BOX."""
+    parts = []
+    for v in names:
+        parts += [Cmp("le", Term.var(v), Term.of(BOX)), Cmp("le", Term.of(-BOX), Term.var(v))]
+    for _ in range(r.randint(1, 4)):
+        t = Term.of(0)
+        for v in names:
+            t = t + Term.var(v).scale(r.randint(-9, 9))
+        parts.append(Cmp(r.choice(["le", "le", "lt", "eq", "ne"]), t, Term.of(r.randint(-60, 60))))
+    return pand(parts)
+
+
+def test_boxed_systems_match_brute_force():
+    r = random.Random(11)
+    seen = {Status.SAT: 0, Status.UNSAT: 0}
+    for names in [("x", "y")] * 400 + [("x", "y", "z")] * 300:
+        f = _boxed_system(r, names)
+        res = is_sat(f)
+        assert res.status != Status.UNKNOWN, f
+        assert (res.status == Status.SAT) == (_brute_model(f, BOX) is not None), f
+        if res.status == Status.SAT:
+            assert pure_eval(f, res.model), f
+        seen[res.status] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _planted2(r):
+    """2-3 inequalities a*x + b*y <= k (|a|, |b| <= 9, |k| <= 300) that the
+    planted point (x0, y0), |x0|, |y0| <= 300, satisfies."""
+    x0, y0 = r.randint(-300, 300), r.randint(-300, 300)
+    parts = []
+    while len(parts) < r.choice([2, 3]):
+        a, b = r.randint(-9, 9), r.randint(-9, 9)
+        k = a * x0 + b * y0 + r.randint(0, 20)
+        if (a or b) and abs(k) <= 300:
+            parts.append(Cmp("le", Term.var("x").scale(a) + Term.var("y").scale(b), Term.of(k)))
+    return pand(parts)
+
+
+def test_planted_witness_systems_are_sat():
+    r = random.Random(5)
+    for _ in range(3000):
+        f = _planted2(r)
+        res = is_sat(f)
+        assert res.status == Status.SAT and pure_eval(f, res.model), f
+
+
+def test_model_far_from_origin():
+    f = S("5*x+3*y<=-214 & -4*x-5*y<=-272")
+    assert pure_eval(f, {"x": -200, "y": 215})
+    res = is_sat(f)
+    assert res.status == Status.SAT and pure_eval(f, res.model)
+
+
+INFEASIBLE_EQUALITIES = [
+    # criterion-7 formulas with non-unit equalities and no integer point
+    "2*x+y+3*z+4=-3*x-2*y-z+4 & -3*x-2*y+2*z+3<=-x-y-2*z+3 & !(x+2*z-4!=-2*x+3*y-2*z-2)",
+    "x-2*y-z+4<3*x-2*z-4 & y-z+2<2*x-1 & -2*x-y+3*z-4=3*x+z-3 & 2*x+y+2*z-4<=-x-2*y+3*z-2",
+    "-2*x-3*y-3*z-1=-2*x+3*y+2*z-4 & -x-2*y-3*z-1=2*x-2*z-2 & 3*x-3*y+5=-y-3*z-4",
+    "!(2*y+3*z+4!=3*x-3*y+2*z-5) & -2*x-2*z+2=2*x+3*y+1 & -x-2*z-5=-2*x+2*z+5",
+    "-3*x-2*y+3*z-1=-3*y+z & -3*x-3*y-5<2*x-2*y+2*z+3 & x-2*y-z+5=-x+y-z-1 & -2*x+3*y-2*z<=-3*y-z-2",
+    "2*y+2*z+3=-y+3 & -3*x-1=2*x-2*y+3*z+5 & -2*x-y+3*z-1=-x+2*y-4",
+    "-3*x-3*y+2*z-4=x+2*y-3 & 3*x-3*y+2*z-1=3*x-2*z+3 & !(x+2*z+1=-x-3*y+3*z+5)",
+    # each equality passes the gcd test; only the symmetric-mod step
+    # (no unit coefficient anywhere) shows 4*y = -1
+    "3*x+5*y=2 & 5*x+7*y=3",
+]
+
+
+def test_infeasible_equality_systems_unsat():
+    for s in INFEASIBLE_EQUALITIES:
+        assert is_sat(S(s)).status == Status.UNSAT, s
+
+
+def test_symmetric_mod_finds_model():
+    # Pugh's example: no unit coefficient, integer points exist
+    f = S("7*x+12*y+31*z=17 & 3*x+5*y+14*z=7 & 1<=x & x<=40 & -50<=y & y<=50")
+    res = is_sat(f)
+    assert res.status == Status.SAT and pure_eval(f, res.model)
+
+
+def test_repeated_conjuncts_agree():
+    fs = [S("x>0"), S("5*x+3*y<=-214 & -4*x-5*y<=-272"), S("3*x-3*y=1"),
+          # five binary disjunctions: 32 DNF branches, 32**3 if repeated
+          S("(x<0 | y<0) & (x>1 | y>1) & (x<2 | z<2) & (y>3 | z>3) & (x+y<9 | z<x)")]
+    for f in fs:
+        once, thrice = is_sat(f), is_sat(pand([f, f, f]))
+        assert once.status == thrice.status != Status.UNKNOWN, f
+        if thrice.status == Status.SAT:
+            assert pure_eval(f, thrice.model)

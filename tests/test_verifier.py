@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
-from latchproof import names
+from latchproof import names, pure, verifier
 from latchproof.oracle import explore
-from latchproof.parser import SourceFile, format_state, parse_formula, parse_program
-from latchproof.syntax import Cnt, Term
+from latchproof.parser import (
+    SourceFile, format_state, parse_formula, parse_program, parse_pure,
+)
+from latchproof.pure import SolverResult, Status
+from latchproof.syntax import Cnt, PAnd, Term
 from latchproof.verifier import (
     VerifyOptions, branch_precondition, check_leak, verify_program,
 )
@@ -238,3 +243,33 @@ def test_expired_and_pending_latches_terminate(body, states):
         ("main", "Verified")]
     rep = explore(p)
     assert rep.kinds == {"Clean"} and rep.explored == states and rep.exhaustive
+
+
+# -- an undecided if-guard never prunes its branch -----------------------------
+
+UNDECIDED_GUARD = (
+    "void main(int x, int y) requires emp & 5*x + 7*y <= -274 & -9*x - 2*y <= -210 "
+    "ensures emp; { if (-4*x - 4*y <= -195) { c = create_latch(1); ( await(c) || skip ) } "
+    "else { skip } }")
+
+
+def test_unknown_guard_keeps_branch(monkeypatch):
+    # the then-branch's reachability query comes back Unknown
+    guard = parse_pure("-4*x - 4*y <= -195")
+    undecided = []
+
+    def is_sat(p, want_model=True):
+        if isinstance(p, PAnd) and guard in p.parts:
+            undecided.append(p)
+            return SolverResult(Status.UNKNOWN)
+        return pure.is_sat(p, want_model)
+
+    monkeypatch.setattr(verifier, "solver", SimpleNamespace(is_sat=is_sat))
+    [v] = run(UNDECIDED_GUARD)
+    assert undecided and v.kind != "Verified"
+
+
+def test_far_guard_witness_reaches_deadlock():
+    # x=320, y=-270 satisfies the precondition and the guard
+    [v] = run(UNDECIDED_GUARD)
+    assert (v.kind, v.lemma) == ("DeadlockError", "E2")
