@@ -25,7 +25,6 @@ class RunConfig:
     json: bool = False
     dump_trace: bool = False
     oracle_bounds: OracleBounds = field(default_factory=OracleBounds)
-    smt_external: Optional[str] = None
 
 
 def _parse_args(argv) -> RunConfig:
@@ -43,14 +42,11 @@ def _parse_args(argv) -> RunConfig:
                     help="print the symbolic state at every program point")
     ap.add_argument("--max-states", type=int, default=10**5)
     ap.add_argument("--max-steps", type=int, default=64)
-    ap.add_argument("--smt", metavar="PATH", default=None,
-                    help="route pure queries to an external SMT-LIB 2 solver")
     ns = ap.parse_args(argv)
     return RunConfig(
         files=ns.files, mode=ns.mode, variance=ns.variance, json=ns.json,
         dump_trace=ns.dump_trace,
         oracle_bounds=OracleBounds(max_states=ns.max_states, max_steps=ns.max_steps),
-        smt_external=ns.smt,
     )
 
 
@@ -138,10 +134,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     verify_lemma_table()
-    if cfg.smt_external:
-        from . import pure
-        from .smt import SmtBackend
-        pure.set_external_backend(SmtBackend(cfg.smt_external))
 
     exit_code = 0
     json_out = []

@@ -46,11 +46,6 @@ class _Fail(Exception):
         super().__init__(message)
 
 
-@dataclass
-class ExistSet:
-    names: set[str]
-
-
 # ---------------------------------------------------------------------------
 # subst / apply: replacing discovered resource variables by their definitions
 
@@ -104,15 +99,6 @@ def subst(bindings: dict[str, Formula], delta: Formula, gen=None) -> Formula:
     for V, image in bindings.items():
         delta = apply(delta, (V, image), gen)
     return delta
-
-
-def freeEqn(rho: dict[str, Term], E) -> Pure:
-    E = E.names if isinstance(E, ExistSet) else set(E)
-    parts = []
-    for v, u in rho.items():
-        if v not in E:
-            parts.append(peq(Term.var(v), u))
-    return pand(parts)
 
 
 def addVar(atom, gen=None, instantiable=None):
@@ -666,14 +652,11 @@ _SENDABLE = (PointsTo, LatchIn, LatchOut, ResVarAtom, ThreadNode, ThreadSpec)
 
 
 def entail(E, delta_a: Formula, delta_c: Formula, variance: bool = False,
-           gen: names.FreshGen | None = None,
-           close_existentials: bool = False) -> EntailmentOutcome:
+           gen: names.FreshGen | None = None) -> EntailmentOutcome:
     """Check E |- delta_a <| delta_c, computing bindings and frame residue.
 
     Antecedent disjuncts must each entail the consequent; a consequent
     disjunction must be derivable for exactly one disjunct (precision)."""
-    if isinstance(E, ExistSet):
-        E = E.names
     E = set(E)
     gen = gen or names.default_gen()
 
@@ -683,7 +666,7 @@ def entail(E, delta_a: Formula, delta_c: Formula, variance: bool = False,
         failures = []
         for dc in delta_c.disjuncts:
             try:
-                successes.append(_entail_dd(set(E), da, dc, variance, gen, close_existentials))
+                successes.append(_entail_dd(set(E), da, dc, variance, gen))
             except _Fail as e:
                 failures.append(e.diag)
             except SolverUnknown as e:
@@ -722,7 +705,7 @@ def entail(E, delta_a: Formula, delta_c: Formula, variance: bool = False,
 
 
 def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, variance: bool,
-               gen: names.FreshGen, close_existentials: bool) -> dict:
+               gen: names.FreshGen) -> dict:
     # EX-L: lift antecedent existentials to fresh names
     if da.exists:
         ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in da.exists}
@@ -781,17 +764,8 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, variance: bool,
         live |= atom_free_vars(a)
     keep_ex: list[str] = []
     if exr:
-        if close_existentials:
-            drop = {w for w in exr if w not in live and w in pure_free_vars(residue_pure)}
-            if drop:
-                try:
-                    residue_pure = solver.eliminate(residue_pure, drop)
-                except SolverUnknown:
-                    keep_ex.extend(sorted(drop))
-            keep_ex.extend(w for w in exr if w in live)
-        else:
-            used = live | pure_free_vars(residue_pure)
-            keep_ex = [w for w in exr if w in used]
+        used = live | pure_free_vars(residue_pure)
+        keep_ex = [w for w in exr if w in used]
 
     residue = Disjunct(tuple(keep_ex), tuple(ctx.pool), residue_pure)
     return {
@@ -826,29 +800,3 @@ def _dispatch(ctx: _Ctx, atom: HeapAtom, deferred: list):
             _match_resvar(ctx, atom)
     else:
         raise _Fail("MatchFailure", f"unsupported consequent atom {atom}")
-
-
-def resource_entail(E, phi1: Formula, phi2: Formula, polarity: str = "Neutral",
-                    variance_flag: bool = False, gen=None):
-    """Payload-level entailment: unification/instantiation without residue,
-    or directional subsumption when the variance flag is on."""
-    gen = gen or names.default_gen()
-    E = set(E.names if isinstance(E, ExistSet) else E)
-    if not variance_flag:
-        ctx = _Ctx(E, [], TRUE, False, gen)
-        v2 = _single_resvar(phi2)
-        if v2 is not None and v2 in E:
-            return {v2: phi1}, {}
-        Dinner = _unify(ctx, phi1, phi2, set())
-        return dict(ctx.D_all, **Dinner), dict(ctx.rho)
-    if polarity == "In":
-        ante, cons = phi2, phi1
-    else:
-        ante, cons = phi1, phi2
-    sub = entail(E | _payload_value_vars(cons), ante, cons, variance=False, gen=gen)
-    if not sub.success:
-        raise _Fail("VarianceFailure",
-                    sub.failure_reason.message if sub.failure_reason else "subsumption failed")
-    if any(d.heap for d in sub.residue.disjuncts):
-        raise _Fail("VarianceFailure", "payload subsumption left a residue")
-    return sub.bindings, sub.var_bindings

@@ -797,8 +797,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
 
 
 def ambiguous_disjuncts(f: Formula) -> list[tuple[int, int]]:
-    """Pairs of disjuncts whose conjunction is satisfiable: such a disjunction
-    is not resource-precise."""
+    """Pairs of disjuncts whose conjunction is not shown unsatisfiable: such
+    a disjunction is not resource-precise."""
     out = []
     ds = f.disjuncts
     for i in range(len(ds)):
@@ -808,10 +808,6 @@ def ambiguous_disjuncts(f: Formula) -> list[tuple[int, int]]:
             skb = sorted((type(x).__name__, getattr(x, "latch", getattr(x, "root", getattr(x, "tid", getattr(x, "name", ""))))) for x in b.heap)
             if ska != skb:
                 continue
-            try:
-                co_sat = solver.is_sat(pand([a.pure, b.pure]), want_model=False).status == Status.SAT
-            except SolverUnknown:
-                co_sat = True
-            if co_sat:
+            if solver.is_sat(pand([a.pure, b.pure]), want_model=False).status != Status.UNSAT:
                 out.append((i, j))
     return out

@@ -458,10 +458,3 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
             stack.append((nxt, depth + 1))
 
     return OracleReport(explored, outcomes, exhaustive)
-
-
-def footprint(program: Program, state, tid: int):
-    """Footprint of a thread's next primitive in a given machine state;
-    exposed for the unit tests."""
-    machine = _Machine(program, OracleBounds())
-    return machine.footprint(state, state.threads[tid])

@@ -46,13 +46,14 @@ class SolverUnknown(Exception):
 
 MAX_STEPS = 10**5  # safety budget: solver steps per query
 
-# Pluggable external backend (SMT-LIB client); see smt.py.
-_external_backend = None
-
 
 def set_external_backend(backend) -> None:
-    global _external_backend
-    _external_backend = backend
+    """Empty the process-wide query cache; only `None` is accepted.
+
+    Kept under this name because `perfbench/` calls it with `None` to reset
+    the cache between programs."""
+    if backend is not None:
+        raise ValueError("no external solver backend is supported")
     _sat_cache.clear()
 
 
@@ -373,8 +374,6 @@ def _has_quantifier(p: Pure) -> bool:
 
 
 def is_sat(p: Pure, want_model: bool = True) -> SolverResult:
-    if _external_backend is not None:
-        return _external_backend.is_sat(p, want_model)
     if isinstance(p, PAnd):  # a `par` join repeats each guard
         p = pand(dict.fromkeys(p.parts))
     key = p

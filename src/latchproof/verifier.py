@@ -74,6 +74,24 @@ class VerdictError(Exception):
 LEAKABLE = (LatchIn, LatchOut, ThreadNode, ThreadSpec)
 
 
+def instantiate_spec(callee: ProcDecl, sp: SpecPair, link: dict[str, Term],
+                     gen: names.FreshGen) -> tuple[set[str], Formula, Formula]:
+    """One spec pair of `callee` at a call site: freshen its first-order spec
+    variables (neither parameters, `res` nor resource variables), then
+    substitute them and the `link` of formals to actuals. Returns the fresh
+    names (the instantiable set E) with the pre- and post-condition."""
+    fixed = {p for _, p in callee.params} | {"res"}
+    spec_vars = {
+        v for v in (free_vars(sp.pre) | free_vars(sp.post))
+        if v not in fixed and not is_resvar(v)
+    }
+    ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in spec_vars}
+    rho = dict(ren)
+    rho.update(link)
+    return ({t.is_var() for t in ren.values()},
+            substitute(sp.pre, rho, gen), substitute(sp.post, rho, gen))
+
+
 class _ProcVerifier:
     def __init__(self, program: Program, proc: ProcDecl, opts: VerifyOptions,
                  gen: names.FreshGen):
@@ -143,26 +161,10 @@ class _ProcVerifier:
     def _user_pairs(self, callee: ProcDecl, args: tuple[Term, ...], res_var: Optional[str]):
         """Instantiate a callee's spec pairs: link actuals to formals, freshen
         the first-order spec variables, bind `res` to the caller's target."""
-        link: dict[str, Term] = {}
-        for (_, pname), arg in zip(callee.params, args):
-            link[pname] = arg
+        link = {p: a for (_, p), a in zip(callee.params, args)}
         if res_var is not None:
             link["res"] = Term.var(res_var)
-        param_names = {p for _, p in callee.params} | {"res"}
-        out = []
-        for sp in callee.specs:
-            spec_vars = {
-                v for v in (free_vars(sp.pre) | free_vars(sp.post))
-                if v not in param_names and not is_resvar(v)
-            }
-            ren = {v: Term.var(self.gen.fresh(v.split("#")[0])) for v in spec_vars}
-            rho = dict(ren)
-            rho.update(link)
-            pre = substitute(sp.pre, rho, self.gen)
-            post = substitute(sp.post, rho, self.gen)
-            E = {t.is_var() for t in ren.values()}
-            out.append((E, pre, post))
-        return out
+        return [instantiate_spec(callee, sp, link, self.gen) for sp in callee.specs]
 
     def _apply_pairs(self, state: Formula, pairs, span: Span, what: str,
                      warn_multi: bool = True) -> Formula:
@@ -683,17 +685,8 @@ class _FootprintWalk:
         if callee is None or not callee.specs:
             return
         link = {p: a for (_, p), a in zip(callee.params, e.args)}
-        sp = callee.specs[0]
-        spec_vars = {
-            v for v in (free_vars(sp.pre) | free_vars(sp.post))
-            if v not in link and v != "res" and not is_resvar(v)
-        }
-        ren = {v: Term.var(self.gen.fresh(v.split("#")[0])) for v in spec_vars}
-        self.E |= {t.is_var() for t in ren.values()}
-        rho = dict(ren)
-        rho.update(link)
-        pre = substitute(sp.pre, rho, self.gen)
-        post = substitute(sp.post, rho, self.gen)
+        E, pre, post = instantiate_spec(callee, callee.specs[0], link, self.gen)
+        self.E |= E
         for d in pre.disjuncts:
             cnt_vars = {a.count.is_var() for a in d.heap
                         if isinstance(a, Cnt) and a.count.is_var() is not None}
@@ -719,10 +712,7 @@ class _FootprintWalk:
                         else:
                             # minimal count satisfying the pre's guard
                             probe = pand([d.pure, peq(a.count, Term.of(0))])
-                            try:
-                                zero_ok = solver.is_sat(probe, want_model=False).status == Status.SAT
-                            except SolverUnknown:
-                                zero_ok = False
+                            zero_ok = solver.is_sat(probe, want_model=False).status == Status.SAT
                             need = 0 if zero_ok else 1
                         self._ensure(a.latch, need)
                     continue

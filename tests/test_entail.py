@@ -1,11 +1,11 @@
 import itertools
 
 from latchproof import names
-from latchproof.entail import addVar, apply, entail, freeEqn, resource_entail, subst
+from latchproof.entail import addVar, apply, entail, subst
 from latchproof.parser import parse_formula, unparse_formula
 from latchproof.syntax import (
     Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, PointsTo, RForm,
-    RVar, Term, TRUE, eq as peq,
+    RVar, Term, TRUE,
 )
 
 
@@ -113,23 +113,7 @@ def test_addvar_emp_payload():
     assert leftover == LatchIn("c", RVar(V))
 
 
-# -- resource_entail (RP-UNIFY / RP-INST, variance) ---------------------------
-
-def test_resource_entail_inst():
-    D, rho = resource_entail({"V"}, F("x::cell(v1)"), F("V"))
-    assert canon(D["V"]) == "x::cell(v1)"
-
-
-def test_resource_entail_variance_contravariant():
-    D, rho = resource_entail(set(), F("x::cell(v) & v>2"), F("x::cell(5)"),
-                             polarity="In", variance_flag=True)
-    # sender side: consequent payload |- antecedent payload
-
-
-def test_resource_entail_variance_covariant():
-    D, rho = resource_entail(set(), F("x::cell(v) & v>2"), F("x::cell(v) & v>1"),
-                             polarity="Out", variance_flag=True)
-
+# -- payload variance ---------------------------------------------------------
 
 def test_variance_on_latch_atoms():
     r = entail(set(), F("LatchIn(c, x::cell(v) & v>2)"), F("LatchIn(c, x::cell(5))"),
@@ -141,15 +125,6 @@ def test_variance_on_latch_atoms():
     r = entail(set(), F("LatchOut(c, x::cell(v) & v>2)"),
                F("LatchOut(c, x::cell(v) & v>1)"), variance=True)
     assert r.success
-
-
-# -- freeEqn -------------------------------------------------------------------
-
-def test_freeeqn():
-    rho = {"v": Term.var("u")}
-    assert freeEqn(rho, {"v"}) == TRUE
-    assert freeEqn(rho, set()) == peq(Term.var("v"), Term.var("u"))
-    assert freeEqn({}, set()) == TRUE
 
 
 # -- subst / apply ---------------------------------------------------------------

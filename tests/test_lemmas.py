@@ -399,3 +399,7 @@ def test_ambiguous_disjuncts():
     assert ambiguous_disjuncts(f) == [(0, 1)]
     g = F("emp & n=0 | emp & n>0")
     assert ambiguous_disjuncts(g) == []
+    # v = 1 satisfies both; the solver answers Unknown on the universal
+    # (non-unit coefficient), which must not hide the overlap.
+    h = F("x::cell(v) & (all k. 2*k != v) | x::cell(v) & v > 0")
+    assert ambiguous_disjuncts(h) == [(0, 1)]

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from latchproof import pure
 from latchproof.parser import parse_pure
 from latchproof.pure import Status, eliminate, implies, is_sat
 from latchproof.syntax import Cmp, PNot, Term, pand, por, pure_eval
@@ -247,3 +249,14 @@ def test_repeated_conjuncts_agree():
         assert once.status == thrice.status != Status.UNKNOWN, f
         if thrice.status == Status.SAT:
             assert pure_eval(f, thrice.model)
+
+
+def test_set_external_backend_only_resets_cache():
+    f = S("x>3 & x<5")
+    is_sat(f)
+    assert f in pure._sat_cache
+    pure.set_external_backend(None)
+    assert not pure._sat_cache
+    with pytest.raises(ValueError):
+        pure.set_external_backend(object())
+    assert is_sat(f).model == {"x": 4}
