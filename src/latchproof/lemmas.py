@@ -304,44 +304,63 @@ def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]
     return None
 
 
-def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
-    """Combine counter shares that are both provably non-negative."""
+def _shares(h: _Heap, same: list[int], holds) -> list[int]:
+    """The slots among `same` of counter shares whose count `holds`."""
+    return [s for s in same if isinstance(h.slots[s], Cnt) and holds(h.slots[s].count)]
+
+
+def _final(h: _Heap) -> Callable[[Term], bool]:
+    return lambda t: _count_is(h.pure, t, -1)
+
+
+def _merge_group(h: _Heap, keys: Optional[set[tuple]], holds,
+                 ready=lambda cnts: True) -> Optional[list[int]]:
+    """The slots of the counter shares that satisfy `holds`, for the latch
+    with the lowest such slot among those where at least two do; latches
+    with fewer than two shares, or not `ready`, are skipped untested."""
+    groups: dict[tuple, list[int]] = {}
     for i, a, same in _by_key(h, keys, "latch"):
-        if not isinstance(a, Cnt):
-            continue
-        for j in same:
-            b = h.slots[j]
-            if j <= i or not isinstance(b, Cnt):
-                continue
-            if _implied(h.pure, pand([ple(Term.of(0), a.count), ple(Term.of(0), b.count)])):
-                merged = Cnt(a.latch, a.count + b.count, a.perm + b.perm)
-                kept = sorted(h.symbolic - {i, j})
-                *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
-                put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
-                return Rewrite(drop=(i, j), put=put, add=(merged,))
+        k = h.keys[i]
+        if k not in groups:
+            cnts = [s for s in same if isinstance(h.slots[s], Cnt)]
+            groups[k] = _shares(h, cnts, holds) if len(cnts) > 1 and ready(cnts) else []
+        if len(groups[k]) > 1 and groups[k][0] == i:
+            return groups[k]
     return None
+
+
+def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+    """Combine all provably non-negative counter shares of a latch at once
+    (the pairwise lemma taken to its fixpoint)."""
+    group = _merge_group(
+        h, keys, lambda t: t.is_const and t.const >= 0 or _implied(h.pure, ple(Term.of(0), t)))
+    if group is None:
+        return None
+    first, *rest = (h.slots[s] for s in group)
+    merged = Cnt(first.latch, sum((a.count for a in rest), first.count),
+                 sum((a.perm for a in rest), first.perm))
+    kept = sorted(h.symbolic - set(group))
+    *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
+    put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
+    return Rewrite(drop=tuple(group), put=put, add=(merged,))
 
 
 def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
-    """Absorb an exhausted share into the final state."""
-    for i, a, same in _by_key(h, keys, "latch"):
-        if not isinstance(a, Cnt):
-            continue
-        for j in same:
-            b = h.slots[j]
-            if i == j or not isinstance(b, Cnt) or not _count_is(h.pure, b.count, -1):
-                continue
-            if _implied(h.pure, ple(a.count, Term.of(0))):
-                return Rewrite(drop=(i, j), add=(Cnt(a.latch, Term.of(-1), a.perm + b.perm),))
-    return None
+    """Absorb every exhausted share of a latch into its final state at once."""
+    group = _merge_group(
+        h, keys, lambda t: t.is_const and t.const <= 0 or _implied(h.pure, ple(t, Term.of(0))),
+        lambda cnts: _shares(h, cnts, _final(h)))
+    if group is None:
+        return None
+    first, *rest = (h.slots[s] for s in group)
+    return Rewrite(drop=tuple(group),
+                   add=(Cnt(first.latch, Term.of(-1), sum((a.perm for a in rest), first.perm)),))
 
 
 def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """An expired latch releases the resource trapped in its out-flow."""
     for i, a, same in _by_key(h, keys, "latch"):
-        if isinstance(a, LatchOut) and any(
-                isinstance(b, Cnt) and _count_is(h.pure, b.count, -1)
-                for b in (h.slots[j] for j in same)):
+        if isinstance(a, LatchOut) and _shares(h, same, _final(h)):
             return Rewrite(drop=(i,), release=a.payload)
     return None
 
@@ -364,12 +383,11 @@ def _dead_release(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[
 
 
 def _w3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
-    """Union wait-for shares."""
+    """Union all wait-for shares at once."""
     waits = [i for i, _, _ in _by_key(h, keys, "wait")]
     if len(waits) < 2:
         return None
-    i, j = waits[0], waits[1]
-    return Rewrite(drop=(i, j), add=(_wait_union(h.slots[i], h.slots[j]),))
+    return Rewrite(drop=tuple(waits), add=(reduce(_wait_union, (h.slots[i] for i in waits)),))
 
 
 def _w1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
@@ -411,9 +429,7 @@ def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
 def _e1(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Resource still flowing in while the latch already expired."""
     for _, a, same in _by_key(h, keys, "latch"):
-        if isinstance(a, LatchIn) and any(
-                isinstance(b, Cnt) and _count_is(h.pure, b.count, -1)
-                for b in (h.slots[j] for j in same)):
+        if isinstance(a, LatchIn) and _shares(h, same, _final(h)):
             if solver.is_sat(h.pure, want_model=False).status != Status.SAT:
                 return None
             return f"latch {a.latch} expired while resource still in-flight"
@@ -421,16 +437,17 @@ def _e1(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
 
 
 def _e2(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
-    """A positive share coexists with the final state."""
-    for _, a, same in _by_key(h, keys, "latch"):
-        if not isinstance(a, Cnt):
+    """A positive share coexists with the final state; each latch's final
+    shares are found once."""
+    finals: dict[tuple, set[int]] = {}
+    for i, a, same in _by_key(h, keys, "latch"):
+        if not isinstance(a, Cnt) or len(same) < 2:
             continue
-        for j in same:
-            b = h.slots[j]
-            if b is a or not isinstance(b, Cnt):
-                continue
-            if _count_is(h.pure, b.count, -1) and _implied(h.pure, plt(Term.of(0), a.count)):
-                return f"latch {a.latch}: pending countdowns can never complete"
+        k = h.keys[i]
+        if k not in finals:
+            finals[k] = set(_shares(h, same, _final(h)))
+        if finals[k] - {i} and _implied(h.pure, plt(Term.of(0), a.count)):
+            return f"latch {a.latch}: pending countdowns can never complete"
     return None
 
 
@@ -659,14 +676,10 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
 
     # Resolve every target's counter demands first.
     demands: list[list[tuple[str, int, Perm, Optional[str]]]] = []
-    avail: dict[tuple[str, bool], tuple[Term, Perm]] = {}
-    for key, group in cnts.items():
-        count = group[0].count
-        perm = group[0].perm
-        for extra in group[1:]:
-            count = count + extra.count if not key[1] else count
-            perm = perm + extra.perm
-        avail[key] = (count, perm)
+    avail: dict[tuple[str, bool], tuple[Term, Perm]] = {
+        key: (g[0].count if key[1] else sum((a.count for a in g[1:]), g[0].count),
+              sum((a.perm for a in g[1:]), g[0].perm))
+        for key, g in cnts.items()}
 
     rest_targets: list[Disjunct] = []
     for t in targets:
@@ -678,7 +691,11 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
         rho_counts: dict[str, Term] = {}
         for a in td.heap:
             if isinstance(a, Cnt):
-                if _count_is(td.pure, a.count, -1):
+                # a share that counts nothing down is served by the final
+                # state where no pending share is left
+                if _count_is(td.pure, a.count, -1) or (
+                        a.count == Term.of(0) and (a.latch, True) in avail
+                        and (a.latch, False) not in avail):
                     key = (a.latch, True)
                     if key not in avail:
                         raise SplitFailure(Diagnostic(
@@ -716,8 +733,11 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
     # Check totals and compute permission shares per latch.
     shares: dict[tuple[str, bool], Perm] = {}
     remainders: dict[tuple[str, bool], int] = {}
+    by_key: dict[tuple[str, bool], list] = {}
+    for dm in (dm for my in demands for dm in my):
+        by_key.setdefault((dm[0], dm[1] == -1), []).append(dm)
     for key, (count, perm) in avail.items():
-        wanted = [dm for my in demands for dm in my if (dm[0], dm[1] == -1) == key]
+        wanted = by_key.get(key, [])
         named = [dm[2] for dm in wanted if dm[2].is_concrete]
         unnamed = len(wanted) - len(named)
         if not key[1]:
@@ -773,17 +793,11 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
 
     frame_atoms = list(remaining.single().heap)
     for key, (count, perm) in avail.items():
-        if key[1]:
-            if key in shares:
-                frame_atoms.append(Cnt(key[0], Term.of(-1), shares[key]))
-            else:
-                frame_atoms.append(Cnt(key[0], count, perm))
+        if key in shares:
+            left = -1 if key[1] else remainders.get(key, 0)
+            frame_atoms.append(Cnt(key[0], Term.of(left), shares[key]))
         else:
-            share = shares.get(key)
-            if share is not None:
-                frame_atoms.append(Cnt(key[0], Term.of(remainders.get(key, 0)), share))
-            else:
-                frame_atoms.append(Cnt(key[0], count, perm))
+            frame_atoms.append(Cnt(key[0], count, perm))
     if wait_share is not None:
         frame_atoms.append(wait_share)
     frame_atoms.extend(deads)

@@ -71,7 +71,7 @@ def _has_resvar(f: Formula) -> bool:
 
 
 # Continuation items: ('run', node) | ('call', proc, args, lhs) |
-# ('restore', saved_env, lhs) | ('joinkids', tid1, tid2)
+# ('restore', saved_env, lhs) | ('joinkids', tid1, ..., tidN)
 
 
 @dataclass
@@ -171,9 +171,6 @@ class _Machine:
             return target in st.threads and st.threads[target].status == "done"
         return True
 
-    def blocked(self, st: _State, t: _Thread) -> bool:
-        return t.status == "run" and not self.enabled(st, t)
-
     def footprint(self, st: _State, t: _Thread) -> tuple[set, set]:
         """(reads, writes) of the next primitive; latch counters are writes
         for countDown and reads for await."""
@@ -264,10 +261,11 @@ class _Machine:
             t.cont = (("run", branch),) + t.cont
             return st
         if isinstance(node, Par):
-            if len(st.threads) + 2 > self.bounds.max_threads:
+            # one thread per branch: an N-way block holds N + 1 thread slots
+            if len(st.threads) + len(node.branches) > self.bounds.max_threads:
                 raise OracleError("thread bound exceeded")
             kids = []
-            for code in (node.left, node.right):
+            for code in node.branches:
                 kid = _Thread(st.fresh(), dict(t.env), (("run", code),))
                 st.threads[kid.tid] = kid
                 kids.append(kid.tid)
@@ -446,15 +444,12 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
                 else:
                     outcomes.add(Outcome("Clean"))
             else:
-                names = ",".join(str(t.tid) for t in runnable if machine.blocked(st, t))
+                # no thread is enabled, so every runnable one is blocked
+                names = ",".join(str(t.tid) for t in runnable)
                 outcomes.add(Outcome("Deadlock", f"blocked threads {{{names}}}"))
             continue
 
         for t in enabled:
-            try:
-                nxt = machine.step(st, t.tid)
-            except OracleError:
-                raise
-            stack.append((nxt, depth + 1))
+            stack.append((machine.step(st, t.tid), depth + 1))
 
     return OracleReport(explored, outcomes, exhaustive)

@@ -469,12 +469,7 @@ class _P:
                 self.take()
                 branches.append(self.stmt_seq())
             self.expect(")")
-            if len(branches) == 1:
-                return branches[0]
-            out = branches[-1]
-            for b in reversed(branches[:-1]):
-                out = Par(b, out, sp)
-            return out
+            return branches[0] if len(branches) == 1 else Par(tuple(branches), sp)
         if self.at("countDown"):
             self.take()
             self.expect("(")
@@ -823,13 +818,7 @@ def unparse_expr(e: Expr, indent: str = "  ") -> str:
     if isinstance(e, Seq):
         return f"{unparse_expr(e.first, indent)}\n{unparse_expr(e.second, indent)}"
     if isinstance(e, Par):
-        branches = []
-        cur: Expr = e
-        while isinstance(cur, Par):
-            branches.append(cur.left)
-            cur = cur.right
-        branches.append(cur)
-        inner = ("\n" + indent + "||\n").join(unparse_expr(b, indent + "  ") for b in branches)
+        inner = ("\n" + indent + "||\n").join(unparse_expr(b, indent + "  ") for b in e.branches)
         return f"{indent}(\n{inner}\n{indent});"
     if isinstance(e, Atomic):
         return f"{indent}atomic {{\n{unparse_expr(e.body, indent + '  ')}\n{indent}}};"

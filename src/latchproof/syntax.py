@@ -473,7 +473,7 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
     for d1 in f1.disjuncts:
         for d2 in f2.disjuncts:
             d2r = d2
-            clash = set(d2.exists) & (set(d1.exists) | free_vars_disjunct(d1))
+            clash = d2.exists and set(d2.exists) & (set(d1.exists) | free_vars_disjunct(d1))
             if clash:
                 ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in clash}
                 d2r = subst_disjunct(
@@ -748,8 +748,7 @@ class Seq(Expr):
 
 @dataclass(frozen=True)
 class Par(Expr):
-    left: Expr
-    right: Expr
+    branches: tuple[Expr, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
@@ -837,7 +836,7 @@ def _expr_children(e: Expr) -> list[Expr]:
     if isinstance(e, Seq):
         return [e.first, e.second]
     if isinstance(e, Par):
-        return [e.left, e.right]
+        return list(e.branches)
     if isinstance(e, Atomic):
         return [e.body]
     if isinstance(e, If):
@@ -848,9 +847,12 @@ def _expr_children(e: Expr) -> list[Expr]:
 
 
 def walk_expr(e: Expr):
-    yield e
-    for c in _expr_children(e):
-        yield from walk_expr(c)
+    """Every node under e, e included, in pre-order."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_expr_children(node)))
 
 
 def _used_vars(e: Expr) -> set[str]:

@@ -424,10 +424,10 @@ class _ProcVerifier:
         return new
 
     def _exec_par(self, state: Formula, e: Par, span: Span) -> Formula:
-        branches_code = [e.left, e.right]
+        """One split of each disjunct over all N branches, and one join."""
         out = []
         for d in state.disjuncts:
-            targets = [branch_precondition(self.program, b, self.gen) for b in branches_code]
+            targets = [branch_precondition(self.program, b, self.gen) for b in e.branches]
             try:
                 split = split_for(Formula((d,)), targets,
                                   variance=self.opts.variance, gen=self.gen)
@@ -436,7 +436,7 @@ class _ProcVerifier:
             for b in split.branches:
                 self._trace(span, b)
             results = [self.exec(bstate, bcode)
-                       for bstate, bcode in zip(split.branches, branches_code)]
+                       for bstate, bcode in zip(split.branches, e.branches)]
             combined = split.frame
             for r in results:
                 combined = star(combined, r, self.gen)
@@ -644,7 +644,7 @@ class _FootprintWalk:
         if isinstance(e, Par):
             # Sub-branches run concurrently: walk each independently and sum
             # their demands; the nested split re-divides the combined share.
-            for code in (e.left, e.right):
+            for code in e.branches:
                 sub = _FootprintWalk(self.program, self.gen)
                 sub.types = dict(self.types)
                 sub.walk(code)

@@ -33,22 +33,22 @@ def _main(par, decls):
             + f"  ( {' || '.join(par)} )\n}}\n")
 
 
-def _chain(n):
+def chain_source(n):
     par = (["countDown(c0)"] + [f"await(c{i}); countDown(c{i + 1})" for i in range(n - 1)]
            + [f"await(c{n - 1})"])
     return _main(par, [f"c{i} = create_latch(1)" for i in range(n)])
 
 
-def _ring(n):
+def ring_source(n):
     return _main([f"await(c{i}); countDown(c{(i + 1) % n})" for i in range(n)],
                  [f"c{i} = create_latch(1)" for i in range(n)])
 
 
-def _fan_in(n):
+def fan_in_source(n):
     return _main(["countDown(c)"] * n + ["await(c)"], [f"c = create_latch({n})"])
 
 
-FAMILIES = [("chain-6", _chain(6)), ("ring-4", _ring(4)), ("fan-in-4", _fan_in(4))]
+FAMILIES = [("chain-6", chain_source(6)), ("ring-4", ring_source(4)), ("fan-in-4", fan_in_source(4))]
 
 
 def render_families() -> str:

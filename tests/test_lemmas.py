@@ -35,6 +35,21 @@ def test_n2_combine():
     assert format_state(out) == "CNT(c,2)"
 
 
+def test_n_way_join_merges_each_latch_and_the_wait_shares_at_once():
+    # the join of a 4-way block: five shares of c and five wait-for shares
+    h = lemmas._Heap(F("CNT(c,1)@1/5 * CNT(c,0)@1/5 * CNT(c,2)@1/5 * CNT(c,0)@1/5 * "
+                       "CNT(c,0)@1/5 * WAIT{a->b}@1/5 * WAIT{}@1/5 * WAIT{b->c}@1/5 * "
+                       "WAIT{}@1/5 * WAIT{}@1/5").single())
+    n2 = lemmas._n2(h, names.FreshGen())
+    assert n2.drop == (0, 1, 2, 3, 4) and n2.add == (Cnt("c", Term.of(3), Perm.one()),)
+    w3 = lemmas._w3(h, names.FreshGen())
+    assert w3.drop == (5, 6, 7, 8, 9)
+    assert w3.add == (Wait(frozenset({("a", "b"), ("b", "c")}), Perm.one()),)
+    h = lemmas._Heap(F("CNT(c,0)@1/4 * CNT(c,-1)@1/4 * CNT(c,0)@1/4 * CNT(c,-1)@1/4").single())
+    n1 = lemmas._n1(h, names.FreshGen())
+    assert n1.drop == (0, 1, 2, 3) and n1.add == (Cnt("c", Term.of(-1), Perm.one()),)
+
+
 def test_n3_release():
     out = normalize(F("LatchOut(c, P) * CNT(c,-1)@1"))
     assert format_state(out) == "CNT(c,-1) * P"

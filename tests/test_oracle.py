@@ -1,5 +1,11 @@
-from latchproof.oracle import OracleBounds, explore
+import dataclasses
+
+import pytest
+
+from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import SourceFile, parse_program
+from latchproof.syntax import Atomic, If, Par, Seq, walk_expr
+from tests.test_golden import chain_source, fan_in_source, ring_source
 
 
 def run(src, **kw):
@@ -142,3 +148,64 @@ def test_footprint_examples():
     if "Assign" in fps:
         reads, writes = fps["Assign"]
         assert any(k == "loc" for k, _ in reads)
+
+
+# -- N-way parallel blocks ----------------------------------------------------
+
+def _nest(e):
+    """Regroup every block ( a || b || c ) as ( a || ( b || c ) ), all the way down."""
+    if isinstance(e, Par):
+        first, *rest = (_nest(b) for b in e.branches)
+        tail = rest[0] if len(rest) == 1 else Par(tuple(rest), e.span)
+        return Par((first, tail), e.span)
+    if isinstance(e, Seq):
+        return dataclasses.replace(e, first=_nest(e.first), second=_nest(e.second))
+    if isinstance(e, If):
+        return dataclasses.replace(e, then=_nest(e.then), els=_nest(e.els))
+    if isinstance(e, Atomic):
+        return dataclasses.replace(e, body=_nest(e.body))
+    return e
+
+
+def _nested_program(p):
+    return dataclasses.replace(p, proc_decls=tuple(
+        dataclasses.replace(d, body=_nest(d.body)) if d.body is not None else d
+        for d in p.proc_decls))
+
+
+CONCRETE_CORPUS = ["deadlock_intra", "deadlock_inter", "cone", "sender_receiver",
+                   "cdl2_concrete", "multicast_concrete", "barrier_concrete",
+                   "cone_concrete", "race_concrete", "oracle_race_minimal"]
+INLINE_SOURCES = {f"{name}-{n}": build(n)
+                  for name, build in (("fan-in", fan_in_source), ("chain", chain_source),
+                                      ("ring", ring_source))
+                  for n in range(2, 6)}
+# races unless the block joins all three branches before the last write
+INLINE_SOURCES["write-after-join"] = (
+    "data cell { int val; } void main() requires emp ensures emp; "
+    "{ x = new cell(0); ( skip || skip || x.val = 1 ); x.val = 2 }")
+
+
+@pytest.mark.parametrize("name", CONCRETE_CORPUS + sorted(INLINE_SOURCES))
+def test_regrouping_branches_keeps_outcome_kinds(name, load):
+    if name in INLINE_SOURCES:
+        flat = parse_program(SourceFile(name, INLINE_SOURCES[name]))
+    else:
+        flat = load(name)
+    nested = _nested_program(flat)
+    bounds = OracleBounds(max_threads=16)
+    r_flat, r_nested = explore(flat, bounds), explore(nested, bounds)
+    assert r_flat.exhaustive and r_nested.exhaustive
+    assert r_flat.kinds == r_nested.kinds
+    # the fork steps of the inner blocks interleave with the branches' work
+    wide = any(isinstance(n, Par) and len(n.branches) > 2
+               for d in flat.proc_decls if d.body is not None for n in walk_expr(d.body))
+    assert (r_flat.explored < r_nested.explored) if wide else (r_flat.explored == r_nested.explored)
+
+
+def test_n_way_block_takes_n_plus_one_thread_slots():
+    # fan-in-4 is a 5-way block: main and five branches fill the default six slots
+    rep = run(fan_in_source(4))
+    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 118
+    with pytest.raises(OracleError, match="thread bound exceeded"):
+        run(fan_in_source(5))

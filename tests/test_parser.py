@@ -9,7 +9,7 @@ from latchproof.parser import (
 )
 from latchproof.syntax import (
     Cnt, Dead, Disjunct, Formula, LatchIn, LatchOut, Par, Perm, PointsTo,
-    ResVarAtom, RForm, Seq, Term, ThreadNode, ThreadSpec, Wait, TRUE,
+    ResVarAtom, RForm, Seq, Term, ThreadNode, ThreadSpec, Wait, TRUE, walk_expr,
 )
 
 
@@ -28,8 +28,7 @@ def test_barrier_par_shape():
     body = p.proc_decls[0].body
     assert isinstance(body, Seq)
     assert isinstance(body.second, Par)
-    assert isinstance(body.second.left, Seq)
-    assert isinstance(body.second.right, Seq)
+    assert [type(b) for b in body.second.branches] == [Seq, Seq]
 
 
 def test_two_spec_pairs():
@@ -97,6 +96,20 @@ def test_print_parse_fixpoint_on_corpus(load):
         text = unparse_program(p)
         p2 = parse_program(SourceFile("rt", text))
         assert unparse_program(p2) == text, name
+
+
+def test_round_trip_keeps_flat_and_nested_groups():
+    src = """
+    void main() requires emp ensures emp;
+    { c = create_latch(2); ( countDown(c) || countDown(c) || await(c) );
+      d = create_latch(1); ( countDown(d) || ( await(d) || skip ) ) }
+    """
+    p = parse_program(SourceFile("t", src))
+    flat, nested, inner = [n for n in walk_expr(p.proc("main").body) if isinstance(n, Par)]
+    assert len(flat.branches) == 3
+    assert len(nested.branches) == 2 and nested.branches[1] is inner
+    p2 = parse_program(SourceFile("rt", unparse_program(p)))
+    assert p2 == p and unparse_program(p2) == unparse_program(p)
 
 
 def test_print_parse_print_fixpoint_formula():

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from latchproof import names
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
-    Perm, Term, check_wellformed, free_vars, substitute,
+    Par, Perm, Seq, Skip, Term, check_wellformed, free_vars, substitute, walk_expr,
+    _expr_children,
 )
 
 
@@ -114,3 +115,24 @@ def test_term_arithmetic(a, b, k):
     t = Term.of(a) + Term.var("x").scale(k) - Term.of(b)
     env = {"x": 7}
     assert t.eval(env) == a + 7 * k - b
+
+
+def test_walk_expr_pre_order(load):
+    def reference(e):
+        yield e
+        for c in _expr_children(e):
+            yield from reference(c)
+    for name in ["cdl2", "barrier", "race_concrete"]:
+        for proc in load(name).proc_decls:
+            if proc.body is not None:
+                assert list(walk_expr(proc.body)) == list(reference(proc.body))
+
+
+def test_walk_expr_deep_sequence():
+    # deeper than the interpreter's recursion limit
+    e = Skip()
+    for _ in range(5000):
+        e = Seq(Skip(), e)
+    e = Par((e, Skip()))
+    nodes = list(walk_expr(e))
+    assert len(nodes) == 10003 and nodes[0] is e and nodes[-1] == Skip()

@@ -7,11 +7,13 @@ from latchproof.oracle import explore
 from latchproof.parser import (
     SourceFile, format_state, parse_formula, parse_program, parse_pure,
 )
+from latchproof.lemmas import split_for
 from latchproof.pure import SolverResult, Status
 from latchproof.syntax import Cnt, PAnd, Term
 from latchproof.verifier import (
     VerifyOptions, branch_precondition, check_leak, verify_program,
 )
+from tests.test_golden import fan_in_source
 
 
 def F(s):
@@ -194,7 +196,7 @@ def test_branch_precondition_inline_countdown(load):
     p = load("deadlock_intra")
     body = p.proc("main").body
     par = body.second
-    t = branch_precondition(p, par.left, names.FreshGen())
+    t = branch_precondition(p, par.branches[0], names.FreshGen())
     atoms = t.formula.single().heap
     assert len(atoms) == 1 and isinstance(atoms[0], Cnt)
     assert atoms[0].count == Term.of(1)
@@ -204,7 +206,7 @@ def test_branch_precondition_call(load):
     p = load("cdl2")
     body = p.proc("main").body
     par = body.second
-    t = branch_precondition(p, par.left, names.FreshGen())
+    t = branch_precondition(p, par.branches[0], names.FreshGen())
     kinds = {type(a).__name__ for a in t.formula.single().heap}
     assert "LatchOut" in kinds and "Cnt" in kinds
 
@@ -243,6 +245,35 @@ def test_expired_and_pending_latches_terminate(body, states):
         ("main", "Verified")]
     rep = explore(p)
     assert rep.kinds == {"Clean"} and rep.explored == states and rep.exhaustive
+
+
+# -- a latch created at zero, awaited inside a par -----------------------------
+
+@pytest.mark.parametrize("body,states", [
+    ("c = create_latch(0); ( skip || await(c) )", 14),
+    ("c = create_latch(0); d = create_latch(1); "
+     "( await(c); countDown(d) || await(d); await(c) || await(c) )", 55),
+])
+def test_zero_count_latch_splits(body, states):
+    # the awaiting branch demands CNT(c,0), and the state holds only the final
+    # share CNT(c,-1): a share of the final state serves it
+    p = parse_program(SourceFile("t", f"void main() requires emp ensures emp; {{ {body} }}"))
+    assert [(v.proc, v.kind) for v in verify_program(p, VerifyOptions())] == [
+        ("main", "Verified")]
+    rep = explore(p)
+    assert rep.kinds == {"Clean"} and rep.explored == states and rep.exhaustive
+
+
+def test_n_way_block_splits_once(monkeypatch):
+    widths = []
+
+    def counted(delta, targets, **kw):
+        widths.append(len(targets))
+        return split_for(delta, targets, **kw)
+
+    monkeypatch.setattr(verifier, "split_for", counted)
+    [v] = run(fan_in_source(8))
+    assert v.kind == "Verified" and widths == [9]
 
 
 # -- an undecided if-guard never prunes its branch -----------------------------
