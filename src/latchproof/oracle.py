@@ -6,6 +6,24 @@ hashes), reporting races (overlapping footprints with a write), deadlocks
 under an emp contract for main). Specification payloads are ghosts and are
 erased; synchronizer primitives are atomic, so latch-latch overlaps are
 synchronization, not races.
+
+The search branches only on steps that touch shared state: after every step
+(and once on the initial state) each thread's *local* steps run to completion
+in place, in tid order (`_Machine.close`). A step is local when it reads and
+writes only its own thread's env and continuation and, once enabled, stays
+enabled: thread exit, `call` and `restore` items, `skip`, `assert`, `;`,
+`if` (its guard reads only the thread's env), calls, the no-op bare reads
+and constants, `v = w`, `v = k` and `v = f(...)`, and an enabled join of
+forked or `||` children. `new`, `create_latch`, `create_thread` and `||` draw
+from the global `fresh()` counter, and `fork`, `countDown`, `await`, field
+reads and writes and `atomic` touch shared state; those are the branch
+points. This is the ample-set reduction (Godefroid, LNCS 1032, 1996) with
+singleton invisible ample sets, and it is exact: a local step has an empty
+footprint and disables no other step, so every racing pair co-enabled at a
+skipped state is still co-enabled at the closed state, every terminal state
+is still reached, and every state visited is reachable unreduced. Local
+steps count toward the step bound, so unbounded local recursion still ends
+as a non-exhaustive search.
 """
 
 from __future__ import annotations
@@ -147,6 +165,45 @@ class _Machine:
     def __init__(self, program: Program, bounds: OracleBounds):
         self.program = program
         self.bounds = bounds
+        self.emp_contract = _main_claims_emp(program)
+
+    def initial(self) -> _State:
+        main = self.program.proc("main")
+        if main is None or main.body is None:
+            raise OracleError("no executable main procedure")
+        st = _State()
+        root = _Thread(st.fresh(), {}, (("run", main.body),))
+        st.threads[root.tid] = root
+        return st
+
+    def observe(self, st: _State, outcomes: set[Outcome]) -> list[_Thread]:
+        """Add the races among st's enabled threads, and st's outcome if it
+        is terminal, to `outcomes`; return the enabled threads."""
+        runnable = [t for t in st.threads.values() if t.status == "run"]
+        enabled = [t for t in runnable if self.enabled(st, t)]
+
+        # race check over concurrently enabled primitives
+        fps = [(t.tid, self.footprint(st, t)) for t in enabled]
+        for i in range(len(fps)):
+            for j in range(i + 1, len(fps)):
+                (ti, (ri, wi)), (tj, (rj, wj)) = fps[i], fps[j]
+                overlap = (wi & wj) | (wi & rj) | (wj & ri)
+                data_overlap = {loc for loc in overlap if loc[0] == "loc"}
+                if data_overlap:
+                    outcomes.add(Outcome("Race", f"threads {ti} and {tj} touch "
+                                                 f"overlapping cells"))
+
+        if not enabled:
+            if not runnable:
+                if self.emp_contract and st.heap:
+                    outcomes.add(Outcome("Leak", f"{len(st.heap)} cells left on the heap"))
+                else:
+                    outcomes.add(Outcome("Clean"))
+            else:
+                # no thread is enabled, so every runnable one is blocked
+                names = ",".join(str(t.tid) for t in runnable)
+                outcomes.add(Outcome("Deadlock", f"blocked threads {{{names}}}"))
+        return enabled
 
     # -- enabledness and footprints -----------------------------------------
 
@@ -212,22 +269,58 @@ class _Machine:
 
     def step(self, st: _State, tid: int) -> _State:
         st = st.clone()
-        t = st.threads[tid]
+        self._advance(st, st.threads[tid])
+        return st
+
+    def local(self, st: _State, t: _Thread) -> bool:
+        """Whether t's next step touches only t's own env and continuation and,
+        once enabled, stays enabled; see the module docstring."""
+        if t.status != "run":
+            return False
+        if not t.cont:
+            return True
+        kind = t.cont[0][0]
+        if kind == "joinkids":
+            return self.enabled(st, t)
+        if kind != "run":
+            return True      # call, restore
+        node = t.cont[0][1]
+        if isinstance(node, Join):
+            return self.enabled(st, t)
+        if isinstance(node, Assign):
+            return isinstance(node.rhs, (VarRead, ConstE, Call))
+        return isinstance(node, (Skip, Assert, Seq, If, Call, VarRead, ConstE, FieldRead))
+
+    def close(self, st: _State, depth: int, limit: int) -> int:
+        """Run every thread's local steps in place, in tid order, until no
+        thread has one left or the step count passes `limit`; return it."""
+        progress = True
+        while progress:
+            progress = False
+            for t in st.threads.values():
+                while depth <= limit and self.local(st, t):
+                    self._advance(st, t)
+                    depth += 1
+                    progress = True
+        return depth
+
+    def _advance(self, st: _State, t: _Thread) -> None:
+        """Take t's next step in place."""
         if not t.cont:
             t.status = "done"
-            return st
+            return
         item = t.cont[0]
         t.cont = t.cont[1:]
         kind = item[0]
         if kind == "joinkids":
-            return st
+            return
         if kind == "restore":
             saved, lhs = item[1], item[2]
             res = t.env.get("res")
             t.env = dict(saved)
             if lhs is not None:
                 t.env[lhs] = res
-            return st
+            return
         if kind == "call":
             _, proc_name, argvals, lhs = item
             callee = self.program.proc(proc_name)
@@ -236,30 +329,28 @@ class _Machine:
             if callee.body is None:
                 if lhs is not None:
                     t.env[lhs] = None
-                return st
+                return
             saved = tuple(sorted(t.env.items()))
             t.env = {p: v for (_, p), v in zip(callee.params, argvals)}
             t.cont = (("run", callee.body), ("restore", saved, lhs)) + t.cont
-            return st
-        node = item[1]
-        return self._exec_node(st, t, node)
+            return
+        self._exec_node(st, t, item[1])
 
-    def _exec_node(self, st: _State, t: _Thread, node) -> _State:
+    def _exec_node(self, st: _State, t: _Thread, node) -> None:
         if isinstance(node, Skip) or isinstance(node, Assert):
-            return st
+            return
         if isinstance(node, Seq):
             t.cont = (("run", node.first), ("run", node.second)) + t.cont
-            return st
+            return
         if isinstance(node, Atomic):
             for sub in self._linearize(node.body):
-                st2 = self._exec_atomic_sub(st, t, sub)
-                st = st2
-            return st
+                self._exec_atomic_sub(st, t, sub)
+            return
         if isinstance(node, If):
             env_ints = {k: v for k, v in t.env.items() if isinstance(v, int)}
             branch = node.then if pure_eval(node.cond, env_ints) else node.els
             t.cont = (("run", branch),) + t.cont
-            return st
+            return
         if isinstance(node, Par):
             # one thread per branch: an N-way block holds N + 1 thread slots
             if len(st.threads) + len(node.branches) > self.bounds.max_threads:
@@ -270,12 +361,12 @@ class _Machine:
                 st.threads[kid.tid] = kid
                 kids.append(kid.tid)
             t.cont = (("joinkids", *kids),) + t.cont
-            return st
+            return
         if isinstance(node, CountDown):
             lid = t.env[node.var]
             if st.latches[lid] > 0:
                 st.latches[lid] -= 1
-            return st
+            return
         if isinstance(node, Await):
             lid = t.env[node.var]
             if st.latches[lid] != 0:
@@ -283,7 +374,7 @@ class _Machine:
             for other, cnt in st.latches.items():
                 if other != lid and cnt == 0:
                     st.waitlog = st.waitlog | {(other, lid)}
-            return st
+            return
         if isinstance(node, Fork):
             desc = t.env.get(node.var)
             if not (isinstance(desc, tuple) and desc[0] == "tdesc"):
@@ -297,16 +388,16 @@ class _Machine:
             kid.env = {p: v for (_, p), v in zip(callee.params, argvals)} if callee else {}
             kid.cont = (("run", callee.body),) if callee and callee.body else ()
             kid.status = "run"
-            return st
+            return
         if isinstance(node, Join):
             target = _tid_of(t.env.get(node.var))
             if st.threads[target].status != "done":
                 raise OracleError("join stepped while blocked")
-            return st
+            return
         if isinstance(node, Call):
             argvals = [self._eval_arg(a, t.env) for a in node.args]
             t.cont = (("call", node.name, tuple(argvals), None),) + t.cont
-            return st
+            return
         if isinstance(node, FieldWrite):
             loc = t.env[node.base]
             ctor, vals = st.heap[loc]
@@ -314,11 +405,12 @@ class _Machine:
             vals = list(vals)
             vals[idx] = _eval_term(node.rhs, t.env)
             st.heap[loc] = (ctor, tuple(vals))
-            return st
+            return
         if isinstance(node, Assign):
-            return self._exec_assign(st, t, node)
+            self._exec_assign(st, t, node)
+            return
         if isinstance(node, (VarRead, ConstE, FieldRead)):
-            return st
+            return
         raise OracleError(f"cannot interpret {type(node).__name__}")
 
     def _eval_arg(self, a: Term, env: dict):
@@ -329,40 +421,40 @@ class _Machine:
             return env[v]
         return _eval_term(a, env)
 
-    def _exec_assign(self, st: _State, t: _Thread, node: Assign) -> _State:
+    def _exec_assign(self, st: _State, t: _Thread, node: Assign) -> None:
         rhs = node.rhs
         if isinstance(rhs, New):
             loc = st.fresh()
             st.heap[loc] = (rhs.ctor, tuple(_eval_term(a, t.env) for a in rhs.args))
             t.env[node.lhs] = loc
-            return st
+            return
         if isinstance(rhs, CreateLatch):
             lid = st.fresh()
             st.latches[lid] = _eval_term(rhs.count, t.env)
             t.env[node.lhs] = lid
-            return st
+            return
         if isinstance(rhs, CreateThread):
             if len(st.threads) + 1 > self.bounds.max_threads:
                 raise OracleError("thread bound exceeded")
             kid = _Thread(st.fresh(), {}, (), status="created")
             st.threads[kid.tid] = kid
             t.env[node.lhs] = ("tdesc", rhs.proc, kid.tid)
-            return st
+            return
         if isinstance(rhs, Call):
             argvals = [self._eval_arg(a, t.env) for a in rhs.args]
             t.cont = (("call", rhs.name, tuple(argvals), node.lhs),) + t.cont
-            return st
+            return
         if isinstance(rhs, FieldRead):
             loc = t.env[rhs.base]
             ctor, vals = st.heap[loc]
             t.env[node.lhs] = vals[self._fidx(ctor, rhs.fieldname)]
-            return st
+            return
         if isinstance(rhs, VarRead):
             t.env[node.lhs] = t.env[rhs.name]
-            return st
+            return
         if isinstance(rhs, ConstE):
             t.env[node.lhs] = rhs.value
-            return st
+            return
         raise OracleError(f"cannot interpret assignment from {type(rhs).__name__}")
 
     def _linearize(self, e: Expr):
@@ -372,10 +464,10 @@ class _Machine:
         else:
             yield e
 
-    def _exec_atomic_sub(self, st: _State, t: _Thread, node) -> _State:
+    def _exec_atomic_sub(self, st: _State, t: _Thread, node) -> None:
         if isinstance(node, (Await, Join, Par, Atomic)):
             raise OracleError("blocking or parallel construct inside atomic")
-        return self._exec_node(st, t, node)
+        self._exec_node(st, t, node)
 
     def _fidx(self, ctor: str, fieldname: str) -> int:
         dd = self.program.data(ctor)
@@ -393,23 +485,17 @@ def _main_claims_emp(program: Program) -> bool:
 
 
 def explore(program: Program, bounds: OracleBounds | None = None) -> OracleReport:
-    """Depth-first enumeration of all schedules with memoized states."""
+    """Depth-first enumeration of all schedules with memoized states, closed
+    under local steps (see the module docstring)."""
     bounds = bounds or OracleBounds()
     _check_concrete(program)
-    main = program.proc("main")
-    if main is None or main.body is None:
-        raise OracleError("no executable main procedure")
     machine = _Machine(program, bounds)
-    emp_contract = _main_claims_emp(program)
-
-    init = _State()
-    root = _Thread(init.fresh(), {}, (("run", main.body),))
-    init.threads[root.tid] = root
-
+    init = machine.initial()
+    limit = bounds.max_steps * bounds.max_threads
     seen: set = set()
     outcomes: set[Outcome] = set()
     exhaustive = True
-    stack: list[tuple[_State, int]] = [(init, 0)]
+    stack: list[tuple[_State, int]] = [(init, machine.close(init, 0, limit))]
     explored = 0
 
     while stack:
@@ -419,37 +505,11 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
             continue
         seen.add(key)
         explored += 1
-        if explored > bounds.max_states or depth > bounds.max_steps * bounds.max_threads:
+        if explored > bounds.max_states or depth > limit:
             exhaustive = False
             continue
-
-        runnable = [t for t in st.threads.values() if t.status == "run"]
-        enabled = [t for t in runnable if machine.enabled(st, t)]
-
-        # race check over concurrently enabled primitives
-        fps = [(t.tid, machine.footprint(st, t)) for t in enabled]
-        for i in range(len(fps)):
-            for j in range(i + 1, len(fps)):
-                (ti, (ri, wi)), (tj, (rj, wj)) = fps[i], fps[j]
-                overlap = (wi & wj) | (wi & rj) | (wj & ri)
-                data_overlap = {loc for loc in overlap if loc[0] == "loc"}
-                if data_overlap:
-                    outcomes.add(Outcome("Race", f"threads {ti} and {tj} touch "
-                                                 f"overlapping cells"))
-
-        if not enabled:
-            if not runnable:
-                if emp_contract and st.heap:
-                    outcomes.add(Outcome("Leak", f"{len(st.heap)} cells left on the heap"))
-                else:
-                    outcomes.add(Outcome("Clean"))
-            else:
-                # no thread is enabled, so every runnable one is blocked
-                names = ",".join(str(t.tid) for t in runnable)
-                outcomes.add(Outcome("Deadlock", f"blocked threads {{{names}}}"))
-            continue
-
-        for t in enabled:
-            stack.append((machine.step(st, t.tid), depth + 1))
+        for t in machine.observe(st, outcomes):
+            child = machine.step(st, t.tid)
+            stack.append((child, machine.close(child, depth + 1, limit)))
 
     return OracleReport(explored, outcomes, exhaustive)

@@ -96,6 +96,15 @@ def test_bound_exceeded_clears_exhaustive():
     assert not rep.exhaustive
 
 
+def test_unbounded_recursion_spends_the_step_bound():
+    # local steps count toward the step bound, so the search still stops
+    rep = run("""
+    void f() requires emp ensures emp; { f() }
+    void main() requires emp ensures emp; { f() }
+    """)
+    assert not rep.exhaustive and rep.outcomes == set()
+
+
 def test_outcome_set_deterministic(load):
     r1 = explore(load("race_concrete"))
     r2 = explore(load("race_concrete"))
@@ -206,6 +215,6 @@ def test_regrouping_branches_keeps_outcome_kinds(name, load):
 def test_n_way_block_takes_n_plus_one_thread_slots():
     # fan-in-4 is a 5-way block: main and five branches fill the default six slots
     rep = run(fan_in_source(4))
-    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 118
+    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 19
     with pytest.raises(OracleError, match="thread bound exceeded"):
         run(fan_in_source(5))
