@@ -14,17 +14,14 @@ from latchproof.verifier import VerifyOptions, verify_program
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
-VARIANCE = {"sender_receiver"}
-
 
 def main():
     print(f"{'program':24} {'verifier (main)':28} {'oracle outcomes':20}")
     print("-" * 76)
     for path in sorted(CORPUS.glob("*.lp")):
-        name = path.stem
         names.reset_fresh()
         program = parse_program(SourceFile(str(path), path.read_text()))
-        verdicts = verify_program(program, VerifyOptions(variance=name in VARIANCE))
+        verdicts = verify_program(program, VerifyOptions())
         main_v = next((v for v in verdicts if v.proc == "main"), None)
         vtext = main_v.kind if main_v else "?"
         if main_v and main_v.lemma:
@@ -35,7 +32,7 @@ def main():
             otext += "" if rep.exhaustive else " (bounded)"
         except OracleError:
             otext = "abstract payloads"
-        print(f"{name:24} {vtext:28} {otext:20}")
+        print(f"{path.stem:24} {vtext:28} {otext:20}")
 
 
 if __name__ == "__main__":

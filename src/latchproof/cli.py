@@ -21,7 +21,6 @@ from .verifier import Verdict, VerifyOptions, verify_program
 class RunConfig:
     files: list[str]
     mode: str = "verify"            # verify | oracle | both
-    variance: bool = False
     json: bool = False
     dump_trace: bool = False
     oracle_bounds: OracleBounds = field(default_factory=OracleBounds)
@@ -34,9 +33,6 @@ def _parse_args(argv) -> RunConfig:
     )
     ap.add_argument("mode", choices=["verify", "oracle", "both"])
     ap.add_argument("files", nargs="+", help=".lp source files")
-    ap.add_argument("--variance", action="store_true",
-                    help="check latch payloads with flow-annotation subsumption "
-                         "(inflow contravariant, outflow covariant)")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--dump-trace", action="store_true",
                     help="print the symbolic state at every program point")
@@ -44,7 +40,7 @@ def _parse_args(argv) -> RunConfig:
     ap.add_argument("--max-steps", type=int, default=64)
     ns = ap.parse_args(argv)
     return RunConfig(
-        files=ns.files, mode=ns.mode, variance=ns.variance, json=ns.json,
+        files=ns.files, mode=ns.mode, json=ns.json,
         dump_trace=ns.dump_trace,
         oracle_bounds=OracleBounds(max_states=ns.max_states, max_steps=ns.max_steps),
     )
@@ -73,7 +69,7 @@ def _run_file(path: str, cfg: RunConfig) -> FileReport:
     if cfg.mode in ("verify", "both"):
         seed = int(os.environ.get("LATCHPROOF_SEED", "0"))
         rep.verdicts = verify_program(
-            program, VerifyOptions(variance=cfg.variance),
+            program, VerifyOptions(),
             gen=None if seed == 0 else names.FreshGen(seed))
     if cfg.mode in ("oracle", "both"):
         try:

@@ -24,8 +24,8 @@ from .pure import SolverUnknown
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, atom_free_vars, EMP, free_vars, is_resvar, pand, pure_free_vars,
-    pure_subst, star, subst_atom, subst_disjunct, subst_perms, eq as peq,
+    TRUE, atom_free_vars, EMP, free_vars, free_vars_disjunct, is_resvar, pand,
+    pure_free_vars, pure_subst, star, subst_atom, subst_disjunct, subst_perms, eq as peq,
 )
 
 
@@ -108,11 +108,10 @@ def addVar(atom, gen=None, instantiable=None):
     abstract resources) get a fresh trailing resource variable so the
     antecedent's surplus can be split off into a leftover predicate (the
     implicit S1/S2 split).
-    Returns (V, payload_formula, leftover_atom_or_None, reuse_flag).
+    Returns (V, payload_formula, reuse_flag).
     """
     gen = gen or names.default_gen()
     payload = atom.payload
-    mk = type(atom)
     if isinstance(payload, RVar):
         name = payload.name
     else:
@@ -120,15 +119,13 @@ def addVar(atom, gen=None, instantiable=None):
         if name is not None and (instantiable is None or name not in instantiable):
             name = None
     if name is not None:
-        return name, Formula((Disjunct((), (ResVarAtom(name),), TRUE),)), None, False
+        return name, Formula((Disjunct((), (ResVarAtom(name),), TRUE),)), False
     f = _as_formula(payload)
     if len(f.disjuncts) != 1:
         raise _Fail("UnifyFailure", "disjunctive resource payload cannot be split")
     d = f.single()
     V = gen.fresh("V")
-    payload3 = Formula((Disjunct(d.exists, d.heap + (ResVarAtom(V),), d.pure),))
-    leftover = mk(atom.latch, RVar(V))
-    return V, payload3, leftover, True
+    return V, Formula((Disjunct(d.exists, d.heap + (ResVarAtom(V),), d.pure),)), True
 
 
 def _as_formula(arg: ResArg) -> Formula:
@@ -147,8 +144,7 @@ def _single_resvar(f: Formula) -> Optional[str]:
 
 
 def _payload_value_vars(f: Formula) -> set[str]:
-    """Free variables of a payload in value positions (not roots/latches/tids):
-    these are instantiable during payload subsumption checks."""
+    """Free variables of a payload in value positions (not roots/latches/tids)."""
     roots: set[str] = set()
     for d in f.disjuncts:
         for a in d.heap:
@@ -172,17 +168,16 @@ def _is_emp(f: Formula) -> bool:
 
 
 class _Ctx:
-    def __init__(self, E: set[str], pool: list[HeapAtom], learned: Pure,
-                 variance: bool, gen: names.FreshGen):
+    def __init__(self, E: set[str], ante: Disjunct, gen: names.FreshGen):
         self.E = E
-        self.pool = pool
-        self.learned: list[Pure] = [] if isinstance(learned, PTrue) else [learned]
+        self.ante = ante
+        self.pool: list[HeapAtom] = list(ante.heap)
+        self.learned: list[Pure] = [] if isinstance(ante.pure, PTrue) else [ante.pure]
         self.obligations: list[Pure] = []
         self.D: dict[str, Formula] = {}
         self.D_all: dict[str, Formula] = {}
         self.rho: dict[str, Term] = {}
         self.permb: dict[str, Perm] = {}
-        self.variance = variance
         self.gen = gen
         self.notes: list[str] = []
 
@@ -278,7 +273,11 @@ def _unify(ctx: _Ctx, fa: Formula, fc: Formula, extra_E: set[str]) -> dict[str, 
     if da.exists:
         ren = {v: Term.var(ctx.gen.fresh(v.split("#")[0])) for v in da.exists}
         da = subst_disjunct(Disjunct((), da.heap, da.pure), ren, ctx.gen)
-    inner_E = set(extra_E) | ctx.E | _payload_value_vars(fc)
+    # a payload value the antecedent does not mention is payload-local
+    local = _payload_value_vars(fc)
+    if local:
+        local -= free_vars_disjunct(ctx.ante)
+    inner_E = set(extra_E) | ctx.E | local
     if dc.exists:
         ren = {v: Term.var(ctx.gen.fresh(v.split("#")[0])) for v in dc.exists}
         dc = subst_disjunct(Disjunct((), dc.heap, dc.pure), ren, ctx.gen)
@@ -369,12 +368,12 @@ def _unify_atom(ctx: _Ctx, a: HeapAtom, c: HeapAtom, inner_E: set[str]):
             if pv is None:
                 raise _Fail("UnifyFailure", "payload permission mismatch")
             ctx.bind_perm(pv, a.perm)
-        _match_args(ctx, a.args, c.args)
+        _match_args(ctx, a.args, c.args, inner_E)
         return
     if isinstance(c, Cnt):
         if not ctx.roots_eq(a.latch, c.latch):
             raise _Fail("UnifyFailure", "latch mismatch")
-        _match_args(ctx, (a.count,), (c.count,))
+        _match_args(ctx, (a.count,), (c.count,), inner_E)
         if a.perm != c.perm:
             pv = c.perm.single_var()
             if pv is None:
@@ -406,16 +405,20 @@ def _unify_atom(ctx: _Ctx, a: HeapAtom, c: HeapAtom, inner_E: set[str]):
     raise _Fail("UnifyFailure", f"cannot unify atom {c}")
 
 
-def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...]):
+def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...],
+                bindable: set[str]):
+    """Match consequent arguments against antecedent ones: an unbound
+    variable in `bindable` is instantiated, anything else must be implied
+    equal."""
     if len(args_a) != len(args_c):
         raise _Fail("UnifyFailure", "arity mismatch")
     for ta, tc in zip(args_a, args_c):
         tc = tc.subst(ctx.rho) if ctx.rho else tc
-        v = tc.is_var()
-        if v is not None and v not in ctx.rho and ta != tc:
-            ctx.bind_var(v, ta)
-            continue
         if ta == tc:
+            continue
+        v = tc.is_var()
+        if v is not None and v in bindable and v not in ctx.rho:
+            ctx.bind_var(v, ta)
             continue
         try:
             ok = ctx.implies(peq(ta, tc))
@@ -456,7 +459,7 @@ def _match_points_to(ctx: _Ctx, c: PointsTo):
         a = ctx.pool[i]
         snap = ctx.snapshot()
         try:
-            _match_args(ctx, a.args, c.args)
+            _match_args(ctx, a.args, c.args, ctx.E)
             leftover = _match_perm(ctx, a.perm, c.perm)
             _consume(ctx, i, PointsTo(a.root, a.ctor, a.args, leftover) if leftover else None)
             return
@@ -475,7 +478,7 @@ def _match_cnt(ctx: _Ctx, c: Cnt):
         a = ctx.pool[i]
         snap = ctx.snapshot()
         try:
-            _match_args(ctx, (a.count,), (c.count,))
+            _match_args(ctx, (a.count,), (c.count,), ctx.E)
             leftover_perm = _match_perm(ctx, a.perm, c.perm)
             if leftover_perm is None:
                 _consume(ctx, i)
@@ -523,32 +526,28 @@ def _match_latch(ctx: _Ctx, c):
 
 def _match_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
     """RP-MATCH for one LatchIn/LatchOut pair; returns the leftover predicate
-    (the implicit S1/S2 split) or None when fully consumed."""
-    fa = _as_formula(a.payload)
-    pc_formula = _as_formula(c.payload)
-    pc_var = _single_resvar(pc_formula)
+    (the implicit S1/S2 split) or None when fully consumed.
 
-    if ctx.variance and (pc_var is None or pc_var not in ctx.E):
-        contravariant = isinstance(c, LatchIn)
-        ante, cons = (pc_formula, fa) if contravariant else (fa, pc_formula)
-        inner_E = _payload_value_vars(cons)
-        sub = entail(inner_E, ante, cons, variance=False, gen=ctx.gen)
-        direction = "contravariant" if contravariant else "covariant"
-        if not sub.success:
-            raise _Fail("VarianceFailure", f"{direction} payload check failed: "
-                        f"{sub.failure_reason.message if sub.failure_reason else ''}")
-        if any(d.heap for d in sub.residue.disjuncts):
-            raise _Fail("VarianceFailure", f"{direction} payload check left a residue")
-        for v, t in sub.var_bindings.items():
-            if v not in ctx.rho:
-                ctx.bind_var(v, t)
+    Unification comes first: it binds resource variables and splits off the
+    leftover. When it fails on payloads without resource variables, the flow
+    direction decides: a LatchIn payload is checked contravariantly (the
+    consequent's payload entails the antecedent's), a LatchOut payload
+    covariantly, in both cases with nothing left over."""
+    fa, fc = _as_formula(a.payload), _as_formula(c.payload)
+    V, payload3, split = addVar(c, ctx.gen, ctx.E)
+    snap = ctx.snapshot()
+    try:
+        Dinner = _unify(ctx, fa, payload3, {V})
+    except _Fail:
+        if any(is_resvar(v) for v in free_vars(fa) | free_vars(fc)):
+            raise
+        ctx.restore(snap)
+        ante, cons = (fc, fa) if isinstance(c, LatchIn) else (fa, fc)
+        _subsume(ctx, ante, cons)
         return None
-
-    V, payload3, _leftover_tmpl, b = addVar(c, ctx.gen, ctx.E)
-    Dinner = _unify(ctx, fa, payload3, {V})
     leftover: Optional[HeapAtom] = None
     image = Dinner.pop(V, None)
-    if b:
+    if split:
         if image is not None and not _is_emp(image):
             leftover = type(c)(a.latch, RForm(image))
     elif image is not None:
@@ -556,6 +555,22 @@ def _match_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
     for W, img in Dinner.items():
         ctx.bind_res(W, img)
     return leftover
+
+
+def _subsume(ctx: _Ctx, ante: Formula, cons: Formula):
+    """Payload subsumption ante |- cons under what ctx has learned, with an
+    empty residue. Only ctx.E and cons's own existentials are instantiated;
+    the instantiations of ctx.E carry over to ctx."""
+    learned = Formula((Disjunct((), (), ctx.learned_pure()),))
+    sub = entail(ctx.E, star(learned, ante, ctx.gen), cons, gen=ctx.gen)
+    if not sub.success:
+        raise _Fail("VarianceFailure", f"payload subsumption failed: "
+                    f"{sub.failure_reason.message if sub.failure_reason else ''}")
+    if not _is_emp(sub.residue):
+        raise _Fail("VarianceFailure", "payload subsumption left a residue")
+    for v, t in sub.var_bindings.items():
+        if v in ctx.E and v not in ctx.rho:
+            ctx.bind_var(v, t)
 
 
 def _match_wait(ctx: _Ctx, c: Wait):
@@ -651,7 +666,7 @@ _SENDABLE = (PointsTo, LatchIn, LatchOut, ResVarAtom, ThreadNode, ThreadSpec)
 # The judgment
 
 
-def entail(E, delta_a: Formula, delta_c: Formula, variance: bool = False,
+def entail(E, delta_a: Formula, delta_c: Formula,
            gen: names.FreshGen | None = None) -> EntailmentOutcome:
     """Check E |- delta_a <| delta_c, computing bindings and frame residue.
 
@@ -666,7 +681,7 @@ def entail(E, delta_a: Formula, delta_c: Formula, variance: bool = False,
         failures = []
         for dc in delta_c.disjuncts:
             try:
-                successes.append(_entail_dd(set(E), da, dc, variance, gen))
+                successes.append(_entail_dd(set(E), da, dc, gen))
             except _Fail as e:
                 failures.append(e.diag)
             except SolverUnknown as e:
@@ -704,8 +719,7 @@ def entail(E, delta_a: Formula, delta_c: Formula, variance: bool = False,
     return EntailmentOutcome(True, D, residue, var_b, perm_b, None, notes)
 
 
-def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, variance: bool,
-               gen: names.FreshGen) -> dict:
+def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen) -> dict:
     # EX-L: lift antecedent existentials to fresh names
     if da.exists:
         ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in da.exists}
@@ -720,7 +734,7 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, variance: bool,
             exr.append(w)
             E.add(w)
 
-    ctx = _Ctx(E, list(da.heap), da.pure, variance, gen)
+    ctx = _Ctx(E, da, gen)
 
     deferred: list[ResVarAtom] = []
     queue = list(dc.heap)

@@ -647,8 +647,7 @@ def _min_count(target_pure: Pure, count: Term, available: int) -> Optional[int]:
     return None
 
 
-def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False,
-              gen=None) -> SplitResult:
+def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResult:
     """Partition a (single-disjunct) state among branch targets, splitting
     counters by demanded amounts, payload predicates by need, and wait-for
     permissions evenly; leftovers form the continuation frame."""
@@ -770,7 +769,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], variance: bool = False
     branches: list[Formula] = []
     for t, td, my in zip(targets, rest_targets, demands):
         target_f = Formula((td,))
-        r = entail(set(t.E), remaining, target_f, variance=variance, gen=gen)
+        r = entail(set(t.E), remaining, target_f, gen=gen)
         if not r.success:
             raise SplitFailure(Diagnostic(
                 "SpecFailure",

@@ -16,7 +16,7 @@ from typing import Optional
 from . import names
 from . import pure as solver
 from .diagnostics import Span, NO_SPAN
-from .entail import EntailmentOutcome, entail, subst as apply_bindings
+from .entail import EntailmentOutcome, _payload_value_vars, entail, subst as apply_bindings
 from .lemmas import (
     Inconsistency, SplitFailure, SplitTarget, _implied, ambiguous_disjuncts, normalize,
     split_for,
@@ -29,7 +29,8 @@ from .syntax import (
     If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
     Pure, PTrue, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, TRUE, FULL, check_wellformed, EMP, free_vars,
-    is_resvar, pand, pure_free_vars, star, subst_perms, substitute, eq as peq, lt as plt,
+    free_vars_disjunct, is_resvar, pand, pure_free_vars, star, subst_perms, substitute,
+    eq as peq, lt as plt,
 )
 
 
@@ -61,7 +62,7 @@ class Verdict:
 
 @dataclass
 class VerifyOptions:
-    variance: bool = False
+    variance: bool = False  # ignored (one payload matcher); perfbench/run.py sets it
     collect_trace: bool = True
 
 
@@ -178,7 +179,7 @@ class _ProcVerifier:
             matched = 0
             attempts: list[str] = []
             for E, pre, post in pairs:
-                r = entail(set(E), dstate, pre, variance=self.opts.variance, gen=self.gen)
+                r = entail(set(E), dstate, pre, gen=self.gen)
                 if r.success:
                     matched += 1
                     if chosen is None:
@@ -226,8 +227,7 @@ class _ProcVerifier:
             return self.exec(state, e.body)
         if isinstance(e, Assert):
             for d in state.disjuncts:
-                r = entail(set(), Formula((d,)), e.formula,
-                           variance=self.opts.variance, gen=self.gen)
+                r = entail(set(), Formula((d,)), e.formula, gen=self.gen)
                 if not r.success:
                     raise VerdictError(
                         "SpecFailure", span,
@@ -343,7 +343,8 @@ class _ProcVerifier:
         out = []
         for d in state.disjuncts:
             if _implied(d.pure, plt(Term.of(0), count)):
-                atoms = (LatchIn(lhs, RForm(payload)), LatchOut(lhs, RForm(payload)),
+                closed = _close_payload(payload, d, lhs)
+                atoms = (LatchIn(lhs, RForm(closed)), LatchOut(lhs, RForm(closed)),
                          Cnt(lhs, count, FULL))
             elif _implied(d.pure, peq(count, Term.of(0))):
                 atoms = (Cnt(lhs, Term.of(-1), FULL),)
@@ -429,8 +430,7 @@ class _ProcVerifier:
         for d in state.disjuncts:
             targets = [branch_precondition(self.program, b, self.gen) for b in e.branches]
             try:
-                split = split_for(Formula((d,)), targets,
-                                  variance=self.opts.variance, gen=self.gen)
+                split = split_for(Formula((d,)), targets, gen=self.gen)
             except SplitFailure as ex:
                 raise VerdictError("SpecFailure", span, ex.diag.message)
             for b in split.branches:
@@ -462,8 +462,7 @@ class _ProcVerifier:
             final = self.exec(state, body)
             residues = []
             for d in final.disjuncts:
-                r = entail(set(), Formula((d,)), sp.post,
-                           variance=self.opts.variance, gen=self.gen)
+                r = entail(set(), Formula((d,)), sp.post, gen=self.gen)
                 if not r.success:
                     raise VerdictError(
                         "SpecFailure", span,
@@ -483,6 +482,19 @@ class _ProcVerifier:
                            f"solver resource limit: {su}", tuple(self.warnings))
         return Verdict("Verified", self.proc.name, span, self.trace, None, "",
                        tuple(self.warnings))
+
+
+def _close_payload(payload: Formula, state: Disjunct, latch: str) -> Formula:
+    """The payload of a new latch, with the values that the state does not
+    mention closed existentially."""
+    vs = _payload_value_vars(payload)
+    if vs:
+        vs -= free_vars_disjunct(state) | {latch}
+    if not vs:
+        return payload
+    return Formula(tuple(
+        Disjunct(d.exists + tuple(sorted(vs & free_vars_disjunct(d))), d.heap, d.pure)
+        for d in payload.disjuncts), payload.span)
 
 
 def check_leak(residue: Formula, declared_post: Formula, gen=None) -> Optional[str]:

@@ -38,9 +38,8 @@ def _load(name):
     return parse_program(SourceFile(str(path), path.read_text()))
 
 
-def _verify(name, variance=False):
-    return {v.proc: v for v in
-            verify_program(_load(name), VerifyOptions(variance=variance))}
+def _verify(name):
+    return {v.proc: v for v in verify_program(_load(name), VerifyOptions())}
 
 
 def _atoms_of(state):
@@ -98,13 +97,10 @@ def test_criterion_2_corpus():
         vs = _verify(name)
         assert all(v.kind == "Verified" for v in vs.values()), \
             (name, {p: v.kind for p, v in vs.items()})
-    vs = _verify("sender_receiver", variance=True)
-    assert all(v.kind == "Verified" for v in vs.values())
-    # and the variance flag is what makes it go through
-    vs_off = _verify("sender_receiver", variance=False)
-    assert vs_off["main"].kind != "Verified"
-    _report(2, "cone, multicast, and barrier verify; sender/receiver verifies "
-               "exactly under --variance")
+    vs = _verify("sender_receiver")
+    assert all(v.kind == "Verified" for v in vs.values()), \
+        {p: (v.kind, v.message) for p, v in vs.items()}
+    _report(2, "cone, multicast, barrier and sender/receiver verify")
 
 
 # -- 3. the worked entailments -----------------------------------------------------

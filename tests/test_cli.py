@@ -67,12 +67,14 @@ def test_dump_trace(capsys):
 
 
 def test_variance_flag(capsys):
+    # one payload matcher: sender/receiver verifies without a flag, and the
+    # retired --variance flag is a usage error
     f = str(CORPUS / "sender_receiver.lp")
-    code_without, _ = run_cli(capsys, "verify", f)
-    code_with, out = run_cli(capsys, "verify", f, "--variance")
-    assert code_without == 1
-    assert code_with == 0
+    code, out = run_cli(capsys, "verify", f)
+    assert code == 0
     assert "Verified" in out
+    code_flag, _ = run_cli(capsys, "verify", f, "--variance")
+    assert code_flag == 2
 
 
 def test_usage_error_exit_two(capsys):

@@ -89,42 +89,58 @@ def test_rp_match_distinct_roots():
 # -- addVar -------------------------------------------------------------------
 
 def test_addvar_var_payload():
-    V, phi, leftover, b = addVar(LatchIn("c", RVar("V")))
-    assert V == "V" and b is False and leftover is None
+    V, phi, b = addVar(LatchIn("c", RVar("V")))
+    assert V == "V" and b is False
     assert canon(phi) == "V"
 
 
 def test_addvar_concrete_payload():
     names.reset_fresh()
     atom = LatchOut("c", RForm(F("x::cell(5)")))
-    V, phi, leftover, b = addVar(atom)
+    V, phi, b = addVar(atom)
     assert b is True
     assert V.startswith("V#")
     assert canon(phi) == f"x::cell(5) * {V}"
-    assert isinstance(leftover, LatchOut) and leftover.payload == RVar(V)
 
 
 def test_addvar_emp_payload():
     names.reset_fresh()
     atom = LatchIn("c", RForm(F("emp & true")))
-    V, phi, leftover, b = addVar(atom)
+    V, phi, b = addVar(atom)
     assert b is True
     assert canon(phi) == V
-    assert leftover == LatchIn("c", RVar(V))
 
 
-# -- payload variance ---------------------------------------------------------
+# -- flow-directed payload subsumption ----------------------------------------
 
 def test_variance_on_latch_atoms():
-    r = entail(set(), F("LatchIn(c, x::cell(v) & v>2)"), F("LatchIn(c, x::cell(5))"),
-               variance=True)
+    r = entail(set(), F("LatchIn(c, ex v. x::cell(v) & v>2)"), F("LatchIn(c, x::cell(5))"))
     assert r.success
-    r = entail(set(), F("LatchIn(c, x::cell(v) & v>2)"), F("LatchIn(c, x::cell(1))"),
-               variance=True)
+    r = entail(set(), F("LatchIn(c, x::cell(v) & v>2)"), F("LatchIn(c, x::cell(1))"))
     assert not r.success and r.failure_reason.code == "VarianceFailure"
     r = entail(set(), F("LatchOut(c, x::cell(v) & v>2)"),
-               F("LatchOut(c, x::cell(v) & v>1)"), variance=True)
+               F("LatchOut(c, x::cell(v) & v>1)"))
     assert r.success
+
+
+def test_deposit_of_a_known_value():
+    # the antecedent mentions a, so a is not instantiated: the deposit
+    # x::cell(a) must meet w > 2 with what is known of a
+    cons = F("LatchIn(c, x::cell(a))")
+    assert entail(set(), F("LatchIn(c, ex w. x::cell(w) & w > 2) & a = 3"), cons).success
+    r = entail(set(), F("LatchIn(c, ex w. x::cell(w) & w > 2) & a = 1"), cons)
+    assert not r.success and r.failure_reason.code == "VarianceFailure"
+
+
+def test_payload_subsumption_keeps_its_instantiation():
+    # unification fails on y::cell(w) against y::cell(3); the covariant
+    # check instantiates v := 1, and that instantiation holds for the rest
+    ante = "LatchOut(c, ex w. x::cell(1) * y::cell(w) & w = 3)"
+    r = entail({"v"}, F(ante), F("LatchOut(c, x::cell(v) * y::cell(3)) & v = 1"))
+    assert r.success and r.var_bindings == {"v": Term.of(1)}
+    r = entail({"v"}, F(ante + " * z::cell(2)"),
+               F("LatchOut(c, x::cell(v) * y::cell(3)) * z::cell(v)"))
+    assert not r.success
 
 
 # -- subst / apply ---------------------------------------------------------------

@@ -20,9 +20,9 @@ def F(s):
     return parse_formula(s)
 
 
-def run(src, variance=False):
+def run(src):
     p = parse_program(SourceFile("t", src))
-    return verify_program(p, VerifyOptions(variance=variance))
+    return verify_program(p, VerifyOptions())
 
 
 def by_proc(verdicts):
@@ -304,3 +304,106 @@ def test_far_guard_witness_reaches_deadlock():
     # x=320, y=-270 satisfies the precondition and the guard
     [v] = run(UNDECIDED_GUARD)
     assert (v.kind, v.lemma) == ("DeadlockError", "E2")
+
+
+# -- a consequent variable is instantiated only when it is instantiable --------
+
+def test_post_cannot_assume_its_own_variable():
+    src = """
+    data cell { int val; }
+    void f(cell x, int a) requires x::cell(a) ensures x::cell(a); { x.val = a + 1; }
+    void main() requires emp ensures emp; { skip; }
+    """
+    v = by_proc(run(src))["f"]
+    assert v.kind == "SpecFailure" and "does not equal" in v.message
+
+
+def test_assert_cannot_assume_a_program_variable():
+    src = """
+    data cell { int val; }
+    void main() requires emp ensures emp;
+    { x = new cell(0); w = 3; assert x::cell(w) & w = 3 }
+    """
+    assert by_proc(run(src))["main"].kind == "SpecFailure"
+
+
+def test_call_cannot_assume_an_argument():
+    # assuming w = 0 at the call would make the state vacuous and hide the
+    # deadlock that the oracle finds
+    src = """
+    data cell { int val; }
+    void f(cell x, int a) requires x::cell(a) ensures x::cell(a); { skip; }
+    void main() requires emp ensures emp;
+    { x = new cell(0); w = 3; f(x, w); d = create_latch(1); ( await(d) || skip ) }
+    """
+    p = parse_program(SourceFile("t", src))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "SpecFailure"
+    assert explore(p).kinds == {"Deadlock"}
+
+
+def test_deposit_cannot_assume_a_program_variable():
+    # assuming a = w for the payload's witness w would drop w > 2, so the
+    # receiver would count on a value the sender never deposits
+    src = """
+    data cell { int val; }
+    void sender(CountDownLatch c, cell x, int a)
+      requires LatchIn(c, x::cell(a)) * x::cell(xv) * CNT(c, n) & n > 0
+      ensures  CNT(c, n - 1);
+    { x.val = a; countDown(c); }
+    void receiver(CountDownLatch c, cell x)
+      requires LatchOut(c, x::cell(v) & v > 2) * CNT(c, 0)
+      ensures  CNT(c, -1) * x::cell(v) & v > 2;
+    { await(c); }
+    void main() requires emp ensures emp;
+    {
+      x = new cell(0); a = 1;
+      c = create_latch(1) with x::cell(w) & w > 2;
+      ( sender(c, x, a) || receiver(c, x) );
+      r = x.val;
+      if (r <= 2) { d = create_latch(1); ( await(d) || skip ) } else { skip }
+    }
+    """
+    p = parse_program(SourceFile("t", src))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "SpecFailure"
+    assert explore(p).kinds == {"Deadlock"}
+
+
+# -- one latch-payload matcher: payloads refined on one side only ---------------
+
+SENDER_RECEIVER = """
+data cell {{ int val; }}
+void sender(CountDownLatch c, cell x)
+  requires LatchIn(c, x::cell({k})) * x::cell(xv) * CNT(c, n) & n > 0
+  ensures  CNT(c, n - 1);
+{{ x.val = {k}; countDown(c); }}
+void receiver(CountDownLatch c, cell x)
+  requires LatchOut(c, x::cell(v) & v > {s}) * CNT(c, 0)
+  ensures  CNT(c, -1) * x::cell(v) & v > {s};
+{{ await(c); }}
+void main() requires emp ensures emp;
+{{
+  x = new cell(0);{before}
+  c = create_latch(1) with x::cell(w) & w > {t};
+  ( sender(c, x) || receiver(c, x) ){after}
+}}
+"""
+
+
+@pytest.mark.parametrize("k,t,s", [(k, t, s) for k in range(-2, 3)
+                                   for t in range(-2, 3) for s in range(-2, 3)])
+def test_one_sided_payload_refinement(k, t, s):
+    # the sender's deposit x::cell(k) must entail the latch's payload
+    # (contravariant), and the latch's payload must entail the receiver's
+    # (covariant)
+    vs = by_proc(run(SENDER_RECEIVER.format(k=k, t=t, s=s, before="", after="")))
+    assert vs["sender"].ok and vs["receiver"].ok
+    assert vs["main"].ok == (k > t >= s), vs["main"].message
+
+
+def test_pinned_payload_value_is_checked():
+    # with w = 3 the latch asks for x::cell(3), which the sender's x::cell(5)
+    # is not; the tail deadlocks
+    src = SENDER_RECEIVER.format(
+        k=5, t=2, s=1, before="\n  w = 3;",
+        after=";\n  d = create_latch(1);\n  ( await(d) || skip )")
+    assert by_proc(run(src))["main"].kind == "SpecFailure"
