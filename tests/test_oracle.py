@@ -215,6 +215,6 @@ def test_regrouping_branches_keeps_outcome_kinds(name, load):
 def test_n_way_block_takes_n_plus_one_thread_slots():
     # fan-in-4 is a 5-way block: main and five branches fill the default six slots
     rep = run(fan_in_source(4))
-    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 19
+    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 8
     with pytest.raises(OracleError, match="thread bound exceeded"):
         run(fan_in_source(5))
