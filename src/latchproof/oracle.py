@@ -1,50 +1,46 @@
 """Exhaustive-interleaving concrete interpreter.
 
 Runs a closed program under every schedule (depth-first, memoized on state
-hashes), reporting races (overlapping footprints with a write), deadlocks
-(some thread blocked, none enabled), and leaks (heap cells left behind
-under an emp contract for main). Specification payloads are ghosts and are
-erased; synchronizer primitives are atomic, so latch-latch overlaps are
-synchronization, not races.
+hashes), reporting races (two enabled steps touch one heap cell, at least
+one writing it), deadlocks (some thread blocked, none enabled), and leaks
+(heap cells left behind under an emp contract for main). Specification
+payloads are ghosts and are erased; synchronizer primitives are atomic and
+touch no cell, so they never race.
 
-The search branches only on steps that touch shared state: after every step
-(and once on the initial state) each thread's *local* steps run to completion
-in place, in tid order (`_Machine.close`). A step is local when it reads and
-writes only its own thread's env and continuation and, once enabled, stays
-enabled: thread exit, `call` and `restore` items, `skip`, `assert`, `;`,
-`if` (its guard reads only the thread's env), calls, the no-op bare reads
-and constants, `v = w`, `v = k` and `v = f(...)`, and an enabled join of
-forked or `||` children. `new`, `create_latch`, `create_thread` and `||` draw
-from the global `fresh()` counter, and `fork`, `countDown`, `await`, field
-reads and writes and `atomic` touch shared state; those are the branch
-points. This is the ample-set reduction (Godefroid, LNCS 1032, 1996) with
-singleton invisible ample sets, and it is exact: a local step has an empty
-footprint and disables no other step, so every racing pair co-enabled at a
-skipped state is still co-enabled at the closed state, every terminal state
-is still reached, and every state visited is reachable unreduced. Local
-steps count toward the step bound, so unbounded local recursion still ends
-as a non-exhaustive search.
+The search branches only on steps that touch heap cells, draw fresh ids or
+can be disabled: after every step (and once on the initial state) each
+thread's *local* steps run to completion in place, in tid order
+(`_Machine.close`). The local steps are thread exit, `call` and `restore`
+items, `skip`, `assert`, `;`, `if` (its guard reads only the thread's env),
+calls, the no-op bare reads and constants, `v = w`, `v = k` and
+`v = f(...)`, `countDown`, and an enabled `await` or join of forked or `||`
+children. `new`, `create_latch`, `create_thread` and `||` draw from the
+global `fresh()` counter, `fork` starts a thread, field reads and writes and
+`atomic` touch cells, and a blocked `await` or join waits; those are the
+branch points. This is the ample-set reduction (Godefroid, LNCS 1032, 1996)
+with singleton invisible ample sets. It is exact because a local step
+touches no cell, stays enabled once enabled, disables no other step and
+commutes with every step of the other threads:
 
-At a branch point the search takes one successor where one suffices, a
-persistent set (ibid., ch. 4): when an enabled thread t has `countDown(L)`
-next and the other live threads can do fewer `countDown`s than L's count,
-only t steps (the lowest such tid). The bound counts every `CountDown` node
-in the other threads' continuations, whatever its latch, and in the bodies
-of the procedures they call; recursion or a reachable `fork` makes it
-unbounded (`_Machine.successors`). On a path that avoids t's step, L then
-stays above zero, so no `await(L)` and no join of t becomes enabled, and
-every step on the path commutes with t's, as two `countDown`s of one latch
-do. So every deadlock and terminal state, leaks included, is still reached.
-A `countDown` touches no data and disables no step, so a racing pair
-co-enabled at a skipped state is still co-enabled after t's step. `observe`
-still runs over every enabled thread at every visited state. Fan-in-N takes
-N + 4 states instead of 2^N + 3.
+- env, continuation and join steps touch only their own thread, and a
+  finished thread stays finished;
+- `countDown(L)` touches no cell and is always enabled; it only lowers L,
+  so it disables nothing, and two `countDown(L)`s commute, since the count
+  floors at 0;
+- `await(L)` is enabled only at L = 0, where `countDown(L)` is a no-op;
+  counts never rise, so an enabled `await` stays enabled, and it reads no
+  cell.
+
+So every racing pair co-enabled at a skipped state is still co-enabled at
+the closed state, every terminal state (deadlocks and leaks included) is
+still reached, and every state visited is reachable unreduced. Local steps
+count toward the step bound, so unbounded local recursion still ends as a
+non-exhaustive search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, ConstE, CountDown, CreateLatch, CreateThread,
@@ -180,9 +176,6 @@ class _Machine:
         self.program = program
         self.bounds = bounds
         self.emp_contract = _main_claims_emp(program)
-        # countDown bounds, memoized by AST node id and by procedure name
-        self._downs_by_node: dict[int, float] = {}
-        self._downs_by_proc: dict[str, float | None] = {}
 
     def initial(self) -> _State:
         main = self.program.proc("main")
@@ -204,9 +197,7 @@ class _Machine:
         for i in range(len(fps)):
             for j in range(i + 1, len(fps)):
                 (ti, (ri, wi)), (tj, (rj, wj)) = fps[i], fps[j]
-                overlap = (wi & wj) | (wi & rj) | (wj & ri)
-                data_overlap = {loc for loc in overlap if loc[0] == "loc"}
-                if data_overlap:
+                if (wi & wj) | (wi & rj) | (wj & ri):
                     outcomes.add(Outcome("Race", f"threads {ti} and {tj} touch "
                                                  f"overlapping cells"))
 
@@ -246,92 +237,19 @@ class _Machine:
         return True
 
     def footprint(self, st: _State, t: _Thread) -> tuple[set, set]:
-        """(reads, writes) of the next primitive; latch counters are writes
-        for countDown and reads for await."""
+        """(reads, writes): the heap cells t's next step reads and writes."""
         item = self.head(st, t)
         reads: set = set()
         writes: set = set()
         if item is None or item[0] != "run":
             return reads, writes
         node = item[1]
-        if isinstance(node, CountDown):
-            writes.add(("latch", t.env[node.var]))
-        elif isinstance(node, Await):
-            reads.add(("latch", t.env[node.var]))
-        elif isinstance(node, FieldWrite):
-            writes.add(("loc", t.env[node.base]))
-        elif isinstance(node, Assign) and isinstance(node.rhs, FieldRead):
-            reads.add(("loc", t.env[node.rhs.base]))
-        elif isinstance(node, Assign) and isinstance(node.rhs, New):
-            writes.add(("fresh", t.tid))
-        elif isinstance(node, Atomic):
-            for sub in walk_expr(node.body):
-                r, w = self._node_fp(t, sub)
-                reads |= r
-                writes |= w
+        for sub in walk_expr(node.body) if isinstance(node, Atomic) else (node,):
+            if isinstance(sub, FieldWrite):
+                writes.add(t.env.get(sub.base))
+            elif isinstance(sub, Assign) and isinstance(sub.rhs, FieldRead):
+                reads.add(t.env.get(sub.rhs.base))
         return reads, writes
-
-    def _node_fp(self, t: _Thread, node) -> tuple[set, set]:
-        reads: set = set()
-        writes: set = set()
-        if isinstance(node, CountDown):
-            writes.add(("latch", t.env.get(node.var)))
-        elif isinstance(node, FieldWrite):
-            writes.add(("loc", t.env.get(node.base)))
-        elif isinstance(node, Assign) and isinstance(node.rhs, FieldRead):
-            reads.add(("loc", t.env.get(node.rhs.base)))
-        return reads, writes
-
-    # -- persistent sets -----------------------------------------------------
-
-    def successors(self, st: _State, enabled: list[_Thread]) -> list[_Thread]:
-        """The threads the search steps from st: the lowest-tid enabled thread
-        whose `countDown(L)` the others cannot bring L to zero without, if
-        there is one, else every enabled thread; see the module docstring."""
-        downs = [t for t in enabled
-                 if t.cont and t.cont[0][0] == "run" and isinstance(t.cont[0][1], CountDown)]
-        if not downs:
-            return enabled
-        left = {t.tid: self._cont_downs(t) for t in st.threads.values() if t.status == "run"}
-        for t in downs:     # st.threads, and so enabled, are in tid order
-            others = sum(n for tid, n in left.items() if tid != t.tid)
-            if others < st.latches[t.env[t.cont[0][1].var]]:
-                return [t]
-        return enabled
-
-    def _cont_downs(self, t: _Thread) -> float:
-        """An upper bound on the `countDown`s left in t's continuation."""
-        n = 0
-        for item in t.cont:
-            if item[0] == "run":
-                n += self._node_downs(item[1])
-            elif item[0] == "call":
-                n += self._proc_downs(item[1])
-        return n
-
-    def _node_downs(self, node) -> float:
-        n = self._downs_by_node.get(id(node))
-        if n is None:
-            n = 0
-            for sub in walk_expr(node):
-                if isinstance(sub, CountDown):
-                    n += 1
-                elif isinstance(sub, Call):
-                    n += self._proc_downs(sub.name)
-                elif isinstance(sub, Fork):
-                    n = inf
-            self._downs_by_node[id(node)] = n
-        return n
-
-    def _proc_downs(self, name: str) -> float:
-        if name in self._downs_by_proc:
-            n = self._downs_by_proc[name]
-            return inf if n is None else n      # None: being counted, so recursive
-        self._downs_by_proc[name] = None
-        proc = self.program.proc(name)
-        n = self._node_downs(proc.body) if proc is not None and proc.body is not None else 0
-        self._downs_by_proc[name] = n
-        return n
 
     # -- stepping ------------------------------------------------------------
 
@@ -353,11 +271,12 @@ class _Machine:
         if kind != "run":
             return True      # call, restore
         node = t.cont[0][1]
-        if isinstance(node, Join):
+        if isinstance(node, (Await, Join)):
             return self.enabled(st, t)
         if isinstance(node, Assign):
             return isinstance(node.rhs, (VarRead, ConstE, Call))
-        return isinstance(node, (Skip, Assert, Seq, If, Call, VarRead, ConstE, FieldRead))
+        return isinstance(node, (Skip, Assert, Seq, If, Call, VarRead, ConstE, FieldRead,
+                                 CountDown))
 
     def close(self, st: _State, depth: int, limit: int) -> int:
         """Run every thread's local steps in place, in tid order, until no
@@ -551,11 +470,9 @@ def _main_claims_emp(program: Program) -> bool:
 
 def explore(program: Program, bounds: OracleBounds | None = None) -> OracleReport:
     """Depth-first enumeration of all schedules with memoized states, closed
-    under local steps. Races and outcomes are observed over every enabled
-    thread at each visited state, but where an enabled thread's `countDown(L)`
-    is needed for L to reach zero, that step alone is taken: no `await(L)` can
-    run before it, and it commutes with every other step, so races, deadlocks
-    and leaks stay exact (see the module docstring)."""
+    under local steps: env and continuation steps, `countDown`, and an enabled
+    `await` or join. Each visited state steps every enabled thread; races,
+    deadlocks and leaks stay exact (see the module docstring)."""
     bounds = bounds or OracleBounds()
     _check_concrete(program)
     machine = _Machine(program, bounds)
@@ -577,7 +494,7 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
         if explored > bounds.max_states or depth > limit:
             exhaustive = False
             continue
-        for t in machine.successors(st, machine.observe(st, outcomes)):
+        for t in machine.observe(st, outcomes):
             child = machine.step(st, t.tid)
             stack.append((child, machine.close(child, depth + 1, limit)))
 

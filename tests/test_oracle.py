@@ -87,11 +87,13 @@ def test_fork_join_roundtrip():
 
 
 def test_bound_exceeded_clears_exhaustive():
-    rep = None
+    # two racing writes: the search branches on each, whatever the latches do
     src = """
-    void main() requires emp ensures emp;
-    { c = create_latch(2); ( countDown(c) || countDown(c) || await(c) ) }
+    data cell { int val; }
+    void main() requires emp ensures ex a. x::cell(a);
+    { x = new cell(0); ( x.val = 1 || x.val = 2 ) }
     """
+    assert run(src).explored > 3
     rep = run(src, max_states=3)
     assert not rep.exhaustive
 
@@ -126,37 +128,27 @@ def test_independent_noop_thread_adds_no_outcomes():
 
 
 def test_footprint_examples():
-    # new writes a fresh location; countDown writes the latch; a field read
-    # reads the cell's location
+    # a field read reads the cell and a field write writes it, inside an
+    # atomic block too; latch steps touch no cell
     from latchproof.oracle import _Machine, _State, _Thread
     src = """
     data cell { int val; }
     void main() requires emp ensures emp;
-    { x = new cell(5); c = create_latch(1); ( countDown(c) || y = x.val ) }
+    { x = new cell(5); c = create_latch(1);
+      ( y = x.val || x.val = 1 || atomic { countDown(c); x.val = 2 } || countDown(c) ) }
     """
     program = parse_program(SourceFile("t", src))
     machine = _Machine(program, OracleBounds())
-    st = _State()
-    root = _Thread(st.fresh(), {}, (("run", program.proc("main").body),))
-    st.threads[root.tid] = root
-    # step through: new, create_latch, par spawn
-    for _ in range(4):
-        enabled = [t for t in st.threads.values() if machine.enabled(st, t)]
-        order = sorted(enabled, key=lambda t: t.tid)
-        st = machine.step(st, order[0].tid)
-    fps = {}
-    for t in st.threads.values():
-        if t.status == "run" and t.cont:
-            reads, writes = machine.footprint(st, t)
-            item = t.cont[0]
-            if item[0] == "run":
-                fps[type(item[1]).__name__] = (reads, writes)
-    if "CountDown" in fps:
-        reads, writes = fps["CountDown"]
-        assert any(k == "latch" for k, _ in writes)
-    if "Assign" in fps:
-        reads, writes = fps["Assign"]
-        assert any(k == "loc" for k, _ in reads)
+    block = next(n for n in walk_expr(program.proc("main").body) if isinstance(n, Par))
+    read, write, atomic, down = block.branches
+
+    def footprint(node):
+        return machine.footprint(_State(), _Thread(2, {"x": 7, "c": 8}, (("run", node),)))
+
+    assert footprint(read) == ({7}, set())
+    assert footprint(write) == (set(), {7})
+    assert footprint(atomic) == (set(), {7})
+    assert footprint(down) == (set(), set())
 
 
 # -- N-way parallel blocks ----------------------------------------------------
@@ -215,6 +207,6 @@ def test_regrouping_branches_keeps_outcome_kinds(name, load):
 def test_n_way_block_takes_n_plus_one_thread_slots():
     # fan-in-4 is a 5-way block: main and five branches fill the default six slots
     rep = run(fan_in_source(4))
-    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 8
+    assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 3
     with pytest.raises(OracleError, match="thread bound exceeded"):
         run(fan_in_source(5))

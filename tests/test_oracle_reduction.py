@@ -1,7 +1,7 @@
-"""`explore` runs thread-local steps eagerly, branches only at steps on
-shared state, and takes a `countDown` alone when its latch cannot reach zero
-without it. Checked here against the unreduced search: a plain depth-first
-search that branches on every single step of every thread."""
+"""`explore` runs thread-local steps eagerly, `countDown` and an enabled
+`await` among them, and branches only at steps that touch cells, draw fresh
+ids or can block. Checked here against the unreduced search: a plain
+depth-first search that branches on every single step of every thread."""
 
 import random
 
@@ -9,7 +9,6 @@ import pytest
 
 from latchproof.oracle import OracleBounds, OracleReport, _Machine, explore
 from latchproof.parser import SourceFile, parse_program
-from latchproof.syntax import CountDown
 from tests.test_golden import chain_source, fan_in_source, ring_source
 from tests.test_oracle import CONCRETE_CORPUS
 
@@ -124,16 +123,18 @@ def test_reduction_keeps_outcomes_on_generated_programs():
     assert len(kinds) >= 5
 
 
-# Programs where the countDown rule must hold back at the first countDown:
-# the other threads can bring the latch to zero without it.
-COUNTDOWN_CASES = {
+# Programs whose latch steps run eagerly beside other threads' steps: the
+# other threads can open the latch without a given countDown, or a cell
+# access sits next to a latch step. With the outcome kinds of the unreduced
+# search.
+LATCH_CASES = {
     # two countDowns for a count of one: either can open the latch
-    "more-countdowns-than-count": """
+    "more-countdowns-than-count": ("""
 void main() requires emp ensures emp;
 { c = create_latch(1); ( countDown(c) || countDown(c) || await(c) ) }
-""",
+""", {"Clean"}),
     # the second branch's countDown sits in a procedure it has yet to call
-    "countdown-in-a-call": HEADER + """
+    "countdown-in-a-call": (HEADER + """
 void down(CountDownLatch c) requires emp ensures emp;
 { countDown(c); }
 void main() requires emp ensures ex a. x::cell(a);
@@ -141,9 +142,9 @@ void main() requires emp ensures ex a. x::cell(a);
   x = new cell(0); c = create_latch(1);
   ( countDown(c); x.val = 1 || n = x.val; down(c) || await(c); x.val = 2 )
 }
-""",
-    # a forked thread's countDowns are not in any continuation yet
-    "countdown-in-a-forked-thread": """
+""", {"Race", "Clean"}),
+    # a forked thread counts down beside a branch that does
+    "countdown-in-a-forked-thread": ("""
 void down(CountDownLatch c) requires emp ensures emp;
 { countDown(c); }
 void main() requires emp ensures emp;
@@ -151,49 +152,54 @@ void main() requires emp ensures emp;
   c = create_latch(1); t = create_thread(down) with emp, emp;
   ( countDown(c) || fork(t, c) || await(c) ); join(t)
 }
-""",
-    # a recursive procedure has no bound on its countDowns
-    "recursive-countdown": """
+""", {"Clean"}),
+    # a recursive procedure counts down as often as it recurses
+    "recursive-countdown": ("""
 void down(CountDownLatch c, int k) requires emp ensures emp;
 { if (k > 0) { countDown(c); down(c, k - 1); } else { skip; } }
 void main() requires emp ensures emp;
 { c = create_latch(3); ( countDown(c); countDown(c); countDown(c) || down(c, 3) || await(c) ) }
-""",
+""", {"Clean"}),
+    # a countDown inside an atomic block is no local step: the block writes x
+    "countdown-in-an-atomic-write": (HEADER + """
+void main() requires emp ensures ex a. x::cell(a);
+{ x = new cell(0); c = create_latch(1); ( atomic { countDown(c); x.val = 1 } || n = x.val ) }
+""", {"Race", "Clean"}),
+    # an await on an expired latch runs at once, and the read behind it races
+    "await-on-an-expired-latch": (HEADER + """
+void main() requires emp ensures ex a. x::cell(a);
+{ x = new cell(0); c = create_latch(0); ( await(c); n = x.val || x.val = 1 ) }
+""", {"Race", "Clean"}),
 }
 
 
-def _held_back(program) -> bool:
-    """Whether the search steps every enabled thread at the first state, on
-    the lowest-tid schedule, where one has a countDown next."""
-    machine = _Machine(program, BOUNDS)
-    st = machine.initial()
-    while True:
-        machine.close(st, 0, 10**6)
-        enabled = machine.observe(st, set())
-        if any(t.cont and isinstance(t.cont[0][1], CountDown) for t in enabled):
-            return machine.successors(st, enabled) == enabled
-        st = machine.step(st, enabled[0].tid)
-
-
-@pytest.mark.parametrize("name", sorted(COUNTDOWN_CASES))
-def test_countdown_rule_holds_back_where_others_can_open_the_latch(name):
-    program = parse_program(SourceFile(name, COUNTDOWN_CASES[name]))
-    _agree(program)
-    assert _held_back(program)
+@pytest.mark.parametrize("name", sorted(LATCH_CASES))
+def test_latch_steps_keep_outcomes(name):
+    source, kinds = LATCH_CASES[name]
+    assert _agree(parse_program(SourceFile(name, source))).kinds == kinds
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16])
-def test_fan_in_grows_linearly(n):
-    # one countDown is persistent at each state: 2^n + 3 states without it
+def test_fan_in_takes_three_states(n):
+    # the countDowns and the await run as local steps: 2^n + 3 states when
+    # each countDown is a branch point
     rep = explore(parse_program(SourceFile("t", fan_in_source(n))),
                   OracleBounds(max_threads=n + 2))
     assert rep.exhaustive and rep.kinds == {"Clean"}
-    assert rep.explored <= n + 4
+    assert rep.explored <= 3
+
+
+def test_chain_and_ring_take_n_plus_two_states():
+    # each link of the chain, and each thread of the ring, adds one branch point
+    for n in range(2, 17):
+        for source in (chain_source(n), ring_source(n)):
+            rep = explore(parse_program(SourceFile("t", source)), OracleBounds(max_threads=n + 2))
+            assert rep.exhaustive and rep.explored == n + 2
 
 
 def test_reduction_meets_the_fan_in_8_gate():
     # the unreduced search explores 7,078 states on fan-in-8 and 3,603 on
-    # chain-8; explore takes 12 and 26
+    # chain-8; explore takes 3 and 10
     def states(source):
         return explore(parse_program(SourceFile("t", source)), OracleBounds(max_threads=16)).explored
     assert states(fan_in_source(8)) * 5 <= 7_078

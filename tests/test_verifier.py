@@ -233,9 +233,9 @@ def test_exec_deterministic(load):
 # -- completion-order arcs beside a full wait-for view ------------------------
 
 @pytest.mark.parametrize("body,states", [
-    ("c1 = create_latch(1); c2 = create_latch(0); countDown(c1)", 4),
+    ("c1 = create_latch(1); c2 = create_latch(0); countDown(c1)", 3),
     ("c1 = create_latch(1); c2 = create_latch(1); ( countDown(c2) || await(c2) ); "
-     "countDown(c1)", 7),
+     "countDown(c1)", 4),
 ])
 def test_expired_and_pending_latches_terminate(body, states):
     # one latch expired beside another still pending, in main's full view:
@@ -250,9 +250,9 @@ def test_expired_and_pending_latches_terminate(body, states):
 # -- a latch created at zero, awaited inside a par -----------------------------
 
 @pytest.mark.parametrize("body,states", [
-    ("c = create_latch(0); ( skip || await(c) )", 4),
+    ("c = create_latch(0); ( skip || await(c) )", 3),
     ("c = create_latch(0); d = create_latch(1); "
-     "( await(c); countDown(d) || await(d); await(c) || await(c) )", 13),
+     "( await(c); countDown(d) || await(d); await(c) || await(c) )", 4),
 ])
 def test_zero_count_latch_splits(body, states):
     # the awaiting branch demands CNT(c,0), and the state holds only the final
