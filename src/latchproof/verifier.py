@@ -28,7 +28,7 @@ from .syntax import (
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
     If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
     Pure, PTrue, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
-    ThreadSpec, VarRead, Wait, TRUE, FULL, check_wellformed, EMP, free_vars,
+    ThreadSpec, VarRead, Wait, TRUE, FULL, _assigned_vars, check_wellformed, EMP, free_vars,
     free_vars_disjunct, is_resvar, pand, pure_free_vars, star, subst_perms, substitute,
     eq as peq, lt as plt,
 )
@@ -435,16 +435,26 @@ class _ProcVerifier:
                 raise VerdictError("SpecFailure", span, ex.diag.message)
             for b in split.branches:
                 self._trace(span, b)
-            results = [self.exec(bstate, bcode)
+            results = [self._branch_local(self.exec(bstate, bcode), bcode)
                        for bstate, bcode in zip(split.branches, e.branches)]
-            combined = split.frame
-            for r in results:
-                combined = star(combined, r, self.gen)
-            combined = self._normalize(combined, span)
-            out.extend(combined.disjuncts)
+            out.extend(self._join(split.frame, results, span).disjuncts)
         new = Formula(tuple(out))
         self._trace(span, new)
         return new
+
+    def _branch_local(self, result: Formula, code: Expr) -> Formula:
+        """A branch's writes to variables stay in its thread: the values it
+        assigned become fresh names, and the parent keeps its own."""
+        rho = {v: Term.var(self.gen.fresh(v)) for v in _assigned_vars(code)}
+        return substitute(result, rho, self.gen)
+
+    def _join(self, frame: Formula, results: list[Formula], span: Span) -> Formula:
+        combined = frame
+        for r in results:
+            combined = star(combined, r, self.gen)
+        if _unsat(combined) and not any(_unsat(f) for f in (frame, *results)):
+            raise VerdictError("SpecFailure", span, "state became inconsistent at the join")
+        return self._normalize(combined, span)
 
     # -- whole-procedure driver ----------------------------------------------
 
@@ -482,6 +492,12 @@ class _ProcVerifier:
                            f"solver resource limit: {su}", tuple(self.warnings))
         return Verdict("Verified", self.proc.name, span, self.trace, None, "",
                        tuple(self.warnings))
+
+
+def _unsat(f: Formula) -> bool:
+    """Every disjunct's pure part is shown unsatisfiable."""
+    return all(solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
+               for d in f.disjuncts)
 
 
 def _close_payload(payload: Formula, state: Disjunct, latch: str) -> Formula:

@@ -407,3 +407,32 @@ def test_pinned_payload_value_is_checked():
         k=5, t=2, s=1, before="\n  w = 3;",
         after=";\n  d = create_latch(1);\n  ( await(d) || skip )")
     assert by_proc(run(src))["main"].kind == "SpecFailure"
+
+
+# -- a branch's assignments stay in its thread ----------------------------------
+
+@pytest.mark.parametrize("body", [
+    "( m = 5 || m = 6 ); d = create_latch(1); ( skip || await(d) )",
+    "n = 1; ( n = 5 || skip ); d = create_latch(1); ( skip || await(d) )",
+])
+def test_branch_assignment_keeps_the_join_consistent(body):
+    # joining n = 1 with a branch's n = 5 must not make the state vacuous and
+    # hide the deadlock that the oracle finds
+    p = parse_program(SourceFile("t", f"void main() requires emp ensures emp; {{ {body} }}"))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind != "Verified"
+    assert explore(p).kinds == {"Deadlock"}
+
+
+@pytest.mark.parametrize("value,ok", [(5, False), (1, True)])
+def test_parent_keeps_its_value_after_the_join(value, ok):
+    p = parse_program(SourceFile("t", "void main() requires emp ensures emp; "
+                                      f"{{ n = 1; ( n = 5 || skip ); assert n = {value} }}"))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].ok == ok
+    assert explore(p).kinds == {"Clean"}
+
+
+def test_inconsistent_join_is_reported(monkeypatch):
+    # without branch-local writes, n = 1 meets n = 5 at the join
+    monkeypatch.setattr(verifier._ProcVerifier, "_branch_local", lambda self, r, code: r)
+    [v] = run("void main() requires emp ensures emp; { n = 1; ( n = 5 || skip ) }")
+    assert v.kind == "SpecFailure" and "inconsistent at the join" in v.message
