@@ -6,12 +6,13 @@ Each `LEMMAS` entry holds a lemma's declarative form and the rule that runs
 it. Normalization applies the rewrite rules per disjunct, first applicable
 in table order and at the lowest heap position: unit payloads, count
 combination, final-state absorption, trapped-resource release, dead-thread
-collapsing/release, wait-for union/reset and completion-order arcs. The
+collapsing/release, cell-share merging, wait-for union/reset and
+completion-order arcs. The
 inconsistency rules are checked on every state the fixpoint reaches,
 turning their patterns into race/deadlock verdicts.
 
-Each rule reads the atoms of one key at a time (a latch, a thread id, or
-the wait-for shares), except W2, which reads every count. The fixpoint
+Each rule reads the atoms of one key at a time (a latch, a thread id, a
+cell, or the wait-for shares), except W2, which reads every count. The fixpoint
 keeps each disjunct's heap indexed by key, and after a rewrite it runs
 each rule and check only on the keys whose atoms have changed since that
 rule or check last found them clean. The keys left out hold no match, so
@@ -21,19 +22,19 @@ the first match found is the one a scan of the whole heap finds.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Optional
 
 from . import names
 from . import pure as solver
-from .entail import entail, subst as apply_bindings
+from .entail import EntailmentOutcome, entail, subst as apply_bindings
 from .parser import parse_formula, unparse_atom
 from .pure import SolverUnknown, Status
 from .syntax import (
-    Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm,
+    Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, pand, pure_eval, pure_free_vars, star, subst_disjunct, substitute,
+    TRUE, pand, pure_eval, pure_free_vars, star, subst_disjunct, subst_perms, substitute,
     eq as peq, le as ple, lt as plt,
 )
 from .waitgraph import is_cyclic
@@ -87,9 +88,10 @@ def rs(phi: Formula) -> list[RSItem]:
     owning state; LatchIn payloads flow into the abstraction."""
     items: list[RSItem] = []
     for d in phi.disjuncts:
+        # the shares of a cell that hold the same values are one resource
+        items += [RSItem("out", unparse_atom(a)) for a in dict.fromkeys(
+            replace(a, perm=Perm.one()) for a in d.heap if isinstance(a, PointsTo))]
         for a in d.heap:
-            if isinstance(a, (Cnt, Wait, Dead)):
-                continue
             if isinstance(a, LatchIn):
                 items += [RSItem("in", c) for c in _components(a.payload)]
             elif isinstance(a, LatchOut):
@@ -101,8 +103,6 @@ def rs(phi: Formula) -> list[RSItem]:
                 items += [RSItem("out", c) for c in _components(a.post)]
             elif isinstance(a, ResVarAtom):
                 items.append(RSItem("out", a.name))
-            else:
-                items.append(RSItem("out", unparse_atom(a)))
     return items
 
 
@@ -122,9 +122,9 @@ def rs_net(pre: Formula, post: Formula) -> list[RSItem]:
 
 # ---------------------------------------------------------------------------
 # The working heap. Every rule reads the atoms of one key at a time: a latch
-# (CNT, LatchIn, LatchOut), a thread id (dead, thread, threadspec) or the
-# wait-for shares. Atoms under no key (cells, resource variables) are read by
-# no rule.
+# (CNT, LatchIn, LatchOut), a thread id (dead, thread, threadspec), a cell
+# root or the wait-for shares. Resource variables are under no key and are
+# read by no rule.
 
 _WAIT = ("wait",)
 
@@ -136,6 +136,8 @@ def _key(a: HeapAtom) -> Optional[tuple]:
         return ("thread", a.tid)
     if isinstance(a, Wait):
         return _WAIT
+    if isinstance(a, PointsTo):
+        return ("cell", a.root)
     return None
 
 
@@ -253,6 +255,17 @@ def _implied(pi: Pure, p: Pure) -> bool:
         return solver.implies(pi, p)
     except SolverUnknown:
         return False
+
+
+def _cell_of(d: Disjunct, base: str) -> Optional[tuple[int, PointsTo]]:
+    """The cell at `base` in `d`, by name or else by a proved equality."""
+    for i, a in enumerate(d.heap):
+        if isinstance(a, PointsTo) and a.root == base:
+            return i, a
+    for i, a in enumerate(d.heap):
+        if isinstance(a, PointsTo) and _implied(d.pure, peq(Term.var(a.root), Term.var(base))):
+            return i, a
+    return None
 
 
 def _count_is(pi: Pure, t: Term, k: int) -> bool:
@@ -382,6 +395,17 @@ def _dead_release(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[
     return None
 
 
+def _cell_merge(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+    """Two shares of a cell that hold the same values are one share: read
+    shares handed to `||` branches come back whole at the join."""
+    for i, a, same in _by_key(h, keys, "cell"):
+        for j in same:
+            b = h.slots[j]
+            if j > i and (b.ctor, b.args) == (a.ctor, a.args):
+                return Rewrite(drop=(j,), put=((i, replace(a, perm=a.perm + b.perm)),))
+    return None
+
+
 def _w3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     """Union all wait-for shares at once."""
     waits = [i for i, _, _ in _by_key(h, keys, "wait")]
@@ -498,6 +522,8 @@ def _lemma_table() -> tuple[Lemma, ...]:
         Lemma("DeadIdem", F("dead(t) * dead(t)"), F("dead(t)"), rule=_dead_idem),
         Lemma("DeadRelease", F("thread(t, Q) * dead(t)"), F("dead(t) * Q"),
               rule=_dead_release),
+        Lemma("CellMerge", F("x::cell(v)@f1 * x::cell(v)@f2"), F("x::cell(v)@f3"),
+              rule=_cell_merge),
         Lemma("W3", F("WAIT{s1->s2}@f1 * WAIT{s3->s4}@f2"),
               F("WAIT{s1->s2, s3->s4}@f3"), rule=_w3),
         Lemma("W1", F("WAIT{a->b}@1"), F("WAIT{}@1"), rule=_w1),
@@ -635,46 +661,75 @@ class SplitTarget:
 class SplitResult:
     branches: list[Formula]
     frame: Formula
+    # per branch: the variable, resource and permission bindings its target took
+    bindings: list[EntailmentOutcome] = field(default_factory=list)
+    # symbolic permissions of the state, rewritten as sums of the shares given out
+    refined: dict[str, Perm] = field(default_factory=dict)
 
 
 def _min_count(target_pure: Pure, count: Term, available: int) -> Optional[int]:
+    """The least count in 0..available that `target_pure` allows. A guard on
+    the count alone is evaluated: counts of fresh spec instances have fresh
+    names, which the solver's cache never holds."""
     if count.is_const:
         return count.const if count.const <= available else None
+    v = count.is_var()
+    alone = v is not None and pure_free_vars(target_pure) <= {v}
     for k in range(0, available + 1):
-        probe = pand([target_pure, peq(count, Term.of(k))])
-        if solver.is_sat(probe, want_model=False).status == Status.SAT:
+        if alone:
+            if pure_eval(target_pure, {v: k}):
+                return k
+        elif solver.is_sat(pand([target_pure, peq(count, Term.of(k))]),
+                           want_model=False).status == Status.SAT:
             return k
     return None
 
 
-def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResult:
-    """Partition a (single-disjunct) state among branch targets, splitting
-    counters by demanded amounts, payload predicates by need, and wait-for
-    permissions evenly; leftovers form the continuation frame."""
-    gen = gen or names.default_gen()
+def _shared(delta: Formula, k: int) -> list[HeapAtom]:
+    """The atoms each of k branches and the frame get whatever the branches
+    demand: an even share of the wait-for view and every dead marker."""
     if len(delta.disjuncts) != 1:
         raise SplitFailure(Diagnostic("SpecFailure", "cannot split a disjunctive state"))
+    heap = delta.single().heap
+    shared: list[HeapAtom] = []
+    waits = [a for a in heap if isinstance(a, Wait)]
+    if waits:
+        merged = reduce(_wait_union, waits)
+        if not merged.perm.is_concrete:
+            raise SplitFailure(Diagnostic("SpecFailure", "symbolic wait-for permission"))
+        shared.append(Wait(merged.arcs, merged.perm.divide(k + 1)))
+    return shared + [a for a in heap if isinstance(a, Dead)]
+
+
+def branch_start(delta: Formula, k: int) -> Formula:
+    """What split_for gives each of k branches before their demands: the
+    pure part and the shared atoms."""
+    return Formula((Disjunct((), tuple(_shared(delta, k)), delta.single().pure),))
+
+
+def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResult:
+    """Partition a (single-disjunct) state among branch targets, splitting
+    counters by demanded amounts, payload predicates by need, a cell's
+    permission in halves for each target that reads it (a permission
+    variable), and wait-for permissions evenly; leftovers form the
+    continuation frame."""
+    gen = gen or names.default_gen()
+    shared = _shared(delta, len(targets))
     d = delta.single()
     pi = d.pure
-    k = len(targets)
 
     pool: list[HeapAtom] = []
-    waits: list[Wait] = []
-    deads: list[Dead] = []
     cnts: dict[tuple[str, bool], list[Cnt]] = {}
     for a in d.heap:
-        if isinstance(a, Wait):
-            waits.append(a)
-        elif isinstance(a, Dead):
-            deads.append(a)
-        elif isinstance(a, Cnt):
+        if isinstance(a, Cnt):
             final = _count_is(pi, a.count, -1)
             cnts.setdefault((a.latch, final), []).append(a)
-        else:
+        elif not isinstance(a, (Wait, Dead)):
             pool.append(a)
 
     # Resolve every target's counter demands first.
     demands: list[list[tuple[str, int, Perm, Optional[str]]]] = []
+    count_bindings: list[dict[str, Term]] = []
     avail: dict[tuple[str, bool], tuple[Term, Perm]] = {
         key: (g[0].count if key[1] else sum((a.count for a in g[1:]), g[0].count),
               sum((a.perm for a in g[1:]), g[0].perm))
@@ -724,6 +779,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
             else:
                 rest_atoms.append(a)
         demands.append(my)
+        count_bindings.append(rho_counts)
         td_rest = Disjunct(td.exists, tuple(rest_atoms), td.pure)
         if rho_counts:
             td_rest = subst_disjunct(td_rest, rho_counts, gen)
@@ -731,6 +787,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
 
     # Check totals and compute permission shares per latch.
     shares: dict[tuple[str, bool], Perm] = {}
+    refined: dict[str, Perm] = {}
     remainders: dict[tuple[str, bool], int] = {}
     by_key: dict[tuple[str, bool], list] = {}
     for dm in (dm for my in demands for dm in my):
@@ -748,27 +805,34 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
                     f"only {count.const} available"))
             remainders[key] = count.const - total
         if not perm.is_concrete:
-            if wanted and (unnamed > 0 or named):
+            if not wanted:
+                continue
+            if named or perm.frac:
                 raise SplitFailure(Diagnostic(
                     "SpecFailure", f"cannot split symbolic permission of {key[0]}"))
+            # each permission variable becomes unnamed + 1 copies of a fresh
+            # one, and each share as many copies as there were variables
+            g = Perm.pvar(gen.fresh("f"))
+            refined.update({v: sum([g] * unnamed, g) for v in perm.vars})
+            shares[key] = sum([g] * (len(perm.vars) - 1), g)
             continue
         left = perm
         for p in named:
             left = left.minus(p)
         shares[key] = left.divide(unnamed + 1)
 
-    wait_share = None
-    if waits:
-        merged = reduce(_wait_union, waits)
-        if not merged.perm.is_concrete:
-            raise SplitFailure(Diagnostic("SpecFailure", "symbolic wait-for permission"))
-        wait_share = Wait(merged.arcs, merged.perm.divide(k + 1))
-
     # Consume each target's remaining atoms by entailment.
     remaining = Formula((Disjunct((), tuple(pool), pi),))
     branches: list[Formula] = []
-    for t, td, my in zip(targets, rest_targets, demands):
-        target_f = Formula((td,))
+    bindings: list[EntailmentOutcome] = []
+    for t, td, my, rho_counts in zip(targets, rest_targets, demands, count_bindings):
+        halves = {}
+        for a in td.heap:
+            if isinstance(a, PointsTo) and a.perm.single_var() is not None:
+                held = _cell_of(remaining.single(), a.root)
+                if held is not None and held[1].perm.is_concrete:
+                    halves[a.perm.single_var()] = held[1].perm.divide(2)
+        target_f = subst_perms(Formula((td,)), halves)
         r = entail(set(t.E), remaining, target_f, gen=gen)
         if not r.success:
             raise SplitFailure(Diagnostic(
@@ -778,17 +842,25 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
         remaining = r.residue
         consumed = substitute(target_f, r.var_bindings, gen) if r.var_bindings else target_f
         consumed = apply_bindings(r.bindings, consumed, gen)
+        consumed = subst_perms(consumed, r.perm_bindings)
         branch_atoms = list(consumed.single().heap)
         branch_pure = [pi, consumed.single().pure]
+        perms = {**r.perm_bindings, **halves}
         for latch, need, perm_spec, count_var in my:
             key = (latch, need == -1)
             share = perm_spec if perm_spec.is_concrete else shares[key]
+            pvs = perm_spec.vars
+            if len(pvs) > 1 and not share.is_concrete:
+                raise SplitFailure(Diagnostic(
+                    "SpecFailure", f"cannot split symbolic permission of {latch}"))
+            perms.update({v: share if len(pvs) == 1 else share.divide(len(pvs)) for v in pvs})
             branch_atoms.append(Cnt(latch, Term.of(need), share))
-        if wait_share is not None:
-            branch_atoms.append(wait_share)
-        branch_atoms.extend(deads)
+        branch_atoms.extend(shared)
         branches.append(Formula((Disjunct(consumed.single().exists,
                                           tuple(branch_atoms), pand(branch_pure)),)))
+        r.var_bindings.update(rho_counts)
+        r.perm_bindings = perms
+        bindings.append(r)
 
     frame_atoms = list(remaining.single().heap)
     for key, (count, perm) in avail.items():
@@ -797,12 +869,10 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
             frame_atoms.append(Cnt(key[0], Term.of(left), shares[key]))
         else:
             frame_atoms.append(Cnt(key[0], count, perm))
-    if wait_share is not None:
-        frame_atoms.append(wait_share)
-    frame_atoms.extend(deads)
+    frame_atoms.extend(shared)
     frame = Formula((Disjunct(remaining.single().exists, tuple(frame_atoms),
                               remaining.single().pure),))
-    return SplitResult(branches, frame)
+    return SplitResult(branches, frame, bindings, refined)
 
 
 # ---------------------------------------------------------------------------

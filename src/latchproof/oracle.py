@@ -237,19 +237,25 @@ class _Machine:
         return True
 
     def footprint(self, st: _State, t: _Thread) -> tuple[set, set]:
-        """(reads, writes): the heap cells t's next step reads and writes."""
+        """(reads, writes): the heap cells t's next step reads and writes. An
+        `atomic` block's cell variables are read in the block's own env as it
+        runs: a variable it assigns holds no cell another thread can reach,
+        since cells hold integers, unless it copies one that does."""
         item = self.head(st, t)
         reads: set = set()
         writes: set = set()
         if item is None or item[0] != "run":
             return reads, writes
         node = item[1]
+        env = dict(t.env)
         for sub in walk_expr(node.body) if isinstance(node, Atomic) else (node,):
             if isinstance(sub, FieldWrite):
-                writes.add(t.env.get(sub.base))
-            elif isinstance(sub, Assign) and isinstance(sub.rhs, FieldRead):
-                reads.add(t.env.get(sub.rhs.base))
-        return reads, writes
+                writes.add(env.get(sub.base))
+            elif isinstance(sub, Assign):
+                if isinstance(sub.rhs, FieldRead):
+                    reads.add(env.get(sub.rhs.base))
+                env[sub.lhs] = env.get(sub.rhs.name) if isinstance(sub.rhs, VarRead) else None
+        return reads - {None}, writes - {None}
 
     # -- stepping ------------------------------------------------------------
 

@@ -149,6 +149,10 @@ class Perm:
         return None
 
     def subst(self, rho: dict[str, "Perm"]) -> "Perm":
+        if self.single_var() is not None:
+            return rho.get(self.vars[0], self)
+        if not any(v in rho for v in self.vars):
+            return self
         out = Perm(self.frac, ())
         for v in self.vars:
             out = out + rho.get(v, Perm.pvar(v))
@@ -459,8 +463,13 @@ class Formula:
         return self.disjuncts[0]
 
 
+def formula(*atoms: HeapAtom, pure: Pure = TRUE) -> Formula:
+    """The single-disjunct formula `atoms & pure`."""
+    return Formula((Disjunct((), atoms, pure),))
+
+
 def emp(pure: Pure = TRUE) -> Formula:
-    return Formula((Disjunct((), (), pure),))
+    return formula(pure=pure)
 
 
 EMP = emp()

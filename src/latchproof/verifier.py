@@ -10,7 +10,7 @@ computed footprints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import names
@@ -18,19 +18,19 @@ from . import pure as solver
 from .diagnostics import Span, NO_SPAN
 from .entail import EntailmentOutcome, _payload_value_vars, entail, subst as apply_bindings
 from .lemmas import (
-    Inconsistency, SplitFailure, SplitTarget, _implied, ambiguous_disjuncts, normalize,
-    split_for,
+    Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _key, _min_count,
+    ambiguous_disjuncts, branch_start, normalize, split_for,
 )
 from .parser import format_state, unparse_atom
 from .pure import SolverUnknown, Status
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch,
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
-    If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
-    Pure, PTrue, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
-    ThreadSpec, VarRead, Wait, TRUE, FULL, _assigned_vars, check_wellformed, EMP, free_vars,
-    free_vars_disjunct, is_resvar, pand, pure_free_vars, star, subst_perms, substitute,
-    eq as peq, lt as plt,
+    If, Join, LatchIn, LatchOut, New, Par, Perm, PNot, PointsTo, ProcDecl, Program,
+    ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
+    ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
+    formula, free_vars, free_vars_disjunct, is_resvar, pand, star, subst_disjunct, subst_perms,
+    substitute, eq as peq, lt as plt,
 )
 
 
@@ -72,25 +72,22 @@ class VerdictError(Exception):
         super().__init__(message)
 
 
+@dataclass
+class _Abduction:
+    """What one `||` branch has found missing so far: its demands on the
+    state it is split from, over fresh names (E) and variables the branch
+    has not assigned, so that they name values of the branch's start."""
+    demands: list = field(default_factory=list)      # heap atoms
+    E: set[str] = field(default_factory=set)
+    written: set[str] = field(default_factory=set)
+    # permission variables rewritten since: read shares made full, shares split
+    perms: dict[str, Perm] = field(default_factory=dict)
+
+    def atoms(self, since: int = 0) -> Formula:
+        return formula(*self.demands[since:])
+
+
 LEAKABLE = (LatchIn, LatchOut, ThreadNode, ThreadSpec)
-
-
-def instantiate_spec(callee: ProcDecl, sp: SpecPair, link: dict[str, Term],
-                     gen: names.FreshGen) -> tuple[set[str], Formula, Formula]:
-    """One spec pair of `callee` at a call site: freshen its first-order spec
-    variables (neither parameters, `res` nor resource variables), then
-    substitute them and the `link` of formals to actuals. Returns the fresh
-    names (the instantiable set E) with the pre- and post-condition."""
-    fixed = {p for _, p in callee.params} | {"res"}
-    spec_vars = {
-        v for v in (free_vars(sp.pre) | free_vars(sp.post))
-        if v not in fixed and not is_resvar(v)
-    }
-    ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in spec_vars}
-    rho = dict(ren)
-    rho.update(link)
-    return ({t.is_var() for t in ren.values()},
-            substitute(sp.pre, rho, gen), substitute(sp.post, rho, gen))
 
 
 class _ProcVerifier:
@@ -102,6 +99,7 @@ class _ProcVerifier:
         self.gen = gen
         self.trace = SymTrace()
         self.warnings: list[str] = []
+        self.abduct: Optional[_Abduction] = None    # set while a `||` branch runs
 
     # -- spec instantiation ------------------------------------------------
 
@@ -110,68 +108,78 @@ class _ProcVerifier:
         if isinstance(e, CountDown):
             c = e.var
             P, n, w = g.fresh("P"), g.fresh("n"), g.fresh("f")
-            pre1 = Formula((Disjunct(
-                (), (LatchIn(c, RVar(P)), ResVarAtom(P),
-                     Cnt(c, Term.var(n), Perm.pvar(w))),
-                plt(Term.of(0), Term.var(n))),))
-            post1 = Formula((Disjunct(
-                (), (Cnt(c, Term.var(n) - Term.of(1), Perm.pvar(w)),), TRUE),))
+            pre1 = formula(LatchIn(c, RVar(P)), ResVarAtom(P), Cnt(c, Term.var(n), Perm.pvar(w)),
+                           pure=plt(Term.of(0), Term.var(n)))
+            post1 = formula(Cnt(c, Term.var(n) - Term.of(1), Perm.pvar(w)))
             # resource-less counting: the latch carries no payload, so only
             # the counter share is exchanged
             n1, w1 = g.fresh("n"), g.fresh("f")
-            pre1b = Formula((Disjunct(
-                (), (Cnt(c, Term.var(n1), Perm.pvar(w1)),),
-                plt(Term.of(0), Term.var(n1))),))
-            post1b = Formula((Disjunct(
-                (), (Cnt(c, Term.var(n1) - Term.of(1), Perm.pvar(w1)),), TRUE),))
+            pre1b = formula(Cnt(c, Term.var(n1), Perm.pvar(w1)), pure=plt(Term.of(0), Term.var(n1)))
+            post1b = formula(Cnt(c, Term.var(n1) - Term.of(1), Perm.pvar(w1)))
             w2 = g.fresh("f")
-            pre2 = Formula((Disjunct((), (Cnt(c, Term.of(-1), Perm.pvar(w2)),), TRUE),))
+            pre2 = formula(Cnt(c, Term.of(-1), Perm.pvar(w2)))
             return [({P, n, w}, pre1, post1), ({n1, w1}, pre1b, post1b),
                     ({w2}, pre2, pre2)]
         if isinstance(e, Await):
             c = e.var
             P, w = g.fresh("P"), g.fresh("f")
-            pre1 = Formula((Disjunct(
-                (), (LatchOut(c, RVar(P)), Cnt(c, Term.of(0), Perm.pvar(w))), TRUE),))
-            post1 = Formula((Disjunct(
-                (), (ResVarAtom(P), Cnt(c, Term.of(-1), Perm.pvar(w))), TRUE),))
+            pre1 = formula(LatchOut(c, RVar(P)), Cnt(c, Term.of(0), Perm.pvar(w)))
+            post1 = formula(ResVarAtom(P), Cnt(c, Term.of(-1), Perm.pvar(w)))
             w1 = g.fresh("f")
-            pre1b = Formula((Disjunct((), (Cnt(c, Term.of(0), Perm.pvar(w1)),), TRUE),))
-            post1b = Formula((Disjunct((), (Cnt(c, Term.of(-1), Perm.pvar(w1)),), TRUE),))
+            pre1b = formula(Cnt(c, Term.of(0), Perm.pvar(w1)))
+            post1b = formula(Cnt(c, Term.of(-1), Perm.pvar(w1)))
             w2 = g.fresh("f")
-            pre2 = Formula((Disjunct((), (Cnt(c, Term.of(-1), Perm.pvar(w2)),), TRUE),))
+            pre2 = formula(Cnt(c, Term.of(-1), Perm.pvar(w2)))
             return [({P, w}, pre1, post1), ({w1}, pre1b, post1b), ({w2}, pre2, pre2)]
         if isinstance(e, Join):
             t = e.var
             Q = g.fresh("Q")
-            qf = Formula((Disjunct((), (ResVarAtom(Q),), TRUE),))
-            pre1 = Formula((Disjunct((), (ThreadNode(t, qf),), TRUE),))
-            post1 = Formula((Disjunct((), (ResVarAtom(Q), Dead(t)), TRUE),))
-            pre2 = Formula((Disjunct((), (Dead(t),), TRUE),))
+            qf = formula(ResVarAtom(Q))
+            pre1 = formula(ThreadNode(t, qf))
+            post1 = formula(ResVarAtom(Q), Dead(t))
+            pre2 = formula(Dead(t))
             return [({Q}, pre1, post1), (set(), pre2, pre2)]
         if isinstance(e, Fork):
             t = e.var
             P, Q = g.fresh("P"), g.fresh("Q")
-            pf = Formula((Disjunct((), (ResVarAtom(P),), TRUE),))
-            qf = Formula((Disjunct((), (ResVarAtom(Q),), TRUE),))
-            pre = Formula((Disjunct((), (ThreadSpec(t, (), pf, qf), ResVarAtom(P)), TRUE),))
-            post = Formula((Disjunct((), (ThreadNode(t, qf),), TRUE),))
+            pf = formula(ResVarAtom(P))
+            qf = formula(ResVarAtom(Q))
+            pre = formula(ThreadSpec(t, (), pf, qf), ResVarAtom(P))
+            post = formula(ThreadNode(t, qf))
             return [({P, Q}, pre, post)]
         raise TypeError(e)
 
     def _user_pairs(self, callee: ProcDecl, args: tuple[Term, ...], res_var: Optional[str]):
-        """Instantiate a callee's spec pairs: link actuals to formals, freshen
-        the first-order spec variables, bind `res` to the caller's target."""
+        """A callee's spec pairs at a call site: fresh names (the instantiable
+        set E) for the first-order spec variables, neither parameters, `res`
+        nor resource variables; formals link to actuals, `res` to the target."""
         link = {p: a for (_, p), a in zip(callee.params, args)}
         if res_var is not None:
             link["res"] = Term.var(res_var)
-        return [instantiate_spec(callee, sp, link, self.gen) for sp in callee.specs]
+        fixed = {p for _, p in callee.params} | {"res"}
+        pairs = []
+        for sp in callee.specs:
+            ren = {v: Term.var(self.gen.fresh(v.split("#")[0]))
+                   for v in free_vars(sp.pre) | free_vars(sp.post)
+                   if v not in fixed and not is_resvar(v)}
+            rho = {**ren, **link}
+            pairs.append(({t.is_var() for t in ren.values()},
+                          substitute(sp.pre, rho, self.gen), substitute(sp.post, rho, self.gen)))
+        return pairs
 
     def _apply_pairs(self, state: Formula, pairs, span: Span, what: str,
-                     warn_multi: bool = True) -> Formula:
+                     warn_multi: bool = True, abduce: int = 0) -> Formula:
         """One forward step through a specification: per antecedent disjunct,
         pick the first pair whose pre-condition is entailed; the new state is
-        residue * instantiated post."""
+        residue * instantiated post. In a `||` branch, what the pair at
+        `abduce` needs and the state lacks is abduced first."""
+        if self.abduct is not None and pairs:
+            E, pre, _ = pairs[abduce]
+            d = pre.disjuncts[0]
+            # the precondition's existentials are fresh values too
+            ren = {v: Term.var(self.gen.fresh(v.split("#")[0])) for v in d.exists}
+            want = subst_disjunct(Disjunct((), d.heap, d.pure), ren, self.gen) if ren else d
+            state = self._ensure(state, E | {t.is_var() for t in ren.values()}, want, span)
         out = []
         for d in state.disjuncts:
             dstate = Formula((d,))
@@ -199,11 +207,95 @@ class _ProcVerifier:
                     f"{span}: {what}: several pre-conditions were entailed; "
                     f"committed to the first (declaration order)")
             r, post = chosen
-            post = substitute(post, r.var_bindings, self.gen) if r.var_bindings else post
-            post = apply_bindings(r.bindings, post, self.gen)
-            post = subst_perms(post, r.perm_bindings) if r.perm_bindings else post
-            out.extend(star(r.residue, post, self.gen).disjuncts)
+            out.extend(star(r.residue, self._bind(post, r), self.gen).disjuncts)
         return Formula(tuple(out))
+
+    def _bind(self, f: Formula, r: EntailmentOutcome) -> Formula:
+        """`f` under the variable, resource and permission bindings of `r`."""
+        f = substitute(f, r.var_bindings, self.gen) if r.var_bindings else f
+        f = apply_bindings(r.bindings, f, self.gen)
+        return subst_perms(f, r.perm_bindings) if r.perm_bindings else f
+
+    # -- abduction inside `||` branches ---------------------------------------
+
+    def _missing(self, d: Disjunct, E: set[str], want: Disjunct):
+        """What `want` (over the fresh names E) needs beyond `d`, for the
+        branch to abduce: (atoms, their fresh names, read shares to make
+        full), or None when `d` lacks nothing or a lacking atom names a
+        variable the branch assigned. Counters lack by the countdowns `d` is
+        short of, at the least counts `want` allows."""
+        ab = self.abduct
+        atoms, upgrades = [], {}
+        for a in want.heap:
+            if isinstance(a, Cnt):
+                held = [b.count for b in d.heap if isinstance(b, Cnt) and b.latch == a.latch]
+                k = a.count.const if a.count.is_const else _min_count(want.pure, a.count, 1)
+                if k is None or held and (Term.of(-1) in held
+                                          or not all(t.is_const for t in held)):
+                    continue
+                short = k - sum(t.const for t in held)
+                if not held or short > 0:
+                    atoms.append(Cnt(a.latch, Term.of(short), a.perm))
+            elif isinstance(a, PointsTo):
+                found = _cell_of(d, a.root)
+                if found is None:
+                    atoms.append(a)
+                elif a.perm.is_one and found[1].perm.single_var() in ab.E:
+                    upgrades[found[1].perm.single_var()] = FULL
+            elif not _serves(d, a):
+                atoms.append(a)
+        for i, a in enumerate(atoms):    # a symbolic share gets a fresh variable
+            if isinstance(a, (PointsTo, Cnt)) and not a.perm.is_concrete:
+                atoms[i] = replace(a, perm=Perm.pvar(self.gen.fresh("f")))
+        if not (atoms or upgrades) or any(atom_free_vars(a) & ab.written for a in atoms):
+            return None
+        return atoms, E | {a.perm.vars[0] for a in atoms
+                           if isinstance(a, (PointsTo, Cnt)) and a.perm.vars}, upgrades
+
+    def _ensure(self, state: Formula, E: set[str], want: Disjunct, span: Span) -> Formula:
+        """In a `||` branch: `state` with what its disjuncts lack of `want`
+        abduced, each piece recorded as a demand of the branch."""
+        ab, i = self.abduct, 0
+        while ab is not None and i < len(state.disjuncts):
+            need = self._missing(state.disjuncts[i], E, want)
+            i += 1
+            if need is not None:
+                atoms, fresh, upgrades = need
+                ab.E |= fresh
+                self._refine(upgrades)
+                ab.demands += atoms
+                state = self._add_demands(state, len(ab.demands) - len(atoms), span)
+        return state
+
+    def _refine(self, perms: dict[str, Perm]):
+        """Rewrite permission variables of the branch wherever it names them."""
+        ab = self.abduct
+        if not perms:
+            return
+        ab.perms = {v: p.subst(perms) for v, p in ab.perms.items()} | perms
+        ab.demands = list(subst_perms(ab.atoms(), perms).single().heap)
+
+    def _paths(self, jobs, span: Span) -> list[Disjunct]:
+        """Run each job, a disjunct and what to run from it. In a `||` branch
+        what one job abduces belongs to the branch start and so joins every
+        other job: at its start if abduced before it ran, else at its end."""
+        ab = self.abduct
+        if ab is None:
+            return [x for d, run in jobs for x in run(Formula((d,))).disjuncts]
+        first, done = len(ab.demands), []
+        for d, run in jobs:
+            done.append((run(self._add_demands(Formula((d,)), first, span)), len(ab.demands)))
+        return [x for r, n in done for x in self._add_demands(r, n, span).disjuncts]
+
+    def _add_demands(self, f: Formula, since: int, span: Span) -> Formula:
+        """`f` with the branch's permission rewrites and demands from `since`
+        on. Only held counters meet abduced atoms in a lemma (N2, W2)."""
+        ab = self.abduct
+        if len(ab.demands) == since and not ab.perms:
+            return f
+        held = any(isinstance(b, Cnt) for d in f.disjuncts for b in d.heap)
+        f = star(subst_perms(f, ab.perms), ab.atoms(since), self.gen)
+        return self._normalize(f, span) if held else f
 
     # -- per-step housekeeping ---------------------------------------------
 
@@ -237,11 +329,10 @@ class _ProcVerifier:
 
         if isinstance(e, (CountDown, Await, Join, Fork)):
             what = type(e).__name__.lower() + f"({e.var})"
-            new = self._apply_pairs(state, self._builtin_pairs(e), span, what,
-                                    warn_multi=False)
-            new = self._normalize(new, span)
-            self._trace(span, new)
-            return new
+            # a branch demands only the counter share of a latch primitive
+            new = self._apply_pairs(state, self._builtin_pairs(e), span, what, warn_multi=False,
+                                    abduce=1 if isinstance(e, (CountDown, Await)) else 0)
+            return self._settle(new, span)
 
         if isinstance(e, Call):
             return self._exec_call(state, e, None, span)
@@ -250,9 +341,7 @@ class _ProcVerifier:
             return self._exec_assign(state, e, span)
 
         if isinstance(e, FieldWrite):
-            new = self._field_write(state, e, span)
-            self._trace(span, new)
-            return new
+            return self._field_write(state, e, span)
 
         if isinstance(e, If):
             return self._exec_if(state, e, span)
@@ -269,18 +358,23 @@ class _ProcVerifier:
         if self.opts.collect_trace:
             self.trace.add(span, state)
 
+    def _settle(self, state: Formula, span: Span) -> Formula:
+        """A step's result: normalized, and traced at the step."""
+        state = self._normalize(state, span)
+        self._trace(span, state)
+        return state
+
     def _exec_call(self, state: Formula, e: Call, res_var: Optional[str],
                    span: Span) -> Formula:
         callee = self.program.proc(e.name)
         if callee is None:
             raise VerdictError("SpecFailure", span, f"call to undeclared procedure {e.name}")
         pairs = self._user_pairs(callee, e.args, res_var)
-        new = self._apply_pairs(state, pairs, span, f"call {e.name}")
-        new = self._normalize(new, span)
-        self._trace(span, new)
-        return new
+        return self._settle(self._apply_pairs(state, pairs, span, f"call {e.name}"), span)
 
     def _rename_lhs(self, state: Formula, lhs: str) -> tuple[Formula, dict[str, Term]]:
+        if self.abduct is not None:
+            self.abduct.written.add(lhs)
         old = self.gen.fresh(lhs)
         rho = {lhs: Term.var(old)}
         return substitute(state, rho, self.gen), rho
@@ -298,10 +392,7 @@ class _ProcVerifier:
                 raise VerdictError("SpecFailure", span, f"unknown data type {rhs.ctor}")
             state, rho = self._rename_lhs(state, e.lhs)
             cell = PointsTo(e.lhs, rhs.ctor, tuple(t.subst(rho) for t in rhs.args), FULL)
-            new = star(state, Formula((Disjunct((), (cell,), TRUE),)), self.gen)
-            new = self._normalize(new, span)
-            self._trace(span, new)
-            return new
+            return self._settle(star(state, formula(cell), self.gen), span)
 
         if isinstance(rhs, CreateLatch):
             return self._exec_create_latch(state, e.lhs, rhs, span)
@@ -314,10 +405,7 @@ class _ProcVerifier:
             state, rho = self._rename_lhs(state, e.lhs)
             atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, self.gen),
                               substitute(rhs.post, rho, self.gen))
-            new = star(state, Formula((Disjunct((), (atom,), TRUE),)), self.gen)
-            new = self._normalize(new, span)
-            self._trace(span, new)
-            return new
+            return self._settle(star(state, formula(atom), self.gen), span)
 
         if isinstance(rhs, FieldRead):
             return self._field_read(state, e.lhs, rhs, span)
@@ -352,56 +440,66 @@ class _ProcVerifier:
                 raise VerdictError(
                     "SpecFailure", span,
                     f"create_latch({count}): count sign undecided (needs n>0 or n=0)")
-            out.extend(star(Formula((d,)),
-                            Formula((Disjunct((), atoms, TRUE),)), self.gen).disjuncts)
-        new = self._normalize(Formula(tuple(out)), span)
-        self._trace(span, new)
-        return new
+            out.extend(star(Formula((d,)), formula(*atoms), self.gen).disjuncts)
+        return self._settle(Formula(tuple(out)), span)
 
-    def _find_cell(self, d: Disjunct, base: str, span: Span) -> tuple[int, PointsTo]:
-        for i, a in enumerate(d.heap):
-            if isinstance(a, PointsTo) and a.root == base:
-                return i, a
-        for i, a in enumerate(d.heap):
-            if isinstance(a, PointsTo) and _implied(d.pure, peq(Term.var(a.root), Term.var(base))):
-                return i, a
-        raise VerdictError("SpecFailure", span, f"no points-to fact for {base}")
-
-    def _field_index(self, ctor: str, fieldname: str, span: Span) -> int:
-        dd = self.program.data(ctor)
+    def _find_cell(self, d: Disjunct, base: str, fieldname: str, write: bool,
+                   span: Span) -> tuple[int, PointsTo, int]:
+        """The cell at `base`, its heap index and the index of `fieldname`;
+        a write needs the full permission."""
+        found = _cell_of(d, base)
+        if found is None:
+            raise VerdictError("SpecFailure", span, f"no points-to fact for {base}")
+        i, cell = found
+        if write and not cell.perm.is_one:
+            raise VerdictError(
+                "SpecFailure", span,
+                f"writing {base}.{fieldname} requires the full permission, held {cell.perm}")
+        dd = self.program.data(cell.ctor)
         if dd is None:
-            raise VerdictError("SpecFailure", span, f"unknown data type {ctor}")
-        for i, (_, fname) in enumerate(dd.fields):
+            raise VerdictError("SpecFailure", span, f"unknown data type {cell.ctor}")
+        for j, (_, fname) in enumerate(dd.fields):
             if fname == fieldname:
-                return i
-        raise VerdictError("SpecFailure", span, f"{ctor} has no field {fieldname}")
+                return i, cell, j
+        raise VerdictError("SpecFailure", span, f"{cell.ctor} has no field {fieldname}")
+
+    def _ensure_cell(self, state: Formula, base: str, fieldname: str, write: bool,
+                     span: Span) -> Formula:
+        """In a `||` branch, abduce the cell an access lacks: fresh values of
+        the first data type with `fieldname`, full for a write, a permission
+        variable for a read."""
+        dd = next((dd for dd in self.program.data_decls
+                   if any(f == fieldname for _, f in dd.fields)), None)
+        if self.abduct is None or dd is None:
+            return state
+        vals = [self.gen.fresh("w") for _ in dd.fields]
+        cell = PointsTo(base, dd.name, tuple(map(Term.var, vals)),
+                        FULL if write else Perm.pvar("f"))
+        return self._ensure(state, set(vals), formula(cell).single(), span)
 
     def _field_write(self, state: Formula, e: FieldWrite, span: Span) -> Formula:
+        state = self._ensure_cell(state, e.base, e.fieldname, True, span)
         out = []
         for d in state.disjuncts:
-            i, cell = self._find_cell(d, e.base, span)
-            if not cell.perm.is_one:
-                raise VerdictError(
-                    "SpecFailure", span,
-                    f"writing {e.base}.{e.fieldname} requires the full permission, "
-                    f"held {cell.perm}")
-            idx = self._field_index(cell.ctor, e.fieldname, span)
+            i, cell, idx = self._find_cell(d, e.base, e.fieldname, True, span)
             args = list(cell.args)
             args[idx] = e.rhs
             heap = list(d.heap)
             heap[i] = PointsTo(cell.root, cell.ctor, tuple(args), cell.perm)
             out.append(Disjunct(d.exists, tuple(heap), d.pure))
-        return Formula(tuple(out))
+        new = Formula(tuple(out))
+        self._trace(span, new)
+        return new
 
     def _field_read(self, state: Formula, lhs: str, rhs: FieldRead, span: Span) -> Formula:
         state, rho = self._rename_lhs(state, lhs)
         base = rhs.base
         if base in rho:
             base = rho[base].is_var()
+        state = self._ensure_cell(state, base, rhs.fieldname, False, span)
         out = []
         for d in state.disjuncts:
-            _, cell = self._find_cell(d, base, span)
-            idx = self._field_index(cell.ctor, rhs.fieldname, span)
+            _, cell, idx = self._find_cell(d, base, rhs.fieldname, False, span)
             eqn = peq(Term.var(lhs), cell.args[idx])
             out.append(Disjunct(d.exists, d.heap, pand([d.pure, eqn])))
         new = Formula(tuple(out))
@@ -409,38 +507,62 @@ class _ProcVerifier:
         return new
 
     def _exec_if(self, state: Formula, e: If, span: Span) -> Formula:
-        out = []
-        for d in state.disjuncts:
-            for cond, branch in ((e.cond, e.then), (PNot(e.cond), e.els)):
-                guarded = Disjunct(d.exists, d.heap, pand([d.pure, cond]))
-                # an undecided guard leaves its branch reachable
-                if solver.is_sat(guarded.pure, want_model=False).status == Status.UNSAT:
-                    continue
-                res = self.exec(Formula((guarded,)), branch)
-                out.extend(res.disjuncts)
+        def arm(branch):
+            # an undecided guard leaves its branch reachable
+            return lambda f: Formula(()) if all(map(_unsat, f.disjuncts)) else self.exec(f, branch)
+
+        out = self._paths([(Disjunct(d.exists, d.heap, pand([d.pure, cond])), arm(branch))
+                           for d in state.disjuncts
+                           for cond, branch in ((e.cond, e.then), (PNot(e.cond), e.els))], span)
         if not out:
             raise VerdictError("SpecFailure", span, "both branches of if are unreachable")
-        new = self._normalize(Formula(tuple(out)), span)
+        return self._settle(Formula(tuple(out)), span)
+
+    def _exec_par(self, state: Formula, e: Par, span: Span) -> Formula:
+        new = Formula(tuple(self._paths(
+            [(d, lambda f: self._par(f, e, span)) for d in state.disjuncts], span)))
         self._trace(span, new)
         return new
 
-    def _exec_par(self, state: Formula, e: Par, span: Span) -> Formula:
-        """One split of each disjunct over all N branches, and one join."""
-        out = []
-        for d in state.disjuncts:
-            targets = [branch_precondition(self.program, b, self.gen) for b in e.branches]
-            try:
-                split = split_for(Formula((d,)), targets, gen=self.gen)
-            except SplitFailure as ex:
-                raise VerdictError("SpecFailure", span, ex.diag.message)
-            for b in split.branches:
-                self._trace(span, b)
-            results = [self._branch_local(self.exec(bstate, bcode), bcode)
-                       for bstate, bcode in zip(split.branches, e.branches)]
-            out.extend(self._join(split.frame, results, span).disjuncts)
-        new = Formula(tuple(out))
-        self._trace(span, new)
-        return new
+    def _par(self, state: Formula, e: Par, span: Span) -> Formula:
+        """One split of a disjunct over all N branches, and one join. Each
+        branch runs once from what every branch gets; what it abduces is its
+        demand on the split, and its post is bound by the split's bindings."""
+        try:
+            start = branch_start(state, len(e.branches))
+            runs = [self._run_branch(start, code) for code in e.branches]
+            targets = [SplitTarget(ab.atoms(), ab.E) for _, ab, _ in runs]
+            if self.abduct is not None:
+                # a nested block: the enclosing branch abduces what the state lacks
+                state = self._ensure(state, set().union(*(ab.E for _, ab, _ in runs)), formula(
+                    *(a for _, ab, _ in runs for a in ab.demands)).single(), span)
+            split = split_for(state, targets, gen=self.gen)
+        except SplitFailure as ex:
+            raise VerdictError("SpecFailure", span, ex.diag.message)
+        if self.abduct is not None:
+            self._refine(split.refined)
+        for b in split.branches:
+            self._trace(span, b)
+        results = []
+        for (post, _, points), bound, code in zip(runs, split.bindings, e.branches):
+            result = self._bind(post, bound)
+            for sp, f in points:
+                self._trace(sp, result if f is post else self._bind(f, bound))
+            results.append(self._branch_local(result, code))
+        return self._join(split.frame, results, span)
+
+    def _run_branch(self, start: Formula, code: Expr):
+        """Run one `||` branch from `start`, abducing what it lacks: its post,
+        its `_Abduction` and the trace points it made."""
+        outer, self.abduct = self.abduct, _Abduction()
+        mark = len(self.trace.points)
+        try:
+            post = self.exec(start, code)
+        finally:
+            ab, self.abduct = self.abduct, outer
+        points = self.trace.points[mark:]
+        del self.trace.points[mark:]
+        return post, ab, points
 
     def _branch_local(self, result: Formula, code: Expr) -> Formula:
         """A branch's writes to variables stay in its thread: the values it
@@ -449,12 +571,14 @@ class _ProcVerifier:
         return substitute(result, rho, self.gen)
 
     def _join(self, frame: Formula, results: list[Formula], span: Span) -> Formula:
+        """frame * results, without the paths a split's bindings ruled out."""
         combined = frame
         for r in results:
             combined = star(combined, r, self.gen)
-        if _unsat(combined) and not any(_unsat(f) for f in (frame, *results)):
+        live = tuple(d for d in combined.disjuncts if not _unsat(d))
+        if not live and not any(all(map(_unsat, f.disjuncts)) for f in (frame, *results)):
             raise VerdictError("SpecFailure", span, "state became inconsistent at the join")
-        return self._normalize(combined, span)
+        return self._normalize(Formula(live or combined.disjuncts), span)
 
     # -- whole-procedure driver ----------------------------------------------
 
@@ -463,13 +587,10 @@ class _ProcVerifier:
         init = sp.pre
         if self.proc.name == "main" and not any(
                 isinstance(a, Wait) for d in init.disjuncts for a in d.heap):
-            init = star(init, Formula((Disjunct((), (Wait(frozenset(), FULL),), TRUE),)),
-                        self.gen)
+            init = star(init, formula(Wait(frozenset(), FULL)), self.gen)
         span = self.proc.span
         try:
-            state = self._normalize(init, span)
-            self._trace(span, state)
-            final = self.exec(state, body)
+            final = self.exec(self._settle(init, span), body)
             residues = []
             for d in final.disjuncts:
                 r = entail(set(), Formula((d,)), sp.post, gen=self.gen)
@@ -494,10 +615,17 @@ class _ProcVerifier:
                        tuple(self.warnings))
 
 
-def _unsat(f: Formula) -> bool:
-    """Every disjunct's pure part is shown unsatisfiable."""
-    return all(solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
-               for d in f.disjuncts)
+def _unsat(d: Disjunct) -> bool:
+    return solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
+
+
+def _serves(d: Disjunct, a) -> bool:
+    """`d` holds what abduction counts as `a`: the resource variable itself,
+    a latch predicate of its kind and latch, any atom of its thread."""
+    key = _key(a)
+    if key is None:
+        return a in d.heap
+    return any(_key(b) == key and (key[0] != "latch" or type(b) is type(a)) for b in d.heap)
 
 
 def _close_payload(payload: Formula, state: Disjunct, latch: str) -> Formula:
@@ -531,256 +659,6 @@ def check_leak(residue: Formula, declared_post: Formula, gen=None) -> Optional[s
 
 
 # ---------------------------------------------------------------------------
-# Branch footprint analysis (pre-states for par branches)
-
-
-class _FootprintWalk:
-    """Best-effort computation of the resources a par branch needs from the
-    surrounding state. Procedure-call branches contribute their declared
-    pre-conditions; inline latch primitives contribute predicate shares with
-    fresh payload variables and counter demands."""
-
-    def __init__(self, program: Program, gen: names.FreshGen):
-        self.program = program
-        self.gen = gen
-        self.needed: list = []
-        self.pure: list[Pure] = []
-        self.E: set[str] = set()
-        self.avail: list = []
-        self.types: dict[str, str] = {}
-        # per latch: dict(balance=int|None, final=bool, demand=int, opaque=bool)
-        self.latch: dict[str, dict] = {}
-
-    def _lt(self, c: str) -> dict:
-        return self.latch.setdefault(c, {"balance": 0, "final": False, "demand": 0,
-                                         "touched": False})
-
-    def _ensure(self, c: str, k: int):
-        st = self._lt(c)
-        st["touched"] = True
-        if st["balance"] < k:
-            st["demand"] += k - st["balance"]
-            st["balance"] = k
-
-    def _cover(self, atom) -> bool:
-        for i, a in enumerate(self.avail):
-            if type(a) is type(atom):
-                if isinstance(atom, PointsTo) and a.root == atom.root and a.ctor == atom.ctor:
-                    return True
-                if isinstance(atom, (LatchIn, LatchOut)) and a.latch == atom.latch \
-                        and a.payload == atom.payload:
-                    self.avail.pop(i)
-                    return True
-                if isinstance(atom, ResVarAtom) and a.name == atom.name:
-                    self.avail.pop(i)
-                    return True
-                if isinstance(atom, (ThreadSpec, ThreadNode)) and a.tid == atom.tid:
-                    self.avail.pop(i)
-                    return True
-                if isinstance(atom, Dead) and a.tid == atom.tid:
-                    return True
-        return False
-
-    def walk(self, e: Expr):
-        if isinstance(e, Seq):
-            self.walk(e.first)
-            self.walk(e.second)
-            return
-        if isinstance(e, (Skip, Assert, VarRead, ConstE)):
-            return
-        if isinstance(e, Atomic):
-            self.walk(e.body)
-            return
-        if isinstance(e, CountDown):
-            # Inline countdowns demand a counter share only; payload-carrying
-            # threads belong in procedures with declared inflow shares.
-            st = self._lt(e.var)
-            if st["final"]:
-                return
-            self._ensure(e.var, 1)
-            st["balance"] -= 1
-            return
-        if isinstance(e, Await):
-            st = self._lt(e.var)
-            if st["final"]:
-                return
-            st["touched"] = True
-            st["final"] = True
-            st["balance"] = -1
-            return
-        if isinstance(e, Join):
-            covered = any(isinstance(a, (ThreadNode, Dead)) and a.tid == e.var
-                          for a in self.avail)
-            if not covered:
-                Q = self.gen.fresh("Q")
-                self.E.add(Q)
-                qf = Formula((Disjunct((), (ResVarAtom(Q),), TRUE),))
-                self.needed.append(ThreadNode(e.var, qf))
-            self.avail.append(Dead(e.var))
-            return
-        if isinstance(e, Fork):
-            spec = next((a for a in self.avail
-                         if isinstance(a, ThreadSpec) and a.tid == e.var), None)
-            if spec is None:
-                P, Q = self.gen.fresh("P"), self.gen.fresh("Q")
-                self.E |= {P, Q}
-                pf = Formula((Disjunct((), (ResVarAtom(P),), TRUE),))
-                qf = Formula((Disjunct((), (ResVarAtom(Q),), TRUE),))
-                self.needed.append(ThreadSpec(e.var, (), pf, qf))
-                self.needed.append(ResVarAtom(P))
-                self.avail.append(ThreadNode(e.var, qf))
-            else:
-                self.avail.remove(spec)
-                for d in spec.pre.disjuncts:
-                    for a in d.heap:
-                        if not self._cover(a):
-                            self.needed.append(a)
-                self.avail.append(ThreadNode(e.var, spec.post))
-            return
-        if isinstance(e, Call):
-            self._walk_call(e)
-            return
-        if isinstance(e, Assign):
-            rhs = e.rhs
-            if isinstance(rhs, New):
-                self.types[e.lhs] = rhs.ctor
-                self.avail.append(PointsTo(e.lhs, rhs.ctor, rhs.args, FULL))
-            elif isinstance(rhs, CreateLatch):
-                st = self._lt(e.lhs)
-                st["touched"] = True
-                count = rhs.count.const if rhs.count.is_const else 0
-                st["balance"] = count
-                st["local"] = True
-                payload = rhs.payload if rhs.payload is not None else EMP
-                self.avail.append(LatchIn(e.lhs, RForm(payload)))
-                self.avail.append(LatchOut(e.lhs, RForm(payload)))
-            elif isinstance(rhs, CreateThread):
-                self.avail.append(ThreadSpec(e.lhs, (), rhs.pre, rhs.post))
-            elif isinstance(rhs, Call):
-                self._walk_call(rhs)
-            return
-        if isinstance(e, FieldWrite):
-            self._need_cell(e.base, full=True)
-            return
-        if isinstance(e, FieldRead):
-            self._need_cell(e.base, full=False)
-            return
-        if isinstance(e, If):
-            self.walk(e.then)
-            self.walk(e.els)
-            return
-        if isinstance(e, Par):
-            # Sub-branches run concurrently: walk each independently and sum
-            # their demands; the nested split re-divides the combined share.
-            for code in e.branches:
-                sub = _FootprintWalk(self.program, self.gen)
-                sub.types = dict(self.types)
-                sub.walk(code)
-                self.needed.extend(sub.needed)
-                self.pure.extend(sub.pure)
-                self.E |= sub.E
-                for c, st in sub.latch.items():
-                    mine = self._lt(c)
-                    mine["touched"] = mine["touched"] or st["touched"]
-                    mine["demand"] += st["demand"]
-                    mine["final"] = mine["final"] or st["final"]
-                    if st["final"]:
-                        mine["balance"] = -1
-            return
-
-    def _need_cell(self, base: str, full: bool):
-        if any(isinstance(a, PointsTo) and a.root == base for a in self.avail):
-            return
-        ctor = self.types.get(base)
-        if ctor is None:
-            dd = self.program.data_decls
-            ctor = dd[0].name if dd else None
-        if ctor is None:
-            return
-        decl = self.program.data(ctor)
-        args = []
-        for _ in decl.fields if decl else ():
-            w = self.gen.fresh("w")
-            self.E.add(w)
-            args.append(Term.var(w))
-        atom = PointsTo(base, ctor, tuple(args),
-                        FULL if full else Perm.pvar(self.gen.fresh("f")))
-        self.needed.append(atom)
-        self.avail.append(atom)
-
-    def _walk_call(self, e: Call):
-        callee = self.program.proc(e.name)
-        if callee is None or not callee.specs:
-            return
-        link = {p: a for (_, p), a in zip(callee.params, e.args)}
-        E, pre, post = instantiate_spec(callee, callee.specs[0], link, self.gen)
-        self.E |= E
-        for d in pre.disjuncts:
-            cnt_vars = {a.count.is_var() for a in d.heap
-                        if isinstance(a, Cnt) and a.count.is_var() is not None}
-            if not isinstance(d.pure, PTrue):
-                # Counter guards are resolved into concrete demands below;
-                # keep only the constraints about other spec variables.
-                parts = d.pure.parts if isinstance(d.pure, PAnd) else (d.pure,)
-                kept = [p for p in parts if not (pure_free_vars(p) & cnt_vars)]
-                if kept:
-                    self.pure.append(pand(kept))
-            for a in d.heap:
-                if isinstance(a, Cnt):
-                    if a.count.is_const and a.count.const == -1:
-                        st = self._lt(a.latch)
-                        if not st["final"]:
-                            st["touched"] = True
-                            st["final"] = True
-                            st["balance"] = -1
-                            self.needed.append(a)
-                    else:
-                        if a.count.is_const:
-                            need = a.count.const
-                        else:
-                            # minimal count satisfying the pre's guard
-                            probe = pand([d.pure, peq(a.count, Term.of(0))])
-                            zero_ok = solver.is_sat(probe, want_model=False).status == Status.SAT
-                            need = 0 if zero_ok else 1
-                        self._ensure(a.latch, need)
-                    continue
-                if not self._cover(a):
-                    self.needed.append(a)
-            break  # first pre/post pair guides the footprint
-        for d in post.disjuncts:
-            for a in d.heap:
-                if isinstance(a, Cnt):
-                    st = self._lt(a.latch)
-                    if a.count.is_const:
-                        if a.count.const == -1:
-                            st["final"] = True
-                            st["balance"] = -1
-                        else:
-                            st["balance"] = a.count.const
-                else:
-                    self.avail.append(a)
-            break
-
-    def target(self) -> SplitTarget:
-        atoms = list(self.needed)
-        for c, st in self.latch.items():
-            if st.get("local"):
-                continue
-            if st["final"] and st["demand"] == 0 and not any(
-                    isinstance(a, Cnt) and a.latch == c for a in atoms):
-                atoms.append(Cnt(c, Term.of(0), Perm.pvar(self.gen.fresh("f"))))
-            elif st["touched"]:
-                atoms.append(Cnt(c, Term.of(st["demand"]), Perm.pvar(self.gen.fresh("f"))))
-        return SplitTarget(Formula((Disjunct((), tuple(atoms), pand(self.pure)),)), self.E)
-
-
-def branch_precondition(program: Program, e: Expr, gen: names.FreshGen) -> SplitTarget:
-    walk = _FootprintWalk(program, gen)
-    walk.walk(e)
-    return walk.target()
-
-
-# ---------------------------------------------------------------------------
 # Program-level driver
 
 
@@ -799,19 +677,14 @@ def verify_program(program: Program, opts: VerifyOptions | None = None,
         warnings: list[str] = []
         for sp in proc.specs:
             for f in (sp.pre, sp.post):
-                if len(f.disjuncts) > 1:
-                    for i, j in ambiguous_disjuncts(f):
-                        warnings.append(
-                            f"{proc.name}: spec disjuncts {i + 1} and {j + 1} overlap "
-                            f"(not resource-precise)")
+                for i, j in ambiguous_disjuncts(f):
+                    warnings.append(f"{proc.name}: spec disjuncts {i + 1} and {j + 1} overlap "
+                                    f"(not resource-precise)")
         verdict = None
         for idx, sp in enumerate(proc.specs):
-            pv = _ProcVerifier(program, proc, opts, proc_gen)
-            v = pv.verify_pair(idx, sp)
-            if not v.ok:
-                verdict = v
+            verdict = _ProcVerifier(program, proc, opts, proc_gen).verify_pair(idx, sp)
+            if not verdict.ok:
                 break
-            verdict = v
         if verdict is None:
             verdict = Verdict("SpecFailure", proc.name, proc.span, None, None,
                               "procedure has no specification")

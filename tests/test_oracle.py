@@ -150,6 +150,22 @@ def test_footprint_examples():
     assert footprint(atomic) == (set(), {7})
     assert footprint(down) == (set(), set())
 
+    # an atomic block's cell variables are read in its own env as it runs: a
+    # cell it allocates is its own, and a copied variable names the cell
+    src = """
+    data cell { int val; }
+    void main() requires emp ensures emp;
+    { ( atomic { y = new cell(0); y.val = 1; y.val = 2 }
+     || atomic { z = new cell(0); z.val = 1 } ) }
+    """
+    program = parse_program(SourceFile("t", src))
+    block = next(n for n in walk_expr(program.proc("main").body) if isinstance(n, Par))
+    assert footprint(block.branches[0]) == (set(), set())
+    assert explore(program).kinds == {"Leak"}
+    copy = parse_program(SourceFile("t", "data cell { int val; } void main() requires emp "
+                                         "ensures emp; { atomic { y = x; y.val = 1 } }"))
+    assert footprint(copy.proc("main").body) == (set(), {7})
+
 
 # -- N-way parallel blocks ----------------------------------------------------
 

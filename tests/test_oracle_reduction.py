@@ -9,6 +9,7 @@ import pytest
 
 from latchproof.oracle import OracleBounds, OracleReport, _Machine, explore
 from latchproof.parser import SourceFile, parse_program
+from latchproof.verifier import VerifyOptions, verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
 from tests.test_oracle import CONCRETE_CORPUS
 
@@ -121,6 +122,20 @@ def test_reduction_keeps_outcomes_on_generated_programs():
     # the sample mixes races, deadlocks, leaks and clean runs
     assert set().union(*kinds) == {"Race", "Deadlock", "Leak", "Clean"}
     assert len(kinds) >= 5
+
+
+def test_generated_verified_programs_neither_race_nor_deadlock():
+    # the verifier on the same programs: Verified means no schedule races or
+    # deadlocks (the oracle reports cells left under main's emp post as Leak,
+    # which the verifier's leak check allows); the count can only rise
+    verified = 0
+    for i, source in enumerate(GENERATED):
+        program = parse_program(SourceFile(f"generated-{i}", source))
+        [main] = [v for v in verify_program(program, VerifyOptions()) if v.proc == "main"]
+        if main.ok:
+            verified += 1
+            assert explore(program, BOUNDS).kinds <= {"Clean", "Leak"}, source
+    assert verified >= 60
 
 
 # Programs whose latch steps run eagerly beside other threads' steps: the

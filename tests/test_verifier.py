@@ -10,9 +10,7 @@ from latchproof.parser import (
 from latchproof.lemmas import split_for
 from latchproof.pure import SolverResult, Status
 from latchproof.syntax import Cnt, PAnd, Term
-from latchproof.verifier import (
-    VerifyOptions, branch_precondition, check_leak, verify_program,
-)
+from latchproof.verifier import VerifyOptions, check_leak, verify_program
 from tests.test_golden import fan_in_source
 
 
@@ -192,22 +190,24 @@ def test_frame_property(frame, extra):
 
 # -- branch footprints ------------------------------------------------------------
 
+def branch_demands(p, code):
+    """The atoms a `||` branch abduces when it runs from emp."""
+    pv = verifier._ProcVerifier(p, p.proc("main"), VerifyOptions(), names.FreshGen())
+    _, abduction, _ = pv._run_branch(F("emp"), code)
+    return abduction.demands
+
+
 def test_branch_precondition_inline_countdown(load):
     p = load("deadlock_intra")
-    body = p.proc("main").body
-    par = body.second
-    t = branch_precondition(p, par.branches[0], names.FreshGen())
-    atoms = t.formula.single().heap
+    atoms = branch_demands(p, p.proc("main").body.second.branches[0])
     assert len(atoms) == 1 and isinstance(atoms[0], Cnt)
     assert atoms[0].count == Term.of(1)
 
 
 def test_branch_precondition_call(load):
     p = load("cdl2")
-    body = p.proc("main").body
-    par = body.second
-    t = branch_precondition(p, par.branches[0], names.FreshGen())
-    kinds = {type(a).__name__ for a in t.formula.single().heap}
+    kinds = {type(a).__name__
+             for a in branch_demands(p, p.proc("main").body.second.branches[0])}
     assert "LatchOut" in kinds and "Cnt" in kinds
 
 
@@ -436,3 +436,55 @@ def test_inconsistent_join_is_reported(monkeypatch):
     monkeypatch.setattr(verifier._ProcVerifier, "_branch_local", lambda self, r, code: r)
     [v] = run("void main() requires emp ensures emp; { n = 1; ( n = 5 || skip ) }")
     assert v.kind == "SpecFailure" and "inconsistent at the join" in v.message
+
+
+# -- branch footprints by abduction ---------------------------------------------
+
+CELLS = """
+data cell { int val; }
+void put(cell p, int v)
+  requires ex u. p::cell(u)
+  ensures  p::cell(v);
+{ p.val = v; }
+void main() requires emp ensures emp;
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "x = new cell(1); ( m = x.val || skip ); x.val = 2",                        # a read
+    "x = new cell(1); ( put(x, 2) || skip )",                                   # ex u in a pre
+    "x = new cell(1); ( m = x.val || k = x.val ); x.val = 3",                   # two readers
+    "x = new cell(1); y = new cell(2); ( m = x.val || k = y.val ); x.val = 3",
+    "x = new cell(1); ( m = x.val; x.val = 2 || skip ); x.val = 3",             # read, then write
+    "x = new cell(1); n = 1; ( if (n > 0) { m = x.val; } else { x.val = 2; } || skip ); "
+    "x.val = 3",
+    "x = new cell(1); ( ( m = x.val || k = x.val ) || skip ); x.val = 3",       # nested readers
+])
+def test_branch_demands_come_back_at_the_join(body):
+    p = parse_program(SourceFile("t", CELLS + f"{{ {body} }}"))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "Verified"
+    assert explore(p).kinds == {"Leak"}    # main's emp post leaves the cells behind
+
+
+@pytest.mark.parametrize("body", [
+    "( x = y; x.val = 1 || y.val = 2 )",
+    "( x = y; m = x.val || y.val = 2 )",
+])
+def test_aliased_accesses_race(body):
+    # the first branch reaches y's cell through x after assigning x; its
+    # demand cannot name the cell by x, which means another value at the split
+    p = parse_program(SourceFile(
+        "t", CELLS + f"{{ x = new cell(1); y = new cell(2); {body} }}"))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind != "Verified"
+    assert "Race" in explore(p).kinds
+
+
+def test_read_shares_halve_and_merge():
+    # each reader gets half of what is left; the join merges the equal shares
+    p = parse_program(SourceFile(
+        "t", CELLS + "{ x = new cell(1); ( m = x.val || k = x.val ); x.val = 3 }"))
+    [v] = [v for v in verify_program(p, VerifyOptions()) if v.proc == "main"]
+    rendered = [format_state(f) for _, f in v.trace.points]
+    assert any("x::cell(1)@1/2" in r for r in rendered)
+    assert any("x::cell(1)@1/4" in r for r in rendered)
+    assert rendered[-1].startswith("x::cell(3) ")
