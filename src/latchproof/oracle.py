@@ -247,15 +247,21 @@ class _Machine:
         if item is None or item[0] != "run":
             return reads, writes
         node = item[1]
-        env = dict(t.env)
+        own: dict = {}      # what the block has assigned so far
+
+        def cell(v):
+            return own[v] if v in own else t.env.get(v)
+
         for sub in walk_expr(node.body) if isinstance(node, Atomic) else (node,):
             if isinstance(sub, FieldWrite):
-                writes.add(env.get(sub.base))
+                writes.add(cell(sub.base))
             elif isinstance(sub, Assign):
                 if isinstance(sub.rhs, FieldRead):
-                    reads.add(env.get(sub.rhs.base))
-                env[sub.lhs] = env.get(sub.rhs.name) if isinstance(sub.rhs, VarRead) else None
-        return reads - {None}, writes - {None}
+                    reads.add(cell(sub.rhs.base))
+                own[sub.lhs] = cell(sub.rhs.name) if isinstance(sub.rhs, VarRead) else None
+        reads.discard(None)
+        writes.discard(None)
+        return reads, writes
 
     # -- stepping ------------------------------------------------------------
 

@@ -4,8 +4,10 @@ Every construct is handled by spec-pair application: the state must entail
 the chosen pre-condition (discovering resource bindings), and the residue
 is starred with the instantiated post-condition. Each step normalizes the
 state with the lemma table (which also records wait-for arcs and checks the
-inconsistency lemmas); par points split the state along the branches'
-computed footprints.
+inconsistency lemmas). At a par point each branch runs once, from the part
+of the state every branch gets; the atoms it finds missing are abduced as
+its demands (bi-abduction's anti-frame), the state is split by them, and
+the join stars the frame with each run's post under the split's bindings.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .pure import SolverUnknown, Status
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch,
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
-    If, Join, LatchIn, LatchOut, New, Par, Perm, PNot, PointsTo, ProcDecl, Program,
+    If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
     ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
-    formula, free_vars, free_vars_disjunct, is_resvar, pand, star, subst_disjunct, subst_perms,
-    substitute, eq as peq, lt as plt,
+    formula, free_vars, free_vars_disjunct, is_resvar, pand, pure_free_vars, star,
+    subst_disjunct, subst_perms, substitute, eq as peq, lt as plt,
 )
 
 
@@ -74,17 +76,16 @@ class VerdictError(Exception):
 
 @dataclass
 class _Abduction:
-    """What one `||` branch has found missing so far: its demands on the
-    state it is split from, over fresh names (E) and variables the branch
-    has not assigned, so that they name values of the branch's start."""
-    demands: list = field(default_factory=list)      # heap atoms
+    """What a `||` branch has found missing: its demands on the state it is
+    split from, named by fresh names (E) and variables it has not assigned."""
+    demands: list[Disjunct] = field(default_factory=list)
     E: set[str] = field(default_factory=set)
     written: set[str] = field(default_factory=set)
     # permission variables rewritten since: read shares made full, shares split
     perms: dict[str, Perm] = field(default_factory=dict)
 
-    def atoms(self, since: int = 0) -> Formula:
-        return formula(*self.demands[since:])
+    def demand(self, since: int = 0) -> Formula:
+        return Formula((_merged(self.demands[since:]),))
 
 
 LEAKABLE = (LatchIn, LatchOut, ThreadNode, ThreadSpec)
@@ -220,10 +221,11 @@ class _ProcVerifier:
 
     def _missing(self, d: Disjunct, E: set[str], want: Disjunct):
         """What `want` (over the fresh names E) needs beyond `d`, for the
-        branch to abduce: (atoms, their fresh names, read shares to make
-        full), or None when `d` lacks nothing or a lacking atom names a
-        variable the branch assigned. Counters lack by the countdowns `d` is
-        short of, at the least counts `want` allows."""
+        branch to abduce: (the lacking atoms with the pure facts of `want`
+        about them, their fresh names, read shares to make full), or None
+        when `d` lacks nothing or a lacking atom names a variable the branch
+        assigned. Counters lack by the countdowns `d` is short of, at the
+        least counts `want` allows."""
         ab = self.abduct
         atoms, upgrades = [], {}
         for a in want.heap:
@@ -244,13 +246,18 @@ class _ProcVerifier:
                     upgrades[found[1].perm.single_var()] = FULL
             elif not _serves(d, a):
                 atoms.append(a)
+        fresh = set(E)
         for i, a in enumerate(atoms):    # a symbolic share gets a fresh variable
             if isinstance(a, (PointsTo, Cnt)) and not a.perm.is_concrete:
                 atoms[i] = replace(a, perm=Perm.pvar(self.gen.fresh("f")))
+                fresh.add(atoms[i].perm.vars[0])
         if not (atoms or upgrades) or any(atom_free_vars(a) & ab.written for a in atoms):
             return None
-        return atoms, E | {a.perm.vars[0] for a in atoms
-                           if isinstance(a, (PointsTo, Cnt)) and a.perm.vars}, upgrades
+        bound = set().union(*map(atom_free_vars, atoms))
+        parts = want.pure.parts if isinstance(want.pure, PAnd) else (want.pure,)
+        pure = pand([p for p in parts if atoms and pure_free_vars(p) & E <= bound
+                     and not pure_free_vars(p) & ab.written])
+        return Disjunct((), tuple(atoms), pure), fresh, upgrades
 
     def _ensure(self, state: Formula, E: set[str], want: Disjunct, span: Span) -> Formula:
         """In a `||` branch: `state` with what its disjuncts lack of `want`
@@ -260,11 +267,11 @@ class _ProcVerifier:
             need = self._missing(state.disjuncts[i], E, want)
             i += 1
             if need is not None:
-                atoms, fresh, upgrades = need
+                demand, fresh, upgrades = need
                 ab.E |= fresh
                 self._refine(upgrades)
-                ab.demands += atoms
-                state = self._add_demands(state, len(ab.demands) - len(atoms), span)
+                ab.demands.append(demand)
+                state = self._add_demands(state, len(ab.demands) - 1, span)
         return state
 
     def _refine(self, perms: dict[str, Perm]):
@@ -273,7 +280,7 @@ class _ProcVerifier:
         if not perms:
             return
         ab.perms = {v: p.subst(perms) for v, p in ab.perms.items()} | perms
-        ab.demands = list(subst_perms(ab.atoms(), perms).single().heap)
+        ab.demands = [subst_perms(Formula((d,)), perms).single() for d in ab.demands]
 
     def _paths(self, jobs, span: Span) -> list[Disjunct]:
         """Run each job, a disjunct and what to run from it. In a `||` branch
@@ -294,7 +301,7 @@ class _ProcVerifier:
         if len(ab.demands) == since and not ab.perms:
             return f
         held = any(isinstance(b, Cnt) for d in f.disjuncts for b in d.heap)
-        f = star(subst_perms(f, ab.perms), ab.atoms(since), self.gen)
+        f = star(subst_perms(f, ab.perms), ab.demand(since), self.gen)
         return self._normalize(f, span) if held else f
 
     # -- per-step housekeeping ---------------------------------------------
@@ -347,7 +354,10 @@ class _ProcVerifier:
             return self._exec_if(state, e, span)
 
         if isinstance(e, Par):
-            return self._exec_par(state, e, span)
+            new = Formula(tuple(self._paths(
+                [(d, lambda f: self._par(f, e, span)) for d in state.disjuncts], span)))
+            self._trace(span, new)
+            return new
 
         if isinstance(e, (VarRead, ConstE, FieldRead)):
             return state  # value discarded
@@ -518,12 +528,6 @@ class _ProcVerifier:
             raise VerdictError("SpecFailure", span, "both branches of if are unreachable")
         return self._settle(Formula(tuple(out)), span)
 
-    def _exec_par(self, state: Formula, e: Par, span: Span) -> Formula:
-        new = Formula(tuple(self._paths(
-            [(d, lambda f: self._par(f, e, span)) for d in state.disjuncts], span)))
-        self._trace(span, new)
-        return new
-
     def _par(self, state: Formula, e: Par, span: Span) -> Formula:
         """One split of a disjunct over all N branches, and one join. Each
         branch runs once from what every branch gets; what it abduces is its
@@ -531,11 +535,11 @@ class _ProcVerifier:
         try:
             start = branch_start(state, len(e.branches))
             runs = [self._run_branch(start, code) for code in e.branches]
-            targets = [SplitTarget(ab.atoms(), ab.E) for _, ab, _ in runs]
+            targets = [SplitTarget(ab.demand(), ab.E) for _, ab, _ in runs]
             if self.abduct is not None:
                 # a nested block: the enclosing branch abduces what the state lacks
-                state = self._ensure(state, set().union(*(ab.E for _, ab, _ in runs)), formula(
-                    *(a for _, ab, _ in runs for a in ab.demands)).single(), span)
+                state = self._ensure(state, set().union(*(ab.E for _, ab, _ in runs)),
+                                     _merged([d for _, ab, _ in runs for d in ab.demands]), span)
             split = split_for(state, targets, gen=self.gen)
         except SplitFailure as ex:
             raise VerdictError("SpecFailure", span, ex.diag.message)
@@ -556,10 +560,8 @@ class _ProcVerifier:
         its `_Abduction` and the trace points it made."""
         outer, self.abduct = self.abduct, _Abduction()
         mark = len(self.trace.points)
-        try:
-            post = self.exec(start, code)
-        finally:
-            ab, self.abduct = self.abduct, outer
+        post = self.exec(start, code)    # a verdict error ends the whole procedure
+        ab, self.abduct = self.abduct, outer
         points = self.trace.points[mark:]
         del self.trace.points[mark:]
         return post, ab, points
@@ -617,6 +619,10 @@ class _ProcVerifier:
 
 def _unsat(d: Disjunct) -> bool:
     return solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
+
+
+def _merged(ds: list[Disjunct]) -> Disjunct:
+    return Disjunct((), tuple(a for d in ds for a in d.heap), pand([d.pure for d in ds]))
 
 
 def _serves(d: Disjunct, a) -> bool:

@@ -194,7 +194,7 @@ def branch_demands(p, code):
     """The atoms a `||` branch abduces when it runs from emp."""
     pv = verifier._ProcVerifier(p, p.proc("main"), VerifyOptions(), names.FreshGen())
     _, abduction, _ = pv._run_branch(F("emp"), code)
-    return abduction.demands
+    return abduction.demand().single().heap
 
 
 def test_branch_precondition_inline_countdown(load):
@@ -459,6 +459,11 @@ void main() requires emp ensures emp;
     "x = new cell(1); n = 1; ( if (n > 0) { m = x.val; } else { x.val = 2; } || skip ); "
     "x.val = 3",
     "x = new cell(1); ( ( m = x.val || k = x.val ) || skip ); x.val = 3",       # nested readers
+    # both arms run: a cell one arm abduces is the other arm's too
+    "x = new cell(1); y = new cell(1); "
+    "( m = y.val; if (m > 0) { x.val = 1; } else { x.val = 2; } || skip ); x.val = 3",
+    "x = new cell(1); y = new cell(1); "
+    "( m = y.val; if (m > 0) { skip; } else { x.val = 2; } || skip ); x.val = 3",
 ])
 def test_branch_demands_come_back_at_the_join(body):
     p = parse_program(SourceFile("t", CELLS + f"{{ {body} }}"))
