@@ -84,9 +84,6 @@ class _Abduction:
     # permission variables rewritten since: read shares made full, shares split
     perms: dict[str, Perm] = field(default_factory=dict)
 
-    def demand(self, since: int = 0) -> Formula:
-        return Formula((_merged(self.demands[since:]),))
-
 
 LEAKABLE = (LatchIn, LatchOut, ThreadNode, ThreadSpec)
 
@@ -271,7 +268,7 @@ class _ProcVerifier:
                 ab.E |= fresh
                 self._refine(upgrades)
                 ab.demands.append(demand)
-                state = self._add_demands(state, len(ab.demands) - 1, span)
+                state = self._add_demands(state, [demand], span)
         return state
 
     def _refine(self, perms: dict[str, Perm]):
@@ -291,17 +288,19 @@ class _ProcVerifier:
             return [x for d, run in jobs for x in run(Formula((d,))).disjuncts]
         first, done = len(ab.demands), []
         for d, run in jobs:
-            done.append((run(self._add_demands(Formula((d,)), first, span)), len(ab.demands)))
-        return [x for r, n in done for x in self._add_demands(r, n, span).disjuncts]
+            done.append((run(self._add_demands(Formula((d,)), ab.demands[first:], span)),
+                         len(ab.demands)))
+        return [x for r, n in done for x in self._add_demands(r, ab.demands[n:], span).disjuncts]
 
-    def _add_demands(self, f: Formula, since: int, span: Span) -> Formula:
-        """`f` with the branch's permission rewrites and demands from `since`
-        on. Only held counters meet abduced atoms in a lemma (N2, W2)."""
-        ab = self.abduct
-        if len(ab.demands) == since and not ab.perms:
+    def _add_demands(self, f: Formula, demands: list[Disjunct], span: Span) -> Formula:
+        """`f` with the branch's permission rewrites, * `demands`. Only held
+        counters meet abduced atoms in a lemma (N2, W2), so only a state that
+        holds counters is normalized."""
+        f = subst_perms(f, self.abduct.perms)
+        if not demands:
             return f
         held = any(isinstance(b, Cnt) for d in f.disjuncts for b in d.heap)
-        f = star(subst_perms(f, ab.perms), ab.demand(since), self.gen)
+        f = star(f, Formula((_merged(demands),)), self.gen)
         return self._normalize(f, span) if held else f
 
     # -- per-step housekeeping ---------------------------------------------
@@ -535,7 +534,7 @@ class _ProcVerifier:
         try:
             start = branch_start(state, len(e.branches))
             runs = [self._run_branch(start, code) for code in e.branches]
-            targets = [SplitTarget(ab.demand(), ab.E) for _, ab, _ in runs]
+            targets = [SplitTarget(Formula((_merged(ab.demands),)), ab.E) for _, ab, _ in runs]
             if self.abduct is not None:
                 # a nested block: the enclosing branch abduces what the state lacks
                 state = self._ensure(state, set().union(*(ab.E for _, ab, _ in runs)),
