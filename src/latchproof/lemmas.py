@@ -7,13 +7,12 @@ it. Normalization applies the rewrite rules per disjunct, first applicable
 in table order and at the lowest heap position: unit payloads, count
 combination, final-state absorption, trapped-resource release, dead-thread
 collapsing/release, cell-share merging, wait-for union/reset and
-completion-order arcs. The
-inconsistency rules are checked on every state the fixpoint reaches,
-turning their patterns into race/deadlock verdicts.
+completion-order arcs. The inconsistency rules are checked on every state
+the fixpoint reaches, turning their patterns into race/deadlock verdicts.
 
 Each rule reads the atoms of one key at a time (a latch, a thread id, a
-cell, or the wait-for shares), except W2, which reads every count. The fixpoint
-keeps each disjunct's heap indexed by key, and after a rewrite it runs
+cell, or the wait-for shares), except W2, which reads every count. The
+fixpoint keeps each disjunct's heap indexed by key, and after a rewrite it runs
 each rule and check only on the keys whose atoms have changed since that
 rule or check last found them clean. The keys left out hold no match, so
 the first match found is the one a scan of the whole heap finds.

@@ -173,11 +173,8 @@ class _ProcVerifier:
         `abduce` needs and the state lacks is abduced first."""
         if self.abduct is not None and pairs:
             E, pre, _ = pairs[abduce]
-            d = pre.disjuncts[0]
-            # the precondition's existentials are fresh values too
-            ren = {v: Term.var(self.gen.fresh(v.split("#")[0])) for v in d.exists}
-            want = subst_disjunct(Disjunct((), d.heap, d.pure), ren, self.gen) if ren else d
-            state = self._ensure(state, E | {t.is_var() for t in ren.values()}, want, span)
+            d = pre.disjuncts[0]    # its existentials are instantiable too
+            state = self._ensure(state, E | set(d.exists), Disjunct((), d.heap, d.pure), span)
         out = []
         for d in state.disjuncts:
             dstate = Formula((d,))
@@ -243,18 +240,22 @@ class _ProcVerifier:
                     upgrades[found[1].perm.single_var()] = FULL
             elif not _serves(d, a):
                 atoms.append(a)
-        fresh = set(E)
-        for i, a in enumerate(atoms):    # a symbolic share gets a fresh variable
-            if isinstance(a, (PointsTo, Cnt)) and not a.perm.is_concrete:
-                atoms[i] = replace(a, perm=Perm.pvar(self.gen.fresh("f")))
-                fresh.add(atoms[i].perm.vars[0])
-        if not (atoms or upgrades) or any(atom_free_vars(a) & ab.written for a in atoms):
+        if not (atoms or upgrades) or any((atom_free_vars(a) - E) & ab.written for a in atoms):
             return None
         bound = set().union(*map(atom_free_vars, atoms))
         parts = want.pure.parts if isinstance(want.pure, PAnd) else (want.pure,)
         pure = pand([p for p in parts if atoms and pure_free_vars(p) & E <= bound
-                     and not pure_free_vars(p) & ab.written])
-        return Disjunct((), tuple(atoms), pure), fresh, upgrades
+                     and not (pure_free_vars(p) - E) & ab.written])
+        # the demand's values get names of their own, apart from those of the
+        # pair the step entails next
+        ren = {v: Term.var(self.gen.fresh(v.split("#")[0])) for v in bound & E}
+        demand = subst_disjunct(Disjunct((), tuple(atoms), pure), ren, self.gen)
+        fresh, heap = {t.is_var() for t in ren.values()}, list(demand.heap)
+        for i, a in enumerate(heap):    # a symbolic share gets a fresh variable
+            if isinstance(a, (PointsTo, Cnt)) and not a.perm.is_concrete:
+                heap[i] = replace(a, perm=Perm.pvar(self.gen.fresh("f")))
+                fresh.add(heap[i].perm.vars[0])
+        return Disjunct((), tuple(heap), demand.pure), fresh, upgrades
 
     def _ensure(self, state: Formula, E: set[str], want: Disjunct, span: Span) -> Formula:
         """In a `||` branch: `state` with what its disjuncts lack of `want`
@@ -481,7 +482,7 @@ class _ProcVerifier:
                    if any(f == fieldname for _, f in dd.fields)), None)
         if self.abduct is None or dd is None:
             return state
-        vals = [self.gen.fresh("w") for _ in dd.fields]
+        vals = [f for _, f in dd.fields]    # `_missing` renames them apart
         cell = PointsTo(base, dd.name, tuple(map(Term.var, vals)),
                         FULL if write else Perm.pvar("f"))
         return self._ensure(state, set(vals), formula(cell).single(), span)

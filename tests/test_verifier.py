@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from latchproof import names, pure, verifier
-from latchproof.oracle import explore
+from latchproof.oracle import OracleBounds, explore
 from latchproof.parser import (
     SourceFile, format_state, parse_formula, parse_program, parse_pure,
 )
@@ -493,3 +493,20 @@ def test_read_shares_halve_and_merge():
     assert any("x::cell(1)@1/2" in r for r in rendered)
     assert any("x::cell(1)@1/4" in r for r in rendered)
     assert rendered[-1].startswith("x::cell(3) ")
+
+
+def test_fork_in_a_branch():
+    # the abduced descriptor threadspec(t, P, Q) * P names its resources apart
+    # from the fork's own spec pair, which then binds them
+    src = """
+    void down(CountDownLatch c) requires emp ensures emp;
+    { countDown(c); }
+    void main() requires emp ensures emp;
+    {
+      c = create_latch(1); t = create_thread(down) with emp, emp;
+      ( countDown(c) || fork(t, c) || await(c) ); join(t)
+    }
+    """
+    p = parse_program(SourceFile("t", src))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "Verified"
+    assert explore(p, OracleBounds(max_threads=10)).kinds == {"Clean"}
