@@ -174,7 +174,7 @@ class _ProcVerifier:
         if self.abduct is not None and pairs:
             E, pre, _ = pairs[abduce]
             d = pre.disjuncts[0]    # its existentials are instantiable too
-            state = self._ensure(state, E | set(d.exists), Disjunct((), d.heap, d.pure), span)
+            state = self._ensure(state, E | set(d.exists) if d.exists else E, d, span)
         out = []
         for d in state.disjuncts:
             dstate = Formula((d,))
