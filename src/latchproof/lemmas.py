@@ -849,10 +849,18 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
             key = (latch, need == -1)
             share = perm_spec if perm_spec.is_concrete else shares[key]
             pvs = perm_spec.vars
+            each = share.divide(len(pvs)) if len(pvs) > 1 and share.is_concrete else share
             if len(pvs) > 1 and not share.is_concrete:
-                raise SplitFailure(Diagnostic(
-                    "SpecFailure", f"cannot split symbolic permission of {latch}"))
-            perms.update({v: share if len(pvs) == 1 else share.divide(len(pvs)) for v in pvs})
+                if share.frac:
+                    raise SplitFailure(Diagnostic(
+                        "SpecFailure", f"cannot split symbolic permission of {latch}"))
+                # the demand sums several variables: the share's own variables
+                # split as many ways, into copies of a fresh one
+                part = Perm.pvar(gen.fresh("f"))
+                more = {u: sum([part] * (len(pvs) - 1), part) for u in share.vars}
+                refined = {v: p.subst(more) for v, p in refined.items()} | more
+                each, share = sum([part] * (len(share.vars) - 1), part), share.subst(more)
+            perms.update({v: each for v in pvs})
             branch_atoms.append(Cnt(latch, Term.of(need), share))
         branch_atoms.extend(shared)
         branches.append(Formula((Disjunct(consumed.single().exists,

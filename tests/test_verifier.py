@@ -495,6 +495,17 @@ def test_read_shares_halve_and_merge():
     assert rendered[-1].startswith("x::cell(3) ")
 
 
+@pytest.mark.parametrize("count,kind", [(4, "Verified"), (5, "DeadlockError")])
+def test_counter_shares_split_in_nested_blocks(count, kind):
+    # each level splits a share that the level above handed down symbolically
+    body = (f"c = create_latch({count}); ( ( ( countDown(c) || countDown(c) ) || countDown(c) ) "
+            "|| countDown(c) || await(c) )")
+    p = parse_program(SourceFile("t", f"void main() requires emp ensures emp; {{ {body} }}"))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == kind
+    assert explore(p, OracleBounds(max_threads=12)).kinds == (
+        {"Clean"} if kind == "Verified" else {"Deadlock"})
+
+
 def test_fork_in_a_branch():
     # the abduced descriptor threadspec(t, P, Q) * P names its resources apart
     # from the fork's own spec pair, which then binds them
