@@ -59,7 +59,8 @@ def apply(delta: Formula, binding: tuple[str, Formula], gen=None) -> Formula:
     for d in delta.disjuncts:
         clash = set(d.exists) & free_vars(image)
         if clash:
-            ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in clash}
+            # in binding order, so the names drawn do not depend on set order
+            ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in d.exists if v in clash}
             inner = subst_disjunct(Disjunct((), d.heap, d.pure), ren, gen)
             new_exists = tuple(ren[v].is_var() if v in ren else v for v in d.exists)
             d = Disjunct(new_exists, inner.heap, inner.pure)

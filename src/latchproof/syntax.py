@@ -484,7 +484,8 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
             d2r = d2
             clash = d2.exists and set(d2.exists) & (set(d1.exists) | free_vars_disjunct(d1))
             if clash:
-                ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in clash}
+                # in binding order, so the names drawn do not depend on set order
+                ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in d2.exists if v in clash}
                 d2r = subst_disjunct(
                     Disjunct((), d2.heap, d2.pure), ren, gen
                 )
@@ -656,6 +657,79 @@ def subst_perms(f: Formula, rho: dict[str, Perm]) -> Formula:
         tuple(Disjunct(d.exists, tuple(fix(a) for a in d.heap), d.pure) for d in f.disjuncts),
         f.span,
     )
+
+
+class Renaming:
+    """Replaces the names in `ren` wherever they occur in a formula, a
+    disjunct or a permission, in bound positions too: existentials,
+    quantified and spec-bound variables, permission and resource
+    variables, latch and thread ids, wait arcs. The new names must occur
+    nowhere in what is renamed, so nothing is renamed apart. Term
+    coefficients and permission variables are put back in order."""
+
+    def __init__(self, ren: dict[str, str]):
+        self.ren, self.get = ren, ren.get
+
+    def __call__(self, x):
+        t = type(x)
+        return self.form(x) if t is Formula else self.disjunct(x) if t is Disjunct else self.perm(x)
+
+    def ids(self, vs: tuple[str, ...]) -> tuple[str, ...]:
+        get = self.get
+        return tuple([get(v, v) for v in vs])
+
+    def term(self, t: Term) -> Term:
+        ren, get = self.ren, self.get
+        if not any([v in ren for v, _ in t.coeffs]):
+            return t
+        return Term(tuple(sorted([(get(v, v), c) for v, c in t.coeffs])), t.const)
+
+    def perm(self, p: Perm) -> Perm:
+        if not any([v in self.ren for v in p.vars]):
+            return p
+        return Perm(p.frac, tuple(sorted(self.ids(p.vars))))
+
+    def pure(self, p: Pure) -> Pure:
+        t = type(p)
+        if t is Cmp:
+            return Cmp(p.op, self.term(p.lhs), self.term(p.rhs))
+        if t is PAnd or t is POr:
+            return t(tuple([self.pure(q) for q in p.parts]))
+        if t is PNot:
+            return PNot(self.pure(p.body))
+        if t is PExists or t is PForall:
+            return t(self.ids(p.vars), self.pure(p.body))
+        return p
+
+    def atom(self, a: HeapAtom) -> HeapAtom:
+        t, get = type(a), self.get
+        if t is Cnt:
+            return Cnt(get(a.latch, a.latch), self.term(a.count), self.perm(a.perm))
+        if t is PointsTo:
+            return PointsTo(get(a.root, a.root), a.ctor, tuple([self.term(u) for u in a.args]),
+                            self.perm(a.perm))
+        if t is Wait:
+            return Wait(frozenset([(get(u, u), get(v, v)) for u, v in a.arcs]), self.perm(a.perm))
+        if t is LatchIn or t is LatchOut:
+            arg = a.payload
+            arg = RVar(get(arg.name, arg.name)) if type(arg) is RVar else RForm(self.form(arg.formula))
+            return t(get(a.latch, a.latch), arg)
+        if t is ThreadNode:
+            return ThreadNode(get(a.tid, a.tid), self.form(a.post))
+        if t is ThreadSpec:
+            return ThreadSpec(get(a.tid, a.tid), self.ids(a.bound), self.form(a.pre),
+                              self.form(a.post))
+        if t is Dead:
+            return Dead(get(a.tid, a.tid))
+        if t is ResVarAtom:
+            return ResVarAtom(get(a.name, a.name))
+        raise TypeError(a)
+
+    def disjunct(self, d: Disjunct) -> Disjunct:
+        return Disjunct(self.ids(d.exists), tuple([self.atom(a) for a in d.heap]), self.pure(d.pure))
+
+    def form(self, f: Formula) -> Formula:
+        return Formula(tuple([self.disjunct(d) for d in f.disjuncts]), f.span)
 
 
 def is_resvar(name: str) -> bool:

@@ -8,10 +8,13 @@ inconsistency lemmas). At a par point each branch runs once, from the part
 of the state every branch gets; the atoms it finds missing are abduced as
 its demands (bi-abduction's anti-frame), the state is split by them, and
 the join stars the frame with each run's post under the split's bindings.
+Branches with equal code run once: the others copy that run, renamed to
+the fresh names their own runs would have drawn.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,10 +32,10 @@ from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch,
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
     If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
-    ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
+    Renaming, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
     formula, free_vars, free_vars_disjunct, is_resvar, pand, pure_free_vars, star,
-    subst_disjunct, subst_perms, substitute, eq as peq, lt as plt,
+    subst_disjunct, subst_perms, substitute, walk_expr, eq as peq, lt as plt,
 )
 
 
@@ -247,8 +250,9 @@ class _ProcVerifier:
         pure = pand([p for p in parts if atoms and pure_free_vars(p) & E <= bound
                      and not (pure_free_vars(p) - E) & ab.written])
         # the demand's values get names of their own, apart from those of the
-        # pair the step entails next
-        ren = {v: Term.var(self.gen.fresh(v.split("#")[0])) for v in bound & E}
+        # pair the step entails next, drawn in the order the old ones were
+        ren = {v: Term.var(self.gen.fresh(v.split("#")[0]))
+               for v in sorted(bound & E, key=_draw_order)}
         demand = subst_disjunct(Disjunct((), tuple(atoms), pure), ren, self.gen)
         fresh, heap = {t.is_var() for t in ren.values()}, list(demand.heap)
         for i, a in enumerate(heap):    # a symbolic share gets a fresh variable
@@ -534,7 +538,7 @@ class _ProcVerifier:
         demand on the split, and its post is bound by the split's bindings."""
         try:
             start = branch_start(state, len(e.branches))
-            runs = [self._run_branch(start, code) for code in e.branches]
+            runs = self._run_branches(start, e.branches)
             targets = [SplitTarget(Formula((_merged(ab.demands),)), ab.E) for _, ab, _ in runs]
             if self.abduct is not None:
                 # a nested block: the enclosing branch abduces what the state lacks
@@ -554,6 +558,43 @@ class _ProcVerifier:
                 self._trace(sp, result if f is post else self._bind(f, bound))
             results.append(self._branch_local(result, code))
         return self._join(split.frame, results, span)
+
+    def _run_branches(self, start: Formula, codes: tuple[Expr, ...]) -> list:
+        """Each branch's run from `start`. Code equal to an earlier branch's
+        yields that run up to the names it draws, so it is not run again:
+        its copy draws the same prefixes in the same order and takes the
+        names a run of its own would have drawn. A run that warned is not
+        copied, since its warnings name the branch's spans."""
+        counts, firsts, runs = Counter(codes), {}, []
+        for code in codes:
+            if code in firsts:
+                runs.append(self._copy_run(*firsts[code], code))
+                continue
+            if counts[code] == 1:
+                runs.append(self._run_branch(start, code))
+                continue
+            outer, self.gen = self.gen, _Recorder(self.gen)
+            warned = len(self.warnings)
+            runs.append(self._run_branch(start, code))
+            if len(self.warnings) == warned:
+                firsts[code] = runs[-1], self.gen.drawn, code
+            self.gen = outer
+        return runs
+
+    def _copy_run(self, run, drawn: list[tuple[str, str]], code: Expr, copy: Expr):
+        """`run` of `code` as a run of the equal `copy`: the names it drew
+        renamed to fresh ones, its trace points at `copy`'s spans."""
+        post, ab, points = run
+        ren = {name: self.gen.fresh(prefix) for prefix, name in drawn}
+        rename = Renaming(ren)
+        new_post = rename(post)
+        new_ab = _Abduction([rename(d) for d in ab.demands], {ren.get(v, v) for v in ab.E},
+                            set(ab.written), {ren.get(v, v): rename(p) for v, p in ab.perms.items()})
+        if points:
+            spans = {a.span: b.span for a, b in zip(walk_expr(code), walk_expr(copy))}
+            points = [(spans.get(sp, sp), new_post if f is post else rename(f))
+                      for sp, f in points]
+        return new_post, new_ab, points
 
     def _run_branch(self, start: Formula, code: Expr):
         """Run one `||` branch from `start`, abducing what it lacks: its post,
@@ -619,6 +660,24 @@ class _ProcVerifier:
 
 def _unsat(d: Disjunct) -> bool:
     return solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
+
+
+class _Recorder:
+    """A fresh-name generator that notes each (prefix, name) it draws."""
+
+    def __init__(self, gen: names.FreshGen):
+        self.gen, self.drawn = gen, []
+
+    def fresh(self, prefix: str) -> str:
+        name = self.gen.fresh(prefix)
+        self.drawn.append((prefix, name))
+        return name
+
+
+def _draw_order(name: str) -> tuple[str, int]:
+    """Sorts the fresh names of one prefix in the order they were drawn."""
+    prefix, _, n = name.partition("#")
+    return prefix, int(n) if n else -1
 
 
 def _merged(ds: list[Disjunct]) -> Disjunct:

@@ -4,7 +4,7 @@ from latchproof import names
 from latchproof.entail import addVar, apply, entail, subst
 from latchproof.parser import parse_formula, unparse_formula
 from latchproof.syntax import (
-    Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, PointsTo, RForm,
+    Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, PointsTo, ResVarAtom, RForm,
     RVar, Term, TRUE,
 )
 
@@ -171,6 +171,15 @@ def test_apply_alpha_renames_existentials():
     f = apply(F("ex y. x::cell(y) * V"), ("V", F("y::cell(2)")))
     d = f.single()
     assert d.exists and d.exists[0] != "y"
+
+
+def test_apply_renames_clashing_existentials_in_binding_order():
+    # eight clashing names: drawing them in set order would scramble them
+    bound = tuple(f"v#{i}" for i in range(1, 9))
+    delta = Formula((Disjunct(bound, (ResVarAtom("V"),), TRUE),))
+    image = Formula((Disjunct((), tuple(PointsTo(v, "cell", ()) for v in bound), TRUE),))
+    f = apply(delta, ("V", image), names.FreshGen(8))
+    assert f.single().exists == tuple(f"v#{i}" for i in range(9, 17))
 
 
 # -- exist lifting ---------------------------------------------------------------

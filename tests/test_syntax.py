@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from latchproof import names
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
-    Par, Perm, Seq, Skip, Term, check_wellformed, free_vars, substitute, walk_expr,
-    _expr_children,
+    FULL, TRUE, Cmp, Cnt, Disjunct, Formula, LatchIn, Par, Perm, PForall, PointsTo, Renaming,
+    ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec, Wait, check_wellformed, free_vars, star,
+    substitute, walk_expr, _expr_children,
 )
 
 
@@ -55,6 +56,37 @@ def test_substitute_idempotent_when_range_disjoint():
     rho = {"v": Term.of(5), "n": Term.of(2)}
     once = substitute(f, rho)
     assert substitute(once, rho) == once
+
+
+def _sample(n, f, v, d, k, P):
+    """One name of each kind that a renaming reaches, next to older names of
+    the same prefixes (n#5, f#5)."""
+    pre = Formula((Disjunct((), (ResVarAtom(P),), TRUE),))
+    return Formula((Disjunct((v,), (
+        Cnt("c", Term.var("n#5") + Term.var(n), Perm.pvar("f#5") + Perm.pvar(f)),
+        PointsTo(v, "cell", (Term.var(n),), Perm.pvar(f)),
+        Wait(frozenset({("c", d)}), FULL),
+        LatchIn(d, RVar(P)),
+        ThreadSpec("t", (k,), pre, pre),
+    ), PForall((k,), Cmp("ne", Term.var(k), Term.var(n)))),))
+
+
+def test_renaming_reaches_bound_names_and_keeps_canonical_order():
+    # n#9 -> n#10 moves before n#5 in name order, as a later draw does, so
+    # the renamed term and permission must be sorted again
+    old = ("n#9", "f#9", "v#9", "d#9", "k#9", "P#9")
+    new = ("n#10", "f#10", "v#10", "d#10", "k#10", "P#10")
+    assert Renaming(dict(zip(old, new)))(_sample(*old)) == _sample(*new)
+
+
+def test_star_renames_clashing_existentials_in_binding_order():
+    # eight clashing names: drawing them in set order would scramble them
+    bound = tuple(f"v#{i}" for i in range(1, 9))
+    left = Formula((Disjunct((), tuple(PointsTo(v, "cell", ()) for v in bound), TRUE),))
+    right = Formula((Disjunct(bound, tuple(PointsTo("x", "cell", (Term.var(v),)) for v in bound),
+                              TRUE),))
+    gen = names.FreshGen(8)
+    assert star(left, right, gen).single().exists == tuple(f"v#{i}" for i in range(9, 17))
 
 
 def test_fresh_monotone():
