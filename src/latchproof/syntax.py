@@ -661,11 +661,12 @@ def subst_perms(f: Formula, rho: dict[str, Perm]) -> Formula:
 
 class Renaming:
     """Replaces the names in `ren` wherever they occur in a formula, a
-    disjunct or a permission, in bound positions too: existentials,
-    quantified and spec-bound variables, permission and resource
-    variables, latch and thread ids, wait arcs. The new names must occur
-    nowhere in what is renamed, so nothing is renamed apart. Term
-    coefficients and permission variables are put back in order."""
+    disjunct, a permission or program code, in bound positions too:
+    existentials, quantified and spec-bound variables, permission and
+    resource variables, latch and thread ids, wait arcs. `ren` must be
+    one-to-one on the names that occur, and a new name must not be one
+    that occurs and stays, so nothing is renamed apart. Term coefficients
+    and permission variables are put back in order."""
 
     def __init__(self, ren: dict[str, str]):
         self.ren, self.get = ren, ren.get
@@ -730,6 +731,43 @@ class Renaming:
 
     def form(self, f: Formula) -> Formula:
         return Formula(tuple([self.disjunct(d) for d in f.disjuncts]), f.span)
+
+    def expr(self, e: "Expr") -> "Expr":
+        """Code, with every variable it reads, writes or passes renamed, in
+        its guards and the formulas it carries too; spans are kept."""
+        t, get, term = type(e), self.get, self.term
+        if t is Seq:
+            return Seq(self.expr(e.first), self.expr(e.second), e.span)
+        if t is Par:
+            return Par(tuple([self.expr(b) for b in e.branches]), e.span)
+        if t is Atomic:
+            return Atomic(self.expr(e.body), e.span)
+        if t is If:
+            return If(self.pure(e.cond), self.expr(e.then), self.expr(e.els), e.span)
+        if t is Assign:
+            return Assign(get(e.lhs, e.lhs), self.expr(e.rhs), e.span)
+        if t is CountDown or t is Await or t is Join:
+            return t(get(e.var, e.var), e.span)
+        if t is Fork:
+            return Fork(get(e.var, e.var), tuple([term(a) for a in e.args]), e.span)
+        if t is Call:
+            return Call(e.name, tuple([term(a) for a in e.args]), e.span)
+        if t is New:
+            return New(e.ctor, tuple([term(a) for a in e.args]), e.span)
+        if t is VarRead:
+            return VarRead(get(e.name, e.name), e.span)
+        if t is FieldRead:
+            return FieldRead(get(e.base, e.base), e.fieldname, e.span)
+        if t is FieldWrite:
+            return FieldWrite(get(e.base, e.base), e.fieldname, term(e.rhs), e.span)
+        if t is CreateLatch:
+            payload = None if e.payload is None else self.form(e.payload)
+            return CreateLatch(term(e.count), payload, e.span)
+        if t is CreateThread:
+            return CreateThread(e.proc, self.form(e.pre), self.form(e.post), e.span)
+        if t is Assert:
+            return Assert(self.form(e.formula), e.span)
+        return e    # skip, constants
 
 
 def is_resvar(name: str) -> bool:

@@ -8,8 +8,10 @@ inconsistency lemmas). At a par point each branch runs once, from the part
 of the state every branch gets; the atoms it finds missing are abduced as
 its demands (bi-abduction's anti-frame), the state is split by them, and
 the join stars the frame with each run's post under the split's bindings.
-Branches with equal code run once: the others copy that run, renamed to
-the fresh names their own runs would have drawn.
+Branches whose code is the same up to the names of its variables run once
+when the shared start names none of those variables: the others copy that
+run, with the variables renamed and the fresh names renamed to those their
+own runs would have drawn.
 """
 
 from __future__ import annotations
@@ -101,6 +103,10 @@ class _ProcVerifier:
         self.trace = SymTrace()
         self.warnings: list[str] = []
         self.abduct: Optional[_Abduction] = None    # set while a `||` branch runs
+        # names a copied run may not rename: the verifier draws fresh names
+        # under them, or abduction names a cell's values by its fields
+        self.kept = _DRAWN | {f for dd in program.data_decls for _, f in dd.fields}
+        self.shapes: dict[Expr, tuple[Expr, tuple[str, ...]]] = {}
 
     # -- spec instantiation ------------------------------------------------
 
@@ -560,36 +566,84 @@ class _ProcVerifier:
         return self._join(split.frame, results, span)
 
     def _run_branches(self, start: Formula, codes: tuple[Expr, ...]) -> list:
-        """Each branch's run from `start`. Code equal to an earlier branch's
-        yields that run up to the names it draws, so it is not run again:
-        its copy draws the same prefixes in the same order and takes the
-        names a run of its own would have drawn. A run that warned is not
-        copied, since its warnings name the branch's spans."""
-        counts, firsts, runs = Counter(codes), {}, []
-        for code in codes:
-            if code in firsts:
-                runs.append(self._copy_run(*firsts[code], code))
+        """Each branch's run from `start`. A code with the shape of an
+        earlier branch's is that code under a renaming σ of its variables.
+        When neither side's variables occur in `start`, whose names alone
+        the run sees, its run is the earlier run under σ up to the names it
+        draws, so it is not run again: its copy draws the same prefixes
+        under σ in the same order and takes the names a run of its own
+        would have drawn. Equal code is the case σ = identity. A run that
+        warned is not copied, since its warnings name the branch's spans."""
+        # a shape keeps the node type, so a code of a type no other branch
+        # has is its own shape
+        kinds = [type(code) for code in codes]
+        shapes = [self._shape(code) if kinds.count(kind) > 1 else (code, ())
+                  for code, kind in zip(codes, kinds)]
+        counts = Counter(shape for shape, _ in shapes)
+        if len(counts) < len(codes):
+            met = _names(start)
+            shapes = [(shape, vs) if met.isdisjoint(vs) else (code, ())
+                      for code, (shape, vs) in zip(codes, shapes)]
+            counts = Counter(shape for shape, _ in shapes)
+        firsts, runs = {}, []
+        for code, (shape, vs) in zip(codes, shapes):
+            if shape in firsts:
+                run, drawn, first, first_vs = firsts[shape]
+                sigma = {u: v for u, v in zip(first_vs, vs) if u != v}
+                runs.append(self._copy_run(run, drawn, first, code, sigma))
                 continue
-            if counts[code] == 1:
+            if counts[shape] == 1:
                 runs.append(self._run_branch(start, code))
                 continue
             outer, self.gen = self.gen, _Recorder(self.gen)
             warned = len(self.warnings)
             runs.append(self._run_branch(start, code))
             if len(self.warnings) == warned:
-                firsts[code] = runs[-1], self.gen.drawn, code
+                firsts[shape] = runs[-1], self.gen.drawn, code, vs
             self.gen = outer
         return runs
 
-    def _copy_run(self, run, drawn: list[tuple[str, str]], code: Expr, copy: Expr):
-        """`run` of `code` as a run of the equal `copy`: the names it drew
-        renamed to fresh ones, its trace points at `copy`'s spans."""
+    def _shape(self, code: Expr) -> tuple[Expr, tuple[str, ...]]:
+        """`code` with its variables replaced by placeholders #0, #1, ... in
+        order of first occurrence, and those variables in that order: codes
+        of one shape are renamings of each other. The `kept` names and
+        resource variables stay. A code whose variables occur in a formula
+        it carries or in the spec of a procedure it calls is its own shape,
+        since a run could rename a bound name apart from them."""
+        if code not in self.shapes:
+            namer = _Namer(self.kept)
+            shape = Renaming(namer).expr(code), tuple(namer)
+            if namer and any(_names(f) & namer.keys() for f in self._formulas(code)):
+                shape = code, ()
+            self.shapes[code] = shape
+        return self.shapes[code]
+
+    def _formulas(self, code: Expr):
+        """The formulas `code` carries, and the specs of the procedures it calls."""
+        for e in walk_expr(code):
+            if isinstance(e, Assert):
+                yield e.formula
+            elif isinstance(e, CreateLatch) and e.payload is not None:
+                yield e.payload
+            elif isinstance(e, CreateThread):
+                yield from (e.pre, e.post)
+            elif isinstance(e, Call) and (callee := self.program.proc(e.name)) is not None:
+                for sp in callee.specs:
+                    yield from (sp.pre, sp.post)
+
+    def _copy_run(self, run, drawn: list[tuple[str, str]], code: Expr, copy: Expr,
+                  sigma: dict[str, str]):
+        """`run` of `code` as a run of `copy`, which is `code` under the
+        renaming `sigma` of its variables: `sigma` applied throughout, each
+        name the run drew renamed to a fresh one drawn under `sigma` of its
+        prefix, and the trace points at `copy`'s spans."""
         post, ab, points = run
-        ren = {name: self.gen.fresh(prefix) for prefix, name in drawn}
-        rename = Renaming(ren)
+        rename = Renaming({name: self.gen.fresh(sigma.get(prefix, prefix))
+                           for prefix, name in drawn} | sigma)
         new_post = rename(post)
-        new_ab = _Abduction([rename(d) for d in ab.demands], {ren.get(v, v) for v in ab.E},
-                            set(ab.written), {ren.get(v, v): rename(p) for v, p in ab.perms.items()})
+        new_ab = _Abduction([rename(d) for d in ab.demands], set(rename.ids(ab.E)),
+                            set(rename.ids(ab.written)),
+                            {rename.get(v, v): rename(p) for v, p in ab.perms.items()})
         if points:
             spans = {a.span: b.span for a, b in zip(walk_expr(code), walk_expr(copy))}
             points = [(spans.get(sp, sp), new_post if f is post else rename(f))
@@ -660,6 +714,38 @@ class _ProcVerifier:
 
 def _unsat(d: Disjunct) -> bool:
     return solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
+
+
+# the prefixes the verifier draws fresh names under for itself: spec pairs
+# of the latch primitives, entailment and the lemmas
+_DRAWN = frozenset({"P", "Q", "V", "f", "n"})
+
+
+class _Namer(dict):
+    """A map for `Renaming` that gives each name it is asked about, bar
+    `keep` and resource variables, the next placeholder #0, #1, ...: its
+    keys are the names met, in order of first occurrence."""
+
+    def __init__(self, keep=frozenset()):
+        super().__init__()
+        self.keep = keep
+
+    def __contains__(self, v) -> bool:
+        return v not in self.keep and not is_resvar(v)
+
+    def get(self, v: str, default=None):
+        if v not in self:
+            return default
+        if not dict.__contains__(self, v):
+            self[v] = f"#{len(self)}"
+        return self[v]
+
+
+def _names(f: Formula):
+    """Every name in `f`, free or bound, bar resource variables."""
+    namer = _Namer()
+    Renaming(namer)(f)
+    return namer.keys()
 
 
 class _Recorder:

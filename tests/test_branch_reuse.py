@@ -1,6 +1,8 @@
-"""A `||` branch whose code equals an earlier branch's is not run again: the
-earlier run is copied with its fresh names renamed to the ones a run of its
-own would draw. Checked here against verification that runs every branch."""
+"""A `||` branch whose code is an earlier branch's up to the names of its
+variables is not run again when the start names none of them: the earlier
+run is copied with the variables renamed and its fresh names renamed to the
+ones a run of its own would draw. Checked here against verification that
+runs every branch."""
 
 import dataclasses
 import os
@@ -13,7 +15,7 @@ import pytest
 from latchproof import names, verifier
 from latchproof.oracle import OracleBounds, explore
 from latchproof.parser import SourceFile, parse_program, unparse_program
-from latchproof.syntax import Atomic, If, Par, Seq
+from latchproof.syntax import Atomic, If, Par, Renaming, Seq
 from latchproof.verifier import VerifyOptions, verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
 from tests.test_oracle_reduction import GENERATED
@@ -46,31 +48,39 @@ EXTRA = [
 ]
 
 
-def _repeat_first(e):
-    """Every block ( a || b ) as ( a || a || b ), all the way down."""
+def _repeat_first(e, ren):
+    """Every block ( a || b ) as ( a || a' || b ), all the way down, where a'
+    is a with its variables renamed by `ren`."""
     if isinstance(e, Par):
-        branches = tuple(map(_repeat_first, e.branches))
-        return Par(branches[:1] + branches, e.span)
+        branches = tuple(_repeat_first(b, ren) for b in e.branches)
+        return Par(branches[:1] + (Renaming(ren).expr(branches[0]),) + branches[1:], e.span)
     if isinstance(e, Seq):
-        return dataclasses.replace(e, first=_repeat_first(e.first), second=_repeat_first(e.second))
+        return dataclasses.replace(e, first=_repeat_first(e.first, ren),
+                                   second=_repeat_first(e.second, ren))
     if isinstance(e, If):
-        return dataclasses.replace(e, then=_repeat_first(e.then), els=_repeat_first(e.els))
+        return dataclasses.replace(e, then=_repeat_first(e.then, ren),
+                                   els=_repeat_first(e.els, ren))
     if isinstance(e, Atomic):
-        return dataclasses.replace(e, body=_repeat_first(e.body))
+        return dataclasses.replace(e, body=_repeat_first(e.body, ren))
     return e
 
 
-def _variant(source: str) -> str:
-    """The program with each block's first branch repeated, printed again so
-    that the copies have spans of their own."""
+def _variant(source: str, ren=None) -> str:
+    """The program with a copy of each block's first branch, renamed by
+    `ren`, after it; printed again so that the copies have spans of their
+    own."""
     p = parse_program(SourceFile("t", source))
     return unparse_program(dataclasses.replace(p, proc_decls=tuple(
-        dataclasses.replace(d, body=_repeat_first(d.body)) if d.body is not None else d
+        dataclasses.replace(d, body=_repeat_first(d.body, ren or {})) if d.body is not None else d
         for d in p.proc_decls)))
 
 
 SOURCES = ([path.read_text() for path in CORPUS] + FAMILIES + GENERATED + EXTRA)
 VARIANTS = [_variant(s) for s in GENERATED + EXTRA + [path.read_text() for path in CORPUS]]
+# the copy swaps the cells and the latches, or shifts a family's latches round
+RENAMED = ([_variant(s, {"x": "y", "y": "x", "c": "d", "d": "c"}) for s in GENERATED + EXTRA]
+           + [_variant(build(n), {f"c{i}": f"c{(i + 1) % n}" for i in range(n)})
+              for build in (fan_in_source, chain_source, ring_source) for n in range(2, 9)])
 
 
 def _outcomes(source: str):
@@ -84,13 +94,19 @@ def _every_branch_runs(self, start, codes):
     return [self._run_branch(start, code) for code in codes]
 
 
-@pytest.mark.parametrize("group", ["sources", "variants"])
-def test_reuse_matches_running_every_branch(group, monkeypatch):
-    sources = SOURCES if group == "sources" else VARIANTS
-    copies = []
+def _copies(monkeypatch) -> list[dict]:
+    """The renaming of each copy made from now on."""
+    sigmas = []
     copy_run = verifier._ProcVerifier._copy_run
     monkeypatch.setattr(verifier._ProcVerifier, "_copy_run",
-                        lambda self, *args: copies.append(1) or copy_run(self, *args))
+                        lambda self, *args: sigmas.append(args[-1]) or copy_run(self, *args))
+    return sigmas
+
+
+@pytest.mark.parametrize("group", ["sources", "variants", "renamed"])
+def test_reuse_matches_running_every_branch(group, monkeypatch):
+    sources = {"sources": SOURCES, "variants": VARIANTS, "renamed": RENAMED}[group]
+    copies = _copies(monkeypatch)
     reused = [_outcomes(s) for s in sources]
     monkeypatch.setattr(verifier._ProcVerifier, "_run_branches", _every_branch_runs)
     for source, outcome in zip(sources, reused):
@@ -98,6 +114,10 @@ def test_reuse_matches_running_every_branch(group, monkeypatch):
     # not vacuous: fan-in-2 to fan-in-8 alone copy 28 runs, and each
     # variant that reaches its block copies one
     assert len(copies) >= (28 if group == "sources" else len(sources))
+    # copies under a renaming: chain-2…8 and ring-2…8 alone make 49, and
+    # the renamed variants, at least one a generated program
+    if group != "variants":
+        assert sum(map(bool, copies)) >= (49 if group == "sources" else len(GENERATED))
 
 
 def test_verified_variants_neither_race_nor_deadlock():
@@ -118,27 +138,114 @@ def test_verified_variants_neither_race_nor_deadlock():
     assert verified >= 33
 
 
-@pytest.mark.parametrize("n", [4, 16, 64])
-def test_fan_in_runs_two_branch_bodies(n, monkeypatch):
+def _branch_runs(source: str, monkeypatch):
+    """The outcomes of verifying `source`, and the codes of the `||`
+    branches that ran."""
     runs = []
     run_branch = verifier._ProcVerifier._run_branch
-    monkeypatch.setattr(verifier._ProcVerifier, "_run_branch",
-                        lambda self, start, code: runs.append(code) or run_branch(self, start, code))
-    [v] = verify_program(parse_program(SourceFile("t", fan_in_source(n))), VerifyOptions())
-    assert v.ok and len(runs) == 2
+    with monkeypatch.context() as m:
+        m.setattr(verifier._ProcVerifier, "_run_branch",
+                  lambda self, start, code: runs.append(code) or run_branch(self, start, code))
+        return _outcomes(source), runs
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_fan_in_runs_two_branch_bodies(n, monkeypatch):
+    [(_, kind, *_)], runs = _branch_runs(fan_in_source(n), monkeypatch)
+    assert kind == "Verified" and len(runs) == 2
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_chain_and_ring_run_one_link(n, monkeypatch):
+    # a chain runs its first countDown, one link and its last await; a ring
+    # is all links
+    [(_, kind, *_)], runs = _branch_runs(chain_source(n), monkeypatch)
+    assert kind == "Verified" and len(runs) == 3
+    [(_, kind, *_)], runs = _branch_runs(ring_source(n), monkeypatch)
+    assert kind == "DeadlockError" and len(runs) == 1
+
+
+def _agrees_with_every_branch(source: str, monkeypatch):
+    """The outcomes, equal to those of running every branch, and how many
+    branches ran."""
+    reused, runs = _branch_runs(source, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(verifier._ProcVerifier, "_run_branches", _every_branch_runs)
+        assert reused == _outcomes(source)
+    return reused, len(runs)
+
+
+def test_start_that_names_a_variable_blocks_the_copy(monkeypatch):
+    # the first two branches have one shape, but the start tells x from y:
+    # only the first counts down, so d is never opened; await(d) is a copy
+    source = """void main() requires emp ensures emp;
+    { c = create_latch(1); d = create_latch(1); x = 1; y = 2;
+      ( if (x = 1) { countDown(c) } else { skip } || if (y = 1) { countDown(d) } else { skip }
+        || await(c) || await(d) ) }"""
+    [(_, kind, lemma, *_)], runs = _agrees_with_every_branch(source, monkeypatch)
+    assert (kind, lemma, runs) == ("DeadlockError", "E2", 3)
+    assert explore(parse_program(SourceFile("t", source))).kinds == {"Deadlock"}
+
+
+def test_repeated_variable_is_not_two_variables(monkeypatch):
+    source = """void main() requires emp ensures emp;
+    { c = create_latch(3); d = create_latch(1);
+      ( countDown(c); countDown(c) || countDown(c); countDown(d) || await(c) || await(d) ) }"""
+    [(_, kind, *_)], runs = _agrees_with_every_branch(source, monkeypatch)
+    assert (kind, runs) == ("Verified", 3)
+    assert explore(parse_program(SourceFile("t", source)), OracleBounds(max_threads=8)).kinds \
+        == {"Clean"}
+
+
+def test_callee_spec_that_binds_the_new_name_blocks_the_copy(monkeypatch):
+    # put(x, 1) and put(y, 1) have one shape, but put's spec binds y
+    source = """data cell { int val; }
+    void put(cell p, int v) requires ex y. p::cell(y) ensures ex y. p::cell(y) & y = v;
+    { p.val = v; }
+    void main() requires emp ensures emp;
+    { x = new cell(0); y = new cell(0); ( put(x, 1) || put(y, 1) ) }"""
+    outcomes, runs = _agrees_with_every_branch(source, monkeypatch)
+    assert (outcomes[-1][:2], runs) == (("main", "Verified"), 2)
+
+
+@pytest.mark.parametrize("main, runs", [
+    # the verifier draws fresh names under n and f for itself, and names a
+    # cell's abduced value by its field: such variables are not renamed,
+    # and the reassignment after the block shows the names drawn
+    ("n = create_latch(1); c = create_latch(1); "
+     "( countDown(n) || countDown(c) || await(n) || await(c) ); n = create_latch(0)", 4),
+    ("f = create_latch(1); c = create_latch(1); "
+     "( countDown(f) || countDown(c) || await(f) || await(c) ); f = create_latch(0)", 4),
+    ("x = new cell(1); y = new cell(2); ( val = x.val || k = y.val )", 2),
+    # a copy draws the names for an assigned variable under its new name
+    ("x = new cell(1); y = new cell(2); ( m = x.val || k = y.val ); m = 3", 1),
+    ("x = new cell(1); y = new cell(2); "
+     "( m = x.val; x.val = m + 1 || k = y.val; y.val = k + 1 ); m = x.val", 1),
+])
+def test_copy_draws_the_names_of_its_own_run(main, runs, monkeypatch):
+    source = CELLS + f"void main() requires emp ensures emp; {{ {main} }}"
+    outcomes, ran = _agrees_with_every_branch(source, monkeypatch)
+    assert outcomes[-1][1] == "Verified" and ran == runs
 
 
 def test_trace_does_not_depend_on_hash_seed():
     # two writes to one cell in a nested block draw fresh names that share a
     # prefix; their order once followed the order of a set of names
+    # a copy renamed across variables changes the order names sort in
+    mains = [
+        "x = new cell(0); y = new cell(0); n = 2; ( ( y.val = 2 || y.val = 2 ); y.val = 1 || skip )",
+        "x = new cell(0); y = new cell(0); c = create_latch(1); d = create_latch(1); "
+        "( y.val = 2; k = y.val; countDown(d) || x.val = 2; m = x.val; countDown(c) "
+        "|| await(c) || await(d) ); x.val = 3",
+    ]
     script = (
         "from latchproof.parser import SourceFile, parse_program\n"
         "from latchproof.verifier import VerifyOptions, verify_program\n"
-        f"src = {CELLS!r} + 'void main() requires emp ensures emp; {{ x = new cell(0); "
-        "y = new cell(0); n = 2; ( ( y.val = 2 || y.val = 2 ); y.val = 1 || skip ) }'\n"
-        "for v in verify_program(parse_program(SourceFile('t', src)), VerifyOptions()):\n"
-        "    print(v.proc, v.kind, v.message)\n"
-        "    print(v.trace.render())\n")
+        f"for body in {mains!r}:\n"
+        f"    src = {CELLS!r} + 'void main() requires emp ensures emp; {{ ' + body + ' }}'\n"
+        "    for v in verify_program(parse_program(SourceFile('t', src)), VerifyOptions()):\n"
+        "        print(v.proc, v.kind, v.message)\n"
+        "        print(v.trace.render())\n")
     env = {k: v for k, v in os.environ.items() if k != "LATCHPROOF_SEED"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
     outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,

@@ -521,3 +521,23 @@ def test_fork_in_a_branch():
     p = parse_program(SourceFile("t", src))
     assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "Verified"
     assert explore(p, OracleBounds(max_threads=10)).kinds == {"Clean"}
+
+
+# Open precision defects, each the subject of a FOUND line in CHANGES.md: the
+# verifier gives SpecFailure where the oracle explores only clean runs.
+@pytest.mark.parametrize("post, body", [
+    pytest.param("ex a. y::cell(a)",
+                 "y = new cell(0); ( ( m = y.val || k = y.val ); y.val = 1 || skip )",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "FOUND: verifier.py `_missing` abduces one cell atom for each nested "
+                     "demand on the same cell"))),
+    pytest.param("ex a. x::cell(a)", "x = new cell(5); ( m = x.val; assert m = 5 || skip )",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "FOUND: verifier.py abduction gives a value read from an abduced cell "
+                     "a fresh name"))),
+])
+def test_clean_reads_in_branches_verify(post, body):
+    p = parse_program(SourceFile(
+        "t", f"data cell {{ int val; }}\nvoid main() requires emp ensures {post}; {{ {body} }}"))
+    assert explore(p).kinds == {"Clean"}
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "Verified"
