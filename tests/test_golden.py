@@ -1,5 +1,5 @@
-"""The showcase traces, the corpus agreement matrix and the symbolic traces
-of generated program families, byte for byte."""
+"""The showcase traces, the corpus agreement matrix, the symbolic traces of
+generated program families and the corpus token streams, byte for byte."""
 
 import os
 import pathlib
@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from latchproof import names
-from latchproof.parser import SourceFile, parse_program
+from latchproof.parser import SourceFile, parse_program, tokenize
 from latchproof.verifier import VerifyOptions, verify_program
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -70,8 +70,24 @@ def test_family_traces_match_golden(monkeypatch):
     assert render_families() == (GOLDEN / "families.txt").read_text()
 
 
+def render_tokens() -> str:
+    lines = []
+    for path in sorted((ROOT / "corpus").glob("*.lp")):
+        lines.append(f"=== {path.name}")
+        lines.extend(f"{t.line}:{t.col} {t.kind} {t.text}".rstrip()
+                     for t in tokenize(path.read_text()))
+    return "\n".join(lines) + "\n"
+
+
+def test_corpus_tokens_match_golden():
+    assert render_tokens() == (GOLDEN / "tokens.txt").read_text()
+
+
 if __name__ == "__main__":
-    # regenerate: python tests/test_golden.py > tests/golden/families.txt
-    os.environ.pop("LATCHPROOF_SEED", None)
-    names.reset_fresh(0)
-    sys.stdout.write(render_families())
+    # regenerate: python tests/test_golden.py [families|tokens] > tests/golden/<name>.txt
+    if sys.argv[1:] == ["tokens"]:
+        sys.stdout.write(render_tokens())
+    else:
+        os.environ.pop("LATCHPROOF_SEED", None)
+        names.reset_fresh(0)
+        sys.stdout.write(render_families())
