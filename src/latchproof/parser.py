@@ -13,12 +13,26 @@ Surface syntax:
     emp, true, false        units
     ex v. kappa & pi        existential disjunct; `|` separates disjuncts
 
-Uppercase-initial identifiers are resource variables. Comments run from
-`//` to end of line. Decimal permissions are converted to exact fractions.
+Uppercase-initial identifiers are resource variables. Decimal permissions
+are converted to exact fractions.
+
+Lexical grammar. Outside comments, any character that starts none of these
+ASCII tokens is a parse error:
+
+    ident    [A-Za-z_][A-Za-z0-9_#]*, unless it is one of KEYWORDS
+    int      [0-9]+
+    decimal  [0-9]+ "." [0-9]+
+    symbol   :: -> || != <= >= ==  ( ) { } , ; . | & * @ = < > + - ! /
+             (the longest symbol that matches)
+    comment  `//` to end of line
+    blank    space, tab, carriage return, newline
+
+Columns count characters from 1; a tab is one column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -65,8 +79,21 @@ KEYWORDS = {
     "join", "ex", "all",
 }
 
+# One alternative per token class, tried in order; `bad` catches any other
+# character. Longer symbols come first so that `||` is not lexed as `|`, `|`.
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<decimal>[0-9]+\.[0-9]+)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_#]*)",
+    "(?P<sym>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")",
+    r"(?P<bad>.)",
+]))
 
-@dataclass
+
+@dataclass(slots=True)
 class Token:
     kind: str  # 'ident' | 'int' | 'decimal' | 'sym' | 'kw' | 'eof'
     text: str
@@ -76,57 +103,20 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                toks.append(Token("decimal", text[i:k], line, col))
-                col += k - i
-                i = k
-            else:
-                toks.append(Token("int", text[i:j], line, col))
-                col += j - i
-                i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_#"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(line, col, "a token", c)
-    toks.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind != "space" and kind != "comment":
+            word, col = m.group(), m.start() - line_start + 1
+            if kind == "word":
+                kind = "kw" if word in KEYWORDS else "ident"
+            elif kind == "bad":
+                raise ParseError(line, col, "a token", word)
+            toks.append(Token(kind, word, line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -135,18 +125,21 @@ def tokenize(text: str) -> list[Token]:
 
 class _P:
     def __init__(self, toks: list[Token]):
+        # `eof` ends every token list, and the parser looks ahead only past
+        # tokens that are not `eof`: no `peek` reads beyond it
         self.toks = toks
+        # at(text) compares against the text of symbols and keywords only
+        self.texts = [t.text if t.kind in ("sym", "kw") else None for t in self.toks]
         self.i = 0
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        return self.toks[self.i + k]
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("sym", "kw")
+        return self.texts[self.i] == text
 
     def at_ident(self) -> bool:
-        return self.peek().kind == "ident"
+        return self.toks[self.i].kind == "ident"
 
     def take(self) -> Token:
         t = self.toks[self.i]
@@ -154,10 +147,11 @@ class _P:
         return t
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
+        t = self.toks[self.i]
+        if self.texts[self.i] != text:
             raise ParseError(t.line, t.col, repr(text), t.text)
-        return self.take()
+        self.i += 1
+        return t
 
     def expect_ident(self) -> Token:
         t = self.peek()

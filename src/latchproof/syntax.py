@@ -260,10 +260,11 @@ def pand(parts: Iterable[Pure]) -> Pure:
             continue
         if isinstance(p, PFalse):
             return FALSE
-        if isinstance(p, PAnd):
-            out.extend(p.parts)
-        else:
-            out.append(p)
+        # a repeated conjunct adds nothing: keep the first of each, in order
+        # (a list scan: conjunctions are short, and hashing a Pure is slower)
+        for q in p.parts if isinstance(p, PAnd) else (p,):
+            if q not in out:
+                out.append(q)
     if not out:
         return TRUE
     if len(out) == 1:

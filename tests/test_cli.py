@@ -84,10 +84,12 @@ def test_usage_error_exit_two(capsys):
 
 def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.lp"
-    bad.write_text("void main( {")
-    code, out = run_cli(capsys, "verify", str(bad))
-    assert code == 2
-    assert "parse error" in out
+    # `²` is a digit to str.isdigit, but not a token
+    for src in ["void main( {", "void main() requires emp ensures emp; { x = \u00b2; }"]:
+        bad.write_text(src, encoding="utf-8")
+        code, out = run_cli(capsys, "verify", str(bad))
+        assert code == 2
+        assert "parse error" in out
 
 
 def test_oracle_mode(capsys):

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latchproof.parser import (
-    ParseError, SourceFile, parse_formula, parse_program,
+    KEYWORDS, ParseError, SourceFile, parse_formula, parse_program, tokenize,
     unparse_formula, unparse_program,
 )
 from latchproof.syntax import (
@@ -87,6 +88,64 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as e:
         parse_formula("x::cell(")
     assert e.value.line == 1
+
+
+@pytest.mark.parametrize("ch", ["\u00b2", "\u00e9", "$"])
+def test_non_token_character_is_a_parse_error(ch):
+    # `²` passes str.isdigit and `é` str.isalpha; numbers and identifiers are ASCII
+    src = f"void main() requires emp ensures emp; {{ x = {ch}; }}"
+    with pytest.raises(ParseError) as e:
+        parse_program(SourceFile("t", src))
+    assert str(e.value) == f"1:45: expected a token, got {ch!r}"
+
+
+def test_end_of_input_after_a_comment_is_one_past_the_last_column():
+    src = "void main() requires emp ensures emp; { x = 1; // c"
+    with pytest.raises(ParseError) as e:
+        parse_program(SourceFile("t", src))
+    assert str(e.value) == "1:52: expected '}'"
+
+
+_SYMS = ["::", "->", "||", "!=", "<=", ">=", "==", "(", ")", "{", "}", ",", ";", ".",
+         "|", "&", "*", "@", "=", "<", ">", "+", "-", "!", "/"]
+# a comment starts after a space, so that it cannot extend a `/` token
+_SEPARATORS = [" ", "\t", "\r", "\n", " // c\n", " //\n", " // -> x 1.5\n"]
+
+
+def _random_token(r: random.Random) -> tuple[str, str]:
+    kind = r.choice(["ident", "kw", "int", "decimal", "sym"])
+    if kind == "ident":
+        head = r.choice("abcxyzPQR_")
+        text = head + "".join(r.choice("abz09_#") for _ in range(r.randint(0, 4)))
+        return ("kw" if text in KEYWORDS else "ident"), text
+    if kind == "kw":
+        return kind, r.choice(sorted(KEYWORDS))
+    if kind == "int":
+        return kind, str(r.randint(0, 1000))
+    if kind == "decimal":
+        return kind, f"{r.randint(0, 99)}.{r.randint(0, 99)}"
+    return kind, r.choice(_SYMS)
+
+
+def test_random_token_sequences_tokenize_back():
+    r = random.Random(7)
+    for _ in range(300):
+        text, want, line, col = "", [], 1, 1
+
+        def put(chunk):
+            nonlocal text, line, col
+            text += chunk
+            for c in chunk:
+                line, col = (line + 1, 1) if c == "\n" else (line, col + 1)
+
+        for _ in range(r.randint(0, 12)):
+            put("".join(r.choice(_SEPARATORS) for _ in range(r.randint(1, 3))))
+            kind, tok = _random_token(r)
+            want.append((kind, tok, line, col))
+            put(tok)
+        put(r.choice(["", " ", "\n", " // trailing"]))
+        want.append(("eof", "", line, col))
+        assert [(t.kind, t.text, t.line, t.col) for t in tokenize(text)] == want, text
 
 
 def test_print_parse_fixpoint_on_corpus(load):

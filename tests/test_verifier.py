@@ -222,6 +222,17 @@ def test_trace_records_program_points(load):
     assert "CNT(c,1)" in rendered and "CNT(c,-1)" in rendered
 
 
+def test_join_keeps_one_copy_of_the_start_pure_part():
+    # every branch's post carries the start's pure part; each join must keep
+    # one copy of it, not one per branch plus the frame's
+    src = ("void main(int x) requires emp & x > 0 ensures emp;\n{ "
+           + "( skip || skip ); " * 12 + "skip }")
+    v = by_proc(run(src))["main"]
+    assert v.ok
+    final = v.trace.points[-1][1]
+    assert [d.pure for d in final.disjuncts] == [F("emp & x > 0").single().pure]
+
+
 def test_exec_deterministic(load):
     vs1 = verify_program(load("cdl2"))
     vs2 = verify_program(load("cdl2"))
