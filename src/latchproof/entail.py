@@ -24,8 +24,8 @@ from .pure import SolverUnknown
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, atom_free_vars, EMP, free_vars, free_vars_disjunct, is_resvar, pand,
-    pure_free_vars, pure_subst, star, subst_atom, subst_disjunct, subst_perms, eq as peq,
+    TRUE, atom_free_vars, atom_root, EMP, free_vars, free_vars_disjunct, is_resvar, pand,
+    pure_free_vars, pure_subst, rename_apart, star, substitute, eq as peq,
 )
 
 
@@ -39,67 +39,16 @@ class EntailmentOutcome:
     failure_reason: Optional[Diagnostic] = None
     notes: tuple[str, ...] = ()
 
+    def bind(self, f: Formula, gen: names.FreshGen | None = None) -> Formula:
+        """`f` under the variable, permission and resource bindings found."""
+        return substitute(f, self.var_bindings, perms=self.perm_bindings, res=self.bindings,
+                          gen=gen)
+
 
 class _Fail(Exception):
     def __init__(self, code: str, message: str):
         self.diag = Diagnostic(code, message)
         super().__init__(message)
-
-
-# ---------------------------------------------------------------------------
-# subst / apply: replacing discovered resource variables by their definitions
-
-
-def apply(delta: Formula, binding: tuple[str, Formula], gen=None) -> Formula:
-    """Replace every occurrence of resource variable V by its definition,
-    distributing over *, disjunction, pure conjunction, and existentials."""
-    V, image = binding
-    gen = gen or names.default_gen()
-    out: list[Disjunct] = []
-    for d in delta.disjuncts:
-        clash = set(d.exists) & free_vars(image)
-        if clash:
-            # in binding order, so the names drawn do not depend on set order
-            ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in d.exists if v in clash}
-            inner = subst_disjunct(Disjunct((), d.heap, d.pure), ren, gen)
-            new_exists = tuple(ren[v].is_var() if v in ren else v for v in d.exists)
-            d = Disjunct(new_exists, inner.heap, inner.pure)
-        kept: list[HeapAtom] = []
-        copies = 0
-        for a in d.heap:
-            if isinstance(a, ResVarAtom) and a.name == V:
-                copies += 1
-            else:
-                kept.append(_apply_atom(a, V, image, gen))
-        pieces = Formula((Disjunct(d.exists, tuple(kept), d.pure),))
-        for _ in range(copies):
-            pieces = star(pieces, image, gen)
-        out.extend(pieces.disjuncts)
-    return Formula(tuple(out), delta.span)
-
-
-def _apply_atom(a: HeapAtom, V: str, image: Formula, gen) -> HeapAtom:
-    def fix_arg(arg: ResArg) -> ResArg:
-        if isinstance(arg, RVar):
-            return RForm(image) if arg.name == V else arg
-        return RForm(apply(arg.formula, (V, image), gen))
-
-    if isinstance(a, LatchIn):
-        return LatchIn(a.latch, fix_arg(a.payload))
-    if isinstance(a, LatchOut):
-        return LatchOut(a.latch, fix_arg(a.payload))
-    if isinstance(a, ThreadNode):
-        return ThreadNode(a.tid, apply(a.post, (V, image), gen))
-    if isinstance(a, ThreadSpec):
-        return ThreadSpec(a.tid, a.bound,
-                          apply(a.pre, (V, image), gen), apply(a.post, (V, image), gen))
-    return a
-
-
-def subst(bindings: dict[str, Formula], delta: Formula, gen=None) -> Formula:
-    for V, image in bindings.items():
-        delta = apply(delta, (V, image), gen)
-    return delta
 
 
 def addVar(atom, gen=None, instantiable=None):
@@ -146,22 +95,16 @@ def _single_resvar(f: Formula) -> Optional[str]:
 
 def _payload_value_vars(f: Formula) -> set[str]:
     """Free variables of a payload in value positions (not roots/latches/tids)."""
-    roots: set[str] = set()
-    for d in f.disjuncts:
-        for a in d.heap:
-            if isinstance(a, PointsTo):
-                roots.add(a.root)
-            elif isinstance(a, (LatchIn, LatchOut, Cnt)):
-                roots.add(a.latch)
-            elif isinstance(a, (ThreadNode, ThreadSpec, Dead)):
-                roots.add(a.tid)
-            elif isinstance(a, ResVarAtom):
-                roots.add(a.name)
+    roots = {atom_root(a) for d in f.disjuncts for a in d.heap}
     return {v for v in free_vars(f) if not is_resvar(v)} - roots
 
 
-def _is_emp(f: Formula) -> bool:
-    return all(not d.heap for d in f.disjuncts)
+def _open(d: Disjunct, gen: names.FreshGen) -> tuple[tuple[str, ...], Disjunct]:
+    """`d`'s existentials under fresh names, and its body over those names."""
+    if not d.exists:
+        return (), d
+    d = rename_apart(d, gen)
+    return d.exists, Disjunct((), d.heap, d.pure)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +112,10 @@ def _is_emp(f: Formula) -> bool:
 
 
 class _Ctx:
-    def __init__(self, E: set[str], ante: Disjunct, gen: names.FreshGen):
+    def __init__(self, E: set[str], ante: Disjunct, gen: names.FreshGen, rigid=frozenset()):
         self.E = E
         self.ante = ante
+        self.rigid = rigid
         self.pool: list[HeapAtom] = list(ante.heap)
         self.learned: list[Pure] = [] if isinstance(ante.pure, PTrue) else [ante.pure]
         self.obligations: list[Pure] = []
@@ -224,15 +168,7 @@ class _Ctx:
         self.obligations = oblig
 
     def prepare(self, atom: HeapAtom) -> HeapAtom:
-        a = subst_atom(atom, self.rho, self.gen) if self.rho else atom
-        if self.permb:
-            f = subst_perms(Formula((Disjunct((), (a,), TRUE),)), self.permb)
-            a = f.disjuncts[0].heap[0]
-        if isinstance(a, ResVarAtom):
-            return a
-        for V, image in self.D_all.items():
-            a = _apply_atom(a, V, image, self.gen)
-        return a
+        return substitute(atom, self.rho, perms=self.permb, res=self.D_all, gen=self.gen)
 
 
 # ---------------------------------------------------------------------------
@@ -270,41 +206,29 @@ def _unify(ctx: _Ctx, fa: Formula, fc: Formula, extra_E: set[str]) -> dict[str, 
     Returns bindings for extra_E variables; other discoveries go to ctx."""
     if len(fa.disjuncts) != 1 or len(fc.disjuncts) != 1:
         raise _Fail("UnifyFailure", "disjunctive payloads are not unifiable")
-    da, dc = fa.single(), fc.single()
-    if da.exists:
-        ren = {v: Term.var(ctx.gen.fresh(v.split("#")[0])) for v in da.exists}
-        da = subst_disjunct(Disjunct((), da.heap, da.pure), ren, ctx.gen)
-    # a payload value the antecedent does not mention is payload-local
+    _, da = _open(fa.single(), ctx.gen)
+    # a payload value that neither the antecedent nor the program mentions is
+    # payload-local
     local = _payload_value_vars(fc)
     if local:
-        local -= free_vars_disjunct(ctx.ante)
+        local -= free_vars_disjunct(ctx.ante) | ctx.rigid
     inner_E = set(extra_E) | ctx.E | local
-    if dc.exists:
-        ren = {v: Term.var(ctx.gen.fresh(v.split("#")[0])) for v in dc.exists}
-        dc = subst_disjunct(Disjunct((), dc.heap, dc.pure), ren, ctx.gen)
-        inner_E |= {t.is_var() for t in ren.values()}
+    opened, dc = _open(fc.single(), ctx.gen)
+    inner_E.update(opened)
 
     pool = list(da.heap)
     Dinner: dict[str, Formula] = {}
     trailing: list[str] = []
 
-    def local_prepare(atom):
-        a = subst_atom(atom, ctx.rho, ctx.gen) if ctx.rho else atom
-        if isinstance(a, ResVarAtom):
-            return a
-        for V, image in Dinner.items():
-            a = _apply_atom(a, V, image, ctx.gen)
-        return a
-
     for atom in dc.heap:
-        atom = local_prepare(atom)
+        atom = substitute(atom, ctx.rho, gen=ctx.gen)
         if isinstance(atom, ResVarAtom):
             name = atom.name
-            if name in Dinner or name in ctx.D_all:
-                image = Dinner.get(name) or ctx.D_all[name]
-                for d in image.disjuncts:
+            if name in ctx.D_all:
+                for d in ctx.D_all[name].disjuncts:
                     for sub_atom in d.heap:
-                        _unify_consume(ctx, pool, local_prepare(sub_atom), inner_E)
+                        _unify_consume(ctx, pool, substitute(sub_atom, ctx.rho, gen=ctx.gen),
+                                       inner_E)
                 continue
             if name in inner_E:
                 trailing.append(name)
@@ -320,11 +244,9 @@ def _unify(ctx: _Ctx, fa: Formula, fc: Formula, extra_E: set[str]) -> dict[str, 
     if trailing:
         if len(trailing) > 1:
             raise _Fail("UnifyFailure", "multiple open resource variables in one payload")
-        V = trailing[0]
         # The antecedent payload's constraint travels with the binding: it is
         # ghost knowledge about the bound atoms.
-        Dinner[V] = Formula((Disjunct((), tuple(pool), da.pure),))
-        pool = []
+        Dinner[trailing[0]] = Formula((Disjunct((), tuple(pool), da.pure),))
     elif pool:
         raise _Fail("UnifyFailure", "payload not fully consumed and no open variable")
 
@@ -549,7 +471,7 @@ def _match_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
     leftover: Optional[HeapAtom] = None
     image = Dinner.pop(V, None)
     if split:
-        if image is not None and not _is_emp(image):
+        if image is not None and not image.is_emp():
             leftover = type(c)(a.latch, RForm(image))
     elif image is not None:
         ctx.bind_res(V, image)
@@ -563,11 +485,11 @@ def _subsume(ctx: _Ctx, ante: Formula, cons: Formula):
     empty residue. Only ctx.E and cons's own existentials are instantiated;
     the instantiations of ctx.E carry over to ctx."""
     learned = Formula((Disjunct((), (), ctx.learned_pure()),))
-    sub = entail(ctx.E, star(learned, ante, ctx.gen), cons, gen=ctx.gen)
+    sub = entail(ctx.E, star(learned, ante, ctx.gen), cons, gen=ctx.gen, rigid=ctx.rigid)
     if not sub.success:
         raise _Fail("VarianceFailure", f"payload subsumption failed: "
                     f"{sub.failure_reason.message if sub.failure_reason else ''}")
-    if not _is_emp(sub.residue):
+    if not sub.residue.is_emp():
         raise _Fail("VarianceFailure", "payload subsumption left a residue")
     for v, t in sub.var_bindings.items():
         if v in ctx.E and v not in ctx.rho:
@@ -614,7 +536,7 @@ def _match_thread(ctx: _Ctx, c: ThreadNode):
             for W, img in Dinner.items():
                 ctx.bind_res(W, img)
             leftover = None
-            if image is not None and not _is_emp(image):
+            if image is not None and not image.is_emp():
                 leftover = ThreadNode(a.tid, image)  # thread-node split
             _consume(ctx, i, leftover)
             return
@@ -667,12 +589,15 @@ _SENDABLE = (PointsTo, LatchIn, LatchOut, ResVarAtom, ThreadNode, ThreadSpec)
 # The judgment
 
 
-def entail(E, delta_a: Formula, delta_c: Formula,
-           gen: names.FreshGen | None = None) -> EntailmentOutcome:
+def entail(E, delta_a: Formula, delta_c: Formula, gen: names.FreshGen | None = None,
+           rigid=frozenset()) -> EntailmentOutcome:
     """Check E |- delta_a <| delta_c, computing bindings and frame residue.
 
     Antecedent disjuncts must each entail the consequent; a consequent
-    disjunction must be derivable for exactly one disjunct (precision)."""
+    disjunction must be derivable for exactly one disjunct (precision).
+    The `rigid` names (a procedure's program variables) hold fixed values:
+    a payload value among them is never instantiated, though the
+    antecedent may not mention it."""
     E = set(E)
     gen = gen or names.default_gen()
 
@@ -682,7 +607,7 @@ def entail(E, delta_a: Formula, delta_c: Formula,
         failures = []
         for dc in delta_c.disjuncts:
             try:
-                successes.append(_entail_dd(set(E), da, dc, gen))
+                successes.append(_entail_dd(set(E), da, dc, gen, rigid))
             except _Fail as e:
                 failures.append(e.diag)
             except SolverUnknown as e:
@@ -720,22 +645,15 @@ def entail(E, delta_a: Formula, delta_c: Formula,
     return EntailmentOutcome(True, D, residue, var_b, perm_b, None, notes)
 
 
-def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen) -> dict:
+def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
+               rigid) -> dict:
     # EX-L: lift antecedent existentials to fresh names
-    if da.exists:
-        ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in da.exists}
-        da = subst_disjunct(Disjunct((), da.heap, da.pure), ren, gen)
+    _, da = _open(da, gen)
     # EX-R: rename consequent existentials and track them in E
-    exr: list[str] = []
-    if dc.exists:
-        ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in dc.exists}
-        dc = subst_disjunct(Disjunct((), dc.heap, dc.pure), ren, gen)
-        for t in ren.values():
-            w = t.is_var()
-            exr.append(w)
-            E.add(w)
+    exr, dc = _open(dc, gen)
+    E.update(exr)
 
-    ctx = _Ctx(E, da, gen)
+    ctx = _Ctx(E, da, gen, rigid)
 
     deferred: list[ResVarAtom] = []
     queue = list(dc.heap)
@@ -745,10 +663,7 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen) -> 
             image = ctx.D_all[atom.name]
             if len(image.disjuncts) != 1:
                 raise _Fail("UnifyFailure", f"binding of {atom.name} is disjunctive")
-            d = image.single()
-            if d.exists:
-                ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in d.exists}
-                d = subst_disjunct(Disjunct((), d.heap, d.pure), ren, gen)
+            _, d = _open(image.single(), gen)
             queue = list(d.heap) + queue
             if not isinstance(d.pure, PTrue):
                 ctx.obligations.append(d.pure)

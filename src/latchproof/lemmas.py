@@ -27,13 +27,13 @@ from typing import Callable, Optional
 
 from . import names
 from . import pure as solver
-from .entail import EntailmentOutcome, entail, subst as apply_bindings
+from .entail import EntailmentOutcome, entail
 from .parser import parse_formula, unparse_atom
 from .pure import SolverUnknown, Status
 from .syntax import (
     Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, pand, pure_eval, pure_free_vars, star, subst_disjunct, subst_perms, substitute,
+    TRUE, atom_root, pand, pure_eval, pure_free_vars, star, substitute,
     eq as peq, le as ple, lt as plt,
 )
 from .waitgraph import is_cyclic
@@ -706,12 +706,13 @@ def branch_start(delta: Formula, k: int) -> Formula:
     return Formula((Disjunct((), tuple(_shared(delta, k)), delta.single().pure),))
 
 
-def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResult:
+def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
+              rigid=frozenset()) -> SplitResult:
     """Partition a (single-disjunct) state among branch targets, splitting
     counters by demanded amounts, payload predicates by need, a cell's
     permission in halves for each target that reads it (a permission
     variable), and wait-for permissions evenly; leftovers form the
-    continuation frame."""
+    continuation frame. The `rigid` names are passed on to `entail`."""
     gen = gen or names.default_gen()
     shared = _shared(delta, len(targets))
     d = delta.single()
@@ -781,7 +782,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
         count_bindings.append(rho_counts)
         td_rest = Disjunct(td.exists, tuple(rest_atoms), td.pure)
         if rho_counts:
-            td_rest = subst_disjunct(td_rest, rho_counts, gen)
+            td_rest = substitute(td_rest, rho_counts, gen=gen)
         rest_targets.append(td_rest)
 
     # Check totals and compute permission shares per latch.
@@ -831,17 +832,15 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
                 held = _cell_of(remaining.single(), a.root)
                 if held is not None and held[1].perm.is_concrete:
                     halves[a.perm.single_var()] = held[1].perm.divide(2)
-        target_f = subst_perms(Formula((td,)), halves)
-        r = entail(set(t.E), remaining, target_f, gen=gen)
+        target_f = substitute(Formula((td,)), perms=halves)
+        r = entail(set(t.E), remaining, target_f, gen=gen, rigid=rigid)
         if not r.success:
             raise SplitFailure(Diagnostic(
                 "SpecFailure",
                 f"no partition satisfies a branch precondition: "
                 f"{r.failure_reason.message if r.failure_reason else ''}"))
         remaining = r.residue
-        consumed = substitute(target_f, r.var_bindings, gen) if r.var_bindings else target_f
-        consumed = apply_bindings(r.bindings, consumed, gen)
-        consumed = subst_perms(consumed, r.perm_bindings)
+        consumed = r.bind(target_f, gen)
         branch_atoms = list(consumed.single().heap)
         branch_pure = [pi, consumed.single().pure]
         perms = {**r.perm_bindings, **halves}
@@ -889,15 +888,12 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None) -> SplitResu
 def ambiguous_disjuncts(f: Formula) -> list[tuple[int, int]]:
     """Pairs of disjuncts whose conjunction is not shown unsatisfiable: such
     a disjunction is not resource-precise."""
-    out = []
     ds = f.disjuncts
+    keys = [sorted((type(x).__name__, atom_root(x)) for x in d.heap) for d in ds]
+    out = []
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
-            a, b = ds[i], ds[j]
-            ska = sorted((type(x).__name__, getattr(x, "latch", getattr(x, "root", getattr(x, "tid", getattr(x, "name", ""))))) for x in a.heap)
-            skb = sorted((type(x).__name__, getattr(x, "latch", getattr(x, "root", getattr(x, "tid", getattr(x, "name", ""))))) for x in b.heap)
-            if ska != skb:
-                continue
-            if solver.is_sat(pand([a.pure, b.pure]), want_model=False).status != Status.UNSAT:
+            if keys[i] == keys[j] and solver.is_sat(
+                    pand([ds[i].pure, ds[j].pure]), want_model=False).status != Status.UNSAT:
                 out.append((i, j))
     return out

@@ -45,7 +45,7 @@ from .syntax import (
     HeapAtom, If, Join, LatchIn, LatchOut, New, Par, Perm, PExists, PForall,
     PNot, PointsTo, ProcDecl, Program, Pure, PTrue, ResArg, ResVarAtom,
     RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode, ThreadSpec, VarRead, Wait,
-    TRUE, FALSE, FULL, is_resvar, pand, por,
+    TRUE, FALSE, FULL, atom_root, is_resvar, pand, por, substitute,
 )
 
 
@@ -652,8 +652,6 @@ def _thread_pair_perms(pair: SpecPair) -> SpecPair:
     across the pair: rewrite the post's invented permission variables to the
     pre's for the same latch, so permissions are conserved by every
     specification."""
-    from .syntax import subst_perms
-
     def invented(perm: Perm) -> Optional[str]:
         pv = perm.single_var()
         return pv if pv is not None and "#" in pv else None
@@ -683,7 +681,7 @@ def _thread_pair_perms(pair: SpecPair) -> SpecPair:
                     rho[pv] = Perm.pvar(wait_share)
     if not rho:
         return pair
-    return SpecPair(pair.pre, subst_perms(pair.post, rho), pair.ghost_resource)
+    return SpecPair(pair.pre, substitute(pair.post, perms=rho), pair.ghost_resource)
 
 
 def parse_program(src: SourceFile) -> Program:
@@ -729,18 +727,6 @@ _ATOM_ORDER = {
 }
 
 
-def _atom_root(a) -> str:
-    if isinstance(a, PointsTo):
-        return a.root
-    if isinstance(a, (LatchIn, LatchOut, Cnt)):
-        return a.latch
-    if isinstance(a, (ThreadNode, ThreadSpec, Dead)):
-        return a.tid
-    if isinstance(a, ResVarAtom):
-        return a.name
-    return ""
-
-
 def unparse_atom(a) -> str:
     if isinstance(a, PointsTo):
         args = ",".join(str(t) for t in a.args)
@@ -774,7 +760,7 @@ def unparse_resarg(arg: ResArg) -> str:
 def unparse_disjunct(d: Disjunct, sort_atoms: bool = True) -> str:
     atoms = list(d.heap)
     if sort_atoms:
-        atoms.sort(key=lambda a: (_ATOM_ORDER[type(a)], _atom_root(a), unparse_atom(a)))
+        atoms.sort(key=lambda a: (_ATOM_ORDER[type(a)], atom_root(a), unparse_atom(a)))
     parts = []
     if d.exists:
         parts.append(f"ex {','.join(d.exists)}. ")

@@ -482,21 +482,10 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
     out = []
     for d1 in f1.disjuncts:
         for d2 in f2.disjuncts:
-            d2r = d2
-            clash = d2.exists and set(d2.exists) & (set(d1.exists) | free_vars_disjunct(d1))
-            if clash:
-                # in binding order, so the names drawn do not depend on set order
-                ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in d2.exists if v in clash}
-                d2r = subst_disjunct(
-                    Disjunct((), d2.heap, d2.pure), ren, gen
-                )
-                d2r = Disjunct(
-                    tuple(ren[v].is_var() if v in ren else v for v in d2.exists),
-                    d2r.heap,
-                    d2r.pure,
-                )
+            if d2.exists:
+                d2 = rename_apart(d2, gen, set(d1.exists) | free_vars_disjunct(d1))
             out.append(
-                Disjunct(d1.exists + d2r.exists, d1.heap + d2r.heap, pand([d1.pure, d2r.pure]))
+                Disjunct(d1.exists + d2.exists, d1.heap + d2.heap, pand([d1.pure, d2.pure]))
             )
     return Formula(tuple(out))
 
@@ -533,6 +522,21 @@ def atom_free_vars(a: HeapAtom) -> set[str]:
     raise TypeError(a)
 
 
+def atom_root(a: HeapAtom) -> str:
+    """The name an atom is about: a cell's root, a latch, a thread id or a
+    resource variable; "" for a wait-for share."""
+    t = type(a)
+    if t is PointsTo:
+        return a.root
+    if t is Cnt or t is LatchIn or t is LatchOut:
+        return a.latch
+    if t is ThreadNode or t is ThreadSpec or t is Dead:
+        return a.tid
+    if t is ResVarAtom:
+        return a.name
+    return ""
+
+
 def free_vars_disjunct(d: Disjunct) -> set[str]:
     fv: set[str] = set()
     for a in d.heap:
@@ -552,112 +556,122 @@ def free_vars(f: Formula) -> set[str]:
 # Substitution (capture-avoiding; identifier positions need Var images)
 
 
-def _subst_id(name: str, rho: dict[str, Term]) -> str:
-    if name not in rho:
-        return name
-    v = rho[name].is_var()
-    if v is None:
-        raise ValueError(f"cannot substitute non-variable term for identifier {name}")
-    return v
+def rename_apart(d: Disjunct, gen: names.FreshGen, avoid: set[str] | None = None) -> Disjunct:
+    """`d` with each existential in `avoid` (every one when `avoid` is None)
+    renamed to a fresh name of its prefix. The names are drawn in binding
+    order, so they do not depend on set order."""
+    ren = {v: gen.fresh(v.split("#")[0]) for v in d.exists if avoid is None or v in avoid}
+    if not ren:
+        return d
+    rho = {v: Term.var(w) for v, w in ren.items()}
+    (body,) = _Subst(rho, {}, {}, gen).disjuncts(Disjunct((), d.heap, d.pure))
+    return Disjunct(tuple(ren.get(v, v) for v in d.exists), body.heap, body.pure)
 
 
-def _subst_resarg(arg: ResArg, rho: dict[str, Term], gen) -> ResArg:
-    if isinstance(arg, RVar):
-        return RVar(_subst_id(arg.name, rho))
-    return RForm(substitute(arg.formula, rho, gen))
+def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] | None = None,
+               res: dict[str, Formula] | None = None, gen: names.FreshGen | None = None):
+    """A formula, disjunct or heap atom `x` with variables replaced by the
+    terms of `rho`, permission variables by the permissions of `perms` and
+    resource variables by the formulas of `res`, all at once. A resource
+    variable standing as an atom is starred out into its formula, which
+    distributes over disjunction; `x` as a heap atom keeps such an atom as
+    it is. Existentials, quantified and spec-bound names shadow `rho` and
+    `res`, and an existential that an image mentions is renamed apart
+    first. The images are not substituted in turn."""
+    if not (rho or perms or res):
+        return x
+    s = _Subst(rho or {}, perms or {}, res or {}, gen or names.default_gen())
+    t = type(x)
+    if t is Formula:
+        return s.form(x)
+    if t is Disjunct:
+        return Formula(s.disjuncts(x)).single()
+    return s.atom(x)
 
 
-def subst_atom(a: HeapAtom, rho: dict[str, Term], gen=None) -> HeapAtom:
-    if isinstance(a, PointsTo):
-        return PointsTo(_subst_id(a.root, rho), a.ctor, tuple(t.subst(rho) for t in a.args), a.perm)
-    if isinstance(a, LatchIn):
-        return LatchIn(_subst_id(a.latch, rho), _subst_resarg(a.payload, rho, gen))
-    if isinstance(a, LatchOut):
-        return LatchOut(_subst_id(a.latch, rho), _subst_resarg(a.payload, rho, gen))
-    if isinstance(a, Cnt):
-        return Cnt(_subst_id(a.latch, rho), a.count.subst(rho), a.perm)
-    if isinstance(a, Wait):
-        return Wait(
-            frozenset((_subst_id(x, rho), _subst_id(y, rho)) for x, y in a.arcs), a.perm
-        )
-    if isinstance(a, ThreadNode):
-        return ThreadNode(_subst_id(a.tid, rho), substitute(a.post, rho, gen))
-    if isinstance(a, ThreadSpec):
-        inner = {k: v for k, v in rho.items() if k not in a.bound}
-        return ThreadSpec(
-            _subst_id(a.tid, rho),
-            a.bound,
-            substitute(a.pre, inner, gen),
-            substitute(a.post, inner, gen),
-        )
-    if isinstance(a, Dead):
-        return Dead(_subst_id(a.tid, rho))
-    if isinstance(a, ResVarAtom):
-        return ResVarAtom(_subst_id(a.name, rho))
-    raise TypeError(a)
+class _Subst:
+    """The walk behind `substitute`."""
 
+    def __init__(self, rho: dict[str, Term], perms: dict[str, Perm],
+                 res: dict[str, Formula], gen: names.FreshGen):
+        self.rho, self.perms, self.res, self.gen = rho, perms, res, gen
+        self._avoid: set[str] | None = None
 
-def subst_disjunct(d: Disjunct, rho: dict[str, Term], gen=None) -> Disjunct:
-    gen = gen or names.default_gen()
-    rho = {k: v for k, v in rho.items() if k not in d.exists}
-    range_vars = set().union(*(t.vars() for t in rho.values())) if rho else set()
-    ren: dict[str, Term] = {}
-    new_exists = []
-    for v in d.exists:
-        if v in range_vars:
-            w = gen.fresh(v.split("#")[0])
-            ren[v] = Term.var(w)
-            new_exists.append(w)
-        else:
-            new_exists.append(v)
-    heap = d.heap
-    pure = d.pure
-    if ren:
-        heap = tuple(subst_atom(a, ren, gen) for a in heap)
-        pure = pure_subst(pure, ren, gen)
-    if rho:
-        heap = tuple(subst_atom(a, rho, gen) for a in heap)
-        pure = pure_subst(pure, rho, gen)
-    return Disjunct(tuple(new_exists), heap, pure)
+    def avoid(self) -> set[str]:
+        """The names the images bring in, which an existential must not take."""
+        if self._avoid is None:
+            self._avoid = set().union(*(t.vars() for t in self.rho.values()),
+                                      *(free_vars(f) for f in self.res.values()))
+        return self._avoid
 
+    def under(self, bound) -> "_Subst":
+        """This substitution under binders of the names `bound`."""
+        if not any(v in self.rho or v in self.res for v in bound):
+            return self
+        return _Subst({k: t for k, t in self.rho.items() if k not in bound}, self.perms,
+                      {k: f for k, f in self.res.items() if k not in bound}, self.gen)
 
-def substitute(f: Formula, rho: dict[str, Term], gen=None) -> Formula:
-    if not rho:
-        return f
-    return Formula(tuple(subst_disjunct(d, rho, gen) for d in f.disjuncts), f.span)
+    def ident(self, name: str) -> str:
+        t = self.rho.get(name)
+        if t is None:
+            return name
+        v = t.is_var()
+        if v is None:
+            raise ValueError(f"cannot substitute non-variable term for identifier {name}")
+        return v
 
+    def form(self, f: Formula) -> Formula:
+        if not (self.rho or self.perms or self.res):
+            return f
+        return Formula(tuple(x for d in f.disjuncts for x in self.disjuncts(d)), f.span)
 
-def subst_perms(f: Formula, rho: dict[str, Perm]) -> Formula:
-    """Replace symbolic permission variables throughout a formula."""
-    if not rho:
-        return f
+    def disjuncts(self, d: Disjunct) -> tuple[Disjunct, ...]:
+        s = self
+        if d.exists:
+            s = self.under(d.exists)
+            d = rename_apart(d, s.gen, s.avoid())
+        heap, images = [], []
+        for a in d.heap:
+            if type(a) is ResVarAtom and a.name in s.res:
+                images.append(s.res[a.name])
+            else:
+                heap.append(s.atom(a))
+        pure = pure_subst(d.pure, s.rho, s.gen) if s.rho else d.pure
+        out = (Disjunct(d.exists, tuple(heap), pure),)
+        for image in images:
+            out = star(Formula(out), image, s.gen).disjuncts
+        return out
 
-    def fix_arg(arg: ResArg) -> ResArg:
-        if isinstance(arg, RForm):
-            return RForm(subst_perms(arg.formula, rho))
-        return arg
+    def payload(self, arg: ResArg) -> ResArg:
+        if type(arg) is RVar:
+            image = self.res.get(arg.name)
+            return RVar(self.ident(arg.name)) if image is None else RForm(image)
+        return RForm(self.form(arg.formula))
 
-    def fix(a: HeapAtom) -> HeapAtom:
-        if isinstance(a, PointsTo):
-            return PointsTo(a.root, a.ctor, a.args, a.perm.subst(rho))
-        if isinstance(a, Cnt):
-            return Cnt(a.latch, a.count, a.perm.subst(rho))
-        if isinstance(a, Wait):
-            return Wait(a.arcs, a.perm.subst(rho))
-        if isinstance(a, LatchIn):
-            return LatchIn(a.latch, fix_arg(a.payload))
-        if isinstance(a, LatchOut):
-            return LatchOut(a.latch, fix_arg(a.payload))
-        if isinstance(a, ThreadNode):
-            return ThreadNode(a.tid, subst_perms(a.post, rho))
-        if isinstance(a, ThreadSpec):
-            return ThreadSpec(a.tid, a.bound, subst_perms(a.pre, rho), subst_perms(a.post, rho))
-        return a
-
-    return Formula(
-        tuple(Disjunct(d.exists, tuple(fix(a) for a in d.heap), d.pure) for d in f.disjuncts),
-        f.span,
-    )
+    def atom(self, a: HeapAtom) -> HeapAtom:
+        t, rho, perms, ident = type(a), self.rho, self.perms, self.ident
+        if t is PointsTo:
+            return PointsTo(ident(a.root), a.ctor,
+                            tuple([u.subst(rho) for u in a.args]) if rho else a.args,
+                            a.perm.subst(perms) if perms else a.perm)
+        if t is Cnt:
+            return Cnt(ident(a.latch), a.count.subst(rho) if rho else a.count,
+                       a.perm.subst(perms) if perms else a.perm)
+        if t is LatchIn or t is LatchOut:
+            return t(ident(a.latch), self.payload(a.payload))
+        if t is Wait:
+            return Wait(frozenset([(ident(u), ident(v)) for u, v in a.arcs]) if rho else a.arcs,
+                        a.perm.subst(perms) if perms else a.perm)
+        if t is ThreadNode:
+            return ThreadNode(ident(a.tid), self.form(a.post))
+        if t is ThreadSpec:
+            s = self.under(a.bound)
+            return ThreadSpec(ident(a.tid), a.bound, s.form(a.pre), s.form(a.post))
+        if t is Dead:
+            return Dead(ident(a.tid))
+        if t is ResVarAtom:
+            return ResVarAtom(ident(a.name))
+        raise TypeError(a)
 
 
 class Renaming:

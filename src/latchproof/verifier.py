@@ -23,7 +23,7 @@ from typing import Optional
 from . import names
 from . import pure as solver
 from .diagnostics import Span, NO_SPAN
-from .entail import EntailmentOutcome, _payload_value_vars, entail, subst as apply_bindings
+from .entail import EntailmentOutcome, _payload_value_vars, entail
 from .lemmas import (
     Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _key, _min_count,
     ambiguous_disjuncts, branch_start, normalize, split_for,
@@ -37,7 +37,7 @@ from .syntax import (
     Renaming, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
     formula, free_vars, free_vars_disjunct, is_resvar, pand, pure_free_vars, star,
-    subst_disjunct, subst_perms, substitute, walk_expr, eq as peq, lt as plt,
+    substitute, walk_expr, eq as peq, lt as plt,
 )
 
 
@@ -103,6 +103,8 @@ class _ProcVerifier:
         self.trace = SymTrace()
         self.warnings: list[str] = []
         self.abduct: Optional[_Abduction] = None    # set while a `||` branch runs
+        # the program variables: entailment never instantiates their values
+        self.rigid = {p for _, p in proc.params} | _assigned_vars(proc.body)
         # names a copied run may not rename: the verifier draws fresh names
         # under them, or abduction names a cell's values by its fields
         self.kept = _DRAWN | {f for dd in program.data_decls for _, f in dd.fields}
@@ -171,7 +173,8 @@ class _ProcVerifier:
                    if v not in fixed and not is_resvar(v)}
             rho = {**ren, **link}
             pairs.append(({t.is_var() for t in ren.values()},
-                          substitute(sp.pre, rho, self.gen), substitute(sp.post, rho, self.gen)))
+                          substitute(sp.pre, rho, gen=self.gen),
+                          substitute(sp.post, rho, gen=self.gen)))
         return pairs
 
     def _apply_pairs(self, state: Formula, pairs, span: Span, what: str,
@@ -191,7 +194,7 @@ class _ProcVerifier:
             matched = 0
             attempts: list[str] = []
             for E, pre, post in pairs:
-                r = entail(set(E), dstate, pre, gen=self.gen)
+                r = entail(set(E), dstate, pre, gen=self.gen, rigid=self.rigid)
                 if r.success:
                     matched += 1
                     if chosen is None:
@@ -211,14 +214,8 @@ class _ProcVerifier:
                     f"{span}: {what}: several pre-conditions were entailed; "
                     f"committed to the first (declaration order)")
             r, post = chosen
-            out.extend(star(r.residue, self._bind(post, r), self.gen).disjuncts)
+            out.extend(star(r.residue, r.bind(post, self.gen), self.gen).disjuncts)
         return Formula(tuple(out))
-
-    def _bind(self, f: Formula, r: EntailmentOutcome) -> Formula:
-        """`f` under the variable, resource and permission bindings of `r`."""
-        f = substitute(f, r.var_bindings, self.gen) if r.var_bindings else f
-        f = apply_bindings(r.bindings, f, self.gen)
-        return subst_perms(f, r.perm_bindings) if r.perm_bindings else f
 
     # -- abduction inside `||` branches ---------------------------------------
 
@@ -259,7 +256,7 @@ class _ProcVerifier:
         # pair the step entails next, drawn in the order the old ones were
         ren = {v: Term.var(self.gen.fresh(v.split("#")[0]))
                for v in sorted(bound & E, key=_draw_order)}
-        demand = subst_disjunct(Disjunct((), tuple(atoms), pure), ren, self.gen)
+        demand = substitute(Disjunct((), tuple(atoms), pure), ren, gen=self.gen)
         fresh, heap = {t.is_var() for t in ren.values()}, list(demand.heap)
         for i, a in enumerate(heap):    # a symbolic share gets a fresh variable
             if isinstance(a, (PointsTo, Cnt)) and not a.perm.is_concrete:
@@ -288,7 +285,7 @@ class _ProcVerifier:
         if not perms:
             return
         ab.perms = {v: p.subst(perms) for v, p in ab.perms.items()} | perms
-        ab.demands = [subst_perms(Formula((d,)), perms).single() for d in ab.demands]
+        ab.demands = [substitute(d, perms=perms) for d in ab.demands]
 
     def _paths(self, jobs, span: Span) -> list[Disjunct]:
         """Run each job, a disjunct and what to run from it. In a `||` branch
@@ -307,7 +304,7 @@ class _ProcVerifier:
         """`f` with the branch's permission rewrites, * `demands`. Only held
         counters meet abduced atoms in a lemma (N2, W2), so only a state that
         holds counters is normalized."""
-        f = subst_perms(f, self.abduct.perms)
+        f = substitute(f, perms=self.abduct.perms)
         if not demands:
             return f
         held = any(isinstance(b, Cnt) for d in f.disjuncts for b in d.heap)
@@ -336,7 +333,7 @@ class _ProcVerifier:
             return self.exec(state, e.body)
         if isinstance(e, Assert):
             for d in state.disjuncts:
-                r = entail(set(), Formula((d,)), e.formula, gen=self.gen)
+                r = entail(set(), Formula((d,)), e.formula, gen=self.gen, rigid=self.rigid)
                 if not r.success:
                     raise VerdictError(
                         "SpecFailure", span,
@@ -397,7 +394,7 @@ class _ProcVerifier:
             self.abduct.written.add(lhs)
         old = self.gen.fresh(lhs)
         rho = {lhs: Term.var(old)}
-        return substitute(state, rho, self.gen), rho
+        return substitute(state, rho, gen=self.gen), rho
 
     def _exec_assign(self, state: Formula, e: Assign, span: Span) -> Formula:
         rhs = e.rhs
@@ -423,8 +420,8 @@ class _ProcVerifier:
                 raise VerdictError("SpecFailure", span,
                                    f"create_thread of undeclared procedure {rhs.proc}")
             state, rho = self._rename_lhs(state, e.lhs)
-            atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, self.gen),
-                              substitute(rhs.post, rho, self.gen))
+            atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, gen=self.gen),
+                              substitute(rhs.post, rho, gen=self.gen))
             return self._settle(star(state, formula(atom), self.gen), span)
 
         if isinstance(rhs, FieldRead):
@@ -447,7 +444,7 @@ class _ProcVerifier:
         payload = rhs.payload if rhs.payload is not None else EMP
         state, rho = self._rename_lhs(state, lhs)
         count = rhs.count.subst(rho)
-        payload = substitute(payload, rho, self.gen)
+        payload = substitute(payload, rho, gen=self.gen)
         out = []
         for d in state.disjuncts:
             if _implied(d.pure, plt(Term.of(0), count)):
@@ -550,7 +547,7 @@ class _ProcVerifier:
                 # a nested block: the enclosing branch abduces what the state lacks
                 state = self._ensure(state, set().union(*(ab.E for _, ab, _ in runs)),
                                      _merged([d for _, ab, _ in runs for d in ab.demands]), span)
-            split = split_for(state, targets, gen=self.gen)
+            split = split_for(state, targets, gen=self.gen, rigid=self.rigid)
         except SplitFailure as ex:
             raise VerdictError("SpecFailure", span, ex.diag.message)
         if self.abduct is not None:
@@ -559,9 +556,9 @@ class _ProcVerifier:
             self._trace(span, b)
         results = []
         for (post, _, points), bound, code in zip(runs, split.bindings, e.branches):
-            result = self._bind(post, bound)
+            result = bound.bind(post, self.gen)
             for sp, f in points:
-                self._trace(sp, result if f is post else self._bind(f, bound))
+                self._trace(sp, result if f is post else bound.bind(f, self.gen))
             results.append(self._branch_local(result, code))
         return self._join(split.frame, results, span)
 
@@ -665,7 +662,7 @@ class _ProcVerifier:
         """A branch's writes to variables stay in its thread: the values it
         assigned become fresh names, and the parent keeps its own."""
         rho = {v: Term.var(self.gen.fresh(v)) for v in _assigned_vars(code)}
-        return substitute(result, rho, self.gen)
+        return substitute(result, rho, gen=self.gen)
 
     def _join(self, frame: Formula, results: list[Formula], span: Span) -> Formula:
         """frame * results, without the paths a split's bindings ruled out."""
@@ -690,7 +687,7 @@ class _ProcVerifier:
             final = self.exec(self._settle(init, span), body)
             residues = []
             for d in final.disjuncts:
-                r = entail(set(), Formula((d,)), sp.post, gen=self.gen)
+                r = entail(set(), Formula((d,)), sp.post, gen=self.gen, rigid=self.rigid)
                 if not r.success:
                     raise VerdictError(
                         "SpecFailure", span,

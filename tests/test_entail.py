@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 from latchproof import names
-from latchproof.entail import addVar, apply, entail, subst
+from latchproof.entail import addVar, entail
 from latchproof.parser import parse_formula, unparse_formula
 from latchproof.syntax import (
-    Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, PointsTo, ResVarAtom, RForm,
-    RVar, Term, TRUE,
+    Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, Perm, PointsTo, ResVarAtom, RForm,
+    RVar, Term, TRUE, substitute,
 )
 
 
@@ -143,32 +144,32 @@ def test_payload_subsumption_keeps_its_instantiation():
     assert not r.success
 
 
-# -- subst / apply ---------------------------------------------------------------
+# -- substituting resource bindings -----------------------------------------------
 
 def test_subst_empty():
     f = F("x::cell(1) * V")
-    assert subst({}, f) == f
+    assert substitute(f, res={}) == f
 
 
 def test_apply_star_position():
-    f = apply(F("x::cell(1) * V"), ("V", F("y::cell(2)")))
+    f = substitute(F("x::cell(1) * V"), res={"V": F("y::cell(2)")})
     assert canon(f) == "x::cell(1) * y::cell(2)"
 
 
 def test_apply_inside_latch_payload():
-    f = apply(F("LatchOut(c, V)"), ("V", F("x::cell(5)")))
+    f = substitute(F("LatchOut(c, V)"), res={"V": F("x::cell(5)")})
     atom = f.single().heap[0]
     assert isinstance(atom, LatchOut)
     assert canon(atom.payload.formula) == "x::cell(5)"
 
 
 def test_apply_distributes_over_disjunction():
-    f = apply(F("V | x::cell(1)"), ("V", F("y::cell(2)")))
+    f = substitute(F("V | x::cell(1)"), res={"V": F("y::cell(2)")})
     assert canon(f) == "y::cell(2) | x::cell(1)"
 
 
 def test_apply_alpha_renames_existentials():
-    f = apply(F("ex y. x::cell(y) * V"), ("V", F("y::cell(2)")))
+    f = substitute(F("ex y. x::cell(y) * V"), res={"V": F("y::cell(2)")})
     d = f.single()
     assert d.exists and d.exists[0] != "y"
 
@@ -178,8 +179,18 @@ def test_apply_renames_clashing_existentials_in_binding_order():
     bound = tuple(f"v#{i}" for i in range(1, 9))
     delta = Formula((Disjunct(bound, (ResVarAtom("V"),), TRUE),))
     image = Formula((Disjunct((), tuple(PointsTo(v, "cell", ()) for v in bound), TRUE),))
-    f = apply(delta, ("V", image), names.FreshGen(8))
+    f = substitute(delta, res={"V": image}, gen=names.FreshGen(8))
     assert f.single().exists == tuple(f"v#{i}" for i in range(9, 17))
+
+
+def test_variable_permission_and_resource_bindings_at_once():
+    # the existential v is named by the image of a and by that of P: it is
+    # renamed apart once, and neither image is substituted in turn
+    f = substitute(F("ex v. x::cell(v)@f * LatchIn(c, P) * P & v < a"),
+                   {"a": Term.var("v")}, perms={"f": Perm.of(Fraction(1, 2))},
+                   res={"P": F("y::cell(v)@f")}, gen=names.FreshGen())
+    assert canon(f) == ("ex v#1. x::cell(v#1)@1/2 * y::cell(v)@f * LatchIn(c, y::cell(v)@f)"
+                        " & v#1<v")
 
 
 # -- exist lifting ---------------------------------------------------------------

@@ -379,6 +379,34 @@ def test_deposit_cannot_assume_a_program_variable():
     assert explore(p).kinds == {"Deadlock"}
 
 
+def test_deposit_cannot_assume_a_parameter():
+    # the same deposit of a parameter the state never mentions: its value is
+    # fixed by the caller, so it is not instantiated to the payload's witness
+    src = """
+    data cell { int val; }
+    void sender(CountDownLatch c, cell x, int a)
+      requires LatchIn(c, x::cell(a)) * x::cell(xv) * CNT(c, n) & n > 0
+      ensures  CNT(c, n - 1);
+    { x.val = a; countDown(c); }
+    void receiver(CountDownLatch c, cell x)
+      requires LatchOut(c, x::cell(v) & v > 2) * CNT(c, 0)
+      ensures  CNT(c, -1) * x::cell(v) & v > 2;
+    { await(c); }
+    void go(int a) requires emp ensures emp;
+    {
+      x = new cell(0);
+      c = create_latch(1) with x::cell(w) & w > 2;
+      ( sender(c, x, a) || receiver(c, x) );
+      r = x.val;
+      if (r <= 2) { d = create_latch(1); ( await(d) || skip ) } else { skip }
+    }
+    void main() requires emp ensures emp; { go(1); }
+    """
+    p = parse_program(SourceFile("t", src))
+    assert by_proc(verify_program(p, VerifyOptions()))["go"].kind == "SpecFailure"
+    assert explore(p).kinds == {"Deadlock"}
+
+
 # -- one latch-payload matcher: payloads refined on one side only ---------------
 
 SENDER_RECEIVER = """
