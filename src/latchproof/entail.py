@@ -4,9 +4,11 @@ The judgment E |- Delta_A <| Delta_C ~> (D, Delta_R) consumes the
 consequent's atoms out of the antecedent left-to-right, instantiating
 resource variables (D), first-order spec variables, and permission
 variables along the way; whatever remains of the antecedent is the frame
-residue. Resource predicates split implicitly: matching a predicate whose
-payload covers only part of the antecedent's payload leaves a same-name
-predicate carrying the remainder.
+residue. A latch's payload or a thread's post is matched by a nested call
+of this same judgment (`_unify`), so payloads meet the same rules for
+permissions, existentials and bindings as whole states. Resource predicates
+split implicitly: matching a predicate whose payload covers only part of the
+antecedent's payload leaves a same-name predicate carrying the remainder.
 
 Atom selection is first-success in syntactic order with no backtracking
 across atoms; a note records when an alternative candidate existed.
@@ -25,7 +27,7 @@ from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
     TRUE, atom_free_vars, atom_root, EMP, free_vars, free_vars_disjunct, is_resvar, pand,
-    pure_free_vars, pure_subst, rename_apart, star, substitute, eq as peq,
+    pure_free_vars, pure_subst, rename_apart, substitute, eq as peq,
 )
 
 
@@ -61,16 +63,13 @@ def addVar(atom, gen=None, instantiable=None):
     Returns (V, payload_formula, reuse_flag).
     """
     gen = gen or names.default_gen()
-    payload = atom.payload
-    if isinstance(payload, RVar):
-        name = payload.name
-    else:
-        name = _single_resvar(payload.formula)
-        if name is not None and (instantiable is None or name not in instantiable):
-            name = None
+    f = _payload(atom)
+    name = _single_resvar(f)
+    if name is not None and not isinstance(getattr(atom, "payload", None), RVar) \
+            and instantiable is not None and name not in instantiable:
+        name = None
     if name is not None:
-        return name, Formula((Disjunct((), (ResVarAtom(name),), TRUE),)), False
-    f = _as_formula(payload)
+        return name, f, False
     if len(f.disjuncts) != 1:
         raise _Fail("UnifyFailure", "disjunctive resource payload cannot be split")
     d = f.single()
@@ -82,6 +81,11 @@ def _as_formula(arg: ResArg) -> Formula:
     if isinstance(arg, RVar):
         return Formula((Disjunct((), (ResVarAtom(arg.name),), TRUE),))
     return arg.formula
+
+
+def _payload(atom) -> Formula:
+    """What a latch or a thread node carries."""
+    return atom.post if isinstance(atom, ThreadNode) else _as_formula(atom.payload)
 
 
 def _single_resvar(f: Formula) -> Optional[str]:
@@ -197,142 +201,64 @@ def _match_perm(ctx: _Ctx, perm_a: Perm, perm_c: Perm) -> Optional[Perm]:
 
 
 # ---------------------------------------------------------------------------
-# Structural unification of payload formulas (RP-UNIFY / RP-INST)
+# Payload entailment (RP-UNIFY / RP-INST)
 
 
 def _unify(ctx: _Ctx, fa: Formula, fc: Formula, extra_E: set[str]) -> dict[str, Formula]:
-    """Classic resource entailment: unify exact heaps, then instantiate a
-    trailing resource variable with whatever remains. No frame residue.
-    Returns bindings for extra_E variables; other discoveries go to ctx."""
-    if len(fa.disjuncts) != 1 or len(fc.disjuncts) != 1:
-        raise _Fail("UnifyFailure", "disjunctive payloads are not unifiable")
-    _, da = _open(fa.single(), ctx.gen)
-    # a payload value that neither the antecedent nor the program mentions is
-    # payload-local
+    """fa |- fc by one nested entailment under what ctx has learned.
+
+    ctx.E, extra_E and fc's payload-local values (values that neither the
+    antecedent nor the program mentions) are instantiable. One unbound
+    resource variable of fc's heap may trail: it takes the residue, with the
+    pure part of fa's disjunct; without one the residue must be empty.
+    Returns the bindings of extra_E; the other bindings go to ctx."""
     local = _payload_value_vars(fc)
     if local:
         local -= free_vars_disjunct(ctx.ante) | ctx.rigid
-    inner_E = set(extra_E) | ctx.E | local
-    opened, dc = _open(fc.single(), ctx.gen)
-    inner_E.update(opened)
-
-    pool = list(da.heap)
-    Dinner: dict[str, Formula] = {}
-    trailing: list[str] = []
-
-    for atom in dc.heap:
-        atom = substitute(atom, ctx.rho, gen=ctx.gen)
-        if isinstance(atom, ResVarAtom):
-            name = atom.name
-            if name in ctx.D_all:
-                for d in ctx.D_all[name].disjuncts:
-                    for sub_atom in d.heap:
-                        _unify_consume(ctx, pool, substitute(sub_atom, ctx.rho, gen=ctx.gen),
-                                       inner_E)
-                continue
-            if name in inner_E:
-                trailing.append(name)
-                continue
-            idx = next((i for i, b in enumerate(pool)
-                        if isinstance(b, ResVarAtom) and b.name == name), None)
-            if idx is None:
-                raise _Fail("UnifyFailure", f"no match for resource variable {name}")
-            pool.pop(idx)
-            continue
-        _unify_consume(ctx, pool, atom, inner_E)
-
-    if trailing:
-        if len(trailing) > 1:
+    E = ctx.E | extra_E | local
+    fc = substitute(fc, ctx.rho, perms=ctx.permb, res=ctx.D_all, gen=ctx.gen)
+    trailing = None
+    if len(fc.disjuncts) == 1:
+        dc = fc.single()
+        open_at = [i for i, a in enumerate(dc.heap) if type(a) is ResVarAtom and a.name in E]
+        if len(open_at) > 1:
             raise _Fail("UnifyFailure", "multiple open resource variables in one payload")
-        # The antecedent payload's constraint travels with the binding: it is
-        # ghost knowledge about the bound atoms.
-        Dinner[trailing[0]] = Formula((Disjunct((), tuple(pool), da.pure),))
-    elif pool:
+        if open_at:
+            i = open_at[0]
+            trailing = dc.heap[i].name
+            fc = Formula((Disjunct(dc.exists, dc.heap[:i] + dc.heap[i + 1:], dc.pure),))
+    learned = ctx.learned_pure()
+    opened = [_open(d, ctx.gen)[1] for d in fa.disjuncts]
+    ante = Formula(tuple(Disjunct((), d.heap, pand([learned, d.pure])) for d in opened))
+    sub = entail(E, ante, fc, gen=ctx.gen, rigid=ctx.rigid)
+    if not sub.success:
+        raise _Fail(sub.failure_reason.code, sub.failure_reason.message)
+    # the payload's constraint travels with the rest: it is ghost knowledge
+    # about the atoms the trailing variable takes
+    rest = Formula(tuple(Disjunct((), r.heap, d.pure)
+                         for r, d in zip(sub.residue.disjuncts, opened)))
+    found = dict(sub.bindings)
+    if trailing is not None:
+        found[trailing] = rest
+    elif not rest.is_emp():
         raise _Fail("UnifyFailure", "payload not fully consumed and no open variable")
-
-    pc = pure_subst(dc.pure, ctx.rho, ctx.gen) if ctx.rho else dc.pure
-    if not isinstance(pc, PTrue):
-        try:
-            ok = solver.implies(pand([ctx.learned_pure(), da.pure]), pc)
-        except SolverUnknown as e:
-            raise _Fail("PureFailure", f"payload constraint undecided: {e}")
-        if not ok:
-            raise _Fail("PureFailure", f"payload constraint {pc} not implied")
-    return Dinner
-
-
-def _unify_consume(ctx: _Ctx, pool: list, atom: HeapAtom, inner_E: set[str]):
-    matched = False
-    last: Optional[_Fail] = None
-    for i, cand in enumerate(pool):
-        if type(cand) is not type(atom):
-            continue
-        snap = ctx.snapshot()
-        try:
-            _unify_atom(ctx, cand, atom, inner_E)
-            pool.pop(i)
-            matched = True
-            break
-        except _Fail as e:
-            ctx.restore(snap)
-            last = e
-    if not matched:
-        raise last or _Fail("UnifyFailure", f"no unifiable counterpart for {atom}")
+    for v, t in sub.var_bindings.items():
+        if v not in ctx.rho and (v in ctx.E or v in local):
+            ctx.bind_var(v, t)
+    for pv, perm in sub.perm_bindings.items():
+        ctx.bind_perm(pv, perm)
+    out: dict[str, Formula] = {}
+    for W, image in found.items():
+        if W in extra_E:
+            out[W] = image
+        else:
+            ctx.bind_res(W, image)
+    return out
 
 
-def _unify_atom(ctx: _Ctx, a: HeapAtom, c: HeapAtom, inner_E: set[str]):
-    """Unify one consequent payload atom against an antecedent payload atom,
-    extending ctx bindings. Raises _Fail on mismatch."""
-    if isinstance(c, PointsTo):
-        if a.ctor != c.ctor or not ctx.roots_eq(a.root, c.root):
-            raise _Fail("UnifyFailure", "root/constructor mismatch")
-        if a.perm != c.perm:
-            pv = c.perm.single_var()
-            if pv is None:
-                raise _Fail("UnifyFailure", "payload permission mismatch")
-            ctx.bind_perm(pv, a.perm)
-        _match_args(ctx, a.args, c.args, inner_E)
-        return
-    if isinstance(c, Cnt):
-        if not ctx.roots_eq(a.latch, c.latch):
-            raise _Fail("UnifyFailure", "latch mismatch")
-        _match_args(ctx, (a.count,), (c.count,), inner_E)
-        if a.perm != c.perm:
-            pv = c.perm.single_var()
-            if pv is None:
-                raise _Fail("UnifyFailure", "payload permission mismatch")
-            ctx.bind_perm(pv, a.perm)
-        return
-    if isinstance(c, (LatchIn, LatchOut)):
-        if not ctx.roots_eq(a.latch, c.latch):
-            raise _Fail("UnifyFailure", "latch mismatch")
-        fa, fc = _as_formula(a.payload), _as_formula(c.payload)
-        if fa == fc:
-            return
-        _unify(ctx, fa, fc, set())
-        return
-    if isinstance(c, Dead):
-        if not ctx.roots_eq(a.tid, c.tid):
-            raise _Fail("UnifyFailure", "thread id mismatch")
-        return
-    if isinstance(c, ThreadNode):
-        if not ctx.roots_eq(a.tid, c.tid):
-            raise _Fail("UnifyFailure", "thread id mismatch")
-        if a.post != c.post:
-            _unify(ctx, a.post, c.post, set())
-        return
-    if isinstance(c, Wait):
-        if c.arcs != a.arcs or a.perm != c.perm:
-            raise _Fail("UnifyFailure", "wait-for mismatch")
-        return
-    raise _Fail("UnifyFailure", f"cannot unify atom {c}")
-
-
-def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...],
-                bindable: set[str]):
+def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...]):
     """Match consequent arguments against antecedent ones: an unbound
-    variable in `bindable` is instantiated, anything else must be implied
-    equal."""
+    variable of ctx.E is instantiated, anything else must be implied equal."""
     if len(args_a) != len(args_c):
         raise _Fail("UnifyFailure", "arity mismatch")
     for ta, tc in zip(args_a, args_c):
@@ -340,7 +266,7 @@ def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...],
         if ta == tc:
             continue
         v = tc.is_var()
-        if v is not None and v in bindable and v not in ctx.rho:
+        if v is not None and v in ctx.E and v not in ctx.rho:
             ctx.bind_var(v, ta)
             continue
         try:
@@ -382,7 +308,7 @@ def _match_points_to(ctx: _Ctx, c: PointsTo):
         a = ctx.pool[i]
         snap = ctx.snapshot()
         try:
-            _match_args(ctx, a.args, c.args, ctx.E)
+            _match_args(ctx, a.args, c.args)
             leftover = _match_perm(ctx, a.perm, c.perm)
             _consume(ctx, i, PointsTo(a.root, a.ctor, a.args, leftover) if leftover else None)
             return
@@ -401,7 +327,7 @@ def _match_cnt(ctx: _Ctx, c: Cnt):
         a = ctx.pool[i]
         snap = ctx.snapshot()
         try:
-            _match_args(ctx, (a.count,), (c.count,), ctx.E)
+            _match_args(ctx, (a.count,), (c.count,))
             leftover_perm = _match_perm(ctx, a.perm, c.perm)
             if leftover_perm is None:
                 _consume(ctx, i)
@@ -428,10 +354,12 @@ def _match_cnt(ctx: _Ctx, c: Cnt):
 
 
 def _match_latch(ctx: _Ctx, c):
+    """Consume a LatchIn, LatchOut or thread node by its root and payload."""
     kind = type(c)
-    idxs = _candidates(ctx, lambda a: isinstance(a, kind), lambda a: a.latch, c.latch)
+    root = atom_root(c)
+    idxs = _candidates(ctx, lambda a: isinstance(a, kind), atom_root, root)
     if len(idxs) > 1:
-        ctx.notes.append(f"alternative {kind.__name__} candidates existed for {c.latch}")
+        ctx.notes.append(f"alternative {kind.__name__} candidates existed for {root}")
     last: Optional[_Fail] = None
     for i in idxs:
         a = ctx.pool[i]
@@ -443,57 +371,43 @@ def _match_latch(ctx: _Ctx, c):
         except _Fail as e:
             ctx.restore(snap)
             last = e
+    if kind is ThreadNode:
+        raise last or _Fail("MatchFailure", f"no thread node for {root}")
     raise last or _Fail("MatchFailure",
-                        f"no {kind.__name__} atom for latch {c.latch} (distinct roots)")
+                        f"no {kind.__name__} atom for latch {root} (distinct roots)")
 
 
 def _match_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
-    """RP-MATCH for one LatchIn/LatchOut pair; returns the leftover predicate
-    (the implicit S1/S2 split) or None when fully consumed.
+    """RP-MATCH for one latch or thread pair; returns the leftover atom (the
+    implicit S1/S2 split) or None when fully consumed.
 
-    Unification comes first: it binds resource variables and splits off the
-    leftover. When it fails on payloads without resource variables, the flow
-    direction decides: a LatchIn payload is checked contravariantly (the
-    consequent's payload entails the antecedent's), a LatchOut payload
-    covariantly, in both cases with nothing left over."""
-    fa, fc = _as_formula(a.payload), _as_formula(c.payload)
+    The antecedent's payload must entail the consequent's (`_unify`); a
+    fresh trailing resource variable (`addVar`) takes the part that the
+    consequent does not claim, which stays behind as the leftover. When a
+    LatchIn payload without resource variables fails, the flow direction
+    gives it one more try: the consequent's payload, what a specification
+    deposits, must entail the latch's payload, with nothing left over."""
+    fa, fc = _payload(a), _payload(c)
     V, payload3, split = addVar(c, ctx.gen, ctx.E)
     snap = ctx.snapshot()
     try:
-        Dinner = _unify(ctx, fa, payload3, {V})
+        image = _unify(ctx, fa, payload3, {V}).get(V)
     except _Fail:
-        if any(is_resvar(v) for v in free_vars(fa) | free_vars(fc)):
+        if not isinstance(c, LatchIn) or any(is_resvar(v) for v in free_vars(fa) | free_vars(fc)):
             raise
         ctx.restore(snap)
-        ante, cons = (fc, fa) if isinstance(c, LatchIn) else (fa, fc)
-        _subsume(ctx, ante, cons)
+        try:
+            _unify(ctx, fc, fa, set())
+        except _Fail as e:
+            raise _Fail("VarianceFailure", f"payload subsumption failed: {e.diag.message}")
         return None
-    leftover: Optional[HeapAtom] = None
-    image = Dinner.pop(V, None)
-    if split:
-        if image is not None and not image.is_emp():
-            leftover = type(c)(a.latch, RForm(image))
-    elif image is not None:
+    if image is not None and not split:
         ctx.bind_res(V, image)
-    for W, img in Dinner.items():
-        ctx.bind_res(W, img)
-    return leftover
-
-
-def _subsume(ctx: _Ctx, ante: Formula, cons: Formula):
-    """Payload subsumption ante |- cons under what ctx has learned, with an
-    empty residue. Only ctx.E and cons's own existentials are instantiated;
-    the instantiations of ctx.E carry over to ctx."""
-    learned = Formula((Disjunct((), (), ctx.learned_pure()),))
-    sub = entail(ctx.E, star(learned, ante, ctx.gen), cons, gen=ctx.gen, rigid=ctx.rigid)
-    if not sub.success:
-        raise _Fail("VarianceFailure", f"payload subsumption failed: "
-                    f"{sub.failure_reason.message if sub.failure_reason else ''}")
-    if not sub.residue.is_emp():
-        raise _Fail("VarianceFailure", "payload subsumption left a residue")
-    for v, t in sub.var_bindings.items():
-        if v in ctx.E and v not in ctx.rho:
-            ctx.bind_var(v, t)
+    elif image is not None and not image.is_emp():
+        if isinstance(a, ThreadNode):
+            return ThreadNode(a.tid, image)
+        return type(a)(a.latch, RForm(image))
+    return None
 
 
 def _match_wait(ctx: _Ctx, c: Wait):
@@ -511,39 +425,6 @@ def _match_wait(ctx: _Ctx, c: Wait):
         except _Fail as e:
             last = e
     raise last or _Fail("MatchFailure", "no WAIT atom in antecedent")
-
-
-def _match_thread(ctx: _Ctx, c: ThreadNode):
-    idxs = _candidates(ctx, lambda a: isinstance(a, ThreadNode), lambda a: a.tid, c.tid)
-    last: Optional[_Fail] = None
-    for i in idxs:
-        a = ctx.pool[i]
-        snap = ctx.snapshot()
-        try:
-            v = _single_resvar(c.post)
-            if v is not None and v in ctx.E and v not in ctx.D_all:
-                ctx.bind_res(v, a.post)
-                _consume(ctx, i)
-                return
-            if a.post == c.post:
-                _consume(ctx, i)
-                return
-            d = c.post.single()
-            V = ctx.gen.fresh("V")
-            payload3 = Formula((Disjunct(d.exists, d.heap + (ResVarAtom(V),), d.pure),))
-            Dinner = _unify(ctx, a.post, payload3, {V})
-            image = Dinner.pop(V, None)
-            for W, img in Dinner.items():
-                ctx.bind_res(W, img)
-            leftover = None
-            if image is not None and not image.is_emp():
-                leftover = ThreadNode(a.tid, image)  # thread-node split
-            _consume(ctx, i, leftover)
-            return
-        except _Fail as e:
-            ctx.restore(snap)
-            last = e
-    raise last or _Fail("MatchFailure", f"no thread node for {c.tid}")
 
 
 def _match_threadspec(ctx: _Ctx, c: ThreadSpec):
@@ -712,12 +593,10 @@ def _dispatch(ctx: _Ctx, atom: HeapAtom, deferred: list):
         _match_points_to(ctx, atom)
     elif isinstance(atom, Cnt):
         _match_cnt(ctx, atom)
-    elif isinstance(atom, (LatchIn, LatchOut)):
+    elif isinstance(atom, (LatchIn, LatchOut, ThreadNode)):
         _match_latch(ctx, atom)
     elif isinstance(atom, Wait):
         _match_wait(ctx, atom)
-    elif isinstance(atom, ThreadNode):
-        _match_thread(ctx, atom)
     elif isinstance(atom, ThreadSpec):
         _match_threadspec(ctx, atom)
     elif isinstance(atom, Dead):

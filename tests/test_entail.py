@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from latchproof import names
 from latchproof.entail import addVar, entail
 from latchproof.parser import parse_formula, unparse_formula
@@ -142,6 +144,29 @@ def test_payload_subsumption_keeps_its_instantiation():
     r = entail({"v"}, F(ante + " * z::cell(2)"),
                F("LatchOut(c, x::cell(v) * y::cell(3)) * z::cell(v)"))
     assert not r.success
+
+
+@pytest.mark.parametrize("outer", ["LatchOut(c, {})", "thread(s, {})"])
+@pytest.mark.parametrize("inner", ["LatchIn(d, {})", "thread(t, {})"])
+def test_nested_payload_binds_its_resource_variable(outer, inner):
+    ante, cons = (outer.format(inner.format(p)) for p in ("x::cell(1)", "V"))
+    r = entail({"V"}, F(ante), F(cons))
+    assert r.success and canon(r.residue) == "emp & true"
+    assert {v: canon(f) for v, f in r.bindings.items()} == {"V": "x::cell(1)"}
+
+
+def test_payload_gives_up_a_fractional_share():
+    r = entail(set(), F("LatchOut(c, x::cell(1))"), F("LatchOut(c, x::cell(1)@1/2)"))
+    assert r.success and r.bindings == {}
+    assert canon(r.residue) == "LatchOut(c, x::cell(1)@1/2)"
+
+
+def test_disjunctive_payload_entails_an_existential_one():
+    # each disjunct of the latch's payload meets ex v. x::cell(v) & v > 0
+    cons = F("LatchOut(c, ex v. x::cell(v) & v > 0)")
+    r = entail(set(), F("LatchOut(c, x::cell(1) | x::cell(2))"), cons)
+    assert r.success and canon(r.residue) == "emp & true"
+    assert not entail(set(), F("LatchOut(c, x::cell(1) | x::cell(0))"), cons).success
 
 
 # -- substituting resource bindings -----------------------------------------------

@@ -379,6 +379,38 @@ def test_deposit_cannot_assume_a_program_variable():
     assert explore(p).kinds == {"Deadlock"}
 
 
+TWO_READERS = """
+data cell { int val; }
+void sender(CountDownLatch c, cell x)
+  requires LatchIn(c, x::cell(5)) * x::cell(xv) * CNT(c, n) & n > 0
+  ensures  CNT(c, n - 1);
+{ x.val = 5; countDown(c); }
+void reader(CountDownLatch c, cell x)
+  requires LatchOut(c, x::cell(v)@1/2 & v > 2) * CNT(c, 0)
+  ensures  CNT(c, -1) * x::cell(v)@1/2 & v > 2;
+{ await(c); r = x.val; }
+void main() requires emp ensures ex a. x::cell(a);
+{
+  x = new cell(0);
+  c = create_latch(1) with x::cell(w) & w > 2;
+  ( %s )
+}
+"""
+
+
+@pytest.mark.parametrize("par, outcomes", [
+    ("sender(c, x) || reader(c, x) || reader(c, x)", {"Clean"}),
+    ("reader(c, x) || reader(c, x)", {"Deadlock"}),    # nobody counts down
+])
+def test_readers_each_take_half_of_the_payload(par, outcomes):
+    # each reader's LatchOut takes x::cell(v)@1/2 and leaves the other half
+    # behind for the next one
+    p = parse_program(SourceFile("t", TWO_READERS % par))
+    ok = by_proc(verify_program(p, VerifyOptions()))["main"].ok
+    assert ok == (outcomes == {"Clean"})
+    assert explore(p).kinds == outcomes
+
+
 def test_deposit_cannot_assume_a_parameter():
     # the same deposit of a parameter the state never mentions: its value is
     # fixed by the caller, so it is not instantiated to the payload's witness
