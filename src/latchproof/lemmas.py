@@ -12,18 +12,19 @@ the fixpoint reaches, turning their patterns into race/deadlock verdicts.
 
 Each rule reads the atoms of one key at a time (a latch, a thread id, a
 cell, or the wait-for shares), except W2, which reads every count. The
-fixpoint keeps each disjunct's heap indexed by key, and after a rewrite it runs
-each rule and check only on the keys whose atoms have changed since that
-rule or check last found them clean. The keys left out hold no match, so
-the first match found is the one a scan of the whole heap finds.
+fixpoint keeps each disjunct's heap indexed by key. Each rule rewrites all
+of its matches among the keys it is given in one scan, lowest slot first,
+and after a rewrite the fixpoint runs each rule and check only on the keys
+whose atoms have changed since that rule or check last found them clean.
+The keys left out hold no match, so the matches found are those a scan of
+the whole heap finds, in the same order.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import names
 from . import pure as solver
@@ -146,9 +147,9 @@ def _symbolic(a: HeapAtom) -> bool:
 
 @dataclass(frozen=True)
 class Rewrite:
-    """What a rule does to a disjunct, by slot: `put` replaces atoms where
-    they stand, the atoms at `drop` go, `add` is appended, and a `release`d
-    payload is starred onto the result last."""
+    """What a rule does to a disjunct at one match, by slot: `put` replaces
+    atoms where they stand, the atoms at `drop` go, `add` is appended, and a
+    `release`d payload is starred onto the result last."""
     drop: tuple[int, ...] = ()
     put: tuple[tuple[int, HeapAtom], ...] = ()
     add: tuple[HeapAtom, ...] = ()
@@ -165,7 +166,8 @@ class _Heap:
         self.exists, self.pure = d.exists, d.pure
         self.slots: list[Optional[HeapAtom]] = []
         self.keys: list[Optional[tuple]] = []      # each slot's key
-        self.index: dict[tuple, list[int]] = {}    # key -> its slots, ascending
+        # kind -> key -> its slots, ascending
+        self.index: dict[str, dict[tuple, list[int]]] = {}
         self.symbolic: set[int] = set()    # slots of counts that are not constants
         for a in d.heap:
             self._place(len(self.slots), a)
@@ -181,7 +183,7 @@ class _Heap:
         else:
             self.slots[s], self.keys[s] = a, k
         if k is not None:
-            insort(self.index.setdefault(k, []), s)
+            insort(self.index.setdefault(k[0], {}).setdefault(k, []), s)
         if _symbolic(a):
             self.symbolic.add(s)
         return k
@@ -189,10 +191,10 @@ class _Heap:
     def _empty(self, s: int) -> Optional[tuple]:
         k = self.keys[s]
         if k is not None:
-            group = self.index[k]
-            group.remove(s)
-            if not group:
-                del self.index[k]
+            of_kind = self.index[k[0]]
+            of_kind[k].remove(s)
+            if not of_kind[k]:
+                del of_kind[k]
         self.symbolic.discard(s)
         self.slots[s] = self.keys[s] = None
         return k
@@ -222,23 +224,42 @@ class _Heap:
         return touched, rest
 
 
-def _by_key(h: _Heap, keys: Optional[set[tuple]], kind: str):
-    """Yield (slot, atom, slots of its key) for every atom under the `keys`
-    of one kind (every key when None), in heap order."""
+def _keyed(h: _Heap, keys: Optional[set[tuple]], kind: str, least: int = 1) -> list[list[int]]:
+    """The slots of each of the `keys` of one kind (every key when None)
+    that holds at least `least` atoms, in the order of their first slots.
+    A rule whose pattern has two atoms of a key asks for two: a latch or
+    thread with one atom, the common case, is passed over unread."""
+    of_kind = h.index.get(kind)
+    if not of_kind:
+        return []
     if keys is None:
-        for s, k in enumerate(h.keys):
-            if k is not None and k[0] == kind:
-                yield s, h.slots[s], h.index[k]
+        groups = [same for same in of_kind.values() if len(same) >= least]
     else:
-        for s, k in sorted((s, k) for k in keys if k[0] == kind for s in h.index.get(k, ())):
-            yield s, h.slots[s], h.index[k]
+        groups = [of_kind[k] for k in keys if k in of_kind and len(of_kind[k]) >= least]
+    if len(groups) > 1:
+        groups.sort()
+    return groups
+
+
+def _by_key(h: _Heap, keys: Optional[set[tuple]], kind: str,
+            least: int = 1) -> list[tuple[int, HeapAtom, list[int]]]:
+    """(slot, atom, slots of its key) for every atom under the keys
+    `_keyed` gives, in heap order."""
+    groups = _keyed(h, keys, kind, least)
+    if len(groups) > 1:
+        merged = sorted([(s, same) for same in groups for s in same])
+        return [(s, h.slots[s], same) for s, same in merged]
+    return [(s, h.slots[s], same) for same in groups for s in same]
 
 
 # ---------------------------------------------------------------------------
-# Normalization rules (one per rewrite lemma; each returns its Rewrite, or
-# None where it does not apply). `keys` are the keys to look at, None
-# meaning every key; a rule finds the same first match among them as among
-# all keys whenever the keys left out hold no match.
+# Normalization rules (one per rewrite lemma). Each yields the Rewrite of
+# every match among `keys` (None: every key), lowest slot first, and reads
+# the heap again after the caller has applied one: a match's rewrite may
+# depend on the matches before it. The keys left out holding no match,
+# these are the rewrites that firing the rule once per match, on the whole
+# heap, would make. A rule whose rewrite releases a payload yields one
+# match, since a release may change the pure part and so every key.
 
 
 def _implied(pi: Pure, p: Pure) -> bool:
@@ -304,16 +325,17 @@ def _is_trivial_payload(arg: ResArg) -> bool:
     return all(not dd.heap and isinstance(dd.pure, PTrue) for dd in f.disjuncts)
 
 
-def _wait_union(a: Wait, b: Wait) -> Wait:
-    return Wait(a.arcs | b.arcs, a.perm + b.perm)
+def _wait_union(waits: list[Wait]) -> Wait:
+    return Wait(frozenset().union(*(w.arcs for w in waits)), Perm.total([w.perm for w in waits]))
 
 
-def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Latch predicates with nothing to carry are units and disappear."""
-    for i, a, _ in _by_key(h, keys, "latch"):
-        if isinstance(a, (LatchIn, LatchOut)) and _is_trivial_payload(a.payload):
-            return Rewrite(drop=(i,))
-    return None
+    units = sorted(i for same in _keyed(h, keys, "latch") for i in same
+                   if isinstance(h.slots[i], (LatchIn, LatchOut))
+                   and _is_trivial_payload(h.slots[i].payload))
+    for i in units:
+        yield Rewrite(drop=(i,))
 
 
 def _shares(h: _Heap, same: list[int], holds) -> list[int]:
@@ -325,103 +347,100 @@ def _final(h: _Heap) -> Callable[[Term], bool]:
     return lambda t: _count_is(h.pure, t, -1)
 
 
-def _merge_group(h: _Heap, keys: Optional[set[tuple]], holds,
-                 ready=lambda cnts: True) -> Optional[list[int]]:
-    """The slots of the counter shares that satisfy `holds`, for the latch
-    with the lowest such slot among those where at least two do; latches
-    with fewer than two shares, or not `ready`, are skipped untested."""
-    groups: dict[tuple, list[int]] = {}
-    for i, a, same in _by_key(h, keys, "latch"):
-        k = h.keys[i]
-        if k not in groups:
-            cnts = [s for s in same if isinstance(h.slots[s], Cnt)]
-            groups[k] = _shares(h, cnts, holds) if len(cnts) > 1 and ready(cnts) else []
-        if len(groups[k]) > 1 and groups[k][0] == i:
-            return groups[k]
-    return None
+def _merge_groups(h: _Heap, keys: Optional[set[tuple]], holds,
+                  ready=lambda cnts: True) -> list[list[int]]:
+    """The slots of the counter shares that satisfy `holds`, for each latch
+    where at least two do, in the order of their lowest slots; latches with
+    fewer than two shares, or not `ready`, are skipped untested."""
+    groups = []
+    for same in _keyed(h, keys, "latch", 2):
+        cnts = [s for s in same if isinstance(h.slots[s], Cnt)]
+        if len(cnts) > 1 and ready(cnts):
+            group = _shares(h, cnts, holds)
+            if len(group) > 1:
+                groups.append(group)
+    return sorted(groups)
 
 
-def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Combine all provably non-negative counter shares of a latch at once
-    (the pairwise lemma taken to its fixpoint)."""
-    group = _merge_group(
-        h, keys, lambda t: t.is_const and t.const >= 0 or _implied(h.pure, ple(Term.of(0), t)))
-    if group is None:
-        return None
-    first, *rest = (h.slots[s] for s in group)
-    merged = Cnt(first.latch, sum((a.count for a in rest), first.count),
-                 sum((a.perm for a in rest), first.perm))
-    kept = sorted(h.symbolic - set(group))
-    *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
-    put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
-    return Rewrite(drop=tuple(group), put=put, add=(merged,))
+    (the pairwise lemma taken to its fixpoint). A merge pins every other
+    count the pure part fixes, so a later latch's shares are read after it."""
+    for group in _merge_groups(h, keys, lambda t: t.is_const and t.const >= 0
+                               or _implied(h.pure, ple(Term.of(0), t))):
+        shares = [h.slots[s] for s in group]
+        merged = Cnt(shares[0].latch, Term.total([a.count for a in shares]),
+                     Perm.total([a.perm for a in shares]))
+        kept = sorted(h.symbolic - set(group))
+        *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
+        put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
+        yield Rewrite(drop=tuple(group), put=put, add=(merged,))
 
 
-def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Absorb every exhausted share of a latch into its final state at once."""
-    group = _merge_group(
-        h, keys, lambda t: t.is_const and t.const <= 0 or _implied(h.pure, ple(t, Term.of(0))),
-        lambda cnts: _shares(h, cnts, _final(h)))
-    if group is None:
-        return None
-    first, *rest = (h.slots[s] for s in group)
-    return Rewrite(drop=tuple(group),
-                   add=(Cnt(first.latch, Term.of(-1), sum((a.perm for a in rest), first.perm)),))
+    for group in _merge_groups(
+            h, keys, lambda t: t.is_const and t.const <= 0 or _implied(h.pure, ple(t, Term.of(0))),
+            lambda cnts: _shares(h, cnts, _final(h))):
+        shares = [h.slots[s] for s in group]
+        yield Rewrite(drop=tuple(group), add=(
+            Cnt(shares[0].latch, Term.of(-1), Perm.total([a.perm for a in shares])),))
 
 
-def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """An expired latch releases the resource trapped in its out-flow."""
-    for i, a, same in _by_key(h, keys, "latch"):
+    for i, a, same in _by_key(h, keys, "latch", 2):
         if isinstance(a, LatchOut) and _shares(h, same, _final(h)):
-            return Rewrite(drop=(i,), release=a.payload)
-    return None
+            yield Rewrite(drop=(i,), release=a.payload)
+            return
 
 
-def _dead_idem(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
-    seen: set[str] = set()
-    for i, a, _ in _by_key(h, keys, "thread"):
-        if isinstance(a, Dead):
-            if a.tid in seen:
-                return Rewrite(drop=(i,))
-            seen.add(a.tid)
-    return None
+def _dead_idem(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+    repeats = sorted(i for same in _keyed(h, keys, "thread", 2)
+                     for i in [s for s in same if isinstance(h.slots[s], Dead)][1:])
+    for i in repeats:
+        yield Rewrite(drop=(i,))
 
 
-def _dead_release(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
-    for i, a, same in _by_key(h, keys, "thread"):
+def _dead_release(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+    for i, a, same in _by_key(h, keys, "thread", 2):
         if isinstance(a, ThreadNode) and any(isinstance(h.slots[j], Dead) for j in same):
-            return Rewrite(drop=(i,), release=RForm(a.post))
-    return None
+            yield Rewrite(drop=(i,), release=RForm(a.post))
+            return
 
 
-def _cell_merge(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _cell_merge(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Two shares of a cell that hold the same values are one share: read
-    shares handed to `||` branches come back whole at the join."""
-    for i, a, same in _by_key(h, keys, "cell"):
-        for j in same:
-            b = h.slots[j]
-            if j > i and (b.ctor, b.args) == (a.ctor, a.args):
-                return Rewrite(drop=(j,), put=((i, replace(a, perm=a.perm + b.perm)),))
-    return None
+    shares handed to `||` branches come back whole at the join. Each share
+    merges into the first one with its values, one at a time."""
+    merges = []
+    for same in _keyed(h, keys, "cell", 2):
+        alike: dict[tuple, list[int]] = {}
+        for i in same:
+            alike.setdefault((h.slots[i].ctor, h.slots[i].args), []).append(i)
+        merges += [m for m in alike.values() if len(m) > 1]
+    for i, *later in sorted(merges):
+        for j in later:
+            a, b = h.slots[i], h.slots[j]
+            yield Rewrite(drop=(j,), put=((i, replace(a, perm=a.perm + b.perm)),))
 
 
-def _w3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _w3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Union all wait-for shares at once."""
-    waits = [i for i, _, _ in _by_key(h, keys, "wait")]
-    if len(waits) < 2:
-        return None
-    return Rewrite(drop=tuple(waits), add=(reduce(_wait_union, (h.slots[i] for i in waits)),))
+    waits = [i for same in _keyed(h, keys, "wait") for i in same]
+    if len(waits) > 1:
+        yield Rewrite(drop=tuple(waits), add=(_wait_union([h.slots[i] for i in waits]),))
 
 
-def _w1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _w1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """A complete acyclic wait-for view resets."""
     for i, a, _ in _by_key(h, keys, "wait"):
         if a.arcs and a.perm.is_one and not is_cyclic(a.arcs):
-            return Rewrite(drop=(i,), add=(Wait(frozenset(), a.perm),))
-    return None
+            yield Rewrite(drop=(i,), add=(Wait(frozenset(), a.perm),))
+            return
 
 
-def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
+def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Record completion order: a positive share of c1 beside the final state
     of c2 means c2 completes before c1 (arc c2->c1). A full view is skipped:
     these arcs run from final latches to positive ones, so W1 would erase
@@ -429,9 +448,10 @@ def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
     which E2 reports). The arcs depend on every count, so W2 reads the
     whole heap whatever `keys` holds; as the last rewrite in the table it
     runs only where no other rule applies."""
-    views = [(s, h.slots[s]) for s in h.index.get(_WAIT, ()) if not h.slots[s].perm.is_one]
+    views = [(s, h.slots[s]) for s in h.index.get("wait", {}).get(_WAIT, ())
+             if not h.slots[s].perm.is_one]
     if not views:
-        return None
+        return
     finals, positives = set(), set()
     for _, a, _ in _by_key(h, None, "latch"):
         if isinstance(a, Cnt):
@@ -441,7 +461,8 @@ def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
                 positives.add(a.latch)
     arcs = {(c2, c1) for c1 in positives for c2 in finals if c1 != c2}
     put = tuple((s, Wait(a.arcs | arcs, a.perm)) for s, a in views if not arcs <= a.arcs)
-    return Rewrite(put=put) if put else None
+    if put:
+        yield Rewrite(put=put)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +472,7 @@ def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Optional[Rewrite]:
 
 def _e1(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Resource still flowing in while the latch already expired."""
-    for _, a, same in _by_key(h, keys, "latch"):
+    for _, a, same in _by_key(h, keys, "latch", 2):
         if isinstance(a, LatchIn) and _shares(h, same, _final(h)):
             if solver.is_sat(h.pure, want_model=False).status != Status.SAT:
                 return None
@@ -463,8 +484,8 @@ def _e2(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """A positive share coexists with the final state; each latch's final
     shares are found once."""
     finals: dict[tuple, set[int]] = {}
-    for i, a, same in _by_key(h, keys, "latch"):
-        if not isinstance(a, Cnt) or len(same) < 2:
+    for i, a, same in _by_key(h, keys, "latch", 2):
+        if not isinstance(a, Cnt):
             continue
         k = h.keys[i]
         if k not in finals:
@@ -485,7 +506,7 @@ def _e3(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
 
 def _forked_before_join(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Thread usage protocol: an unstarted descriptor cannot be dead."""
-    for _, a, same in _by_key(h, keys, "thread"):
+    for _, a, same in _by_key(h, keys, "thread", 2):
         if isinstance(a, ThreadSpec) and any(isinstance(h.slots[j], Dead) for j in same):
             return f"thread {a.tid} joined before it was forked"
     return None
@@ -505,7 +526,7 @@ class Lemma:
     lhs: Formula
     rhs: Optional[Formula]         # None for inconsistency lemmas
     error: Optional[str] = None    # verdict kind for inconsistency lemmas
-    # rewrites: (_Heap, gen, keys=None) -> Rewrite | None;
+    # rewrites: (_Heap, gen, keys=None) -> the Rewrite of each match;
     # inconsistency lemmas: (_Heap, keys=None) -> message | None
     rule: Optional[Callable] = None
 
@@ -557,10 +578,8 @@ def verify_lemma_table() -> None:
         elif lemma.rhs is None:
             out = lemma.rule(_Heap(lemma.lhs.single()))
         else:
-            h = _Heap(lemma.lhs.single())
-            step = lemma.rule(h, gen)
-            out = None
-            if step is not None:
+            h, out = _Heap(lemma.lhs.single()), None
+            for step in lemma.rule(h, gen):
                 _, rest = h.apply(step, gen)
                 out = Formula((h.disjunct(), *rest))
         if out is None:
@@ -602,10 +621,14 @@ def normalize(delta: Formula, gen=None):
 
     For each rewrite rule, and for the checks, the fixpoint keeps the keys
     not found clean since their atoms last changed (None: every key). A rule
-    or check that finds nothing empties its set, and one with an empty set
-    is not run. A rewrite adds the keys whose atoms it removed or added to
-    every set, or sets them all to every key when it changed the pure part
-    or the existentials."""
+    with keys to look at rewrites all of its matches among them at once,
+    lowest slot first, and so shows every one of them clean; a rule or check
+    with an empty set is not run. Each match's rewrite adds the keys whose
+    atoms it removed or added to every set, or sets them all to every key
+    when it changed the pure part or the existentials, and the checks run
+    after each match: the states checked, and so the first inconsistency,
+    are those of rewriting one match at a time. After a rule has fired the
+    table starts again from its first rule."""
     gen = gen or names.default_gen()
     out: list[Disjunct] = []
     for d0 in delta.disjuncts:
@@ -615,33 +638,40 @@ def normalize(delta: Formula, gen=None):
             h = _Heap(queue.pop(0))
             # one key set per rewrite, in table order, and the checks' last
             dirty: list[Optional[set[tuple]]] = [None] * (len(_REWRITES) + 1)
-            rounds = 0
-            while True:
-                step = None
+            steps = 0
+            fired = True
+            while fired:
+                fired = False
                 for r, lemma in enumerate(_REWRITES):
-                    if dirty[r] is None or dirty[r]:
-                        step = lemma.rule(h, gen, dirty[r])
-                        if step is not None:
-                            break
-                        dirty[r] = set()
-                if step is not None:
-                    rounds += 1
-                    if rounds > cap:
-                        raise NormalizationDiverged(f"no fixpoint after {rounds} rounds")
-                    touched, rest = h.apply(step, gen)
-                    queue.extend(rest)
-                    if touched is None:
-                        dirty = [None] * len(dirty)
-                    for keys in dirty:
-                        if keys is not None:
-                            keys |= touched
-                if dirty[-1] is None or dirty[-1]:
-                    bad = _inconsistency(h, dirty[-1])
-                    if bad is not None:
-                        return bad
-                    dirty[-1] = set()
-                if step is None:
-                    break
+                    keys = dirty[r]
+                    if keys is not None and not keys:
+                        continue
+                    dirty[r] = set()
+                    for step in lemma.rule(h, gen, keys):
+                        fired = True
+                        steps += 1
+                        if steps > cap:
+                            raise NormalizationDiverged(f"no fixpoint after {steps} rounds")
+                        touched, rest = h.apply(step, gen)
+                        queue.extend(rest)
+                        if touched is None:
+                            dirty = [None] * len(dirty)
+                        for ks in dirty:
+                            if ks is not None:
+                                ks |= touched
+                        if step.release is not None and dirty[r] is not None:
+                            # the rule stops at a release: it has not shown its keys clean
+                            dirty[r] = None if keys is None else dirty[r] | keys
+                        bad = _inconsistency(h, dirty[-1])
+                        if bad is not None:
+                            return bad
+                        dirty[-1] = set()
+                    if fired:
+                        break
+            if dirty[-1] is None:
+                bad = _inconsistency(h, None)
+                if bad is not None:
+                    return bad
             out.append(h.disjunct())
     return Formula(tuple(out), delta.span)
 
@@ -693,7 +723,7 @@ def _shared(delta: Formula, k: int) -> list[HeapAtom]:
     shared: list[HeapAtom] = []
     waits = [a for a in heap if isinstance(a, Wait)]
     if waits:
-        merged = reduce(_wait_union, waits)
+        merged = _wait_union(waits)
         if not merged.perm.is_concrete:
             raise SplitFailure(Diagnostic("SpecFailure", "symbolic wait-for permission"))
         shared.append(Wait(merged.arcs, merged.perm.divide(k + 1)))
@@ -731,8 +761,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
     demands: list[list[tuple[str, int, Perm, Optional[str]]]] = []
     count_bindings: list[dict[str, Term]] = []
     avail: dict[tuple[str, bool], tuple[Term, Perm]] = {
-        key: (g[0].count if key[1] else sum((a.count for a in g[1:]), g[0].count),
-              sum((a.perm for a in g[1:]), g[0].perm))
+        key: (g[0].count if key[1] else Term.total([a.count for a in g]),
+              Perm.total([a.perm for a in g]))
         for key, g in cnts.items()}
 
     rest_targets: list[Disjunct] = []
@@ -745,17 +775,17 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         rho_counts: dict[str, Term] = {}
         for a in td.heap:
             if isinstance(a, Cnt):
+                v = a.count.is_var()
                 # a share that counts nothing down is served by the final
                 # state where no pending share is left
                 if _count_is(td.pure, a.count, -1) or (
-                        a.count == Term.of(0) and (a.latch, True) in avail
+                        a.count.is_const and a.count.const == 0 and (a.latch, True) in avail
                         and (a.latch, False) not in avail):
                     key = (a.latch, True)
                     if key not in avail:
                         raise SplitFailure(Diagnostic(
                             "SpecFailure", f"branch needs expired latch {a.latch}"))
-                    my.append((a.latch, -1, a.perm, a.count.is_var()))
-                    v = a.count.is_var()
+                    my.append((a.latch, -1, a.perm, v))
                     if v is not None:
                         rho_counts[v] = Term.of(-1)
                     continue
@@ -772,8 +802,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
                     raise SplitFailure(Diagnostic(
                         "SpecFailure",
                         f"latch {a.latch}: demanded count exceeds available {have.const}"))
-                my.append((a.latch, need, a.perm, a.count.is_var()))
-                v = a.count.is_var()
+                my.append((a.latch, need, a.perm, v))
                 if v is not None:
                     rho_counts[v] = Term.of(need)
             else:
@@ -826,23 +855,32 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
     branches: list[Formula] = []
     bindings: list[EntailmentOutcome] = []
     for t, td, my, rho_counts in zip(targets, rest_targets, demands, count_bindings):
+        rd = remaining.single()
         halves = {}
-        for a in td.heap:
-            if isinstance(a, PointsTo) and a.perm.single_var() is not None:
-                held = _cell_of(remaining.single(), a.root)
-                if held is not None and held[1].perm.is_concrete:
-                    halves[a.perm.single_var()] = held[1].perm.divide(2)
-        target_f = substitute(Formula((td,)), perms=halves)
-        r = entail(set(t.E), remaining, target_f, gen=gen, rigid=rigid)
-        if not r.success:
-            raise SplitFailure(Diagnostic(
-                "SpecFailure",
-                f"no partition satisfies a branch precondition: "
-                f"{r.failure_reason.message if r.failure_reason else ''}"))
+        if not (td.heap or td.exists or rd.exists) and isinstance(td.pure, PTrue):
+            # a target of counters alone takes nothing more: what entail
+            # gives for emp, with no existential to open and no name drawn
+            left = pand([rd.pure])
+            r = EntailmentOutcome(True, {}, remaining if left == rd.pure
+                                  else Formula((Disjunct((), rd.heap, left),)))
+            consumed = td
+        else:
+            for a in td.heap:
+                if isinstance(a, PointsTo) and a.perm.single_var() is not None:
+                    held = _cell_of(rd, a.root)
+                    if held is not None and held[1].perm.is_concrete:
+                        halves[a.perm.single_var()] = held[1].perm.divide(2)
+            target_f = substitute(Formula((td,)), perms=halves)
+            r = entail(set(t.E), remaining, target_f, gen=gen, rigid=rigid)
+            if not r.success:
+                raise SplitFailure(Diagnostic(
+                    "SpecFailure",
+                    f"no partition satisfies a branch precondition: "
+                    f"{r.failure_reason.message if r.failure_reason else ''}"))
+            consumed = r.bind(target_f, gen).single()
         remaining = r.residue
-        consumed = r.bind(target_f, gen)
-        branch_atoms = list(consumed.single().heap)
-        branch_pure = [pi, consumed.single().pure]
+        branch_atoms = list(consumed.heap)
+        branch_pure = [pi, consumed.pure]
         perms = {**r.perm_bindings, **halves}
         for latch, need, perm_spec, count_var in my:
             key = (latch, need == -1)
@@ -862,8 +900,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
             perms.update({v: each for v in pvs})
             branch_atoms.append(Cnt(latch, Term.of(need), share))
         branch_atoms.extend(shared)
-        branches.append(Formula((Disjunct(consumed.single().exists,
-                                          tuple(branch_atoms), pand(branch_pure)),)))
+        branches.append(Formula((Disjunct(consumed.exists, tuple(branch_atoms),
+                                          pand(branch_pure)),)))
         r.var_bindings.update(rho_counts)
         r.perm_bindings = perms
         bindings.append(r)

@@ -170,34 +170,42 @@ class _P:
     # ----- terms -----
 
     def term(self) -> Term:
-        t = self.term_unit()
-        while self.at("+") or self.at("-"):
-            op = self.take().text
-            u = self.term_unit()
-            t = t + u if op == "+" else t - u
-        return t
+        """A sum of units, each added into one coefficient map, which is
+        put in canonical order once."""
+        coeffs: dict[str, int] = {}
+        return Term._norm(coeffs, self.term_sum(coeffs, 1))
 
-    def term_unit(self) -> Term:
+    def term_sum(self, coeffs: dict[str, int], sign: int) -> int:
+        """Add `sign` times a sum of units into `coeffs`; returns its constant."""
+        const = self.term_unit(coeffs, sign)
+        while self.at("+") or self.at("-"):
+            const += self.term_unit(coeffs, sign if self.take().text == "+" else -sign)
+        return const
+
+    def term_unit(self, coeffs: dict[str, int], sign: int) -> int:
+        """Add `sign` times one unit into `coeffs`; returns its constant."""
         if self.at("-"):
             self.take()
-            return self.term_unit().neg()
+            return self.term_unit(coeffs, -sign)
         t = self.peek()
         if t.kind == "int":
             self.take()
-            k = int(t.text)
+            k = sign * int(t.text)
             if self.at("*"):
                 self.take()
                 v = self.expect_ident().text
-                return Term.var(v).scale(k)
-            return Term.of(k)
+                coeffs[v] = coeffs.get(v, 0) + k
+                return 0
+            return k
         if t.kind == "ident":
             self.take()
-            return Term.var(t.text)
+            coeffs[t.text] = coeffs.get(t.text, 0) + sign
+            return 0
         if self.at("("):
             self.take()
-            inner = self.term()
+            const = self.term_sum(coeffs, sign)
             self.expect(")")
-            return inner
+            return const
         self.err("a term")
 
     # ----- pure formulas -----

@@ -37,7 +37,7 @@ from .syntax import (
     Renaming, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
     formula, free_vars, free_vars_disjunct, is_resvar, pand, pure_free_vars, star,
-    substitute, walk_expr, eq as peq, lt as plt,
+    star_all, substitute, walk_expr, eq as peq, lt as plt,
 )
 
 
@@ -573,9 +573,9 @@ class _ProcVerifier:
         warned is not copied, since its warnings name the branch's spans."""
         # a shape keeps the node type, so a code of a type no other branch
         # has is its own shape
-        kinds = [type(code) for code in codes]
-        shapes = [self._shape(code) if kinds.count(kind) > 1 else (code, ())
-                  for code, kind in zip(codes, kinds)]
+        kinds = Counter(type(code) for code in codes)
+        shapes = [self._shape(code) if kinds[type(code)] > 1 else (code, ())
+                  for code in codes]
         counts = Counter(shape for shape, _ in shapes)
         if len(counts) < len(codes):
             met = _names(start)
@@ -585,9 +585,9 @@ class _ProcVerifier:
         firsts, runs = {}, []
         for code, (shape, vs) in zip(codes, shapes):
             if shape in firsts:
-                run, drawn, first, first_vs = firsts[shape]
+                run, drawn, spans, first_vs = firsts[shape]
                 sigma = {u: v for u, v in zip(first_vs, vs) if u != v}
-                runs.append(self._copy_run(run, drawn, first, code, sigma))
+                runs.append(self._copy_run(run, drawn, spans, code, sigma))
                 continue
             if counts[shape] == 1:
                 runs.append(self._run_branch(start, code))
@@ -596,7 +596,9 @@ class _ProcVerifier:
             warned = len(self.warnings)
             runs.append(self._run_branch(start, code))
             if len(self.warnings) == warned:
-                firsts[shape] = runs[-1], self.gen.drawn, code, vs
+                # the spans of the code's nodes, in walk order, for its copies' trace points
+                spans = [e.span for e in walk_expr(code)] if runs[-1][2] else []
+                firsts[shape] = runs[-1], self.gen.drawn, spans, vs
             self.gen = outer
         return runs
 
@@ -628,12 +630,13 @@ class _ProcVerifier:
                 for sp in callee.specs:
                     yield from (sp.pre, sp.post)
 
-    def _copy_run(self, run, drawn: list[tuple[str, str]], code: Expr, copy: Expr,
+    def _copy_run(self, run, drawn: list[tuple[str, str]], spans: list[Span], copy: Expr,
                   sigma: dict[str, str]):
-        """`run` of `code` as a run of `copy`, which is `code` under the
+        """`run` of a code as a run of `copy`, which is that code under the
         renaming `sigma` of its variables: `sigma` applied throughout, each
         name the run drew renamed to a fresh one drawn under `sigma` of its
-        prefix, and the trace points at `copy`'s spans."""
+        prefix, and the trace points at `copy`'s spans. `spans` are those of
+        the code's nodes, in walk order."""
         post, ab, points = run
         rename = Renaming({name: self.gen.fresh(sigma.get(prefix, prefix))
                            for prefix, name in drawn} | sigma)
@@ -642,8 +645,8 @@ class _ProcVerifier:
                             set(rename.ids(ab.written)),
                             {rename.get(v, v): rename(p) for v, p in ab.perms.items()})
         if points:
-            spans = {a.span: b.span for a, b in zip(walk_expr(code), walk_expr(copy))}
-            points = [(spans.get(sp, sp), new_post if f is post else rename(f))
+            at = {sp: e.span for sp, e in zip(spans, walk_expr(copy))}
+            points = [(at.get(sp, sp), new_post if f is post else rename(f))
                       for sp, f in points]
         return new_post, new_ab, points
 
@@ -666,9 +669,7 @@ class _ProcVerifier:
 
     def _join(self, frame: Formula, results: list[Formula], span: Span) -> Formula:
         """frame * results, without the paths a split's bindings ruled out."""
-        combined = frame
-        for r in results:
-            combined = star(combined, r, self.gen)
+        combined = star_all((frame, *results), self.gen)
         live = tuple(d for d in combined.disjuncts if not _unsat(d))
         if not live and not any(all(map(_unsat, f.disjuncts)) for f in (frame, *results)):
             raise VerdictError("SpecFailure", span, "state became inconsistent at the join")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latchproof import lemmas, names, pure
+from latchproof import lemmas, names, pure, verifier
 from latchproof.lemmas import (
     Inconsistency, LEMMAS, NormalizationDiverged, SplitFailure, SplitTarget,
     ambiguous_disjuncts, check_consistency, normalize, rs, rs_net, split_for,
@@ -40,13 +40,13 @@ def test_n_way_join_merges_each_latch_and_the_wait_shares_at_once():
     h = lemmas._Heap(F("CNT(c,1)@1/5 * CNT(c,0)@1/5 * CNT(c,2)@1/5 * CNT(c,0)@1/5 * "
                        "CNT(c,0)@1/5 * WAIT{a->b}@1/5 * WAIT{}@1/5 * WAIT{b->c}@1/5 * "
                        "WAIT{}@1/5 * WAIT{}@1/5").single())
-    n2 = lemmas._n2(h, names.FreshGen())
+    [n2] = lemmas._n2(h, names.FreshGen())
     assert n2.drop == (0, 1, 2, 3, 4) and n2.add == (Cnt("c", Term.of(3), Perm.one()),)
-    w3 = lemmas._w3(h, names.FreshGen())
+    [w3] = lemmas._w3(h, names.FreshGen())
     assert w3.drop == (5, 6, 7, 8, 9)
     assert w3.add == (Wait(frozenset({("a", "b"), ("b", "c")}), Perm.one()),)
     h = lemmas._Heap(F("CNT(c,0)@1/4 * CNT(c,-1)@1/4 * CNT(c,0)@1/4 * CNT(c,-1)@1/4").single())
-    n1 = lemmas._n1(h, names.FreshGen())
+    [n1] = lemmas._n1(h, names.FreshGen())
     assert n1.drop == (0, 1, 2, 3) and n1.add == (Cnt("c", Term.of(-1), Perm.one()),)
 
 
@@ -171,15 +171,15 @@ def _with_rule(name, rule):
 def test_rs_check_runs_the_rules(monkeypatch):
     # N3's rule, swapped for one that drops the released payload
     def lossy(h, gen):
-        return lemmas.Rewrite(drop=tuple(s for s, a in enumerate(h.slots)
-                                         if not isinstance(a, Cnt)))
+        yield lemmas.Rewrite(drop=tuple(s for s, a in enumerate(h.slots)
+                                        if not isinstance(a, Cnt)))
     monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("N3", lossy))
     with pytest.raises(AssertionError, match="N3 is not resource-preserving"):
         verify_lemma_table()
 
 
 def test_rs_check_needs_each_rule_to_fire(monkeypatch):
-    monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("W1", lambda d, gen: None))
+    monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("W1", lambda d, gen: iter(())))
     with pytest.raises(AssertionError, match="W1 does not fire"):
         verify_lemma_table()
 
@@ -271,10 +271,11 @@ def test_normalize_idempotent_and_conserving_random():
 # -- the indexed fixpoint against a full scan ------------------------------------
 
 def _rewrite_first(d, gen):
-    """The first rewrite lemma that applies, each rule scanning every key."""
+    """The first match of the first rewrite lemma that applies, each rule
+    scanning every key."""
     for lemma in lemmas._REWRITES:
         h = lemmas._Heap(d)
-        step = lemma.rule(h, gen)
+        step = next(lemma.rule(h, gen), None)
         if step is not None:
             _, rest = h.apply(step, gen)
             return [h.disjunct(), *rest]
@@ -365,6 +366,98 @@ def test_rewrites_after_a_release(text, heap):
     assert out == _full_scan_normalize(F(text), names.FreshGen(0))
 
 
+# -- batched rules against one key at a time ---------------------------------------
+
+def _match_slot(step):
+    """The slot a rewrite is about: the lowest it drops or puts."""
+    return min(step.drop + tuple(s for s, _ in step.put))
+
+
+def _one_key_at_a_time(delta, gen):
+    """Reference: each round asks the first rewrite rule in table order that
+    matches about each key alone, `rule(h, gen, {k})` in slot order, takes
+    the match at the lowest slot, applies it by itself and checks the whole
+    disjunct."""
+    out = []
+    for d0 in delta.disjuncts:
+        queue = [Disjunct(d0.exists, tuple(lemmas._concretize_counts(d0.pure, d0.heap)), d0.pure)]
+        while queue:
+            h = lemmas._Heap(queue.pop(0))
+            while True:
+                step = None
+                keys = sorted(dict.fromkeys(k for k in h.keys if k is not None),
+                              key=h.keys.index)
+                for lemma in lemmas._REWRITES:
+                    firsts = [rw for k in keys
+                              if (rw := next(lemma.rule(h, gen, {k}), None)) is not None]
+                    if firsts:
+                        step = min(firsts, key=_match_slot)
+                        break
+                if step is not None:
+                    queue.extend(h.apply(step, gen)[1])
+                bad = check_consistency(Formula((h.disjunct(),)))
+                if bad is not None:
+                    return bad
+                if step is None:
+                    break
+            out.append(h.disjunct())
+    return Formula(tuple(out), delta.span)
+
+
+_TRIVIAL = ["emp", "emp & true"]
+_CARRIED = ["P", "x::cell(1)", "x::cell(v) & v>0", "P | Q", "CNT(c2,0)@1/4"]
+
+
+def _random_heap(r):
+    """A heap over three to five latches with several shares each: constant
+    and symbolic counts, trivial and carried payloads, wait-for shares."""
+    latches = [f"c{i}" for i in range(1, r.randint(3, 5) + 1)]
+    atoms = []
+    for _ in range(r.randint(6, 24)):
+        c, kind = r.choice(latches), r.random()
+        if kind < 0.5:
+            count = r.choice(["-1", "-1", "0", "0", "1", "2", "n", "n+1", "m", "k-1"])
+            atoms.append(f"CNT({c},{count})" + r.choice(["", "@1/2", "@1/3", "@1/4", "@f"]))
+        elif kind < 0.75:
+            payload = r.choice(_TRIVIAL if r.random() < 0.5 else _CARRIED)
+            atoms.append(f"{r.choice(['LatchIn', 'LatchOut'])}({c}, {payload})")
+        elif kind < 0.95:
+            arcs = ", ".join(f"{r.choice(latches)}->{r.choice(latches)}"
+                             for _ in range(r.randint(0, 2)))
+            atoms.append("WAIT{" + arcs + "}" + r.choice(["@1/2", "@1/3", "@1/4", ""]))
+        else:
+            atoms.append(r.choice(["dead(t1)", "thread(t1, P)"]))
+    pure_parts = r.sample(["n>=0", "n=1", "n=0", "m>0", "m=2", "k=1", "v=1"], r.randint(0, 3))
+    return F(" & ".join([" * ".join(atoms)] + pure_parts))
+
+
+def test_batched_rules_match_one_key_at_a_time(monkeypatch):
+    # the largest number of matches one rule rewrote in one call
+    widest = {"batch": 0}
+
+    def counted(rule):
+        def run(h, gen, keys=None):
+            for n, step in enumerate(rule(h, gen, keys), 1):
+                widest["batch"] = max(widest["batch"], n)
+                yield step
+        return run
+    batched = tuple(dataclasses.replace(lm, rule=counted(lm.rule)) for lm in lemmas._REWRITES)
+    r = random.Random(17)
+    outcomes = set()
+    for _ in range(400):
+        f = _random_heap(r)
+        want = _one_key_at_a_time(f, names.FreshGen(0))
+        with monkeypatch.context() as m:
+            m.setattr(lemmas, "_REWRITES", batched)
+            got = normalize(f, names.FreshGen(0))
+        # the same atoms in the same heap order, or the same first
+        # inconsistency: kind, lemma, message and the state it was found in
+        assert got == want, format_state(f)
+        outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
+    assert outcomes >= {"normal form", "E1", "E2", "E3"}
+    assert widest["batch"] >= 3
+
+
 # -- solver work -------------------------------------------------------------------
 
 def test_implied_decides_ground_consequents_by_evaluation(monkeypatch):
@@ -405,6 +498,63 @@ def test_chain_and_ring_solver_work(monkeypatch):
     ring = _latch_program(n, [f"await(c{i}); countDown(c{(i + 1) % n})" for i in range(n)])
     [v] = verify_program(ring, VerifyOptions(collect_trace=False))
     assert (v.kind, v.lemma) == ("DeadlockError", "E3")
+
+
+def _chain(n):
+    return _latch_program(n, ["countDown(c0)"] + [f"await(c{i}); countDown(c{i + 1})"
+                                                  for i in range(n - 1)] + [f"await(c{n - 1})"])
+
+
+def _fan_in(n):
+    decls = f"  c = create_latch({n});\n"
+    source = ("void main()\n  requires emp\n  ensures emp;\n{\n" + decls
+              + f"  ( {' || '.join(['countDown(c)'] * n + ['await(c)'])} )\n}}\n")
+    return parse_program(SourceFile("fan-in", source))
+
+
+def _join_work(monkeypatch, program):
+    """The rewrite rounds of the `||` join's normalize (rule calls that
+    rewrote something) and the nested entail calls of the split."""
+    counts = {"rounds": 0, "entail": 0}
+    in_join = [False]
+
+    def counted(rule):
+        def run(h, gen, keys=None):
+            for n, step in enumerate(rule(h, gen, keys)):
+                counts["rounds"] += in_join[0] and n == 0
+                yield step
+        return run
+
+    def join(self, *args):
+        in_join[0] = True
+        try:
+            return original_join(self, *args)
+        finally:
+            in_join[0] = False
+
+    def nested_entail(*args, **kwargs):
+        counts["entail"] += 1
+        return original_entail(*args, **kwargs)
+    original_join, original_entail = verifier._ProcVerifier._join, lemmas.entail
+    with monkeypatch.context() as m:
+        m.setattr(lemmas, "_REWRITES", tuple(dataclasses.replace(lm, rule=counted(lm.rule))
+                                             for lm in lemmas._REWRITES))
+        m.setattr(verifier._ProcVerifier, "_join", join)
+        m.setattr(lemmas, "entail", nested_entail)
+        [v] = verify_program(program, VerifyOptions(collect_trace=False))
+    assert v.kind == "Verified"
+    return counts
+
+
+def test_join_rounds_do_not_grow_with_the_block(monkeypatch):
+    # each rule rewrites all of its matches in one round, so a join takes
+    # as many rounds at N = 64 or 128 as at 16
+    chain = [_join_work(monkeypatch, _chain(n)) for n in (16, 64)]
+    fan_in = [_join_work(monkeypatch, _fan_in(n)) for n in (16, 128)]
+    assert chain[0]["rounds"] == chain[1]["rounds"] > 0, chain
+    assert fan_in[0]["rounds"] == fan_in[1]["rounds"] > 0, fan_in
+    # a split serves counter-only targets without a nested entailment
+    assert [c["entail"] for c in fan_in] == [0, 0]
 
 
 # -- precision lint ----------------------------------------------------------------
