@@ -479,6 +479,9 @@ def entail(E, delta_a: Formula, delta_c: Formula, gen: names.FreshGen | None = N
     The `rigid` names (a procedure's program variables) hold fixed values:
     a payload value among them is never instantiated, though the
     antecedent may not mention it."""
+    out = nothing_taken(delta_a, delta_c)
+    if out is not None:
+        return out
     E = set(E)
     gen = gen or names.default_gen()
 
@@ -524,6 +527,22 @@ def entail(E, delta_a: Formula, delta_c: Formula, gen: names.FreshGen | None = N
                 failure_reason=Diagnostic("ResourceVarRebind",
                                           f"binding {W} escaped into the residue"))
     return EntailmentOutcome(True, D, residue, var_b, perm_b, None, notes)
+
+
+def nothing_taken(delta_a: Formula, delta_c: Formula) -> Optional[EntailmentOutcome]:
+    """`entail`'s outcome when `delta_c` demands nothing of `delta_a`, else None.
+    It demands nothing when it is one disjunct with no heap, no existentials
+    and a true pure part, and `delta_a` has no existentials to open: each
+    antecedent disjunct is then its own residue, with no binding found and
+    no name drawn."""
+    if len(delta_c.disjuncts) != 1:
+        return None
+    dc = delta_c.disjuncts[0]
+    if dc.heap or dc.exists or not isinstance(dc.pure, PTrue) \
+            or any(da.exists for da in delta_a.disjuncts):
+        return None
+    return EntailmentOutcome(True, {}, Formula(tuple(
+        Disjunct((), da.heap, pand([da.pure])) for da in delta_a.disjuncts)))
 
 
 def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 from . import names
 from . import pure as solver
-from .entail import EntailmentOutcome, entail
+from .entail import EntailmentOutcome, entail, nothing_taken
 from .parser import parse_formula, unparse_atom
 from .pure import SolverUnknown, Status
 from .syntax import (
@@ -326,7 +326,9 @@ def _is_trivial_payload(arg: ResArg) -> bool:
 
 
 def _wait_union(waits: list[Wait]) -> Wait:
-    return Wait(frozenset().union(*(w.arcs for w in waits)), Perm.total([w.perm for w in waits]))
+    first, *rest = waits
+    return Wait(frozenset().union(*(w.arcs for w in waits)),
+                sum((w.perm for w in rest), first.perm))
 
 
 def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
@@ -368,9 +370,9 @@ def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     count the pure part fixes, so a later latch's shares are read after it."""
     for group in _merge_groups(h, keys, lambda t: t.is_const and t.const >= 0
                                or _implied(h.pure, ple(Term.of(0), t))):
-        shares = [h.slots[s] for s in group]
-        merged = Cnt(shares[0].latch, Term.total([a.count for a in shares]),
-                     Perm.total([a.perm for a in shares]))
+        first, *rest = (h.slots[s] for s in group)
+        merged = Cnt(first.latch, sum((a.count for a in rest), first.count),
+                     sum((a.perm for a in rest), first.perm))
         kept = sorted(h.symbolic - set(group))
         *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
         put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
@@ -382,9 +384,9 @@ def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     for group in _merge_groups(
             h, keys, lambda t: t.is_const and t.const <= 0 or _implied(h.pure, ple(t, Term.of(0))),
             lambda cnts: _shares(h, cnts, _final(h))):
-        shares = [h.slots[s] for s in group]
+        first, *rest = (h.slots[s] for s in group)
         yield Rewrite(drop=tuple(group), add=(
-            Cnt(shares[0].latch, Term.of(-1), Perm.total([a.perm for a in shares])),))
+            Cnt(first.latch, Term.of(-1), sum((a.perm for a in rest), first.perm)),))
 
 
 def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
@@ -761,8 +763,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
     demands: list[list[tuple[str, int, Perm, Optional[str]]]] = []
     count_bindings: list[dict[str, Term]] = []
     avail: dict[tuple[str, bool], tuple[Term, Perm]] = {
-        key: (g[0].count if key[1] else Term.total([a.count for a in g]),
-              Perm.total([a.perm for a in g]))
+        key: (g[0].count if key[1] else sum((a.count for a in g[1:]), g[0].count),
+              sum((a.perm for a in g[1:]), g[0].perm))
         for key, g in cnts.items()}
 
     rest_targets: list[Disjunct] = []
@@ -857,27 +859,22 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
     for t, td, my, rho_counts in zip(targets, rest_targets, demands, count_bindings):
         rd = remaining.single()
         halves = {}
-        if not (td.heap or td.exists or rd.exists) and isinstance(td.pure, PTrue):
-            # a target of counters alone takes nothing more: what entail
-            # gives for emp, with no existential to open and no name drawn
-            left = pand([rd.pure])
-            r = EntailmentOutcome(True, {}, remaining if left == rd.pure
-                                  else Formula((Disjunct((), rd.heap, left),)))
-            consumed = td
-        else:
-            for a in td.heap:
-                if isinstance(a, PointsTo) and a.perm.single_var() is not None:
-                    held = _cell_of(rd, a.root)
-                    if held is not None and held[1].perm.is_concrete:
-                        halves[a.perm.single_var()] = held[1].perm.divide(2)
-            target_f = substitute(Formula((td,)), perms=halves)
+        for a in td.heap:
+            if isinstance(a, PointsTo) and a.perm.single_var() is not None:
+                held = _cell_of(rd, a.root)
+                if held is not None and held[1].perm.is_concrete:
+                    halves[a.perm.single_var()] = held[1].perm.divide(2)
+        target_f = substitute(Formula((td,)), perms=halves)
+        # a target of counters alone takes nothing more, without a nested entailment
+        r = nothing_taken(remaining, target_f)
+        if r is None:
             r = entail(set(t.E), remaining, target_f, gen=gen, rigid=rigid)
-            if not r.success:
-                raise SplitFailure(Diagnostic(
-                    "SpecFailure",
-                    f"no partition satisfies a branch precondition: "
-                    f"{r.failure_reason.message if r.failure_reason else ''}"))
-            consumed = r.bind(target_f, gen).single()
+        if not r.success:
+            raise SplitFailure(Diagnostic(
+                "SpecFailure",
+                f"no partition satisfies a branch precondition: "
+                f"{r.failure_reason.message if r.failure_reason else ''}"))
+        consumed = r.bind(target_f, gen).single()
         remaining = r.residue
         branch_atoms = list(consumed.heap)
         branch_pure = [pi, consumed.pure]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .diagnostics import Diagnostic, Span, NO_SPAN
 from . import names
@@ -46,17 +45,6 @@ class Term:
         for v, c in other.coeffs:
             d[v] = d.get(v, 0) + c
         return Term._norm(d, self.const + other.const)
-
-    @staticmethod
-    def total(ts: Sequence["Term"]) -> "Term":
-        """ts[0] + ts[1] + ..., the coefficients put in order once."""
-        if len(ts) == 1:
-            return ts[0]
-        d: dict[str, int] = {}
-        for t in ts:
-            for v, c in t.coeffs:
-                d[v] = d.get(v, 0) + c
-        return Term._norm(d, sum(t.const for t in ts))
 
     def __sub__(self, other: "Term") -> "Term":
         return self + other.scale(-1)
@@ -144,15 +132,6 @@ class Perm:
 
     def __add__(self, other: "Perm") -> "Perm":
         return Perm(self.frac + other.frac, tuple(sorted(self.vars + other.vars)))
-
-    @staticmethod
-    def total(ps: Sequence["Perm"]) -> "Perm":
-        """ps[0] + ps[1] + ..., over one common denominator."""
-        if len(ps) == 1:
-            return ps[0]
-        den = lcm(*[p.frac.denominator for p in ps])
-        num = sum([p.frac.numerator * (den // p.frac.denominator) for p in ps])
-        return Perm(Fraction(num, den), tuple(sorted([v for p in ps for v in p.vars])))
 
     def minus(self, other: "Perm") -> "Perm":
         if not (self.is_concrete and other.is_concrete):
@@ -499,43 +478,16 @@ EMP = emp()
 
 def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula:
     """Separating conjunction, distributing over disjuncts."""
-    return star_all((f1, f2), gen)
-
-
-def star_all(fs: Sequence[Formula], gen: names.FreshGen | None = None) -> Formula:
-    """f1 * f2 * ... * fn, the stars taken left to right in one pass. A
-    factor's existentials are renamed apart from the names the product
-    before it binds or mentions. Those names are gathered when a factor
-    first has existentials and then grow factor by factor."""
     gen = gen or names.default_gen()
-    prods = fs[0].disjuncts
-    seen: Optional[list[set[str]]] = None    # per product disjunct, once gathered
-    for f in fs[1:]:
-        if seen is None:
-            for d in f.disjuncts:
-                if d.exists:
-                    seen = [set(d1.exists).union(*map(atom_free_vars, d1.heap)) for d1 in prods]
-                    break
-        grown = []
-        if seen is None:
-            for d1 in prods:
-                for d2 in f.disjuncts:
-                    grown.append(Disjunct(d1.exists + d2.exists, d1.heap + d2.heap,
-                                          pand([d1.pure, d2.pure])))
-        else:
-            grown_seen = []
-            for d1, names1 in zip(prods, seen):
-                for d2 in f.disjuncts:
-                    if d2.exists:
-                        d2 = rename_apart(d2, gen, names1 | pure_free_vars(d1.pure))
-                    grown.append(Disjunct(d1.exists + d2.exists, d1.heap + d2.heap,
-                                          pand([d1.pure, d2.pure])))
-                    more = set(names1) if len(f.disjuncts) > 1 else names1
-                    more.update(d2.exists, *map(atom_free_vars, d2.heap))
-                    grown_seen.append(more)
-            seen = grown_seen
-        prods = grown
-    return Formula(tuple(prods))
+    out = []
+    for d1 in f1.disjuncts:
+        for d2 in f2.disjuncts:
+            if d2.exists:
+                d2 = rename_apart(d2, gen, set(d1.exists) | free_vars_disjunct(d1))
+            out.append(
+                Disjunct(d1.exists + d2.exists, d1.heap + d2.heap, pand([d1.pure, d2.pure]))
+            )
+    return Formula(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .syntax import (
     Renaming, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
     ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
     formula, free_vars, free_vars_disjunct, is_resvar, pand, pure_free_vars, star,
-    star_all, substitute, walk_expr, eq as peq, lt as plt,
+    substitute, walk_expr, eq as peq, lt as plt,
 )
 
 
@@ -669,7 +669,9 @@ class _ProcVerifier:
 
     def _join(self, frame: Formula, results: list[Formula], span: Span) -> Formula:
         """frame * results, without the paths a split's bindings ruled out."""
-        combined = star_all((frame, *results), self.gen)
+        combined = frame
+        for r in results:
+            combined = star(combined, r, self.gen)
         live = tuple(d for d in combined.disjuncts if not _unsat(d))
         if not live and not any(all(map(_unsat, f.disjuncts)) for f in (frame, *results)):
             raise VerdictError("SpecFailure", span, "state became inconsistent at the join")

@@ -514,8 +514,9 @@ def _fan_in(n):
 
 def _join_work(monkeypatch, program):
     """The rewrite rounds of the `||` join's normalize (rule calls that
-    rewrote something) and the nested entail calls of the split."""
-    counts = {"rounds": 0, "entail": 0}
+    rewrote something), the nested entail calls of the split and the
+    targets it served as taking nothing."""
+    counts = {"rounds": 0, "entail": 0, "served": 0}
     in_join = [False]
 
     def counted(rule):
@@ -535,12 +536,19 @@ def _join_work(monkeypatch, program):
     def nested_entail(*args, **kwargs):
         counts["entail"] += 1
         return original_entail(*args, **kwargs)
+
+    def served(*args):
+        out = original_nothing_taken(*args)
+        counts["served"] += out is not None
+        return out
     original_join, original_entail = verifier._ProcVerifier._join, lemmas.entail
+    original_nothing_taken = lemmas.nothing_taken
     with monkeypatch.context() as m:
         m.setattr(lemmas, "_REWRITES", tuple(dataclasses.replace(lm, rule=counted(lm.rule))
                                              for lm in lemmas._REWRITES))
         m.setattr(verifier._ProcVerifier, "_join", join)
         m.setattr(lemmas, "entail", nested_entail)
+        m.setattr(lemmas, "nothing_taken", served)
         [v] = verify_program(program, VerifyOptions(collect_trace=False))
     assert v.kind == "Verified"
     return counts
@@ -553,8 +561,10 @@ def test_join_rounds_do_not_grow_with_the_block(monkeypatch):
     fan_in = [_join_work(monkeypatch, _fan_in(n)) for n in (16, 128)]
     assert chain[0]["rounds"] == chain[1]["rounds"] > 0, chain
     assert fan_in[0]["rounds"] == fan_in[1]["rounds"] > 0, fan_in
-    # a split serves counter-only targets without a nested entailment
+    # a split serves its counter-only targets, the N countDowns and the
+    # await, without a nested entailment
     assert [c["entail"] for c in fan_in] == [0, 0]
+    assert [c["served"] for c in fan_in] == [17, 129]
 
 
 # -- precision lint ----------------------------------------------------------------

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +7,8 @@ from latchproof import names
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
     FULL, TRUE, Cmp, Cnt, Disjunct, Formula, LatchIn, Par, Perm, PForall, PointsTo, Renaming,
-    ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec, Wait, check_wellformed, free_vars,
-    free_vars_disjunct, pand, rename_apart, star, star_all, substitute, walk_expr, _expr_children,
+    ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec, Wait, check_wellformed, free_vars, star,
+    substitute, walk_expr, _expr_children,
 )
 
 
@@ -88,36 +87,6 @@ def test_star_renames_clashing_existentials_in_binding_order():
                               TRUE),))
     gen = names.FreshGen(8)
     assert star(left, right, gen).single().exists == tuple(f"v#{i}" for i in range(9, 17))
-
-
-def _star_pairwise(f1, f2, gen):
-    """Reference: the separating conjunction of two formulas, each
-    existential of the second renamed apart from the names of the first."""
-    out = []
-    for d1 in f1.disjuncts:
-        for d2 in f2.disjuncts:
-            if d2.exists:
-                d2 = rename_apart(d2, gen, set(d1.exists) | free_vars_disjunct(d1))
-            out.append(Disjunct(d1.exists + d2.exists, d1.heap + d2.heap,
-                                pand([d1.pure, d2.pure])))
-    return Formula(tuple(out))
-
-
-def test_star_all_takes_the_stars_left_to_right():
-    # the join's one pass: the same product and the same fresh names as
-    # starring the factors one at a time
-    texts = ["emp", "x::cell(v) & v > 0", "ex v. x::cell(v) & v > 1", "ex v, w. y::cell(v) * "
-             "z::cell(w) & v < w", "CNT(c, n)@1/2 & n = 1", "ex n. CNT(c, n) & n > 0 | LatchIn(c, P)",
-             "P | ex a. x::cell(a)", "ex v. x::cell(v) & v = n", "WAIT{}@1/2 * dead(t)", "false"]
-    r = random.Random(3)
-    for _ in range(500):
-        fs = [F(r.choice(texts)) for _ in range(r.randint(2, 6))]
-        ref, got = names.FreshGen(0), names.FreshGen(0)
-        want = fs[0]
-        for f in fs[1:]:
-            want = _star_pairwise(want, f, ref)
-        assert star_all(fs, got) == want
-        assert got.fresh("v") == ref.fresh("v") and got.fresh("a") == ref.fresh("a")
 
 
 def test_fresh_monotone():
