@@ -25,7 +25,7 @@ from .diagnostics import Diagnostic
 from .pure import SolverUnknown
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
-    Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
+    PAnd, Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
     TRUE, atom_free_vars, atom_root, EMP, free_vars, free_vars_disjunct, is_resvar, pand,
     pure_free_vars, pure_subst, rename_apart, substitute, eq as peq,
 )
@@ -538,11 +538,17 @@ def nothing_taken(delta_a: Formula, delta_c: Formula) -> Optional[EntailmentOutc
     if len(delta_c.disjuncts) != 1:
         return None
     dc = delta_c.disjuncts[0]
-    if dc.heap or dc.exists or not isinstance(dc.pure, PTrue) \
-            or any(da.exists for da in delta_a.disjuncts):
+    if dc.heap or dc.exists or not isinstance(dc.pure, PTrue):
         return None
-    return EntailmentOutcome(True, {}, Formula(tuple(
-        Disjunct((), da.heap, pand([da.pure])) for da in delta_a.disjuncts)))
+    for da in delta_a.disjuncts:
+        if da.exists:
+            return None
+    # the residue's pure part goes through pand, which leaves all but a
+    # conjunction as it is
+    if any(isinstance(da.pure, PAnd) for da in delta_a.disjuncts):
+        delta_a = Formula(tuple(Disjunct((), da.heap, pand([da.pure]))
+                                for da in delta_a.disjuncts))
+    return EntailmentOutcome(True, {}, delta_a)
 
 
 def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,

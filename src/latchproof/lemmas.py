@@ -326,9 +326,7 @@ def _is_trivial_payload(arg: ResArg) -> bool:
 
 
 def _wait_union(waits: list[Wait]) -> Wait:
-    first, *rest = waits
-    return Wait(frozenset().union(*(w.arcs for w in waits)),
-                sum((w.perm for w in rest), first.perm))
+    return Wait(frozenset().union(*(w.arcs for w in waits)), Perm.total([w.perm for w in waits]))
 
 
 def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
@@ -370,9 +368,9 @@ def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     count the pure part fixes, so a later latch's shares are read after it."""
     for group in _merge_groups(h, keys, lambda t: t.is_const and t.const >= 0
                                or _implied(h.pure, ple(Term.of(0), t))):
-        first, *rest = (h.slots[s] for s in group)
-        merged = Cnt(first.latch, sum((a.count for a in rest), first.count),
-                     sum((a.perm for a in rest), first.perm))
+        shares = [h.slots[s] for s in group]
+        merged = Cnt(shares[0].latch, Term.total([a.count for a in shares]),
+                     Perm.total([a.perm for a in shares]))
         kept = sorted(h.symbolic - set(group))
         *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
         put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
@@ -384,9 +382,9 @@ def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     for group in _merge_groups(
             h, keys, lambda t: t.is_const and t.const <= 0 or _implied(h.pure, ple(t, Term.of(0))),
             lambda cnts: _shares(h, cnts, _final(h))):
-        first, *rest = (h.slots[s] for s in group)
+        shares = [h.slots[s] for s in group]
         yield Rewrite(drop=tuple(group), add=(
-            Cnt(first.latch, Term.of(-1), sum((a.perm for a in rest), first.perm)),))
+            Cnt(shares[0].latch, Term.of(-1), Perm.total([a.perm for a in shares])),))
 
 
 def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
@@ -763,8 +761,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
     demands: list[list[tuple[str, int, Perm, Optional[str]]]] = []
     count_bindings: list[dict[str, Term]] = []
     avail: dict[tuple[str, bool], tuple[Term, Perm]] = {
-        key: (g[0].count if key[1] else sum((a.count for a in g[1:]), g[0].count),
-              sum((a.perm for a in g[1:]), g[0].perm))
+        key: (g[0].count if key[1] else Term.total([a.count for a in g]),
+              Perm.total([a.perm for a in g]))
         for key, g in cnts.items()}
 
     rest_targets: list[Disjunct] = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .diagnostics import Diagnostic, Span, NO_SPAN
 from . import names
@@ -41,10 +42,18 @@ class Term:
         return Term(items, const)
 
     def __add__(self, other: "Term") -> "Term":
-        d = dict(self.coeffs)
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) + c
-        return Term._norm(d, self.const + other.const)
+        return Term.total((self, other))
+
+    @staticmethod
+    def total(ts: Sequence["Term"]) -> "Term":
+        """ts[0] + ts[1] + ..., the coefficients put in order once."""
+        if len(ts) == 1:
+            return ts[0]
+        d: dict[str, int] = {}
+        for t in ts:
+            for v, c in t.coeffs:
+                d[v] = d.get(v, 0) + c
+        return Term._norm(d, sum(t.const for t in ts))
 
     def __sub__(self, other: "Term") -> "Term":
         return self + other.scale(-1)
@@ -131,7 +140,16 @@ class Perm:
         return self.is_concrete and self.frac == 1
 
     def __add__(self, other: "Perm") -> "Perm":
-        return Perm(self.frac + other.frac, tuple(sorted(self.vars + other.vars)))
+        return Perm.total((self, other))
+
+    @staticmethod
+    def total(ps: Sequence["Perm"]) -> "Perm":
+        """ps[0] + ps[1] + ..., over one common denominator."""
+        if len(ps) == 1:
+            return ps[0]
+        den = lcm(*[p.frac.denominator for p in ps])
+        num = sum([p.frac.numerator * (den // p.frac.denominator) for p in ps])
+        return Perm(Fraction(num, den), tuple(sorted([v for p in ps for v in p.vars])))
 
     def minus(self, other: "Perm") -> "Perm":
         if not (self.is_concrete and other.is_concrete):

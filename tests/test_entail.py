@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from latchproof import names
-from latchproof.entail import addVar, entail
+from latchproof.entail import EntailmentOutcome, _entail_dd, addVar, entail, nothing_taken
 from latchproof.parser import parse_formula, unparse_formula
 from latchproof.syntax import (
-    Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, Perm, PointsTo, ResVarAtom, RForm,
-    RVar, Term, TRUE, substitute,
+    Cmp, Cnt, Disjunct, Formula, LatchIn, LatchOut, PAnd, Perm, PointsTo, ResVarAtom, RForm,
+    RVar, Term, TRUE, EMP, substitute,
 )
 
 
@@ -55,6 +55,24 @@ def test_latchout_split_residue():
 def test_emp_emp():
     r = entail(set(), F("emp & true"), F("emp & true"))
     assert r.success and canon(r.residue) == "emp & true"
+
+
+def test_nothing_taken_is_the_derivation_of_emp():
+    # entail returns nothing_taken's outcome early: it must be what the
+    # general derivation gives for a consequent that demands nothing
+    p = F("emp & n > 0").single().pure
+    repeated = Formula((Disjunct((), (), PAnd((p, p))), Disjunct((), (), PAnd((p,)))))
+    for a in [F("emp"), F("x::cell(1) & n > 0 & m > 0"), repeated,
+              F("CNT(c, 2)@1/2 * LatchIn(c, P) | x::cell(v) * WAIT{c->d}@1/2 & v = 2")]:
+        gen = names.FreshGen(0)
+        per = [_entail_dd(set(), d, EMP.single(), gen, frozenset()) for d in a.disjuncts]
+        assert all(not (r["D"] or r["rho"] or r["permb"] or r["notes"]) for r in per)
+        assert nothing_taken(a, EMP) == EntailmentOutcome(
+            True, {}, Formula(tuple(r["residue"] for r in per)))
+        assert gen.fresh("v") == "v#1"
+    assert nothing_taken(F("ex v. x::cell(v)"), EMP) is None
+    assert nothing_taken(F("x::cell(1)"), F("emp & n > 0")) is None
+    assert nothing_taken(F("x::cell(1)"), F("emp | emp & n > 0")) is None
 
 
 # -- match_points_to permission side conditions ------------------------------
