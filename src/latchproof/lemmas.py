@@ -17,7 +17,9 @@ of its matches among the keys it is given in one scan, lowest slot first,
 and after a rewrite the fixpoint runs each rule and check only on the keys
 whose atoms have changed since that rule or check last found them clean.
 The keys left out hold no match, so the matches found are those a scan of
-the whole heap finds, in the same order.
+the whole heap finds, in the same order. A normal form's heap is kept for
+the next step that stars atoms onto it (a new latch, cell or thread), which
+then rewrites from the keys of those atoms alone.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from .pure import SolverUnknown, Status
 from .syntax import (
     Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, atom_root, pand, pure_eval, pure_free_vars, star, substitute,
+    TRUE, atom_names, atom_root, formula, pand, pure_eval, pure_free_vars, pure_names, star,
+    substitute,
     eq as peq, le as ple, lt as plt,
 )
 from .waitgraph import is_cyclic
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, NO_SPAN
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def _symbolic(a: HeapAtom) -> bool:
     return isinstance(a, Cnt) and not a.count.is_const
 
 
-@dataclass(frozen=True)
+@dataclass(eq=True, unsafe_hash=True, slots=True)
 class Rewrite:
     """What a rule does to a disjunct at one match, by slot: `put` replaces
     atoms where they stand, the atoms at `drop` go, `add` is appended, and a
@@ -169,11 +172,24 @@ class _Heap:
         # kind -> key -> its slots, ascending
         self.index: dict[str, dict[tuple, list[int]]] = {}
         self.symbolic: set[int] = set()    # slots of counts that are not constants
+        self._names: Optional[set[str]] = None
         for a in d.heap:
             self._place(len(self.slots), a)
 
     def disjunct(self) -> Disjunct:
-        return Disjunct(self.exists, tuple(a for a in self.slots if a is not None), self.pure)
+        return Disjunct(self.exists, tuple([a for a in self.slots if a is not None]), self.pure)
+
+    def names(self) -> set[str]:
+        """Every name, free or bound, that the existentials, the pure part
+        or an atom placed since this heap was built mention: the names of
+        the disjunct and maybe a few more. Gathered when first asked for,
+        then kept up as atoms are placed."""
+        if self._names is None:
+            self._names = set(self.exists) | pure_names(self.pure)
+            for a in self.slots:
+                if a is not None:
+                    self._names |= atom_names(a)
+        return self._names
 
     def _place(self, s: int, a: HeapAtom) -> Optional[tuple]:
         k = _key(a)
@@ -186,7 +202,20 @@ class _Heap:
             insort(self.index.setdefault(k[0], {}).setdefault(k, []), s)
         if _symbolic(a):
             self.symbolic.add(s)
+        if self._names is not None:
+            self._names |= atom_names(a)
         return k
+
+    def extend(self, atoms: tuple[HeapAtom, ...]) -> set[tuple]:
+        """Star `atoms` onto this heap, with the counts the pure part pins
+        made constants, as `normalize` does on entry to every count of a
+        disjunct (those already here in their order first, then the new
+        ones). Returns the keys whose atoms changed."""
+        kept = sorted(self.symbolic)
+        pinned = _concretize_counts(self.pure, [self.slots[s] for s in kept] + list(atoms))
+        put = tuple((s, c) for s, c in zip(kept, pinned) if c is not self.slots[s])
+        touched, _ = self.apply(Rewrite(put=put, add=tuple(pinned[len(kept):])), None)
+        return touched
 
     def _empty(self, s: int) -> Optional[tuple]:
         k = self.keys[s]
@@ -614,10 +643,41 @@ def check_consistency(delta: Formula) -> Optional[Inconsistency]:
     return None
 
 
-def normalize(delta: Formula, gen=None):
+# The heap of each disjunct `normalize` has returned lately, by the
+# disjunct's identity. A step that stars atoms onto such a disjunct extends
+# its heap in place of building one. An entry holds its disjunct, so no
+# other object takes that identity while the entry stands, and leaves the
+# map when it is used, so no heap is extended twice. An entry changes no
+# result, only the work done to reach it, so callers may share the map.
+_CARRIED: dict[int, tuple[Disjunct, _Heap]] = {}
+_CARRIED_MAX = 16
+
+
+def _carry(d: Disjunct, h: _Heap) -> None:
+    _CARRIED[id(d)] = (d, h)
+    if len(_CARRIED) > _CARRIED_MAX:
+        del _CARRIED[next(iter(_CARRIED))]
+
+
+def may_mention(delta: Formula, name: str) -> bool:
+    """Whether `name` may occur in `delta`, free or bound. False only when
+    every disjunct is a normal form `normalize` still carries and none of
+    their heaps has named it."""
+    for d in delta.disjuncts:
+        entry = _CARRIED.get(id(d))
+        if entry is None or name in entry[1].names():
+            return True
+    return False
+
+
+def normalize(delta: Formula, gen=None,
+              added: Optional[tuple[tuple[HeapAtom, ...], ...]] = None):
     """Rewrite each disjunct to fixpoint, first applicable lemma in table
     order, and check every state reached with the inconsistency lemmas;
-    returns the normal form or the first Inconsistency.
+    returns the normal form or the first Inconsistency. `added[i]`, when
+    `added` is given, are the atoms a step stars onto disjunct i: the result
+    is that of normalizing `star(delta_i, formula(*added[i]))` for each i,
+    which has no span.
 
     For each rewrite rule, and for the checks, the fixpoint keeps the keys
     not found clean since their atoms last changed (None: every key). A rule
@@ -628,16 +688,33 @@ def normalize(delta: Formula, gen=None):
     when it changed the pure part or the existentials, and the checks run
     after each match: the states checked, and so the first inconsistency,
     are those of rewriting one match at a time. After a rule has fired the
-    table starts again from its first rule."""
+    table starts again from its first rule.
+
+    A disjunct this function returned has every key clean for every rule
+    and check. Starring atoms onto it is a rewrite that touched their keys
+    alone, so when its heap is still carried the fixpoint starts from that
+    heap with only those keys dirty; any other disjunct starts from a new
+    heap with every key dirty."""
     gen = gen or names.default_gen()
     out: list[Disjunct] = []
-    for d0 in delta.disjuncts:
-        queue = [Disjunct(d0.exists, tuple(_concretize_counts(d0.pure, d0.heap)), d0.pure)]
-        cap = 10 * (len(d0.heap) + 1) + 10
-        while queue:
-            h = _Heap(queue.pop(0))
+    for i, d0 in enumerate(delta.disjuncts):
+        atoms = added[i] if added is not None else ()
+        cap = 10 * (len(d0.heap) + len(atoms) + 1) + 10
+        entry = _CARRIED.pop(id(d0), None)
+        if entry is not None:
+            h = entry[1]
+            start = h.extend(atoms)
+        else:
+            if atoms:
+                d0 = star(Formula((d0,)), formula(*atoms), gen).single()
+            h = _Heap(Disjunct(d0.exists, tuple(_concretize_counts(d0.pure, d0.heap)), d0.pure))
+            start = None
+        queue: list[Disjunct] = []
+        while True:
             # one key set per rewrite, in table order, and the checks' last
-            dirty: list[Optional[set[tuple]]] = [None] * (len(_REWRITES) + 1)
+            dirty: list[Optional[set[tuple]]] = (
+                [None] * (len(_REWRITES) + 1) if start is None
+                else [set(start) for _ in range(len(_REWRITES) + 1)])
             steps = 0
             fired = True
             while fired:
@@ -668,12 +745,17 @@ def normalize(delta: Formula, gen=None):
                         dirty[-1] = set()
                     if fired:
                         break
-            if dirty[-1] is None:
-                bad = _inconsistency(h, None)
+            if dirty[-1] is None or dirty[-1]:
+                bad = _inconsistency(h, dirty[-1])
                 if bad is not None:
                     return bad
-            out.append(h.disjunct())
-    return Formula(tuple(out), delta.span)
+            d = h.disjunct()
+            _carry(d, h)
+            out.append(d)
+            if not queue:
+                break
+            h, start = _Heap(queue.pop(0)), None
+    return Formula(tuple(out), delta.span if added is None else NO_SPAN)
 
 
 # ---------------------------------------------------------------------------

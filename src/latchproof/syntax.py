@@ -3,7 +3,7 @@
 Terms are kept in a canonical linear form (sum of integer-scaled
 variables plus a constant); permissions are exact rationals, optionally
 symbolic. Formulas are disjunctions of (existentials, heap atoms, pure
-constraint). All values are immutable and hashable.
+constraint). All values are hashable and never change once built.
 """
 
 from __future__ import annotations
@@ -17,11 +17,19 @@ from .diagnostics import Diagnostic, Span, NO_SPAN
 from . import names
 
 
+# Every node is slotted and write-once: no field is assigned after
+# construction, which tests/test_syntax.py checks. Equality and hashing are
+# generated over the compared fields. Not `frozen=True`: its __init__ sets
+# each field through object.__setattr__, which makes a node about three
+# times as slow to build.
+_node = dataclass(eq=True, unsafe_hash=True, slots=True)
+
+
 # ---------------------------------------------------------------------------
 # Linear integer terms
 
 
-@dataclass(frozen=True)
+@_node
 class Term:
     """Linear term: sum of coeff*var plus a constant, in canonical order."""
 
@@ -112,7 +120,7 @@ class Term:
 # Permissions: exact fraction plus an optional bag of symbolic parts
 
 
-@dataclass(frozen=True)
+@_node
 class Perm:
     frac: Fraction = Fraction(1)
     vars: tuple[str, ...] = ()
@@ -191,16 +199,16 @@ FULL = Perm.one()
 
 
 class Pure:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class PTrue(Pure):
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
+@_node
 class PFalse(Pure):
     def __str__(self):
         return "false"
@@ -213,7 +221,7 @@ CMP_OPS = ("eq", "ne", "lt", "le")
 _OP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<="}
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp(Pure):
     op: str  # eq | ne | lt | le
     lhs: Term
@@ -223,7 +231,7 @@ class Cmp(Pure):
         return f"{self.lhs}{_OP_TEXT[self.op]}{self.rhs}"
 
 
-@dataclass(frozen=True)
+@_node
 class PAnd(Pure):
     parts: tuple[Pure, ...]
 
@@ -231,7 +239,7 @@ class PAnd(Pure):
         return " & ".join(_pure_atom_str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
+@_node
 class POr(Pure):
     parts: tuple[Pure, ...]
 
@@ -239,7 +247,7 @@ class POr(Pure):
         return " | ".join(_pure_atom_str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
+@_node
 class PNot(Pure):
     body: Pure
 
@@ -247,7 +255,7 @@ class PNot(Pure):
         return f"!({self.body})"
 
 
-@dataclass(frozen=True)
+@_node
 class PExists(Pure):
     vars: tuple[str, ...]
     body: Pure
@@ -256,7 +264,7 @@ class PExists(Pure):
         return f"(ex {','.join(self.vars)}. {self.body})"
 
 
-@dataclass(frozen=True)
+@_node
 class PForall(Pure):
     vars: tuple[str, ...]
     body: Pure
@@ -389,22 +397,24 @@ def pure_eval(p: Pure, env: dict[str, int]) -> bool:
 class ResArg:
     """Payload of a resource predicate: a formula or an instantiable variable."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@_node
 class RVar(ResArg):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class RForm(ResArg):
     formula: "Formula"
 
 
 class HeapAtom:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class PointsTo(HeapAtom):
     root: str
     ctor: str
@@ -412,38 +422,38 @@ class PointsTo(HeapAtom):
     perm: Perm = FULL
 
 
-@dataclass(frozen=True)
+@_node
 class LatchIn(HeapAtom):
     latch: str
     payload: ResArg
 
 
-@dataclass(frozen=True)
+@_node
 class LatchOut(HeapAtom):
     latch: str
     payload: ResArg
 
 
-@dataclass(frozen=True)
+@_node
 class Cnt(HeapAtom):
     latch: str
     count: Term
     perm: Perm = FULL
 
 
-@dataclass(frozen=True)
+@_node
 class Wait(HeapAtom):
     arcs: frozenset[tuple[str, str]]
     perm: Perm = FULL
 
 
-@dataclass(frozen=True)
+@_node
 class ThreadNode(HeapAtom):
     tid: str
     post: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class ThreadSpec(HeapAtom):
     tid: str
     bound: tuple[str, ...]
@@ -451,24 +461,24 @@ class ThreadSpec(HeapAtom):
     post: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Dead(HeapAtom):
     tid: str
 
 
-@dataclass(frozen=True)
+@_node
 class ResVarAtom(HeapAtom):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Disjunct:
     exists: tuple[str, ...] = ()
     heap: tuple[HeapAtom, ...] = ()
     pure: Pure = TRUE
 
 
-@dataclass(frozen=True)
+@_node
 class Formula:
     disjuncts: tuple[Disjunct, ...]
     span: Span = field(default=NO_SPAN, compare=False)
@@ -567,6 +577,44 @@ def free_vars(f: Formula) -> set[str]:
     out: set[str] = set()
     for d in f.disjuncts:
         out |= free_vars_disjunct(d)
+    return out
+
+
+def pure_names(p: Pure) -> set[str]:
+    """Every variable of `p`, free or quantified."""
+    t = type(p)
+    if t is Cmp:
+        return p.lhs.vars() | p.rhs.vars()
+    if t is PAnd or t is POr:
+        return set().union(*map(pure_names, p.parts))
+    if t is PNot:
+        return pure_names(p.body)
+    if t is PExists or t is PForall:
+        return pure_names(p.body) | set(p.vars)
+    return set()
+
+
+def atom_names(a: HeapAtom) -> set[str]:
+    """Every name in `a`, free or bound: its free variables and the
+    existential, quantified and spec-bound names of the formulas it carries."""
+    t = type(a)
+    if t is LatchIn or t is LatchOut:
+        arg = a.payload
+        return {a.latch} | (formula_names(arg.formula) if type(arg) is RForm else {arg.name})
+    if t is ThreadNode:
+        return {a.tid} | formula_names(a.post)
+    if t is ThreadSpec:
+        return {a.tid, *a.bound} | formula_names(a.pre) | formula_names(a.post)
+    return atom_free_vars(a)
+
+
+def formula_names(f: Formula) -> set[str]:
+    """Every name in `f`, free or bound."""
+    out: set[str] = set()
+    for d in f.disjuncts:
+        out |= set(d.exists) | pure_names(d.pure)
+        for a in d.heap:
+            out |= atom_names(a)
     return out
 
 
@@ -812,48 +860,48 @@ def is_resvar(name: str) -> bool:
 
 
 class Expr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class VarRead(Expr):
     name: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class ConstE(Expr):
     value: int
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class FieldRead(Expr):
     base: str
     fieldname: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class New(Expr):
     ctor: str
     args: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class CreateLatch(Expr):
     count: Term
     payload: Optional[Formula]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class CreateThread(Expr):
     proc: str
     pre: Formula
@@ -861,58 +909,58 @@ class CreateThread(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     name: str
     args: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class CountDown(Expr):
     var: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Await(Expr):
     var: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Fork(Expr):
     var: str
     args: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Join(Expr):
     var: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Expr):
     first: Expr
     second: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Expr):
     branches: tuple[Expr, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Atomic(Expr):
     body: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class If(Expr):
     cond: Pure
     then: Expr
@@ -920,14 +968,14 @@ class If(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Expr):
     lhs: str
     rhs: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class FieldWrite(Expr):
     base: str
     fieldname: str
@@ -935,27 +983,27 @@ class FieldWrite(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Assert(Expr):
     formula: Formula
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class SpecPair:
     pre: Formula
     post: Formula
     ghost_resource: Optional[Formula] = None
 
 
-@dataclass(frozen=True)
+@_node
 class DataDecl:
     name: str
     fields: tuple[tuple[str, str], ...]  # (type, field name)
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class ProcDecl:
     name: str
     ret: str
@@ -965,7 +1013,7 @@ class ProcDecl:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Program:
     data_decls: tuple[DataDecl, ...]
     proc_decls: tuple[ProcDecl, ...]

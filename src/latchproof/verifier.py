@@ -26,7 +26,7 @@ from .diagnostics import Span, NO_SPAN
 from .entail import EntailmentOutcome, _payload_value_vars, entail
 from .lemmas import (
     Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _key, _min_count,
-    ambiguous_disjuncts, branch_start, normalize, split_for,
+    ambiguous_disjuncts, branch_start, may_mention, normalize, split_for,
 )
 from .parser import format_state, unparse_atom
 from .pure import SolverUnknown, Status
@@ -313,8 +313,8 @@ class _ProcVerifier:
 
     # -- per-step housekeeping ---------------------------------------------
 
-    def _normalize(self, state: Formula, span: Span) -> Formula:
-        res = normalize(state, self.gen)
+    def _normalize(self, state: Formula, span: Span, added=None) -> Formula:
+        res = normalize(state, self.gen, added)
         if isinstance(res, Inconsistency):
             if self.opts.collect_trace and res.state is not None:
                 self.trace.add(span, res.state)
@@ -375,9 +375,10 @@ class _ProcVerifier:
         if self.opts.collect_trace:
             self.trace.add(span, state)
 
-    def _settle(self, state: Formula, span: Span) -> Formula:
-        """A step's result: normalized, and traced at the step."""
-        state = self._normalize(state, span)
+    def _settle(self, state: Formula, span: Span, added=None) -> Formula:
+        """A step's result: normalized, with the atoms `added[i]` starred
+        onto disjunct i first when given, and traced at the step."""
+        state = self._normalize(state, span, added)
         self._trace(span, state)
         return state
 
@@ -390,10 +391,14 @@ class _ProcVerifier:
         return self._settle(self._apply_pairs(state, pairs, span, f"call {e.name}"), span)
 
     def _rename_lhs(self, state: Formula, lhs: str) -> tuple[Formula, dict[str, Term]]:
+        """The state with `lhs`'s old value renamed to a fresh name, and that
+        renaming. A state that cannot name `lhs` is returned as it is."""
         if self.abduct is not None:
             self.abduct.written.add(lhs)
         old = self.gen.fresh(lhs)
         rho = {lhs: Term.var(old)}
+        if not may_mention(state, lhs):
+            return state, rho
         return substitute(state, rho, gen=self.gen), rho
 
     def _exec_assign(self, state: Formula, e: Assign, span: Span) -> Formula:
@@ -409,7 +414,7 @@ class _ProcVerifier:
                 raise VerdictError("SpecFailure", span, f"unknown data type {rhs.ctor}")
             state, rho = self._rename_lhs(state, e.lhs)
             cell = PointsTo(e.lhs, rhs.ctor, tuple(t.subst(rho) for t in rhs.args), FULL)
-            return self._settle(star(state, formula(cell), self.gen), span)
+            return self._settle(state, span, ((cell,),) * len(state.disjuncts))
 
         if isinstance(rhs, CreateLatch):
             return self._exec_create_latch(state, e.lhs, rhs, span)
@@ -422,7 +427,7 @@ class _ProcVerifier:
             state, rho = self._rename_lhs(state, e.lhs)
             atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, gen=self.gen),
                               substitute(rhs.post, rho, gen=self.gen))
-            return self._settle(star(state, formula(atom), self.gen), span)
+            return self._settle(state, span, ((atom,),) * len(state.disjuncts))
 
         if isinstance(rhs, FieldRead):
             return self._field_read(state, e.lhs, rhs, span)
@@ -445,20 +450,19 @@ class _ProcVerifier:
         state, rho = self._rename_lhs(state, lhs)
         count = rhs.count.subst(rho)
         payload = substitute(payload, rho, gen=self.gen)
-        out = []
+        added = []
         for d in state.disjuncts:
             if _implied(d.pure, plt(Term.of(0), count)):
                 closed = _close_payload(payload, d, lhs)
-                atoms = (LatchIn(lhs, RForm(closed)), LatchOut(lhs, RForm(closed)),
-                         Cnt(lhs, count, FULL))
+                added.append((LatchIn(lhs, RForm(closed)), LatchOut(lhs, RForm(closed)),
+                              Cnt(lhs, count, FULL)))
             elif _implied(d.pure, peq(count, Term.of(0))):
-                atoms = (Cnt(lhs, Term.of(-1), FULL),)
+                added.append((Cnt(lhs, Term.of(-1), FULL),))
             else:
                 raise VerdictError(
                     "SpecFailure", span,
                     f"create_latch({count}): count sign undecided (needs n>0 or n=0)")
-            out.extend(star(Formula((d,)), formula(*atoms), self.gen).disjuncts)
-        return self._settle(Formula(tuple(out)), span)
+        return self._settle(state, span, tuple(added))
 
     def _find_cell(self, d: Disjunct, base: str, fieldname: str, write: bool,
                    span: Span) -> tuple[int, PointsTo, int]:

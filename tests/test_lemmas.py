@@ -14,7 +14,7 @@ from latchproof.parser import (
     SourceFile, format_state, parse_formula, parse_program, unparse_atom,
 )
 from latchproof.syntax import (
-    Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE, pand, le, lt,
+    Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE, pand, le, lt, star,
 )
 from latchproof.verifier import VerifyOptions, verify_program
 
@@ -408,25 +408,26 @@ _TRIVIAL = ["emp", "emp & true"]
 _CARRIED = ["P", "x::cell(1)", "x::cell(v) & v>0", "P | Q", "CNT(c2,0)@1/4"]
 
 
+def _random_atom(r, latches):
+    c, kind = r.choice(latches), r.random()
+    if kind < 0.5:
+        count = r.choice(["-1", "-1", "0", "0", "1", "2", "n", "n+1", "m", "k-1"])
+        return f"CNT({c},{count})" + r.choice(["", "@1/2", "@1/3", "@1/4", "@f"])
+    if kind < 0.75:
+        payload = r.choice(_TRIVIAL if r.random() < 0.5 else _CARRIED)
+        return f"{r.choice(['LatchIn', 'LatchOut'])}({c}, {payload})"
+    if kind < 0.95:
+        arcs = ", ".join(f"{r.choice(latches)}->{r.choice(latches)}"
+                         for _ in range(r.randint(0, 2)))
+        return "WAIT{" + arcs + "}" + r.choice(["@1/2", "@1/3", "@1/4", ""])
+    return r.choice(["dead(t1)", "thread(t1, P)"])
+
+
 def _random_heap(r):
     """A heap over three to five latches with several shares each: constant
     and symbolic counts, trivial and carried payloads, wait-for shares."""
     latches = [f"c{i}" for i in range(1, r.randint(3, 5) + 1)]
-    atoms = []
-    for _ in range(r.randint(6, 24)):
-        c, kind = r.choice(latches), r.random()
-        if kind < 0.5:
-            count = r.choice(["-1", "-1", "0", "0", "1", "2", "n", "n+1", "m", "k-1"])
-            atoms.append(f"CNT({c},{count})" + r.choice(["", "@1/2", "@1/3", "@1/4", "@f"]))
-        elif kind < 0.75:
-            payload = r.choice(_TRIVIAL if r.random() < 0.5 else _CARRIED)
-            atoms.append(f"{r.choice(['LatchIn', 'LatchOut'])}({c}, {payload})")
-        elif kind < 0.95:
-            arcs = ", ".join(f"{r.choice(latches)}->{r.choice(latches)}"
-                             for _ in range(r.randint(0, 2)))
-            atoms.append("WAIT{" + arcs + "}" + r.choice(["@1/2", "@1/3", "@1/4", ""]))
-        else:
-            atoms.append(r.choice(["dead(t1)", "thread(t1, P)"]))
+    atoms = [_random_atom(r, latches) for _ in range(r.randint(6, 24))]
     pure_parts = r.sample(["n>=0", "n=1", "n=0", "m>0", "m=2", "k=1", "v=1"], r.randint(0, 3))
     return F(" & ".join([" * ".join(atoms)] + pure_parts))
 
@@ -456,6 +457,71 @@ def test_batched_rules_match_one_key_at_a_time(monkeypatch):
         outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
     assert outcomes >= {"normal form", "E1", "E2", "E3"}
     assert widest["batch"] >= 3
+
+
+# -- atoms added to a carried normal form ------------------------------------------
+
+def _added(r, delta):
+    """One to three random atoms for each disjunct of `delta`."""
+    latches = [f"c{i}" for i in range(1, 6)]
+    return tuple(F(" * ".join(_random_atom(r, latches) for _ in range(r.randint(1, 3)))).single().heap
+                 for _ in delta.disjuncts)
+
+
+def _starred(delta, added):
+    """What a step stars onto each disjunct, as the reference path sees it."""
+    return Formula(tuple(star(Formula((d,)), Formula((Disjunct((), atoms, TRUE),))).single()
+                         for d, atoms in zip(delta.disjuncts, added)))
+
+
+def test_atoms_added_to_a_normal_form_normalize_as_starred(monkeypatch):
+    built = [0]
+    heap_init = lemmas._Heap.__init__
+
+    def counted(self, d):
+        built[0] += 1
+        heap_init(self, d)
+    monkeypatch.setattr(lemmas._Heap, "__init__", counted)
+    r = random.Random(23)
+    outcomes, extended = set(), 0
+    for _ in range(400):
+        nf = normalize(_random_heap(r), names.FreshGen(0))
+        if isinstance(nf, Inconsistency):
+            continue
+        added = _added(r, nf)
+        want = normalize(_starred(nf, added), names.FreshGen(50))
+        # the normal form's heaps are carried: the same atoms in the same
+        # heap order, or the same first inconsistency (kind, lemma, message
+        # and the state it was found in)
+        assert all(lemmas._CARRIED[id(d)][0] is d for d in nf.disjuncts)
+        got = normalize(nf, names.FreshGen(50), added)
+        assert got == want, format_state(nf)
+        extended += 1
+        if isinstance(got, Formula):
+            # their entries were used: extending the same normal form again
+            # takes the full path, to the same result
+            built[0] = 0
+            assert normalize(nf, names.FreshGen(50), added) == want
+            assert built[0] >= len(nf.disjuncts)
+            assert [repr(d) for d in got.disjuncts] == [repr(d) for d in want.disjuncts]
+        outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
+    assert outcomes >= {"normal form", "E1", "E2", "E3"} and extended > 80
+    # a released payload left a count its pure part pins, which is pinned
+    # on entry to the next normalization, the carried one too
+    nf = normalize(F("LatchOut(c1, CNT(c3,n)@1/2 & n=1) * CNT(c1,-1)@1/2"), names.FreshGen(0))
+    assert [unparse_atom(a) for a in nf.single().heap] == ["CNT(c1,-1)@1/2", "CNT(c3,n)@1/2"]
+    added = (F("CNT(c2,1)").single().heap,)
+    want = normalize(_starred(nf, added), names.FreshGen(0))
+    got = normalize(nf, names.FreshGen(0), added)
+    assert got == want and [unparse_atom(a) for a in got.single().heap] == [
+        "CNT(c1,-1)@1/2", "CNT(c3,1)@1/2", "CNT(c2,1)"]
+    # a state normalize did not return takes the full path
+    fresh = _random_heap(r)
+    added = _added(r, fresh)
+    built[0] = 0
+    assert normalize(fresh, names.FreshGen(0), added) == normalize(_starred(fresh, added),
+                                                                   names.FreshGen(0))
+    assert built[0] >= 2 * len(fresh.disjuncts)
 
 
 # -- solver work -------------------------------------------------------------------
@@ -565,6 +631,80 @@ def test_join_rounds_do_not_grow_with_the_block(monkeypatch):
     # await, without a nested entailment
     assert [c["entail"] for c in fan_in] == [0, 0]
     assert [c["served"] for c in fan_in] == [17, 129]
+
+
+def _create_work(monkeypatch, program):
+    """Per `create_latch` step, the atoms it placed into a `_Heap`; and the
+    `substitute` calls `_rename_lhs` made over the whole program."""
+    placed, renamed, inside = [], [0], {"create": False, "rename": False}
+
+    def within(flag, method):
+        def run(*args):
+            inside[flag] = True
+            if flag == "create":
+                placed.append(0)
+            try:
+                return method(*args)
+            finally:
+                inside[flag] = False
+        return run
+
+    def place(self, s, a):
+        if inside["create"]:
+            placed[-1] += 1
+        return original_place(self, s, a)
+
+    def substitute(*args, **kwargs):
+        renamed[0] += inside["rename"]
+        return original_substitute(*args, **kwargs)
+    original_place, original_substitute = lemmas._Heap._place, verifier.substitute
+    P = verifier._ProcVerifier
+    with monkeypatch.context() as m:
+        m.setattr(P, "_exec_create_latch", within("create", P._exec_create_latch))
+        m.setattr(P, "_rename_lhs", within("rename", P._rename_lhs))
+        m.setattr(lemmas._Heap, "_place", place)
+        m.setattr(verifier, "substitute", substitute)
+        [v] = verify_program(program)
+    return v, placed, renamed[0]
+
+
+def test_a_create_step_places_only_its_own_atoms(monkeypatch):
+    # each create step extends the heap its state was normalized in by its
+    # LatchIn, LatchOut and CNT, and the new latch's name, found in no
+    # atom, needs no renaming walk of the state
+    for n in (16, 64):
+        v, placed, renamed = _create_work(monkeypatch, _chain(n))
+        assert v.kind == "Verified" and placed == [3] * n and renamed == 0
+    v, placed, renamed = _create_work(monkeypatch, _fan_in(16))
+    assert v.kind == "Verified" and placed == [3] and renamed == 0
+    ring = _latch_program(16, [f"await(c{i}); countDown(c{(i + 1) % 16})" for i in range(16)])
+    v, placed, renamed = _create_work(monkeypatch, ring)
+    assert v.lemma == "E3" and placed == [3] * 16 and renamed == 0
+
+
+def test_a_reassigned_latch_is_renamed(monkeypatch):
+    source = ("data cell { int val; }\n\nvoid main()\n  requires emp\n  ensures  emp;\n{\n"
+              "  c = create_latch(1); x = new cell(0);\n"
+              "  c = create_latch(2);\n"
+              "  ( countDown(c) || countDown(c) || await(c) )\n}\n")
+    v, placed, renamed = _create_work(monkeypatch, parse_program(SourceFile("relatch", source)))
+    # the renamed state is a new one, whose heap is built again: its three
+    # atoms and the three new ones
+    assert v.kind == "Verified" and placed == [3, 6] and renamed == 1
+    # the old latch keeps its share under the name drawn for it, c#2
+    assert v.trace.render().splitlines() == [
+        "  3:1  WAIT{}",
+        "  7:3  CNT(c,1) * WAIT{}",
+        "  7:24  x::cell(0) * CNT(c,1) * WAIT{}",
+        "  8:3  x::cell(0) * CNT(c,2) * CNT(c#2,1) * WAIT{}",
+        "  9:3  CNT(c,1)@1/4 * WAIT{}@1/4",
+        "  9:3  CNT(c,1)@1/4 * WAIT{}@1/4",
+        "  9:3  CNT(c,0)@1/4 * WAIT{}@1/4",
+        "  9:5  CNT(c,0)@1/4 * WAIT{}@1/4",
+        "  9:21  CNT(c,0)@1/4 * WAIT{}@1/4",
+        "  9:37  CNT(c,-1)@1/4 * WAIT{}@1/4",
+        "  9:3  x::cell(0) * CNT(c,-1) * CNT(c#2,1) * WAIT{}",
+    ]
 
 
 # -- precision lint ----------------------------------------------------------------

@@ -1,15 +1,23 @@
+import dataclasses
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from latchproof import names
+from latchproof import lemmas, names, syntax
+from latchproof.diagnostics import Span
+from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
-    FULL, TRUE, Cmp, Cnt, Disjunct, Formula, LatchIn, Par, Perm, PForall, PointsTo, Renaming,
-    ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec, Wait, check_wellformed, free_vars, star,
-    substitute, walk_expr, _expr_children,
+    FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
+    Perm, PForall, PointsTo, Renaming, ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec, VarRead,
+    Wait, check_wellformed, free_vars, star, substitute, walk_expr, _expr_children,
 )
+from latchproof.verifier import verify_program
+from tests.test_golden import chain_source, fan_in_source, ring_source
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def F(s):
@@ -168,3 +176,66 @@ def test_walk_expr_deep_sequence():
     e = Par((e, Skip()))
     nodes = list(walk_expr(e))
     assert len(nodes) == 10003 and nodes[0] is e and nodes[-1] == Skip()
+
+
+# -- nodes: slotted, write-once, compared by class and fields ---------------------
+
+def _node_classes():
+    return [c for c in vars(syntax).values() if isinstance(c, type)
+            and dataclasses.is_dataclass(c) and c.__module__ == syntax.__name__] + [lemmas.Rewrite]
+
+
+def test_nodes_are_slotted_and_not_frozen():
+    for cls in _node_classes():
+        assert "__slots__" in vars(cls) and not cls.__dataclass_params__.frozen, cls
+    assert not hasattr(Cnt("c", Term.of(1)), "__dict__")
+
+
+def test_nodes_are_write_once(monkeypatch):
+    """No field of a node is assigned after its constructor has set it,
+    over the corpus and the scale families through the verifier and the
+    oracle: the nodes are hashed and shared as values."""
+    assigned, reassigned = [0], []
+
+    def write_once(self, name, value):
+        try:
+            object.__getattribute__(self, name)
+        except AttributeError:
+            assigned[0] += 1
+            object.__setattr__(self, name, value)
+            return
+        reassigned.append(f"{type(self).__name__}.{name}")
+        raise AttributeError(f"{type(self).__name__}.{name} assigned twice")
+    for cls in _node_classes():
+        monkeypatch.setattr(cls, "__setattr__", write_once)
+    sources = [(p.name, p.read_text()) for p in sorted(CORPUS.glob("*.lp"))]
+    sources += [(f"{build.__name__}-{n}", build(n))
+                for build in (fan_in_source, chain_source, ring_source) for n in range(2, 9)]
+    for name, text in sources:
+        program = parse_program(SourceFile(name, text))
+        assert verify_program(program, gen=names.FreshGen())
+        try:
+            assert explore(program, OracleBounds(max_threads=32)).exhaustive, name
+        except OracleError:
+            assert name.endswith(".lp")    # a symbolic corpus program
+    assert reassigned == [] and assigned[0] > 10_000
+
+
+def test_nodes_of_different_classes_differ():
+    payload = RVar("P")
+    assert LatchIn("c", payload) != LatchOut("c", payload)
+    assert CountDown("c") != Await("c")
+    assert TRUE != FALSE
+
+
+def test_equal_nodes_hash_alike():
+    pairs = [
+        (Cnt("c", Term.var("n") + Term.of(1), Perm(Fraction(1), ())),
+         Cnt("c", Term.total([Term.of(1), Term.var("n")]), FULL)),
+        (LatchIn("c", RVar("P")), LatchIn("c", RVar("P"))),
+        # spans take no part in equality
+        (VarRead("x", Span(3, 7)), VarRead("x")),
+        (F("x::cell(1) * CNT(c,0)@1/2"), F("x::cell(1) * CNT(c,0)@1/2")),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
