@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, ConstE, CountDown, CreateLatch, CreateThread,
     Expr, FieldRead, FieldWrite, Fork, Formula, If, Join, New, Par, Program, ResVarAtom,
-    RForm, Seq, Skip, Term, VarRead, pure_eval, walk_expr,
+    RForm, Seq, Skip, Term, VarRead, pure_eval, pure_has_quantifier, walk_expr,
 )
 
 
@@ -87,6 +87,9 @@ def _check_concrete(program: Program):
                     raise OracleError(
                         "oracle mode requires concrete `with` payloads "
                         f"(abstract resource in {node.payload})")
+            elif isinstance(node, If) and pure_has_quantifier(node.cond):
+                raise OracleError(
+                    f"oracle mode requires quantifier-free `if` guards (guard {node.cond})")
 
 
 def _has_resvar(f: Formula) -> bool:

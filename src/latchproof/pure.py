@@ -7,9 +7,11 @@ normalization with floor tightening, equality elimination by unit
 substitution or the symmetric-mod step, Fourier-Motzkin on the real shadow
 where it is exact, else the dark shadow and then grey-shadow splinters. A
 Sat answer carries a model built by back-substitution and checked by
-evaluation. Only the step budget (MAX_STEPS) yields Unknown. `eliminate`
-projects with unit-coefficient Fourier-Motzkin and gives up (SolverUnknown)
-on other coefficients.
+evaluation. `eliminate` projects quantified variables on the same rows:
+each leaves by a unit equality or, in Pugh's exact case (every lower or
+every upper bound has a unit coefficient), by the real shadow. Unknown
+comes from the step budget (MAX_STEPS), from the DNF and disequality
+blow-up guards, and from a projection outside that exact case.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Collection, Optional
 
 from . import names
 from .syntax import (
     Cmp, PAnd, PExists, PForall, PNot, POr, PTrue, PFalse, Pure, Term,
-    TRUE, FALSE, pand, por, pure_eval, pure_free_vars, pure_subst,
+    TRUE, FALSE, pand, por, pure_eval, pure_free_vars, pure_has_quantifier, pure_subst,
 )
 
 
@@ -86,27 +88,24 @@ def _nnf(p: Pure, positive: bool) -> Pure:
     raise TypeError(p)
 
 
-def _strip_quantifiers(p: Pure, gen: names.FreshGen, project_exists: bool = True) -> Pure:
-    """Eliminate quantifiers bottom-up. For plain satisfiability checks,
-    existentials are alpha-renamed to fresh free variables instead of being
-    projected; universals always go through projection of the negation.
-    Input must be in NNF."""
+def _strip_quantifiers(p: Pure, gen: Optional[names.FreshGen] = None) -> Pure:
+    """Replace each quantifier by its projection (`eliminate`, which strips
+    the body's own quantifiers first). With a `gen`, existentials outside
+    every universal are alpha-renamed to fresh free variables instead,
+    which is enough for satisfiability. Input must be in NNF."""
     if isinstance(p, (PTrue, PFalse, Cmp)):
         return p
     if isinstance(p, PAnd):
-        return pand(_strip_quantifiers(q, gen, project_exists) for q in p.parts)
+        return pand(_strip_quantifiers(q, gen) for q in p.parts)
     if isinstance(p, POr):
-        return por(_strip_quantifiers(q, gen, project_exists) for q in p.parts)
+        return por(_strip_quantifiers(q, gen) for q in p.parts)
     if isinstance(p, PExists):
-        body = _strip_quantifiers(p.body, gen, project_exists)
-        if not project_exists:
-            ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in p.vars}
-            return pure_subst(body, ren, gen)
-        return _project(body, set(p.vars), gen)
+        if gen is None:
+            return eliminate(p.body, p.vars)
+        ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in p.vars}
+        return pure_subst(_strip_quantifiers(p.body, gen), ren, gen)
     if isinstance(p, PForall):
-        body = _strip_quantifiers(p.body, gen, True)
-        inner = _project(_nnf(PNot(body), True), set(p.vars), gen)
-        return _nnf(PNot(inner), True)
+        return _nnf(PNot(eliminate(PNot(p.body), p.vars)), True)
     if isinstance(p, PNot):  # NNF leaves no negations above atoms
         return _nnf(p, True)
     raise TypeError(p)
@@ -164,8 +163,9 @@ class _Budget:
             raise SolverUnknown("iteration cap exceeded")
 
 
-def _solve_system(cons: list, budget: _Budget) -> Optional[dict[str, int]]:
-    """Find an integer model of a conjunction of ("eq"/"le", term) constraints."""
+def _rows(cons: list) -> tuple[list[str], list, list]:
+    """The sorted variables of ("eq"/"le", term) constraints, one column
+    each, and the constraints' eq and le rows over them."""
     vs = sorted({v for _, t in cons for v, _ in t.coeffs})
     col = {v: i for i, v in enumerate(vs, 1)}
     rows: dict[str, list] = {"eq": [], "le": []}
@@ -174,7 +174,13 @@ def _solve_system(cons: list, budget: _Budget) -> Optional[dict[str, int]]:
         for v, k in t.coeffs:
             row[col[v]] = k
         rows[op].append(row)
-    model = _omega(rows["eq"], rows["le"], len(vs), budget)
+    return vs, rows["eq"], rows["le"]
+
+
+def _solve_system(cons: list, budget: _Budget) -> Optional[dict[str, int]]:
+    """Find an integer model of a conjunction of ("eq"/"le", term) constraints."""
+    vs, eqs, les = _rows(cons)
+    model = _omega(eqs, les, len(vs), budget)
     return None if model is None else dict(zip(vs, model[1:]))
 
 
@@ -224,6 +230,25 @@ def _tighten(eqs: list, les: list) -> Optional[tuple[list, list]]:
     return out_eqs, out_les
 
 
+def _shadow(les: list, j: int, lo: list, up: list, dark: bool = False) -> list:
+    """The rows without x_j, and per bound pair: -b*x + L <= 0 and
+    a*x + U <= 0 give a*L + b*U <= 0 (real shadow); adding (a-1)(b-1) keeps
+    only pairs with an integer x between them (dark shadow)."""
+    out = [r for r in les if not r[j]]
+    for l in lo:
+        for u in up:
+            a, b = u[j], -l[j]
+            row = [a * p + b * q for p, q in zip(l, u)]
+            row[0] += (a - 1) * (b - 1) if dark else 0
+            out.append(row)
+    return out
+
+
+def _substitute(rows: list, k: int, sub: list) -> list:
+    """Replace x_k in each row by the rest of sub, whose sub[k] is -1."""
+    return [[x + r[k] * y for x, y in zip(r, sub)] if r[k] else r for r in rows]
+
+
 def _omega(eqs: list, les: list, n: int, budget: _Budget) -> Optional[list[int]]:
     """An integer model of the rows over n variables, or None if none exists."""
     budget.spend()
@@ -247,23 +272,9 @@ def _omega(eqs: list, les: list, n: int, budget: _Budget) -> Optional[list[int]]
     if best is None:
         return [1] + [0] * n
     (gap, _), j, lo, up = best
-    rest = [r for r in les if not r[j]]
-
-    def shadow(dark: bool) -> list:
-        # -b*x + L <= 0 and a*x + U <= 0 give a*L + b*U <= 0 (real shadow);
-        # adding (a-1)(b-1) keeps only pairs with an integer x between them.
-        out = list(rest)
-        for l in lo:
-            for u in up:
-                a, b = u[j], -l[j]
-                row = [a * p + b * q for p, q in zip(l, u)]
-                row[0] += (a - 1) * (b - 1) if dark else 0
-                out.append(row)
-        return out
-
-    model = _omega([], shadow(dark=gap > 0), n, budget)
+    model = _omega([], _shadow(les, j, lo, up, dark=gap > 0), n, budget)
     if model is None:
-        if not gap or _omega([], shadow(dark=False), n, budget) is None:
+        if not gap or _omega([], _shadow(les, j, lo, up), n, budget) is None:
             return None
         # Grey shadow: an integer point the dark shadow misses lies close to
         # some lower bound b*x >= L, on a splinter b*x = L + i.
@@ -299,61 +310,51 @@ def _omega_eq(eqs: list, les: list, n: int, budget: _Budget) -> Optional[list[in
         m, s = abs(a) + 1, 1 if a > 0 else -1
         sub = [s * (x - m * ((2 * x + m) // (2 * m))) for x in e] + [-s * m]
         eqs, les = [r + [0] for r in eqs], [r + [0] for r in les]
-    # sub[k] == -1, so adding r[k]*sub to a row r replaces x_k by the rest of sub
-    model = _omega([[x + r[k] * y for x, y in zip(r, sub)] for r in eqs],
-                   [[x + r[k] * y for x, y in zip(r, sub)] if r[k] else r for r in les],
-                   len(sub) - 1, budget)
+    model = _omega(_substitute(eqs, k, sub), _substitute(les, k, sub), len(sub) - 1, budget)
     if model is None:
         return None
     model[k] += _dot(sub, model)
     return model[:n + 1]
 
 
-def _project(p: Pure, vars: set[str], gen: names.FreshGen) -> Pure:
-    """Quantifier-free projection of exists vars . p (p quantifier-free NNF)."""
-    if not vars:
-        return p
-    conjs = _dnf(p)
-    out_disjuncts: list[Pure] = []
-    for conj in conjs:
+def _project(p: Pure, vars: Collection[str]) -> Pure:
+    """Quantifier-free projection of (exists vars . p), p quantifier-free NNF."""
+    out = []
+    for conj in _dnf(p):
         for system in _constraints(conj):
-            parts = _project_system(system, set(vars))
-            out_disjuncts.append(pand(parts))
-    return por(out_disjuncts)
+            vs, eqs, les = _rows(system)
+            rows = _project_rows(eqs, les, vs, vars)
+            if rows is not None:
+                out.append(pand([Cmp(op, Term(tuple((v, k) for v, k in zip(vs, r[1:]) if k), r[0]),
+                                     Term.of(0)) for op, rs in zip(("eq", "le"), rows) for r in rs]))
+    return por(out)
 
 
-def _project_system(cons: list, vars: set[str]) -> list[Pure]:
-    cons = list(cons)
-    for var in sorted(vars):
-        # substitute via equalities when possible
-        eq = next(
-            (c for c in cons if c[0] == "eq" and abs(dict(c[1].coeffs).get(var, 0)) == 1),
-            None,
-        )
-        if eq is not None:
-            k = dict(eq[1].coeffs)[var]
-            rest = Term(tuple((v, co) for v, co in eq[1].coeffs if v != var), eq[1].const)
-            image = rest.scale(-1) if k == 1 else rest
-            rho = {var: image}
-            cons = [(c[0], c[1].subst(rho)) for c in cons if c is not eq]
+def _project_rows(eqs: list, les: list, vs: list[str],
+                  vars: Collection[str]) -> Optional[tuple[list, list]]:
+    """The tightened rows left once each column in vars is eliminated, by
+    substituting a unit equality or, in Pugh's exact case, by the real
+    shadow; None when the rows have no integer point."""
+    for j, v in enumerate(vs, 1):
+        if v not in vars:
             continue
-        lowers, uppers, rest_cons = [], [], []
-        for c in cons:
-            op, t = c
-            k = dict(t.coeffs).get(var, 0)
-            if k == 0:
-                rest_cons.append(c)
-                continue
-            if op == "eq" or abs(k) != 1:
-                raise SolverUnknown(f"cannot eliminate {var}: non-unit coefficient")
-            other = Term(tuple((v, co) for v, co in t.coeffs if v != var), t.const)
-            (uppers if k > 0 else lowers).append(other)
-        new_cons = list(rest_cons)
-        for lo in lowers:
-            for up in uppers:
-                new_cons.append(("le", lo + up))
-        cons = new_cons
-    return [Cmp(op, t, Term.of(0)) for op, t in cons]
+        tight = _tighten(eqs, les)
+        if tight is None:
+            return None
+        eqs, les = tight
+        e = next((r for r in eqs if abs(r[j]) == 1), None)
+        if e is not None:
+            sub = [-e[j] * x for x in e]
+            eqs, les = _substitute(eqs, j, sub), _substitute(les, j, sub)
+            continue
+        # Pugh's exact case: no pair of bounds is non-unit on both sides,
+        # so the real and dark shadow meet (_omega's gap is 0)
+        lo = [r for r in les if r[j] < 0]
+        up = [r for r in les if r[j] > 0]
+        if any(r[j] for r in eqs) or any(l[j] < -1 and u[j] > 1 for l in lo for u in up):
+            raise SolverUnknown(f"cannot eliminate {v}: non-unit coefficient")
+        les = _shadow(les, j, lo, up)
+    return _tighten(eqs, les)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +362,6 @@ def _project_system(cons: list, vars: set[str]) -> list[Pure]:
 
 
 _sat_cache: dict = {}
-
-
-def _has_quantifier(p: Pure) -> bool:
-    if isinstance(p, (PExists, PForall)):
-        return True
-    if isinstance(p, (PAnd, POr)):
-        return any(_has_quantifier(q) for q in p.parts)
-    if isinstance(p, PNot):
-        return _has_quantifier(p.body)
-    return False
 
 
 def is_sat(p: Pure, want_model: bool = True) -> SolverResult:
@@ -390,7 +381,7 @@ def _is_sat_internal(p: Pure) -> SolverResult:
     budget = _Budget(MAX_STEPS)
     try:
         q = _nnf(p, True)
-        q = _strip_quantifiers(q, gen, project_exists=False)
+        q = _strip_quantifiers(q, gen)
         conjs = _dnf(q)
         saw_unknown = False
         for conj in conjs:
@@ -407,7 +398,7 @@ def _is_sat_internal(p: Pure) -> SolverResult:
                     continue
                 if model is not None:
                     full = {v: model.get(v, 0) for v in pure_free_vars(p)}
-                    if not _has_quantifier(p) and not pure_eval(p, full):
+                    if not pure_has_quantifier(p) and not pure_eval(p, full):
                         # Model must check out; a failure here is a solver bug.
                         raise AssertionError(f"unsound model {full} for {p}")
                     return SolverResult(Status.SAT, full)
@@ -427,38 +418,6 @@ def implies(p1: Pure, p2: Pure) -> bool:
     return res.status == Status.UNSAT
 
 
-def eliminate(p: Pure, vars: set[str]) -> Pure:
+def eliminate(p: Pure, vars: Collection[str]) -> Pure:
     """Quantifier-free equivalent of (exists vars . p)."""
-    gen = names.FreshGen()
-    q = _nnf(p, True)
-    q = _strip_quantifiers(q, gen)
-    out = _project(q, set(vars), gen)
-    return _simplify(out)
-
-
-def _simplify(p: Pure) -> Pure:
-    if isinstance(p, PAnd):
-        kept = []
-        for q in p.parts:
-            q = _simplify(q)
-            if isinstance(q, PTrue):
-                continue
-            if isinstance(q, PFalse):
-                return FALSE
-            if q not in kept:
-                kept.append(q)
-        return pand(kept)
-    if isinstance(p, POr):
-        kept = []
-        for q in p.parts:
-            q = _simplify(q)
-            if isinstance(q, PFalse):
-                continue
-            if isinstance(q, PTrue):
-                return TRUE
-            if q not in kept:
-                kept.append(q)
-        return por(kept)
-    if isinstance(p, Cmp) and p.lhs.is_const and p.rhs.is_const:
-        return TRUE if pure_eval(p, {}) else FALSE
-    return p
+    return _project(_strip_quantifiers(_nnf(p, True)), vars)

@@ -373,6 +373,16 @@ def pure_subst(p: Pure, rho: dict[str, Term], gen: names.FreshGen | None = None)
     raise TypeError(p)
 
 
+def pure_has_quantifier(p: Pure) -> bool:
+    if isinstance(p, (PExists, PForall)):
+        return True
+    if isinstance(p, (PAnd, POr)):
+        return any(pure_has_quantifier(q) for q in p.parts)
+    if isinstance(p, PNot):
+        return pure_has_quantifier(p.body)
+    return False
+
+
 def pure_eval(p: Pure, env: dict[str, int]) -> bool:
     if isinstance(p, PTrue):
         return True

@@ -36,6 +36,17 @@ def test_inter_deadlock(load):
     assert rep.kinds == {"Deadlock"}
 
 
+def test_quantified_guard_is_rejected():
+    # the oracle evaluates guards itself; it does not ask the solver it checks
+    src = """
+    void main() requires emp ensures emp;
+    { n = 3; c = create_latch(1);
+      if (all k. 2*k <= n | k > n) { skip } else { countDown(c) }; await(c) }
+    """
+    with pytest.raises(OracleError, match="quantifier-free `if` guards"):
+        run(src)
+
+
 def test_latch_ops_do_not_race():
     src = """
     void main() requires emp ensures emp;

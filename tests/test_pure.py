@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -60,6 +61,13 @@ def test_eliminate_alias():
         assert pure_eval(e, {"n": n}) == (n > 0)
 
 
+def test_eliminate_non_unit_upper_bound():
+    # every lower bound of k is unit (k >= 1), so the real shadow is exact
+    e = eliminate(S("2*k <= n & k >= 1"), {"k"})
+    for n in range(-3, 8):
+        assert pure_eval(e, {"n": n}) == (n >= 2)
+
+
 def test_gcd_unsat():
     assert is_sat(S("3*x-3*y=1")).status == Status.UNSAT
 
@@ -67,6 +75,14 @@ def test_gcd_unsat():
 def test_quantifiers():
     assert is_sat(S("(ex k. n=2*k) & n=3")).status == Status.UNSAT
     assert is_sat(S("(ex k. n=2*k) & n=4")).status == Status.SAT
+
+
+def test_projection_outside_exact_case_is_unknown():
+    # all k. 2*k != v says "v is odd": no quantifier-free form without a
+    # divisibility atom, so the projection of k must give up
+    res = is_sat(S("(all k. 2*k != v) & v > 0"))
+    assert res.status == Status.UNKNOWN
+    assert "cannot eliminate k" in res.reason
 
 
 def _rand_term(r):
@@ -86,42 +102,38 @@ def _rand_formula(r, depth=2):
     return pand(parts) if kind == "and" else por(parts)
 
 
+def _grid_eval(p, env):
+    """The truth of quantifier-free p at every point of a grid whose
+    variables' values are the equal-shaped numpy arrays in env."""
+    import numpy as np
+    shape = next(iter(env.values())).shape
+
+    def term(t):
+        return sum((c * env[v] for v, c in t.coeffs), np.full(shape, t.const, dtype=np.int64))
+
+    def ev(p):
+        from latchproof.syntax import PAnd, PFalse, POr, PTrue
+        if isinstance(p, (PTrue, PFalse)):
+            return np.full(shape, isinstance(p, PTrue))
+        if isinstance(p, Cmp):
+            a, b = term(p.lhs), term(p.rhs)
+            return {"eq": a == b, "ne": a != b, "lt": a < b, "le": a <= b}[p.op]
+        if isinstance(p, PAnd):
+            return np.logical_and.reduce([ev(q) for q in p.parts] + [np.full(shape, True)])
+        if isinstance(p, POr):
+            return np.logical_or.reduce([ev(q) for q in p.parts] + [np.full(shape, False)])
+        if isinstance(p, PNot):
+            return ~ev(p.body)
+        raise TypeError(p)
+
+    return ev(p)
+
+
 def _brute_model(f, box=10):
     import numpy as np
     grid = np.arange(-box, box + 1)
     X, Y, Z = np.meshgrid(grid, grid, grid, indexing="ij")
-
-    def ev_term(t):
-        acc = np.full(X.shape, t.const, dtype=np.int64)
-        for v, c in t.coeffs:
-            acc = acc + c * {"x": X, "y": Y, "z": Z}[v]
-        return acc
-
-    def ev(p):
-        from latchproof.syntax import PAnd, POr, PNot as N, PTrue, PFalse
-        if isinstance(p, PTrue):
-            return np.ones(X.shape, bool)
-        if isinstance(p, PFalse):
-            return np.zeros(X.shape, bool)
-        if isinstance(p, Cmp):
-            a, b = ev_term(p.lhs), ev_term(p.rhs)
-            return {"eq": a == b, "ne": a != b, "lt": a < b, "le": a <= b}[p.op]
-        if isinstance(p, PAnd):
-            out = np.ones(X.shape, bool)
-            for q in p.parts:
-                out &= ev(q)
-            return out
-        if isinstance(p, POr):
-            out = np.zeros(X.shape, bool)
-            for q in p.parts:
-                out |= ev(q)
-            return out
-        if isinstance(p, N):
-            return ~ev(p.body)
-        raise TypeError(p)
-
-    mask = ev(f)
-    idx = np.argwhere(mask)
+    idx = np.argwhere(_grid_eval(f, {"x": X, "y": Y, "z": Z}))
     if idx.size == 0:
         return None
     i, j, k = idx[0]
@@ -260,3 +272,77 @@ def test_set_external_backend_only_resets_cache():
     with pytest.raises(ValueError):
         pure.set_external_backend(object())
     assert is_sat(f).model == {"x": 4}
+
+
+# -- one-quantifier formulas: projection against a grid ------------------------
+
+GRID, KGRID = 6, 140  # |x|, |y| <= GRID; every atom's truth is constant in k beyond KGRID
+
+
+def _k_atom(r, ks):
+    """c*k + a*x + b*y op d with c drawn from ks, |a|, |b| <= 9, gcd(c, a, b) = 1."""
+    while True:
+        c, a, b = r.choice(ks), r.randint(-9, 9), r.randint(-9, 9)
+        if math.gcd(c, a, b) == 1:
+            break
+    t = Term.var("k").scale(c) + Term.var("x").scale(a) + Term.var("y").scale(b)
+    return t, Term.of(r.randint(-20, 20))
+
+
+def _exact_body(r):
+    """1-3 atoms under & and |, in Pugh's exact case for k: k's upper bounds
+    have coefficient 1, its lower bounds -1 to -4, and its equalities and
+    disequalities a unit coefficient."""
+    def atom():
+        op = r.choice(["le", "le", "lt", "eq", "ne"])
+        t, d = _k_atom(r, [1, -1] if op in ("eq", "ne") else [1, -1, -2, -3, -4])
+        return Cmp(op, t, d)
+    parts = [atom() for _ in range(r.randint(1, 3))]
+    while len(parts) > 1:
+        a, b = parts.pop(), parts.pop()
+        parts.append(r.choice([pand, por])([a, b]))
+    return parts[0]
+
+
+def test_one_quantifier_exact_case_matches_grid():
+    """In Pugh's exact case `eliminate` and `is_sat` decide ex/all formulas
+    with non-unit coefficients on k, and agree with brute force over x, y on
+    a grid and k far beyond every atom's threshold."""
+    import numpy as np
+    from latchproof.syntax import PExists, PForall
+    g = np.arange(-GRID, GRID + 1)
+    X, Y, K = np.meshgrid(g, g, np.arange(-KGRID, KGRID + 1), indexing="ij")
+    box = S(f"{-GRID} <= x & x <= {GRID} & {-GRID} <= y & y <= {GRID}")
+    r = random.Random(17)
+    seen = {Status.SAT: 0, Status.UNSAT: 0}
+    for _ in range(300):
+        body = _exact_body(r)
+        some = _grid_eval(body, {"x": X, "y": Y, "k": K}).any(axis=2)
+        for f, truth in ((PExists(("k",), body), some), (PForall(("k",), PNot(body)), ~some)):
+            e = eliminate(f, set())
+            assert (_grid_eval(e, {"x": X[:, :, 0], "y": Y[:, :, 0]}) == truth).all(), (f, e)
+            for q, holds in ((f, truth), (PNot(f), ~truth)):
+                res = is_sat(pand([q, box]))
+                assert res.status == (Status.SAT if holds.any() else Status.UNSAT), q
+                if res.status == Status.SAT:
+                    assert holds[res.model["x"] + GRID, res.model["y"] + GRID], (q, res.model)
+                seen[res.status] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_one_quantifier_outside_exact_case_is_unknown():
+    """Non-unit coefficients on both sides of k, or a non-unit equality on
+    k, are never decided either way: Unknown, not Sat or Unsat."""
+    from latchproof.syntax import PExists, PForall
+    box = S(f"{-GRID} <= x & x <= {GRID} & {-GRID} <= y & y <= {GRID}")
+    r = random.Random(19)
+    for _ in range(100):
+        if r.random() < 0.5:
+            (t1, d1), (t2, d2) = _k_atom(r, [2, 3, 4]), _k_atom(r, [-2, -3, -4])
+            body = pand([Cmp(r.choice(["le", "lt"]), t1, d1), Cmp(r.choice(["le", "lt"]), t2, d2)])
+        else:
+            body = Cmp("eq", *_k_atom(r, [2, 3, 4, -2, -3, -4]))
+        with pytest.raises(pure.SolverUnknown):
+            eliminate(body, {"k"})
+        for q in (PNot(PExists(("k",), body)), PForall(("k",), PNot(body))):
+            assert is_sat(pand([q, box])).status == Status.UNKNOWN, q

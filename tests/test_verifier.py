@@ -317,6 +317,18 @@ def test_far_guard_witness_reaches_deadlock():
     assert (v.kind, v.lemma) == ("DeadlockError", "E2")
 
 
+QUANTIFIED_GUARD = (
+    "void main(int n) requires n > 0 ensures emp; { c = create_latch(1); "
+    "if (all k. 2*k <= n | k > n) { skip } else { countDown(c) }; await(c) }")
+
+
+def test_quantified_guard_is_decided():
+    # the guard says no k has n/2 < k <= n, false for every n > 0 (k = n):
+    # the skip arm is unreachable, so the await finds the count at 0
+    [v] = run(QUANTIFIED_GUARD)
+    assert v.kind == "Verified", v.message
+
+
 # -- a consequent variable is instantiated only when it is instantiable --------
 
 def test_post_cannot_assume_its_own_variable():
