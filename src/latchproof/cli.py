@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import names
 from .lemmas import verify_lemma_table
 from .oracle import OracleBounds, OracleError, explore
 from .parser import ParseError, SourceFile, format_state, parse_program
@@ -67,10 +65,7 @@ def _run_file(path: str, cfg: RunConfig) -> FileReport:
         rep.error = f"parse error: {e}"
         return rep
     if cfg.mode in ("verify", "both"):
-        seed = int(os.environ.get("LATCHPROOF_SEED", "0"))
-        rep.verdicts = verify_program(
-            program, VerifyOptions(),
-            gen=None if seed == 0 else names.FreshGen(seed))
+        rep.verdicts = verify_program(program, VerifyOptions())
     if cfg.mode in ("oracle", "both"):
         try:
             rep.oracle = explore(program, cfg.oracle_bounds)
@@ -102,9 +97,6 @@ def _verdict_json(path: str, v: Verdict, dump_trace: bool) -> dict:
 
 def _print_human(rep: FileReport, cfg: RunConfig):
     print(f"== {rep.file}")
-    if rep.error:
-        print(f"  error: {rep.error}")
-        return
     for v in rep.verdicts:
         tag = v.kind if v.ok else f"potential {v.kind}"
         line = f"  {v.proc}: {tag}"
@@ -122,6 +114,8 @@ def _print_human(rep: FileReport, cfg: RunConfig):
         kinds = ", ".join(sorted(o.kinds)) or "none"
         flag = "exhaustive" if o.exhaustive else "bounded"
         print(f"  oracle: {kinds} ({o.explored} states, {flag})")
+    if rep.error:
+        print(f"  error: {rep.error}")
 
 
 def main(argv=None) -> int:
@@ -151,6 +145,8 @@ def main(argv=None) -> int:
                 "explored": rep.oracle.explored,
                 "exhaustive": rep.oracle.exhaustive,
             })
+        if rep.error:
+            json_out.append({"file": rep.file, "error": rep.error})
         if not cfg.json:
             _print_human(rep, cfg)
     if cfg.json:

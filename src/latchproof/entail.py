@@ -10,8 +10,12 @@ permissions, existentials and bindings as whole states. Resource predicates
 split implicitly: matching a predicate whose payload covers only part of the
 antecedent's payload leaves a same-name predicate carrying the remainder.
 
-Atom selection is first-success in syntactic order with no backtracking
-across atoms; a note records when an alternative candidate existed.
+One loop (`_match`) consumes every consequent atom, whatever its kind. Its
+candidates are the antecedent atoms of that kind at the same root, else
+those whose root the pure part proves equal (a resource variable matches by
+name only). It tries them in syntactic order, each from the same state, and
+the first whose per-kind `take` succeeds wins; there is no backtracking
+across atoms. A note records when an alternative candidate existed.
 """
 
 from __future__ import annotations
@@ -124,7 +128,6 @@ class _Ctx:
         self.learned: list[Pure] = [] if isinstance(ante.pure, PTrue) else [ante.pure]
         self.obligations: list[Pure] = []
         self.D: dict[str, Formula] = {}
-        self.D_all: dict[str, Formula] = {}
         self.rho: dict[str, Term] = {}
         self.permb: dict[str, Perm] = {}
         self.gen = gen
@@ -149,12 +152,10 @@ class _Ctx:
         if v not in self.E:
             self.learned.append(peq(Term.var(v), t))
 
-    def bind_res(self, V: str, image: Formula, keep: bool = True):
-        if V in self.D_all:
+    def bind_res(self, V: str, image: Formula):
+        if V in self.D:
             raise _Fail("ResourceVarRebind", f"resource variable {V} bound twice")
-        self.D_all[V] = image
-        if keep:
-            self.D[V] = image
+        self.D[V] = image
 
     def bind_perm(self, pv: str, perm: Perm):
         if pv in self.permb and self.permb[pv] != perm:
@@ -163,16 +164,14 @@ class _Ctx:
 
     def snapshot(self):
         return (dict(self.rho), list(self.learned), dict(self.permb),
-                dict(self.D), dict(self.D_all), list(self.obligations))
+                dict(self.D), list(self.obligations))
 
     def restore(self, snap):
-        self.rho, learned, self.permb, self.D, self.D_all, oblig = \
-            dict(snap[0]), list(snap[1]), dict(snap[2]), dict(snap[3]), dict(snap[4]), list(snap[5])
-        self.learned = learned
-        self.obligations = oblig
+        self.rho, self.learned, self.permb, self.D, self.obligations = \
+            dict(snap[0]), list(snap[1]), dict(snap[2]), dict(snap[3]), list(snap[4])
 
     def prepare(self, atom: HeapAtom) -> HeapAtom:
-        return substitute(atom, self.rho, perms=self.permb, res=self.D_all, gen=self.gen)
+        return substitute(atom, self.rho, perms=self.permb, res=self.D, gen=self.gen)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def _unify(ctx: _Ctx, fa: Formula, fc: Formula, extra_E: set[str]) -> dict[str, 
     if local:
         local -= free_vars_disjunct(ctx.ante) | ctx.rigid
     E = ctx.E | extra_E | local
-    fc = substitute(fc, ctx.rho, perms=ctx.permb, res=ctx.D_all, gen=ctx.gen)
+    fc = substitute(fc, ctx.rho, perms=ctx.permb, res=ctx.D, gen=ctx.gen)
     trailing = None
     if len(fc.disjuncts) == 1:
         dc = fc.single()
@@ -278,106 +277,83 @@ def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...]):
 
 
 # ---------------------------------------------------------------------------
-# Atom matchers (consume one consequent atom from the pool)
+# Atom matching (consume one consequent atom from the pool)
 
 
-def _candidates(ctx: _Ctx, pred, root_of, root_c):
-    out = [i for i, a in enumerate(ctx.pool) if pred(a) and root_of(a) == root_c]
-    if not out:
-        out = [i for i, a in enumerate(ctx.pool) if pred(a) and ctx.roots_eq(root_of(a), root_c)]
-    return out
-
-
-def _consume(ctx: _Ctx, idx: int, replacement: Optional[HeapAtom] = None,
-             extra: Optional[HeapAtom] = None):
-    if replacement is None:
-        ctx.pool.pop(idx)
-    else:
-        ctx.pool[idx] = replacement
-    if extra is not None:
-        ctx.pool.append(extra)
-
-
-def _match_points_to(ctx: _Ctx, c: PointsTo):
-    idxs = _candidates(ctx, lambda a: isinstance(a, PointsTo) and a.ctor == c.ctor,
-                       lambda a: a.root, c.root)
-    if len(idxs) > 1:
-        ctx.notes.append(f"alternative candidates existed for {c.root}::{c.ctor}")
-    last: Optional[_Fail] = None
-    for i in idxs:
-        a = ctx.pool[i]
-        snap = ctx.snapshot()
-        try:
-            _match_args(ctx, a.args, c.args)
-            leftover = _match_perm(ctx, a.perm, c.perm)
-            _consume(ctx, i, PointsTo(a.root, a.ctor, a.args, leftover) if leftover else None)
-            return
-        except _Fail as e:
-            ctx.restore(snap)
-            last = e
-    raise last or _Fail("MatchFailure", f"no atom matches {c.root}::{c.ctor}(...)")
-
-
-def _match_cnt(ctx: _Ctx, c: Cnt):
-    idxs = _candidates(ctx, lambda a: isinstance(a, Cnt), lambda a: a.latch, c.latch)
-    if len(idxs) > 1:
-        ctx.notes.append(f"alternative CNT candidates existed for {c.latch}")
-    last: Optional[_Fail] = None
-    for i in idxs:
-        a = ctx.pool[i]
-        snap = ctx.snapshot()
-        try:
-            _match_args(ctx, (a.count,), (c.count,))
-            leftover_perm = _match_perm(ctx, a.perm, c.perm)
-            if leftover_perm is None:
-                _consume(ctx, i)
-            else:
-                # S3 in reverse: the kept share carries the remaining count.
-                count_c = c.count.subst(ctx.rho) if ctx.rho else c.count
-                rest = a.count - count_c
-                if ctx.implies(pand([Cmp("le", Term.of(0), rest),
-                                     Cmp("le", Term.of(0), count_c)])):
-                    _consume(ctx, i, Cnt(a.latch, rest, leftover_perm))
-                elif ctx.implies(pand([Cmp("eq", a.count, count_c),
-                                       Cmp("le", a.count, Term.of(0))])):
-                    _consume(ctx, i, Cnt(a.latch, a.count, leftover_perm))
-                else:
-                    raise _Fail("MatchFailure", f"cannot split count {a.count} into {count_c}")
-            return
-        except _Fail as e:
-            ctx.restore(snap)
-            last = e
-        except SolverUnknown as e:
-            ctx.restore(snap)
-            last = _Fail("MatchFailure", str(e))
-    raise last or _Fail("MatchFailure", f"no CNT atom for latch {c.latch}")
-
-
-def _match_latch(ctx: _Ctx, c):
-    """Consume a LatchIn, LatchOut or thread node by its root and payload."""
+def _match(ctx: _Ctx, c: HeapAtom):
+    """Consume `c` out of ctx.pool. The candidates are the antecedent atoms
+    of c's kind at c's root, else those whose root the pure part proves
+    equal; the first whose `take` succeeds wins."""
     kind = type(c)
+    take = _TAKE.get(kind)
+    if take is None:
+        raise _Fail("MatchFailure", f"unsupported consequent atom {c}")
     root = atom_root(c)
-    idxs = _candidates(ctx, lambda a: isinstance(a, kind), atom_root, root)
+    same = [i for i, a in enumerate(ctx.pool)
+            if type(a) is kind and (kind is not PointsTo or a.ctor == c.ctor)]
+    idxs = [i for i in same if atom_root(ctx.pool[i]) == root]
+    # a resource variable matches by name only: under an unsatisfiable pure
+    # part any two names are proved equal
+    if not idxs and kind is not ResVarAtom:
+        idxs = [i for i in same if ctx.roots_eq(atom_root(ctx.pool[i]), root)]
     if len(idxs) > 1:
         ctx.notes.append(f"alternative {kind.__name__} candidates existed for {root}")
     last: Optional[_Fail] = None
     for i in idxs:
-        a = ctx.pool[i]
         snap = ctx.snapshot()
         try:
-            leftover = _match_payload(ctx, a, c)
-            _consume(ctx, i, leftover)
-            return
-        except _Fail as e:
+            leftover = take(ctx, ctx.pool[i], c)
+        except (_Fail, SolverUnknown) as e:
             ctx.restore(snap)
-            last = e
-    if kind is ThreadNode:
-        raise last or _Fail("MatchFailure", f"no thread node for {root}")
-    raise last or _Fail("MatchFailure",
-                        f"no {kind.__name__} atom for latch {root} (distinct roots)")
+            last = e if isinstance(e, _Fail) else _Fail("MatchFailure", str(e))
+            continue
+        if leftover is None:
+            ctx.pool.pop(i)
+        else:
+            ctx.pool[i] = leftover
+        return
+    raise last or _Fail("MatchFailure", _MISSING[kind].format(r=root, c=c))
 
 
-def _match_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
+_MISSING = {
+    PointsTo: "no atom matches {r}::{c.ctor}(...)",
+    Cnt: "no CNT atom for latch {r}",
+    LatchIn: "no LatchIn atom for latch {r} (distinct roots)",
+    LatchOut: "no LatchOut atom for latch {r} (distinct roots)",
+    ThreadNode: "no thread node for {r}",
+    Wait: "no WAIT atom in antecedent",
+    ThreadSpec: "no thread descriptor for {r}",
+    Dead: "no dead({r}) in antecedent",
+    ResVarAtom: "no resource {r} in antecedent",
+}
+
+
+# Each `take` matches consequent atom c against antecedent atom a and returns
+# what stays in a's slot: None when a is consumed, else the leftover.
+
+
+def _take_points_to(ctx: _Ctx, a: PointsTo, c: PointsTo) -> Optional[HeapAtom]:
+    _match_args(ctx, a.args, c.args)
+    leftover = _match_perm(ctx, a.perm, c.perm)
+    return PointsTo(a.root, a.ctor, a.args, leftover) if leftover else None
+
+
+def _take_cnt(ctx: _Ctx, a: Cnt, c: Cnt) -> Optional[HeapAtom]:
+    _match_args(ctx, (a.count,), (c.count,))
+    leftover_perm = _match_perm(ctx, a.perm, c.perm)
+    if leftover_perm is None:
+        return None
+    # S3 in reverse: the kept share carries the remaining count.
+    count_c = c.count.subst(ctx.rho) if ctx.rho else c.count
+    rest = a.count - count_c
+    if ctx.implies(pand([Cmp("le", Term.of(0), rest), Cmp("le", Term.of(0), count_c)])):
+        return Cnt(a.latch, rest, leftover_perm)
+    if ctx.implies(pand([Cmp("eq", a.count, count_c), Cmp("le", a.count, Term.of(0))])):
+        return Cnt(a.latch, a.count, leftover_perm)
+    raise _Fail("MatchFailure", f"cannot split count {a.count} into {count_c}")
+
+
+def _take_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
     """RP-MATCH for one latch or thread pair; returns the leftover atom (the
     implicit S1/S2 split) or None when fully consumed.
 
@@ -410,57 +386,35 @@ def _match_payload(ctx: _Ctx, a, c) -> Optional[HeapAtom]:
     return None
 
 
-def _match_wait(ctx: _Ctx, c: Wait):
-    last: Optional[_Fail] = None
-    for i, a in enumerate(ctx.pool):
-        if not isinstance(a, Wait):
-            continue
-        try:
-            if not c.arcs <= a.arcs:
-                raise _Fail("MatchFailure", "wait-for arcs not covered")
-            leftover = _match_perm(ctx, a.perm, c.perm)
-            # Arcs duplicate across splits: the kept share sees all arcs.
-            _consume(ctx, i, Wait(a.arcs, leftover) if leftover else None)
-            return
-        except _Fail as e:
-            last = e
-    raise last or _Fail("MatchFailure", "no WAIT atom in antecedent")
+def _take_wait(ctx: _Ctx, a: Wait, c: Wait) -> Optional[HeapAtom]:
+    if not c.arcs <= a.arcs:
+        raise _Fail("MatchFailure", "wait-for arcs not covered")
+    leftover = _match_perm(ctx, a.perm, c.perm)
+    # Arcs duplicate across splits: the kept share sees all arcs.
+    return Wait(a.arcs, leftover) if leftover else None
 
 
-def _match_threadspec(ctx: _Ctx, c: ThreadSpec):
-    idxs = _candidates(ctx, lambda a: isinstance(a, ThreadSpec), lambda a: a.tid, c.tid)
-    last: Optional[_Fail] = None
-    for i in idxs:
-        a = ctx.pool[i]
-        snap = ctx.snapshot()
-        try:
-            for fa, fc in ((a.pre, c.pre), (a.post, c.post)):
-                v = _single_resvar(fc)
-                if v is not None and v in ctx.E and v not in ctx.D_all:
-                    ctx.bind_res(v, fa)
-                elif fa != fc:
-                    _unify(ctx, fa, fc, set())
-            _consume(ctx, i)
-            return
-        except _Fail as e:
-            ctx.restore(snap)
-            last = e
-    raise last or _Fail("MatchFailure", f"no thread descriptor for {c.tid}")
+def _take_threadspec(ctx: _Ctx, a: ThreadSpec, c: ThreadSpec) -> Optional[HeapAtom]:
+    for fa, fc in ((a.pre, c.pre), (a.post, c.post)):
+        v = _single_resvar(fc)
+        if v is not None and v in ctx.E and v not in ctx.D:
+            ctx.bind_res(v, fa)
+        elif fa != fc:
+            _unify(ctx, fa, fc, set())
+    return None
 
 
-def _match_dead(ctx: _Ctx, c: Dead):
-    for a in ctx.pool:
-        if isinstance(a, Dead) and ctx.roots_eq(a.tid, c.tid):
-            return  # duplicable: consumed without removal
-    raise _Fail("MatchFailure", f"no dead({c.tid}) in antecedent")
-
-
-def _match_resvar(ctx: _Ctx, c: ResVarAtom):
-    for i, a in enumerate(ctx.pool):
-        if isinstance(a, ResVarAtom) and a.name == c.name:
-            _consume(ctx, i)
-            return
-    raise _Fail("MatchFailure", f"no resource {c.name} in antecedent")
+_TAKE = {
+    PointsTo: _take_points_to,
+    Cnt: _take_cnt,
+    LatchIn: _take_payload,
+    LatchOut: _take_payload,
+    ThreadNode: _take_payload,
+    Wait: _take_wait,
+    ThreadSpec: _take_threadspec,
+    Dead: lambda ctx, a, c: a,  # duplicable: consumed without removal
+    ResVarAtom: lambda ctx, a, c: None,
+}
 
 
 _SENDABLE = (PointsTo, LatchIn, LatchOut, ResVarAtom, ThreadNode, ThreadSpec)
@@ -565,8 +519,8 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
     queue = list(dc.heap)
     while queue:
         atom = ctx.prepare(queue.pop(0))
-        if isinstance(atom, ResVarAtom) and atom.name in ctx.D_all:
-            image = ctx.D_all[atom.name]
+        if isinstance(atom, ResVarAtom) and atom.name in ctx.D:
+            image = ctx.D[atom.name]
             if len(image.disjuncts) != 1:
                 raise _Fail("UnifyFailure", f"binding of {atom.name} is disjunctive")
             _, d = _open(image.single(), gen)
@@ -574,10 +528,14 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
             if not isinstance(d.pure, PTrue):
                 ctx.obligations.append(d.pure)
             continue
-        _dispatch(ctx, atom, deferred)
+        if isinstance(atom, ResVarAtom) and atom.name in ctx.E:
+            # RP-INST fallback: defer so earlier predicates can bind it first.
+            deferred.append(atom)
+        else:
+            _match(ctx, atom)
 
     for atom in deferred:
-        if atom.name in ctx.D_all:
+        if atom.name in ctx.D:
             continue
         take = [a for a in ctx.pool if isinstance(a, _SENDABLE)]
         image = Formula((Disjunct((), tuple(take), TRUE),)) if take else EMP
@@ -611,26 +569,3 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
         "residue": residue,
         "notes": ctx.notes,
     }
-
-
-def _dispatch(ctx: _Ctx, atom: HeapAtom, deferred: list):
-    if isinstance(atom, PointsTo):
-        _match_points_to(ctx, atom)
-    elif isinstance(atom, Cnt):
-        _match_cnt(ctx, atom)
-    elif isinstance(atom, (LatchIn, LatchOut, ThreadNode)):
-        _match_latch(ctx, atom)
-    elif isinstance(atom, Wait):
-        _match_wait(ctx, atom)
-    elif isinstance(atom, ThreadSpec):
-        _match_threadspec(ctx, atom)
-    elif isinstance(atom, Dead):
-        _match_dead(ctx, atom)
-    elif isinstance(atom, ResVarAtom):
-        if atom.name in ctx.E and atom.name not in ctx.D_all:
-            # RP-INST fallback: defer so earlier predicates can bind it first.
-            deferred.append(atom)
-        else:
-            _match_resvar(ctx, atom)
-    else:
-        raise _Fail("MatchFailure", f"unsupported consequent atom {atom}")

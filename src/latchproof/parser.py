@@ -299,7 +299,7 @@ class _P:
     def payload(self) -> ResArg:
         return RForm(self.formula())
 
-    def heap_atom(self) -> HeapAtomOrNone:
+    def heap_atom(self) -> Optional[HeapAtom]:
         t = self.peek()
         if self.at("LatchIn") or self.at("LatchOut"):
             kw = self.take().text
@@ -375,7 +375,7 @@ class _P:
                         args.append(self.term())
                 self.expect(")")
                 perm = self.perm_suffix()
-                return PointsTo(root, ctor, tuple(args), perm if perm is not None else FULL_PERM)
+                return PointsTo(root, ctor, tuple(args), perm if perm is not None else FULL)
             if is_resvar(t.text):
                 # a bare resource variable, unless it starts a pure comparison
                 nxt = self.peek(1).text
@@ -651,10 +651,6 @@ class _P:
         return Program(tuple(datas), tuple(procs))
 
 
-FULL_PERM = FULL
-HeapAtomOrNone = Optional[HeapAtom]
-
-
 def _thread_pair_perms(pair: SpecPair) -> SpecPair:
     """An unannotated counter or wait-for share means *some* fraction, held
     across the pair: rewrite the post's invented permission variables to the
@@ -689,7 +685,7 @@ def _thread_pair_perms(pair: SpecPair) -> SpecPair:
                     rho[pv] = Perm.pvar(wait_share)
     if not rho:
         return pair
-    return SpecPair(pair.pre, substitute(pair.post, perms=rho), pair.ghost_resource)
+    return SpecPair(pair.pre, substitute(pair.post, perms=rho))
 
 
 def parse_program(src: SourceFile) -> Program:
@@ -765,10 +761,8 @@ def unparse_resarg(arg: ResArg) -> str:
     return unparse_formula(arg.formula)
 
 
-def unparse_disjunct(d: Disjunct, sort_atoms: bool = True) -> str:
-    atoms = list(d.heap)
-    if sort_atoms:
-        atoms.sort(key=lambda a: (_ATOM_ORDER[type(a)], atom_root(a), unparse_atom(a)))
+def unparse_disjunct(d: Disjunct) -> str:
+    atoms = sorted(d.heap, key=lambda a: (_ATOM_ORDER[type(a)], atom_root(a), unparse_atom(a)))
     parts = []
     if d.exists:
         parts.append(f"ex {','.join(d.exists)}. ")
@@ -781,8 +775,8 @@ def unparse_disjunct(d: Disjunct, sort_atoms: bool = True) -> str:
     return "".join(parts)
 
 
-def unparse_formula(f: Formula, sort_atoms: bool = True) -> str:
-    return " | ".join(unparse_disjunct(d, sort_atoms) for d in f.disjuncts)
+def unparse_formula(f: Formula) -> str:
+    return " | ".join(unparse_disjunct(d) for d in f.disjuncts)
 
 
 def format_state(f: Formula) -> str:

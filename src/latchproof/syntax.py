@@ -1003,7 +1003,6 @@ class Assert(Expr):
 class SpecPair:
     pre: Formula
     post: Formula
-    ghost_resource: Optional[Formula] = None
 
 
 @_node

@@ -703,7 +703,7 @@ class _ProcVerifier:
                         f"{r.failure_reason.message if r.failure_reason else ''}")
                 residues.append(r.residue)
             for residue in residues:
-                leak = check_leak(residue, sp.post, self.gen)
+                leak = check_leak(residue, self.gen)
                 if leak is not None:
                     raise VerdictError("LeakError", span, leak)
         except VerdictError as ve:
@@ -796,7 +796,7 @@ def _close_payload(payload: Formula, state: Disjunct, latch: str) -> Formula:
         for d in payload.disjuncts), payload.span)
 
 
-def check_leak(residue: Formula, declared_post: Formula, gen=None) -> Optional[str]:
+def check_leak(residue: Formula, gen=None) -> Optional[str]:
     """A residue may keep resource-less atoms (counters, wait-for shares,
     dead markers) and plain frame cells, but trapped latch or thread
     resources are leaks."""
@@ -817,8 +817,7 @@ def check_leak(residue: Formula, declared_post: Formula, gen=None) -> Optional[s
 # Program-level driver
 
 
-def verify_program(program: Program, opts: VerifyOptions | None = None,
-                   gen: names.FreshGen | None = None) -> list[Verdict]:
+def verify_program(program: Program, opts: VerifyOptions | None = None) -> list[Verdict]:
     opts = opts or VerifyOptions()
     diags = check_wellformed(program)
     if diags:
@@ -828,7 +827,7 @@ def verify_program(program: Program, opts: VerifyOptions | None = None,
     for proc in program.proc_decls:
         if proc.body is None:
             continue
-        proc_gen = gen or names.FreshGen()
+        proc_gen = names.FreshGen()
         warnings: list[str] = []
         for sp in proc.specs:
             for f in (sp.pre, sp.post):

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -108,3 +110,44 @@ def test_seed_env_reproducible(tmp_path):
     r2 = subprocess.run([sys.executable, "-c", env_script], capture_output=True, text=True)
     assert r1.stdout == r2.stdout
     assert r1.returncode == 0
+
+
+def test_seed_env_offsets_every_procedure(tmp_path):
+    # two procedures with the same body draw the same fresh names: a seed
+    # only offsets each name's number
+    text = (CORPUS / "sender_receiver.lp").read_text()
+    main_proc = text[text.index("void main()"):]
+    f = tmp_path / "two_mains.lp"
+    f.write_text(text + main_proc.replace("void main()", "void other()"))
+
+    def trace(seed):
+        r = subprocess.run([sys.executable, "-m", "latchproof.cli", "verify", str(f),
+                            "--dump-trace"], capture_output=True, text=True,
+                           env={**os.environ, "LATCHPROOF_SEED": seed})
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    base = trace("0")
+    assert "w#3" in base and "other: Verified" in base
+    assert trace("7") == re.sub(r"#(\d+)", lambda m: f"#{int(m.group(1)) + 7}", base)
+
+
+QUANTIFIED_CONCRETE = (
+    "void main() requires emp ensures emp;\n"
+    "{ n = 3; c = create_latch(1); if (all k. 2*k <= n | k > n) { skip } "
+    "else { countDown(c) }; await(c) }\n")
+
+
+def test_oracle_error_keeps_verdicts(tmp_path, capsys):
+    f = tmp_path / "quantified_concrete.lp"
+    f.write_text(QUANTIFIED_CONCRETE)
+    code, out = run_cli(capsys, "both", str(f))
+    assert code == 2
+    assert "main: Verified" in out
+    assert out.index("main: Verified") < out.index("error: oracle error")
+    code, machine = run_cli(capsys, "both", str(f), "--json")
+    assert code == 2
+    data = json.loads(machine)
+    assert {"main"} == {e["proc"] for e in data if e.get("verdict") == "Verified"}
+    [err] = [e for e in data if "error" in e]
+    assert set(err) == {"file", "error"} and err["error"].startswith("oracle error")

@@ -107,6 +107,37 @@ def test_rp_match_distinct_roots():
     assert r.failure_reason.code == "MatchFailure"
 
 
+# Each atom kind: a miss names what is missing; a root the pure part proves
+# equal matches. Resource variables match by name only.
+@pytest.mark.parametrize("ante, cons, expected", [
+    ("x::cell(1)", "y::cell(1)", "no atom matches y::cell(...)"),
+    ("CNT(c,1)@1", "CNT(d,1)@1", "no CNT atom for latch d"),
+    ("LatchIn(c, x::cell(1))", "LatchIn(d, x::cell(1))",
+     "no LatchIn atom for latch d (distinct roots)"),
+    ("LatchOut(c, x::cell(1))", "LatchOut(d, x::cell(1))",
+     "no LatchOut atom for latch d (distinct roots)"),
+    ("thread(t, x::cell(1))", "thread(u, x::cell(1))", "no thread node for u"),
+    ("emp", "WAIT{}@1/2", "no WAIT atom in antecedent"),
+    ("threadspec(t, emp, emp)", "threadspec(u, emp, emp)", "no thread descriptor for u"),
+    ("dead(t)", "dead(u)", "no dead(u) in antecedent"),
+    ("P", "Q", "no resource Q in antecedent"),
+    ("P & P = Q", "Q", "no resource Q in antecedent"),
+    ("x::cell(1) & x = y", "y::cell(1)", "emp & x=y"),
+    ("CNT(c,1)@1 & c = d", "CNT(d,1)@1", "emp & c=d"),
+    ("LatchIn(c, x::cell(1)) & c = d", "LatchIn(d, x::cell(1))", "emp & c=d"),
+    ("threadspec(t, emp, emp) & t = u", "threadspec(u, emp, emp)", "emp & t=u"),
+    ("dead(t) & t = u", "dead(u)", "dead(t) & t=u"),
+])
+def test_each_kind_misses_or_matches_a_proved_equal_root(ante, cons, expected):
+    r = entail(set(), F(ante), F(cons))
+    if expected.startswith("no "):
+        assert not r.success
+        assert (r.failure_reason.code, r.failure_reason.message) == ("MatchFailure", expected)
+    else:
+        assert r.success and r.bindings == {}
+        assert canon(r.residue) == expected
+
+
 # -- addVar -------------------------------------------------------------------
 
 def test_addvar_var_payload():

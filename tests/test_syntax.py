@@ -213,7 +213,7 @@ def test_nodes_are_write_once(monkeypatch):
                 for build in (fan_in_source, chain_source, ring_source) for n in range(2, 9)]
     for name, text in sources:
         program = parse_program(SourceFile(name, text))
-        assert verify_program(program, gen=names.FreshGen())
+        assert verify_program(program)
         try:
             assert explore(program, OracleBounds(max_threads=32)).exhaustive, name
         except OracleError:

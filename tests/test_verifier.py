@@ -142,16 +142,16 @@ def test_recursive_call_through_spec():
 # -- leak checking -------------------------------------------------------------
 
 def test_leak_trapped_thread_node():
-    msg = check_leak(F("thread(t, x::cell(1)) * CNT(c,-1)@1"), F("emp & true"))
+    msg = check_leak(F("thread(t, x::cell(1)) * CNT(c,-1)@1"))
     assert msg is not None and "thread" in msg
 
 
 def test_leak_counter_ok():
-    assert check_leak(F("CNT(c,-1)@1"), F("emp & true")) is None
+    assert check_leak(F("CNT(c,-1)@1")) is None
 
 
 def test_leak_emp_ok():
-    assert check_leak(F("emp & true"), F("emp & true")) is None
+    assert check_leak(F("emp & true")) is None
 
 
 def test_unjoined_fork_leaks():
