@@ -30,8 +30,7 @@ from .pure import SolverUnknown
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     PAnd, Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, atom_free_vars, atom_root, EMP, free_vars, free_vars_disjunct, is_resvar, pand,
-    pure_free_vars, pure_subst, rename_apart, substitute, eq as peq,
+    TRUE, atom_root, EMP, free_vars, is_resvar, pand, rename_apart, substitute, eq as peq,
 )
 
 
@@ -213,7 +212,7 @@ def _unify(ctx: _Ctx, fa: Formula, fc: Formula, extra_E: set[str]) -> dict[str, 
     Returns the bindings of extra_E; the other bindings go to ctx."""
     local = _payload_value_vars(fc)
     if local:
-        local -= free_vars_disjunct(ctx.ante) | ctx.rigid
+        local -= free_vars(ctx.ante) | ctx.rigid
     E = ctx.E | extra_E | local
     fc = substitute(fc, ctx.rho, perms=ctx.permb, res=ctx.D, gen=ctx.gen)
     trailing = None
@@ -543,7 +542,7 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
         ctx.pool = [a for a in ctx.pool if not isinstance(a, _SENDABLE)]
 
     pc = pand([dc.pure] + ctx.obligations)
-    pc = pure_subst(pc, ctx.rho, gen) if ctx.rho else pc
+    pc = substitute(pc, ctx.rho, gen=gen)
     if not isinstance(pc, PTrue):
         try:
             ok = ctx.implies(pc)
@@ -555,10 +554,10 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
     residue_pure = ctx.learned_pure()
     live: set[str] = set()
     for a in ctx.pool:
-        live |= atom_free_vars(a)
+        live |= free_vars(a)
     keep_ex: list[str] = []
     if exr:
-        used = live | pure_free_vars(residue_pure)
+        used = live | free_vars(residue_pure)
         keep_ex = [w for w in exr if w in used]
 
     residue = Disjunct(tuple(keep_ex), tuple(ctx.pool), residue_pure)

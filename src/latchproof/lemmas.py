@@ -36,7 +36,7 @@ from .pure import SolverUnknown, Status
 from .syntax import (
     Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, atom_names, atom_root, formula, pand, pure_eval, pure_free_vars, pure_names, star,
+    TRUE, all_names, atom_root, formula, free_vars, pand, pure_eval, star,
     substitute,
     eq as peq, le as ple, lt as plt,
 )
@@ -185,10 +185,10 @@ class _Heap:
         the disjunct and maybe a few more. Gathered when first asked for,
         then kept up as atoms are placed."""
         if self._names is None:
-            self._names = set(self.exists) | pure_names(self.pure)
+            self._names = set(self.exists) | all_names(self.pure)
             for a in self.slots:
                 if a is not None:
-                    self._names |= atom_names(a)
+                    self._names |= all_names(a)
         return self._names
 
     def _place(self, s: int, a: HeapAtom) -> Optional[tuple]:
@@ -203,7 +203,7 @@ class _Heap:
         if _symbolic(a):
             self.symbolic.add(s)
         if self._names is not None:
-            self._names |= atom_names(a)
+            self._names |= all_names(a)
         return k
 
     def extend(self, atoms: tuple[HeapAtom, ...]) -> set[tuple]:
@@ -295,7 +295,7 @@ def _implied(pi: Pure, p: Pure) -> bool:
     """pi entails p; an undecided query counts as not entailed. A ground p
     is decided by evaluation, and a false one holds only under an
     unsatisfiable pi."""
-    if not pure_free_vars(p):
+    if not free_vars(p):
         if pure_eval(p, {}):
             return True
         return (not isinstance(pi, PTrue)
@@ -785,7 +785,7 @@ def _min_count(target_pure: Pure, count: Term, available: int) -> Optional[int]:
     if count.is_const:
         return count.const if count.const <= available else None
     v = count.is_var()
-    alone = v is not None and pure_free_vars(target_pure) <= {v}
+    alone = v is not None and free_vars(target_pure) <= {v}
     for k in range(0, available + 1):
         if alone:
             if pure_eval(target_pure, {v: k}):

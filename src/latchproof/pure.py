@@ -25,7 +25,7 @@ from typing import Collection, Optional
 from . import names
 from .syntax import (
     Cmp, PAnd, PExists, PForall, PNot, POr, PTrue, PFalse, Pure, Term,
-    TRUE, FALSE, pand, por, pure_eval, pure_free_vars, pure_has_quantifier, pure_subst,
+    TRUE, FALSE, free_vars, pand, por, pure_eval, pure_has_quantifier, substitute,
 )
 
 
@@ -103,7 +103,7 @@ def _strip_quantifiers(p: Pure, gen: Optional[names.FreshGen] = None) -> Pure:
         if gen is None:
             return eliminate(p.body, p.vars)
         ren = {v: Term.var(gen.fresh(v.split("#")[0])) for v in p.vars}
-        return pure_subst(_strip_quantifiers(p.body, gen), ren, gen)
+        return substitute(_strip_quantifiers(p.body, gen), ren, gen=gen)
     if isinstance(p, PForall):
         return _nnf(PNot(eliminate(PNot(p.body), p.vars)), True)
     if isinstance(p, PNot):  # NNF leaves no negations above atoms
@@ -397,7 +397,7 @@ def _is_sat_internal(p: Pure) -> SolverResult:
                     saw_unknown = True
                     continue
                 if model is not None:
-                    full = {v: model.get(v, 0) for v in pure_free_vars(p)}
+                    full = {v: model.get(v, 0) for v in free_vars(p)}
                     if not pure_has_quantifier(p) and not pure_eval(p, full):
                         # Model must check out; a failure here is a solver bug.
                         raise AssertionError(f"unsound model {full} for {p}")

@@ -4,14 +4,20 @@ Terms are kept in a canonical linear form (sum of integer-scaled
 variables plus a constant); permissions are exact rationals, optionally
 symbolic. Formulas are disjunctions of (existentials, heap atoms, pure
 constraint). All values are hashable and never change once built.
+
+Each node kind declares the role of each of its fields once, by the
+field's annotation; every walker over the syntax (free variables, names,
+substitution, renaming, and the children and variables of code) is
+derived from those declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .diagnostics import Diagnostic, Span, NO_SPAN
 from . import names
@@ -23,6 +29,141 @@ from . import names
 # each field through object.__setattr__, which makes a node about three
 # times as slow to build.
 _node = dataclass(eq=True, unsafe_hash=True, slots=True)
+
+
+# ---------------------------------------------------------------------------
+# Node kinds and the roles of their fields
+#
+# A node kind is declared with `_kind` (under `from __future__ import
+# annotations`), and each field's annotation is its role: one of the
+# aliases below; a Term, a tuple[Term, ...] or a Perm; a pure formula, a
+# formula, a payload (ResArg) or code (Expr), or a tuple of nodes; or a str,
+# int or Span, kept as it is. A bound-name field binds its names in the
+# fields after it.
+
+Name = str                          # a variable: a root, latch, thread id, resource or read variable
+Written = str                       # a variable that code assigns
+Bound = tuple[str, ...]             # bound names, renamed apart from a substitution's images
+Shadow = tuple[str, ...]            # bound names that only shadow a substitution
+Arcs = frozenset[tuple[str, str]]   # wait-for arcs between latches
+
+_ROLE = {
+    "Name": "name", "Written": "written", "Bound": "bound", "Shadow": "shadow",
+    "Term": "term", "tuple[Term, ...]": "terms", "Perm": "perm", "Arcs": "arcs",
+    "Pure": "pure", "tuple[Pure, ...]": "nodes", "Formula": "formula",
+    "Optional[Formula]": "formula", "ResArg": "payload", "tuple[HeapAtom, ...]": "nodes",
+    "tuple[Disjunct, ...]": "nodes", "Expr": "child", "tuple[Expr, ...]": "children",
+    "str": "kept", "int": "kept", "Span": "kept",
+}
+
+
+class Pure:
+    __slots__ = ()
+
+
+class ResArg:
+    """Payload of a resource predicate: a formula or an instantiable variable."""
+
+    __slots__ = ()
+
+
+class HeapAtom:
+    __slots__ = ()
+
+
+class Expr:
+    __slots__ = ()
+
+
+# ---------------------------------------------------------------------------
+# Walkers, derived from the field roles
+#
+# For each kind and each question, one function is written from the kind's
+# roles when the kind is declared, as source text (as `dataclasses` builds
+# __init__), so that a call costs one dict lookup on the node's class and no
+# loop over its fields. Fields are visited in declaration order. Each
+# function is compiled at its first call, so that an import compiles none.
+# Prior art: Lämmel & Peyton Jones, "Scrap Your Boilerplate", TLDI 2003.
+
+_FV: dict[type, Callable] = {}          # free variables
+_NAMES: dict[type, Callable] = {}       # every name: bound ones and permission variables too
+_QUANT: dict[type, Callable] = {}       # whether a pure formula has a quantifier
+_ROOT: dict[type, Callable] = {}        # the name a heap atom is about
+_MAP: dict[type, Callable] = {type(None): lambda x, s: x}   # (node, context) -> node
+_CHILDREN: dict[type, Callable] = {}    # code: the sub-expressions, in order
+_READS: dict[type, Callable] = {}       # code: the variables a node itself reads
+_WRITES: dict[type, Callable] = {}      # code: the variables a node itself assigns
+
+# Per walker, the code for a field of each role: `@` is the field's value,
+# `$` the walker's table or the map's context. A role it lacks adds nothing.
+_NAME = {"name": "{@}", "term": "@.vars()", "terms": "{v for t in @ for v, _ in t.coeffs}",
+         "arcs": "{v for arc in @ for v in arc}", "pure": "$[type(@)](@)",
+         "formula": "$[type(@)](@)", "payload": "$[type(@)](@)",
+         "nodes": "set().union(*[$[type(y)](y) for y in @])"}
+_NAME_ALL = _NAME | {"perm": "set(@.vars)", "bound": "set(@)", "shadow": "set(@)"}
+_READ = {r: _NAME[r] for r in ("name", "term", "terms", "pure")}
+_QUANTIFIED = {"pure": "$[type(@)](@)", "nodes": "any($[type(y)](y) for y in @)"}
+_WRITE = {"written": "{@}"}
+_MAPPED = {"name": "$.name(@)", "written": "$.name(@)", "term": "$.term(@)",
+           "terms": "tuple([$.term(y) for y in @])", "perm": "$.perm(@)", "arcs": "$.arcs(@)", "pure": "$.map(@)",
+           "formula": "$.form(@)", "payload": "$.payload(@)", "child": "$.map(@)",
+           "nodes": "tuple([$.map(y) for y in @])", "children": "tuple([$.map(y) for y in @])",
+           "kept": "@"}
+
+
+def _fill(templates: dict[str, str], roles, table: str = "") -> list[str]:
+    return [templates[r].replace("@", v).replace("$", table) for v, r in roles if r in templates]
+
+
+def _union(sets: list[str]) -> str:
+    return "return " + (" | ".join(sets) or "set()")
+
+
+def _compiled_at_first_call(table: dict, cls: type, body: str) -> Callable:
+    """A stand-in for `table[cls]` that compiles `body` into it when called."""
+    def first_call(x, s=None):
+        namespace: dict = {}
+        exec(f"def make(K):\n def walker(x, s=None):\n  {body}\n return walker", globals(), namespace)
+        table[cls] = walker = namespace["make"](cls)
+        return walker(x, s)
+    return first_call
+
+
+def _kind(cls):
+    """`_node` for a node kind, whose walkers are derived from its roles."""
+    cls = _node(cls)
+    try:
+        roles = [(f"x.{f.name}", _ROLE[f.type]) for f in fields(cls)]
+    except KeyError as e:
+        raise TypeError(f"{cls.__name__}: no role for a field of type {e}") from None
+    at = next((i for i, (_, r) in enumerate(roles) if r in ("bound", "shadow")), len(roles))
+    outer, scoped = roles[:at], roles[at + 1:]
+    if all(r == "kept" for _, r in roles):
+        mapped = "return x"
+    else:
+        # a binder's context `s.bind` gives maps the fields after it
+        bind = f"b, t = s.bind({roles[at][0]}, {roles[at][1] == 'bound'}); " if scoped else ""
+        args = _fill(_MAPPED, outer, "s") + ["b"] * bool(scoped) + _fill(_MAPPED, scoped, "t")
+        mapped = f"{bind}return {getattr(cls, '_build', 'K')}({', '.join(args)})"
+    walkers = [(_MAP, mapped)]
+    if issubclass(cls, Expr):
+        kids = [f"*{v}" if r == "children" else v for v, r in roles if r in ("child", "children")]
+        walkers += [(_CHILDREN, f"return ({', '.join(kids)},)" if kids else "return ()"),
+                    (_READS, _union(_fill(_READ, roles, "_FV"))),
+                    (_WRITES, _union(_fill(_WRITE, roles)))]
+    else:
+        free, inner = _fill(_NAME, outer, "_FV"), _fill(_NAME, scoped, "_FV")
+        if inner:
+            free.append(f"({' | '.join(inner)}).difference({roles[at][0]})")
+        walkers += [(_FV, _union(free)), (_NAMES, _union(_fill(_NAME_ALL, roles, "_NAMES")))]
+    if issubclass(cls, Pure):
+        walkers.append((_QUANT, "return " + ("True" if at < len(roles) else
+                                             " or ".join(_fill(_QUANTIFIED, roles, "_QUANT")) or "False")))
+    if issubclass(cls, HeapAtom):
+        _ROOT[cls] = next((attrgetter(v[2:]) for v, r in roles if r == "name"), lambda a: "")
+    for table, body in walkers:
+        table[cls] = _compiled_at_first_call(table, cls, body)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +339,13 @@ FULL = Perm.one()
 # Pure formulas (linear integer arithmetic with =, !=, <, <=)
 
 
-class Pure:
-    __slots__ = ()
-
-
-@_node
+@_kind
 class PTrue(Pure):
     def __str__(self):
         return "true"
 
 
-@_node
+@_kind
 class PFalse(Pure):
     def __str__(self):
         return "false"
@@ -221,7 +358,7 @@ CMP_OPS = ("eq", "ne", "lt", "le")
 _OP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<="}
 
 
-@_node
+@_kind
 class Cmp(Pure):
     op: str  # eq | ne | lt | le
     lhs: Term
@@ -231,23 +368,25 @@ class Cmp(Pure):
         return f"{self.lhs}{_OP_TEXT[self.op]}{self.rhs}"
 
 
-@_node
+@_kind
 class PAnd(Pure):
     parts: tuple[Pure, ...]
+    _build = "pand"     # maps rebuild it flat, without repeated conjuncts
 
     def __str__(self):
         return " & ".join(_pure_atom_str(p) for p in self.parts)
 
 
-@_node
+@_kind
 class POr(Pure):
     parts: tuple[Pure, ...]
+    _build = "por"
 
     def __str__(self):
         return " | ".join(_pure_atom_str(p) for p in self.parts)
 
 
-@_node
+@_kind
 class PNot(Pure):
     body: Pure
 
@@ -255,18 +394,18 @@ class PNot(Pure):
         return f"!({self.body})"
 
 
-@_node
+@_kind
 class PExists(Pure):
-    vars: tuple[str, ...]
+    vars: Bound
     body: Pure
 
     def __str__(self):
         return f"(ex {','.join(self.vars)}. {self.body})"
 
 
-@_node
+@_kind
 class PForall(Pure):
-    vars: tuple[str, ...]
+    vars: Bound
     body: Pure
 
     def __str__(self):
@@ -328,61 +467,6 @@ def le(a: Term, b: Term) -> Pure:
     return Cmp("le", a, b)
 
 
-def pure_free_vars(p: Pure) -> set[str]:
-    if isinstance(p, (PTrue, PFalse)):
-        return set()
-    if isinstance(p, Cmp):
-        return p.lhs.vars() | p.rhs.vars()
-    if isinstance(p, (PAnd, POr)):
-        return set().union(*(pure_free_vars(q) for q in p.parts)) if p.parts else set()
-    if isinstance(p, PNot):
-        return pure_free_vars(p.body)
-    if isinstance(p, (PExists, PForall)):
-        return pure_free_vars(p.body) - set(p.vars)
-    raise TypeError(p)
-
-
-def pure_subst(p: Pure, rho: dict[str, Term], gen: names.FreshGen | None = None) -> Pure:
-    if isinstance(p, (PTrue, PFalse)):
-        return p
-    if isinstance(p, Cmp):
-        return Cmp(p.op, p.lhs.subst(rho), p.rhs.subst(rho))
-    if isinstance(p, PAnd):
-        return pand(pure_subst(q, rho, gen) for q in p.parts)
-    if isinstance(p, POr):
-        return por(pure_subst(q, rho, gen) for q in p.parts)
-    if isinstance(p, PNot):
-        return PNot(pure_subst(p.body, rho, gen))
-    if isinstance(p, (PExists, PForall)):
-        gen = gen or names.default_gen()
-        range_vars = set().union(*(t.vars() for t in rho.values())) if rho else set()
-        ren: dict[str, Term] = {}
-        new_vars = []
-        for v in p.vars:
-            if v in rho or v in range_vars:
-                w = gen.fresh(v.split("#")[0])
-                ren[v] = Term.var(w)
-                new_vars.append(w)
-            else:
-                new_vars.append(v)
-        body = pure_subst(p.body, ren, gen) if ren else p.body
-        inner = {k: v for k, v in rho.items() if k not in p.vars}
-        body = pure_subst(body, inner, gen)
-        cls = PExists if isinstance(p, PExists) else PForall
-        return cls(tuple(new_vars), body)
-    raise TypeError(p)
-
-
-def pure_has_quantifier(p: Pure) -> bool:
-    if isinstance(p, (PExists, PForall)):
-        return True
-    if isinstance(p, (PAnd, POr)):
-        return any(pure_has_quantifier(q) for q in p.parts)
-    if isinstance(p, PNot):
-        return pure_has_quantifier(p.body)
-    return False
-
-
 def pure_eval(p: Pure, env: dict[str, int]) -> bool:
     if isinstance(p, PTrue):
         return True
@@ -404,91 +488,81 @@ def pure_eval(p: Pure, env: dict[str, int]) -> bool:
 # Heap atoms and formulas
 
 
-class ResArg:
-    """Payload of a resource predicate: a formula or an instantiable variable."""
-
-    __slots__ = ()
-
-
-@_node
+@_kind
 class RVar(ResArg):
-    name: str
+    name: Name
 
 
-@_node
+@_kind
 class RForm(ResArg):
-    formula: "Formula"
+    formula: Formula
 
 
-class HeapAtom:
-    __slots__ = ()
-
-
-@_node
+@_kind
 class PointsTo(HeapAtom):
-    root: str
+    root: Name
     ctor: str
     args: tuple[Term, ...]
     perm: Perm = FULL
 
 
-@_node
+@_kind
 class LatchIn(HeapAtom):
-    latch: str
+    latch: Name
     payload: ResArg
 
 
-@_node
+@_kind
 class LatchOut(HeapAtom):
-    latch: str
+    latch: Name
     payload: ResArg
 
 
-@_node
+@_kind
 class Cnt(HeapAtom):
-    latch: str
+    latch: Name
     count: Term
     perm: Perm = FULL
 
 
-@_node
+@_kind
 class Wait(HeapAtom):
-    arcs: frozenset[tuple[str, str]]
+    arcs: Arcs
     perm: Perm = FULL
 
 
-@_node
+@_kind
 class ThreadNode(HeapAtom):
-    tid: str
-    post: "Formula"
+    tid: Name
+    post: Formula
 
 
-@_node
+@_kind
 class ThreadSpec(HeapAtom):
-    tid: str
-    bound: tuple[str, ...]
-    pre: "Formula"
-    post: "Formula"
+    tid: Name
+    bound: Shadow
+    pre: Formula
+    post: Formula
 
 
-@_node
+@_kind
 class Dead(HeapAtom):
-    tid: str
+    tid: Name
 
 
-@_node
+@_kind
 class ResVarAtom(HeapAtom):
-    name: str
+    name: Name
 
 
-@_node
+@_kind
 class Disjunct:
-    exists: tuple[str, ...] = ()
+    exists: Bound = ()
     heap: tuple[HeapAtom, ...] = ()
     pure: Pure = TRUE
 
 
-@_node
+@_kind
 class Formula:
     disjuncts: tuple[Disjunct, ...]
     span: Span = field(default=NO_SPAN, compare=False)
@@ -521,7 +595,7 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
     for d1 in f1.disjuncts:
         for d2 in f2.disjuncts:
             if d2.exists:
-                d2 = rename_apart(d2, gen, set(d1.exists) | free_vars_disjunct(d1))
+                d2 = rename_apart(d2, gen, set(d1.exists) | free_vars(d1))
             out.append(
                 Disjunct(d1.exists + d2.exists, d1.heap + d2.heap, pand([d1.pure, d2.pure]))
             )
@@ -529,107 +603,38 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
 
 
 # ---------------------------------------------------------------------------
-# Free variables
-
-def _resarg_fv(arg: ResArg) -> set[str]:
-    if isinstance(arg, RVar):
-        return {arg.name}
-    return free_vars(arg.formula)
+# Names
 
 
-def atom_free_vars(a: HeapAtom) -> set[str]:
-    if isinstance(a, PointsTo):
-        fv = {a.root}
-        for t in a.args:
-            fv |= t.vars()
-        return fv
-    if isinstance(a, (LatchIn, LatchOut)):
-        return {a.latch} | _resarg_fv(a.payload)
-    if isinstance(a, Cnt):
-        return {a.latch} | a.count.vars()
-    if isinstance(a, Wait):
-        return {v for arc in a.arcs for v in arc}
-    if isinstance(a, ThreadNode):
-        return {a.tid} | free_vars(a.post)
-    if isinstance(a, ThreadSpec):
-        return {a.tid} | ((free_vars(a.pre) | free_vars(a.post)) - set(a.bound))
-    if isinstance(a, Dead):
-        return {a.tid}
-    if isinstance(a, ResVarAtom):
-        return {a.name}
-    raise TypeError(a)
+def free_vars(x) -> set[str]:
+    """The free variables of a formula, disjunct, heap atom, payload or pure
+    formula; permission variables are not counted."""
+    return _FV[type(x)](x)
+
+
+def all_names(x) -> set[str]:
+    """Every name in a formula, disjunct, heap atom, payload or pure
+    formula: free or bound, permission variables too."""
+    return _NAMES[type(x)](x)
 
 
 def atom_root(a: HeapAtom) -> str:
     """The name an atom is about: a cell's root, a latch, a thread id or a
     resource variable; "" for a wait-for share."""
-    t = type(a)
-    if t is PointsTo:
-        return a.root
-    if t is Cnt or t is LatchIn or t is LatchOut:
-        return a.latch
-    if t is ThreadNode or t is ThreadSpec or t is Dead:
-        return a.tid
-    if t is ResVarAtom:
-        return a.name
-    return ""
+    return _ROOT[type(a)](a)
 
 
-def free_vars_disjunct(d: Disjunct) -> set[str]:
-    fv: set[str] = set()
-    for a in d.heap:
-        fv |= atom_free_vars(a)
-    fv |= pure_free_vars(d.pure)
-    return fv - set(d.exists)
+def pure_has_quantifier(p: Pure) -> bool:
+    return _QUANT[type(p)](p)
 
 
-def free_vars(f: Formula) -> set[str]:
-    out: set[str] = set()
-    for d in f.disjuncts:
-        out |= free_vars_disjunct(d)
-    return out
-
-
-def pure_names(p: Pure) -> set[str]:
-    """Every variable of `p`, free or quantified."""
-    t = type(p)
-    if t is Cmp:
-        return p.lhs.vars() | p.rhs.vars()
-    if t is PAnd or t is POr:
-        return set().union(*map(pure_names, p.parts))
-    if t is PNot:
-        return pure_names(p.body)
-    if t is PExists or t is PForall:
-        return pure_names(p.body) | set(p.vars)
-    return set()
-
-
-def atom_names(a: HeapAtom) -> set[str]:
-    """Every name in `a`, free or bound: its free variables and the
-    existential, quantified and spec-bound names of the formulas it carries."""
-    t = type(a)
-    if t is LatchIn or t is LatchOut:
-        arg = a.payload
-        return {a.latch} | (formula_names(arg.formula) if type(arg) is RForm else {arg.name})
-    if t is ThreadNode:
-        return {a.tid} | formula_names(a.post)
-    if t is ThreadSpec:
-        return {a.tid, *a.bound} | formula_names(a.pre) | formula_names(a.post)
-    return atom_free_vars(a)
-
-
-def formula_names(f: Formula) -> set[str]:
-    """Every name in `f`, free or bound."""
-    out: set[str] = set()
-    for d in f.disjuncts:
-        out |= set(d.exists) | pure_names(d.pure)
-        for a in d.heap:
-            out |= atom_names(a)
-    return out
+def is_resvar(name: str) -> bool:
+    return bool(name) and name[0].isupper()
 
 
 # ---------------------------------------------------------------------------
-# Substitution (capture-avoiding; identifier positions need Var images)
+# Substitution (capture-avoiding; identifier positions need Var images) and
+# renaming: one map, in two contexts
 
 
 def rename_apart(d: Disjunct, gen: names.FreshGen, avoid: set[str] | None = None) -> Disjunct:
@@ -646,14 +651,15 @@ def rename_apart(d: Disjunct, gen: names.FreshGen, avoid: set[str] | None = None
 
 def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] | None = None,
                res: dict[str, Formula] | None = None, gen: names.FreshGen | None = None):
-    """A formula, disjunct or heap atom `x` with variables replaced by the
-    terms of `rho`, permission variables by the permissions of `perms` and
-    resource variables by the formulas of `res`, all at once. A resource
-    variable standing as an atom is starred out into its formula, which
-    distributes over disjunction; `x` as a heap atom keeps such an atom as
-    it is. Existentials, quantified and spec-bound names shadow `rho` and
-    `res`, and an existential that an image mentions is renamed apart
-    first. The images are not substituted in turn."""
+    """A formula, disjunct, heap atom or pure formula `x` with variables
+    replaced by the terms of `rho`, permission variables by the permissions
+    of `perms` and resource variables by the formulas of `res`, all at once.
+    A resource variable standing as an atom is starred out into its formula,
+    which distributes over disjunction; `x` as a heap atom keeps such an atom
+    as it is. Existentials, quantified and spec-bound names shadow `rho` and
+    `res`. An existential that an image mentions, and a quantified name that
+    `rho` maps or its terms mention, is renamed apart first. The images are
+    not substituted in turn."""
     if not (rho or perms or res):
         return x
     s = _Subst(rho or {}, perms or {}, res or {}, gen or names.default_gen())
@@ -662,16 +668,32 @@ def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] 
         return s.form(x)
     if t is Disjunct:
         return Formula(s.disjuncts(x)).single()
-    return s.atom(x)
+    return s.map(x)
+
+
+def rename(x, name: Callable[[str], str]):
+    """A formula, disjunct, heap atom, pure formula, permission or code `x`
+    with each name `v` in it replaced by `name(v)`, in bound positions too:
+    existentials, quantified and spec-bound variables, permission and
+    resource variables, latch and thread ids, wait arcs, and the variables
+    code reads and writes. `name` must be one-to-one on the names that
+    occur, and a new name must not be one that occurs and stays, so nothing
+    is renamed apart. Term coefficients and permission variables are put
+    back in order; spans are kept."""
+    r = _Rename(name)
+    return r.perm(x) if type(x) is Perm else r.map(x)
 
 
 class _Subst:
-    """The walk behind `substitute`."""
+    """The context of `substitute`'s map."""
 
     def __init__(self, rho: dict[str, Term], perms: dict[str, Perm],
                  res: dict[str, Formula], gen: names.FreshGen):
         self.rho, self.perms, self.res, self.gen = rho, perms, res, gen
         self._avoid: set[str] | None = None
+
+    def map(self, x):
+        return _MAP[type(x)](x, self)
 
     def avoid(self) -> set[str]:
         """The names the images bring in, which an existential must not take."""
@@ -687,7 +709,20 @@ class _Subst:
         return _Subst({k: t for k, t in self.rho.items() if k not in bound}, self.perms,
                       {k: f for k, f in self.res.items() if k not in bound}, self.gen)
 
-    def ident(self, name: str) -> str:
+    def bind(self, vs: tuple[str, ...], apart: bool):
+        """The bound names `vs` and the substitution for the fields they
+        scope. With `apart`, each one that `rho` maps or its terms mention
+        is renamed to a fresh name first, in binding order."""
+        s = self.under(vs)
+        if apart and self.rho:
+            images = {v for t in self.rho.values() for v, _ in t.coeffs}
+            ren = {v: self.gen.fresh(v.split("#")[0]) for v in vs if v in self.rho or v in images}
+            if ren:
+                s = _Subst(s.rho | {v: Term.var(w) for v, w in ren.items()}, s.perms, s.res, s.gen)
+                vs = tuple([ren.get(v, v) for v in vs])
+        return vs, s
+
+    def name(self, name: str) -> str:
         t = self.rho.get(name)
         if t is None:
             return name
@@ -695,6 +730,21 @@ class _Subst:
         if v is None:
             raise ValueError(f"cannot substitute non-variable term for identifier {name}")
         return v
+
+    def term(self, t: Term) -> Term:
+        return t.subst(self.rho) if self.rho else t
+
+    def perm(self, p: Perm) -> Perm:
+        return p.subst(self.perms) if self.perms else p
+
+    def arcs(self, arcs: Arcs) -> Arcs:
+        name = self.name
+        return frozenset([(name(u), name(v)) for u, v in arcs]) if self.rho else arcs
+
+    def payload(self, arg: ResArg) -> ResArg:
+        if type(arg) is RVar and arg.name in self.res:
+            return RForm(self.res[arg.name])
+        return _MAP[type(arg)](arg, self)
 
     def form(self, f: Formula) -> Formula:
         if not (self.rho or self.perms or self.res):
@@ -711,207 +761,85 @@ class _Subst:
             if type(a) is ResVarAtom and a.name in s.res:
                 images.append(s.res[a.name])
             else:
-                heap.append(s.atom(a))
-        pure = pure_subst(d.pure, s.rho, s.gen) if s.rho else d.pure
+                heap.append(s.map(a))
+        pure = s.map(d.pure) if s.rho else d.pure
         out = (Disjunct(d.exists, tuple(heap), pure),)
         for image in images:
             out = star(Formula(out), image, s.gen).disjuncts
         return out
 
-    def payload(self, arg: ResArg) -> ResArg:
-        if type(arg) is RVar:
-            image = self.res.get(arg.name)
-            return RVar(self.ident(arg.name)) if image is None else RForm(image)
-        return RForm(self.form(arg.formula))
 
-    def atom(self, a: HeapAtom) -> HeapAtom:
-        t, rho, perms, ident = type(a), self.rho, self.perms, self.ident
-        if t is PointsTo:
-            return PointsTo(ident(a.root), a.ctor,
-                            tuple([u.subst(rho) for u in a.args]) if rho else a.args,
-                            a.perm.subst(perms) if perms else a.perm)
-        if t is Cnt:
-            return Cnt(ident(a.latch), a.count.subst(rho) if rho else a.count,
-                       a.perm.subst(perms) if perms else a.perm)
-        if t is LatchIn or t is LatchOut:
-            return t(ident(a.latch), self.payload(a.payload))
-        if t is Wait:
-            return Wait(frozenset([(ident(u), ident(v)) for u, v in a.arcs]) if rho else a.arcs,
-                        a.perm.subst(perms) if perms else a.perm)
-        if t is ThreadNode:
-            return ThreadNode(ident(a.tid), self.form(a.post))
-        if t is ThreadSpec:
-            s = self.under(a.bound)
-            return ThreadSpec(ident(a.tid), a.bound, s.form(a.pre), s.form(a.post))
-        if t is Dead:
-            return Dead(ident(a.tid))
-        if t is ResVarAtom:
-            return ResVarAtom(ident(a.name))
-        raise TypeError(a)
+class _Rename:
+    """The context of `rename`'s map."""
 
+    def __init__(self, name: Callable[[str], str]):
+        self.name = name
 
-class Renaming:
-    """Replaces the names in `ren` wherever they occur in a formula, a
-    disjunct, a permission or program code, in bound positions too:
-    existentials, quantified and spec-bound variables, permission and
-    resource variables, latch and thread ids, wait arcs. `ren` must be
-    one-to-one on the names that occur, and a new name must not be one
-    that occurs and stays, so nothing is renamed apart. Term coefficients
-    and permission variables are put back in order."""
+    def map(self, x):
+        return _MAP[type(x)](x, self)
 
-    def __init__(self, ren: dict[str, str]):
-        self.ren, self.get = ren, ren.get
+    form = payload = map
 
-    def __call__(self, x):
-        t = type(x)
-        return self.form(x) if t is Formula else self.disjunct(x) if t is Disjunct else self.perm(x)
-
-    def ids(self, vs: tuple[str, ...]) -> tuple[str, ...]:
-        get = self.get
-        return tuple([get(v, v) for v in vs])
+    def bind(self, vs: tuple[str, ...], apart: bool):
+        return tuple([self.name(v) for v in vs]), self
 
     def term(self, t: Term) -> Term:
-        ren, get = self.ren, self.get
-        if not any([v in ren for v, _ in t.coeffs]):
-            return t
-        return Term(tuple(sorted([(get(v, v), c) for v, c in t.coeffs])), t.const)
+        name = self.name
+        coeffs = tuple([(name(v), c) for v, c in t.coeffs])
+        return t if coeffs == t.coeffs else Term(tuple(sorted(coeffs)), t.const)
 
     def perm(self, p: Perm) -> Perm:
-        if not any([v in self.ren for v in p.vars]):
-            return p
-        return Perm(p.frac, tuple(sorted(self.ids(p.vars))))
+        vs = tuple([self.name(v) for v in p.vars])
+        return p if vs == p.vars else Perm(p.frac, tuple(sorted(vs)))
 
-    def pure(self, p: Pure) -> Pure:
-        t = type(p)
-        if t is Cmp:
-            return Cmp(p.op, self.term(p.lhs), self.term(p.rhs))
-        if t is PAnd or t is POr:
-            return t(tuple([self.pure(q) for q in p.parts]))
-        if t is PNot:
-            return PNot(self.pure(p.body))
-        if t is PExists or t is PForall:
-            return t(self.ids(p.vars), self.pure(p.body))
-        return p
-
-    def atom(self, a: HeapAtom) -> HeapAtom:
-        t, get = type(a), self.get
-        if t is Cnt:
-            return Cnt(get(a.latch, a.latch), self.term(a.count), self.perm(a.perm))
-        if t is PointsTo:
-            return PointsTo(get(a.root, a.root), a.ctor, tuple([self.term(u) for u in a.args]),
-                            self.perm(a.perm))
-        if t is Wait:
-            return Wait(frozenset([(get(u, u), get(v, v)) for u, v in a.arcs]), self.perm(a.perm))
-        if t is LatchIn or t is LatchOut:
-            arg = a.payload
-            arg = RVar(get(arg.name, arg.name)) if type(arg) is RVar else RForm(self.form(arg.formula))
-            return t(get(a.latch, a.latch), arg)
-        if t is ThreadNode:
-            return ThreadNode(get(a.tid, a.tid), self.form(a.post))
-        if t is ThreadSpec:
-            return ThreadSpec(get(a.tid, a.tid), self.ids(a.bound), self.form(a.pre),
-                              self.form(a.post))
-        if t is Dead:
-            return Dead(get(a.tid, a.tid))
-        if t is ResVarAtom:
-            return ResVarAtom(get(a.name, a.name))
-        raise TypeError(a)
-
-    def disjunct(self, d: Disjunct) -> Disjunct:
-        return Disjunct(self.ids(d.exists), tuple([self.atom(a) for a in d.heap]), self.pure(d.pure))
-
-    def form(self, f: Formula) -> Formula:
-        return Formula(tuple([self.disjunct(d) for d in f.disjuncts]), f.span)
-
-    def expr(self, e: "Expr") -> "Expr":
-        """Code, with every variable it reads, writes or passes renamed, in
-        its guards and the formulas it carries too; spans are kept."""
-        t, get, term = type(e), self.get, self.term
-        if t is Seq:
-            return Seq(self.expr(e.first), self.expr(e.second), e.span)
-        if t is Par:
-            return Par(tuple([self.expr(b) for b in e.branches]), e.span)
-        if t is Atomic:
-            return Atomic(self.expr(e.body), e.span)
-        if t is If:
-            return If(self.pure(e.cond), self.expr(e.then), self.expr(e.els), e.span)
-        if t is Assign:
-            return Assign(get(e.lhs, e.lhs), self.expr(e.rhs), e.span)
-        if t is CountDown or t is Await or t is Join:
-            return t(get(e.var, e.var), e.span)
-        if t is Fork:
-            return Fork(get(e.var, e.var), tuple([term(a) for a in e.args]), e.span)
-        if t is Call:
-            return Call(e.name, tuple([term(a) for a in e.args]), e.span)
-        if t is New:
-            return New(e.ctor, tuple([term(a) for a in e.args]), e.span)
-        if t is VarRead:
-            return VarRead(get(e.name, e.name), e.span)
-        if t is FieldRead:
-            return FieldRead(get(e.base, e.base), e.fieldname, e.span)
-        if t is FieldWrite:
-            return FieldWrite(get(e.base, e.base), e.fieldname, term(e.rhs), e.span)
-        if t is CreateLatch:
-            payload = None if e.payload is None else self.form(e.payload)
-            return CreateLatch(term(e.count), payload, e.span)
-        if t is CreateThread:
-            return CreateThread(e.proc, self.form(e.pre), self.form(e.post), e.span)
-        if t is Assert:
-            return Assert(self.form(e.formula), e.span)
-        return e    # skip, constants
-
-
-def is_resvar(name: str) -> bool:
-    return bool(name) and name[0].isupper()
+    def arcs(self, arcs: Arcs) -> Arcs:
+        name = self.name
+        return frozenset([(name(u), name(v)) for u, v in arcs])
 
 
 # ---------------------------------------------------------------------------
 # Program syntax
 
 
-class Expr:
-    __slots__ = ()
-
-
-@_node
+@_kind
 class Skip(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class VarRead(Expr):
-    name: str
+    name: Name
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class ConstE(Expr):
     value: int
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class FieldRead(Expr):
-    base: str
+    base: Name
     fieldname: str
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class New(Expr):
     ctor: str
     args: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class CreateLatch(Expr):
     count: Term
     payload: Optional[Formula]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class CreateThread(Expr):
     proc: str
     pre: Formula
@@ -919,58 +847,58 @@ class CreateThread(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Call(Expr):
     name: str
     args: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class CountDown(Expr):
-    var: str
+    var: Name
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Await(Expr):
-    var: str
+    var: Name
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Fork(Expr):
-    var: str
+    var: Name
     args: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Join(Expr):
-    var: str
+    var: Name
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Seq(Expr):
     first: Expr
     second: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Par(Expr):
     branches: tuple[Expr, ...]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Atomic(Expr):
     body: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class If(Expr):
     cond: Pure
     then: Expr
@@ -978,22 +906,22 @@ class If(Expr):
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Assign(Expr):
-    lhs: str
+    lhs: Written
     rhs: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class FieldWrite(Expr):
-    base: str
+    base: Name
     fieldname: str
     rhs: Term
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@_node
+@_kind
 class Assert(Expr):
     formula: Formula
     span: Span = field(default=NO_SPAN, compare=False)
@@ -1043,18 +971,8 @@ class Program:
 BUILTIN_PROCS = {"countDown", "await", "create_latch", "create_thread", "fork", "join"}
 
 
-def _expr_children(e: Expr) -> list[Expr]:
-    if isinstance(e, Seq):
-        return [e.first, e.second]
-    if isinstance(e, Par):
-        return list(e.branches)
-    if isinstance(e, Atomic):
-        return [e.body]
-    if isinstance(e, If):
-        return [e.then, e.els]
-    if isinstance(e, Assign):
-        return [e.rhs]
-    return []
+def _expr_children(e: Expr) -> tuple[Expr, ...]:
+    return _CHILDREN[type(e)](e)
 
 
 def walk_expr(e: Expr):
@@ -1063,35 +981,15 @@ def walk_expr(e: Expr):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_expr_children(node)))
+        stack.extend(reversed(_CHILDREN[type(node)](node)))
 
 
 def _used_vars(e: Expr) -> set[str]:
-    used: set[str] = set()
-    for node in walk_expr(e):
-        if isinstance(node, VarRead):
-            used.add(node.name)
-        elif isinstance(node, FieldRead):
-            used.add(node.base)
-        elif isinstance(node, (New, Call, Fork)):
-            for t in node.args:
-                used |= t.vars()
-            if isinstance(node, Fork):
-                used.add(node.var)
-        elif isinstance(node, CreateLatch):
-            used |= node.count.vars()
-        elif isinstance(node, (CountDown, Await, Join)):
-            used.add(node.var)
-        elif isinstance(node, FieldWrite):
-            used.add(node.base)
-            used |= node.rhs.vars()
-        elif isinstance(node, If):
-            used |= pure_free_vars(node.cond)
-    return used
+    return set().union(*[_READS[type(n)](n) for n in walk_expr(e)])
 
 
 def _assigned_vars(e: Expr) -> set[str]:
-    return {n.lhs for n in walk_expr(e) if isinstance(n, Assign)}
+    return set().union(*[_WRITES[type(n)](n) for n in walk_expr(e)])
 
 
 def check_wellformed(p: Program) -> list[Diagnostic]:

@@ -34,10 +34,9 @@ from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch,
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
     If, Join, LatchIn, LatchOut, New, PAnd, Par, Perm, PNot, PointsTo, ProcDecl, Program,
-    Renaming, ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode,
-    ThreadSpec, VarRead, Wait, FULL, _assigned_vars, atom_free_vars, check_wellformed, EMP,
-    formula, free_vars, free_vars_disjunct, is_resvar, pand, pure_free_vars, star,
-    substitute, walk_expr, eq as peq, lt as plt,
+    ResVarAtom, RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode, ThreadSpec, VarRead,
+    Wait, FULL, _assigned_vars, all_names, check_wellformed, EMP, formula, free_vars,
+    is_resvar, pand, rename, star, substitute, walk_expr, eq as peq, lt as plt,
 )
 
 
@@ -246,12 +245,12 @@ class _ProcVerifier:
                     upgrades[found[1].perm.single_var()] = FULL
             elif not _serves(d, a):
                 atoms.append(a)
-        if not (atoms or upgrades) or any((atom_free_vars(a) - E) & ab.written for a in atoms):
+        if not (atoms or upgrades) or any((free_vars(a) - E) & ab.written for a in atoms):
             return None
-        bound = set().union(*map(atom_free_vars, atoms))
+        bound = set().union(*map(free_vars, atoms))
         parts = want.pure.parts if isinstance(want.pure, PAnd) else (want.pure,)
-        pure = pand([p for p in parts if atoms and pure_free_vars(p) & E <= bound
-                     and not (pure_free_vars(p) - E) & ab.written])
+        pure = pand([p for p in parts if atoms and free_vars(p) & E <= bound
+                     and not (free_vars(p) - E) & ab.written])
         # the demand's values get names of their own, apart from those of the
         # pair the step entails next, drawn in the order the old ones were
         ren = {v: Term.var(self.gen.fresh(v.split("#")[0]))
@@ -614,9 +613,9 @@ class _ProcVerifier:
         it carries or in the spec of a procedure it calls is its own shape,
         since a run could rename a bound name apart from them."""
         if code not in self.shapes:
-            namer = _Namer(self.kept)
-            shape = Renaming(namer).expr(code), tuple(namer)
-            if namer and any(_names(f) & namer.keys() for f in self._formulas(code)):
+            met: dict[str, str] = {}
+            shape = rename(code, _placeholders(met, self.kept)), tuple(met)
+            if met and any(_names(f) & met.keys() for f in self._formulas(code)):
                 shape = code, ()
             self.shapes[code] = shape
         return self.shapes[code]
@@ -642,15 +641,17 @@ class _ProcVerifier:
         prefix, and the trace points at `copy`'s spans. `spans` are those of
         the code's nodes, in walk order."""
         post, ab, points = run
-        rename = Renaming({name: self.gen.fresh(sigma.get(prefix, prefix))
-                           for prefix, name in drawn} | sigma)
-        new_post = rename(post)
-        new_ab = _Abduction([rename(d) for d in ab.demands], set(rename.ids(ab.E)),
-                            set(rename.ids(ab.written)),
-                            {rename.get(v, v): rename(p) for v, p in ab.perms.items()})
+        table = {name: self.gen.fresh(sigma.get(prefix, prefix)) for prefix, name in drawn} | sigma
+
+        def ren(v: str) -> str:
+            return table.get(v, v)
+        new_post = rename(post, ren)
+        new_ab = _Abduction([rename(d, ren) for d in ab.demands], set(map(ren, ab.E)),
+                            set(map(ren, ab.written)),
+                            {ren(v): rename(p, ren) for v, p in ab.perms.items()})
         if points:
             at = {sp: e.span for sp, e in zip(spans, walk_expr(copy))}
-            points = [(at.get(sp, sp), new_post if f is post else rename(f))
+            points = [(at.get(sp, sp), new_post if f is post else rename(f, ren))
                       for sp, f in points]
         return new_post, new_ab, points
 
@@ -725,31 +726,20 @@ def _unsat(d: Disjunct) -> bool:
 _DRAWN = frozenset({"P", "Q", "V", "f", "n"})
 
 
-class _Namer(dict):
-    """A map for `Renaming` that gives each name it is asked about, bar
-    `keep` and resource variables, the next placeholder #0, #1, ...: its
-    keys are the names met, in order of first occurrence."""
-
-    def __init__(self, keep=frozenset()):
-        super().__init__()
-        self.keep = keep
-
-    def __contains__(self, v) -> bool:
-        return v not in self.keep and not is_resvar(v)
-
-    def get(self, v: str, default=None):
-        if v not in self:
-            return default
-        if not dict.__contains__(self, v):
-            self[v] = f"#{len(self)}"
-        return self[v]
+def _placeholders(met: dict[str, str], keep=frozenset()):
+    """A name function for `rename` that gives each name it is asked about,
+    bar `keep` and resource variables, the next placeholder #0, #1, ...:
+    `met` maps the names met, in order of first occurrence, to theirs."""
+    def name(v: str) -> str:
+        if v in keep or is_resvar(v):
+            return v
+        return met.setdefault(v, f"#{len(met)}")
+    return name
 
 
-def _names(f: Formula):
+def _names(f: Formula) -> set[str]:
     """Every name in `f`, free or bound, bar resource variables."""
-    namer = _Namer()
-    Renaming(namer)(f)
-    return namer.keys()
+    return {v for v in all_names(f) if not is_resvar(v)}
 
 
 class _Recorder:
@@ -788,11 +778,11 @@ def _close_payload(payload: Formula, state: Disjunct, latch: str) -> Formula:
     mention closed existentially."""
     vs = _payload_value_vars(payload)
     if vs:
-        vs -= free_vars_disjunct(state) | {latch}
+        vs -= free_vars(state) | {latch}
     if not vs:
         return payload
     return Formula(tuple(
-        Disjunct(d.exists + tuple(sorted(vs & free_vars_disjunct(d))), d.heap, d.pure)
+        Disjunct(d.exists + tuple(sorted(vs & free_vars(d))), d.heap, d.pure)
         for d in payload.disjuncts), payload.span)
 
 

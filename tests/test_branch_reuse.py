@@ -15,7 +15,7 @@ import pytest
 from latchproof import names, verifier
 from latchproof.oracle import OracleBounds, explore
 from latchproof.parser import SourceFile, parse_program, unparse_program
-from latchproof.syntax import Atomic, If, Par, Renaming, Seq
+from latchproof.syntax import Atomic, If, Par, Seq, rename
 from latchproof.verifier import VerifyOptions, verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
 from tests.test_oracle_reduction import GENERATED
@@ -53,7 +53,7 @@ def _repeat_first(e, ren):
     is a with its variables renamed by `ren`."""
     if isinstance(e, Par):
         branches = tuple(_repeat_first(b, ren) for b in e.branches)
-        return Par(branches[:1] + (Renaming(ren).expr(branches[0]),) + branches[1:], e.span)
+        return Par(branches[:1] + (rename(branches[0], lambda v: ren.get(v, v)),) + branches[1:], e.span)
     if isinstance(e, Seq):
         return dataclasses.replace(e, first=_repeat_first(e.first, ren),
                                    second=_repeat_first(e.second, ren))

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import dataclasses
 import pathlib
 from fractions import Fraction
@@ -11,8 +13,9 @@ from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
     FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
-    Perm, PForall, PointsTo, Renaming, ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec, VarRead,
-    Wait, check_wellformed, free_vars, star, substitute, walk_expr, _expr_children,
+    HeapAtom, Name, Perm, PForall, PointsTo, ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec,
+    VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, rename, star, substitute,
+    walk_expr, _expr_children,
 )
 from latchproof.verifier import verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
@@ -84,7 +87,42 @@ def test_renaming_reaches_bound_names_and_keeps_canonical_order():
     # the renamed term and permission must be sorted again
     old = ("n#9", "f#9", "v#9", "d#9", "k#9", "P#9")
     new = ("n#10", "f#10", "v#10", "d#10", "k#10", "P#10")
-    assert Renaming(dict(zip(old, new)))(_sample(*old)) == _sample(*new)
+    ren = dict(zip(old, new))
+    assert rename(_sample(*old), lambda v: ren.get(v, v)) == _sample(*new)
+
+
+@syntax._kind
+class _Pool(HeapAtom):
+    """A throwaway kind, declared here alone: a name, a term and a formula."""
+    root: Name
+    size: Term
+    member: Formula
+
+
+def test_a_new_kind_needs_one_declaration():
+    a = _Pool("p", Term.var("n") + Term.of(1), F("ex v. v::cell(n)@f * x::cell(w) & v > 0"))
+    assert free_vars(a) == {"p", "n", "x", "w"}
+    assert all_names(a) == {"p", "n", "x", "w", "v", "f"}
+    assert atom_root(a) == "p"
+    # every field is substituted, and the bound v is renamed apart from n's image
+    b = substitute(a, {"p": Term.var("q"), "n": Term.var("v"), "w": Term.of(3)},
+                   gen=names.FreshGen(0))
+    assert (b.root, b.size) == ("q", Term.var("v") + Term.of(1))
+    d = b.member.single()
+    assert d.exists == ("v#1",) and d.heap == (
+        PointsTo("v#1", "cell", (Term.var("v"),), Perm.pvar("f")),
+        PointsTo("x", "cell", (Term.of(3),)))
+    assert free_vars(b) == {"q", "v", "x"}
+    # a renaming reaches the bound names and the permission variable too
+    ren = {"p": "r", "n": "m", "v": "u", "f": "g"}
+    assert rename(a, lambda v: ren.get(v, v)) == _Pool(
+        "r", Term.var("m") + Term.of(1), F("ex u. u::cell(m)@g * x::cell(w) & u > 0"))
+
+
+def test_substitute_leaves_spec_bound_names_alone():
+    spec = ThreadSpec("t", ("k",), F("x::cell(k)"), F("x::cell(k) * y::cell(j)"))
+    out = substitute(spec, {"t": Term.var("u"), "k": Term.of(1), "j": Term.of(2)})
+    assert out == ThreadSpec("u", ("k",), F("x::cell(k)"), F("x::cell(k) * y::cell(2)"))
 
 
 def test_star_renames_clashing_existentials_in_binding_order():
