@@ -545,6 +545,8 @@ def _forked_before_join(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional
 # The lemma table: each entry's declarative form next to the rule that runs.
 # normalize applies the rewrite entries, and check_consistency the error
 # entries, in table order; verify_lemma_table runs every rule on its own lhs.
+# E2 comes before E1: a positive count beside the final one means that the
+# latch never expires, so a state both match is a deadlock, not a race.
 # S1-S3 and ThrdSplit have no rule here: entail and split_for apply them on
 # demand.
 
@@ -578,8 +580,8 @@ def _lemma_table() -> tuple[Lemma, ...]:
         Lemma("W1", F("WAIT{a->b}@1"), F("WAIT{}@1"), rule=_w1),
         Lemma("W2", F("CNT(c1,a)@f1 * CNT(c2,-1)@f2 * WAIT{s1->s2}@f & a>0"),
               F("CNT(c1,a)@f1 * CNT(c2,-1)@f2 * WAIT{s1->s2, c2->c1}@f & a>0"), rule=_w2),
-        Lemma("E1", F("LatchIn(c, P) * CNT(c,-1)@f"), None, "RaceError", _e1),
         Lemma("E2", F("CNT(c,a)@f1 * CNT(c,-1)@f2 & a>0"), None, "DeadlockError", _e2),
+        Lemma("E1", F("LatchIn(c, P) * CNT(c,-1)@f"), None, "RaceError", _e1),
         Lemma("E3", F("WAIT{s1->s2, s2->s1}@f"), None, "DeadlockError", _e3),
         # a SpecFailure, which names no lemma in its verdict
         Lemma("Protocol", F("threadspec(t, P, Q) * dead(t)"), None, "SpecFailure",

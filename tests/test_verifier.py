@@ -11,7 +11,7 @@ from latchproof.lemmas import split_for
 from latchproof.pure import SolverResult, Status
 from latchproof.syntax import Cnt, PAnd, Term
 from latchproof.verifier import VerifyOptions, check_leak, verify_program
-from tests.test_golden import fan_in_source
+from tests.test_golden import ROOT, fan_in_source
 
 
 def F(s):
@@ -418,9 +418,27 @@ def test_readers_each_take_half_of_the_payload(par, outcomes):
     # each reader's LatchOut takes x::cell(v)@1/2 and leaves the other half
     # behind for the next one
     p = parse_program(SourceFile("t", TWO_READERS % par))
-    ok = by_proc(verify_program(p, VerifyOptions()))["main"].ok
-    assert ok == (outcomes == {"Clean"})
+    main = by_proc(verify_program(p, VerifyOptions()))["main"]
+    if outcomes == {"Clean"}:
+        assert main.ok
+    else:   # c never expires, so the readers deadlock (E2), not race (E1)
+        assert (main.kind, main.lemma) == ("DeadlockError", "E2")
     assert explore(p).kinds == outcomes
+
+
+# corpus/sender_receiver.lp without its sender
+RECEIVER_ALONE = (ROOT / "corpus" / "sender_receiver.lp").read_text().replace(
+    "( sender(c, x) || receiver(c, x) )", "( receiver(c, x) || skip )")
+
+
+def test_latch_nobody_counts_down_is_a_deadlock_not_a_race():
+    # the receiver's post CNT(c,-1) meets main's CNT(c,1) and the LatchIn
+    # still held, which match both E2 and E1; no run counts c down, so it
+    # never expires
+    p = parse_program(SourceFile("t", RECEIVER_ALONE))
+    main = by_proc(verify_program(p, VerifyOptions()))["main"]
+    assert (main.kind, main.lemma) == ("DeadlockError", "E2")
+    assert explore(p).kinds == {"Deadlock"}
 
 
 def test_deposit_cannot_assume_a_parameter():
