@@ -14,7 +14,6 @@ which gives one record per procedure.
     python scripts/sweep.py --against HEAD~1  also run HEAD~1's src; print the
                                               first differing records and
                                               their count, exit 1 on any
-    python scripts/sweep.py --corpus          the corpus alone
 
 The other revision's `src` is extracted with `git archive` into a temporary
 directory, which is removed on exit.
@@ -75,13 +74,12 @@ def run(src: pathlib.Path, programs: pathlib.Path, names: list[str]) -> list[dic
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="REV", help="a git revision to compare with")
-    ap.add_argument("--corpus", action="store_true", help="run the corpus alone")
     ap.add_argument("--show", type=int, default=5, help="differing records to print")
     ns = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="latchproof-sweep-") as tmp:
         tmp = pathlib.Path(tmp)
         (tmp / "programs").mkdir()
-        programs = program_set(ns.corpus)
+        programs = program_set()
         for name, source in programs.items():
             (tmp / "programs" / f"{name}.lp").write_text(source)
         ours = run(ROOT / "src", tmp / "programs", list(programs))
@@ -94,7 +92,8 @@ def main(argv=None) -> int:
         theirs = run(tmp / "src", tmp / "programs", list(programs))
     key = lambda r: (r["file"], r.get("proc", "<error>"))  # noqa: E731
     ours_at, theirs_at = {key(r): r for r in ours}, {key(r): r for r in theirs}
-    differ = [k for k in dict.fromkeys([*theirs_at, *ours_at]) if ours_at.get(k) != theirs_at.get(k)]
+    keys = dict.fromkeys([*theirs_at, *ours_at])
+    differ = [k for k in keys if ours_at.get(k) != theirs_at.get(k)]
     for k in differ[:ns.show]:
         theirs_r, ours_r = dict(theirs_at.get(k) or {}), dict(ours_at.get(k) or {})
         traces = theirs_r.pop("trace", []), ours_r.pop("trace", [])

@@ -3,12 +3,8 @@
 Terms are kept in a canonical linear form (sum of integer-scaled
 variables plus a constant); permissions are exact rationals, optionally
 symbolic. Formulas are disjunctions of (existentials, heap atoms, pure
-constraint). All values are hashable and never change once built.
-
-Each node kind declares the role of each of its fields once, by the
-field's annotation; every walker over the syntax (free variables, names,
-substitution, renaming, and the children and variables of code) is
-derived from those declarations.
+constraint). All values are hashable and never change once built. Each
+node kind declares its fields' roles, and the walkers are derived from them.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ _node = dataclass(eq=True, unsafe_hash=True, slots=True)
 # int or Span, kept as it is. A bound-name field binds its names in the
 # fields after it.
 
-Name = str                          # a variable: a root, latch, thread id, resource or read variable
+Name = str                          # a variable: root, latch, thread id, resource or read variable
 Written = str                       # a variable that code assigns
 Bound = tuple[str, ...]             # bound names, renamed apart from a substitution's images
 Shadow = tuple[str, ...]            # bound names that only shadow a substitution
@@ -79,11 +75,11 @@ class Expr:
 # Walkers, derived from the field roles
 #
 # For each kind and each question, one function is written from the kind's
-# roles when the kind is declared, as source text (as `dataclasses` builds
-# __init__), so that a call costs one dict lookup on the node's class and no
-# loop over its fields. Fields are visited in declaration order. Each
-# function is compiled at its first call, so that an import compiles none.
-# Prior art: Lämmel & Peyton Jones, "Scrap Your Boilerplate", TLDI 2003.
+# roles as source text (as `dataclasses` builds __init__) and compiled, so
+# that a call costs one dict lookup on the node's class and no loop over its
+# fields. Fields are visited in declaration order. Each function is written
+# at its first call, so that an import writes and compiles none. Prior art:
+# Lämmel & Peyton Jones, "Scrap Your Boilerplate", TLDI 2003.
 
 _FV: dict[type, Callable] = {}          # free variables
 _NAMES: dict[type, Callable] = {}       # every name: bound ones and permission variables too
@@ -105,10 +101,10 @@ _READ = {r: _NAME[r] for r in ("name", "term", "terms", "pure")}
 _QUANTIFIED = {"pure": "$[type(@)](@)", "nodes": "any($[type(y)](y) for y in @)"}
 _WRITE = {"written": "{@}"}
 _MAPPED = {"name": "$.name(@)", "written": "$.name(@)", "term": "$.term(@)",
-           "terms": "tuple([$.term(y) for y in @])", "perm": "$.perm(@)", "arcs": "$.arcs(@)", "pure": "$.map(@)",
-           "formula": "$.form(@)", "payload": "$.payload(@)", "child": "$.map(@)",
-           "nodes": "tuple([$.map(y) for y in @])", "children": "tuple([$.map(y) for y in @])",
-           "kept": "@"}
+           "terms": "tuple([$.term(y) for y in @])", "perm": "$.perm(@)", "arcs": "$.arcs(@)",
+           "pure": "$.map(@)", "formula": "$.form(@)", "payload": "$.payload(@)",
+           "child": "$.map(@)", "nodes": "tuple([$.map(y) for y in @])",
+           "children": "tuple([$.map(y) for y in @])", "kept": "@"}
 
 
 def _fill(templates: dict[str, str], roles, table: str = "") -> list[str]:
@@ -119,51 +115,56 @@ def _union(sets: list[str]) -> str:
     return "return " + (" | ".join(sets) or "set()")
 
 
-def _compiled_at_first_call(table: dict, cls: type, body: str) -> Callable:
-    """A stand-in for `table[cls]` that compiles `body` into it when called."""
+def _kind(cls):
+    """`_node` for a node kind, whose walkers are derived from its roles."""
+    cls = _node(cls)
+    roles = [(f"x.{f.name}", _ROLE[f.type]) for f in fields(cls)]
+    tables = [_MAP, *((_CHILDREN, _READS, _WRITES) if issubclass(cls, Expr) else (_FV, _NAMES))]
+    if issubclass(cls, Pure):
+        tables.append(_QUANT)
+    if issubclass(cls, HeapAtom):
+        _ROOT[cls] = next((attrgetter(v[2:]) for v, r in roles if r == "name"), lambda a: "")
+    for table in tables:
+        table[cls] = _derived_at_first_call(table, cls, roles)
+    return cls
+
+
+def _derived_at_first_call(table: dict, cls: type, roles) -> Callable:
+    """A stand-in for `table[cls]` that writes and compiles the walker at first call."""
     def first_call(x, s=None):
         namespace: dict = {}
-        exec(f"def make(K):\n def walker(x, s=None):\n  {body}\n return walker", globals(), namespace)
+        exec(f"def make(K):\n def walker(x, s=None):\n  {_body(table, cls, roles)}\n"
+             " return walker", globals(), namespace)
         table[cls] = walker = namespace["make"](cls)
         return walker(x, s)
     return first_call
 
 
-def _kind(cls):
-    """`_node` for a node kind, whose walkers are derived from its roles."""
-    cls = _node(cls)
-    try:
-        roles = [(f"x.{f.name}", _ROLE[f.type]) for f in fields(cls)]
-    except KeyError as e:
-        raise TypeError(f"{cls.__name__}: no role for a field of type {e}") from None
+def _body(table: dict, cls: type, roles) -> str:
+    """The body of the walker in `table` for the kind `cls`."""
     at = next((i for i, (_, r) in enumerate(roles) if r in ("bound", "shadow")), len(roles))
     outer, scoped = roles[:at], roles[at + 1:]
-    if all(r == "kept" for _, r in roles):
-        mapped = "return x"
-    else:
+    if table is _MAP:
+        if all(r == "kept" for _, r in roles):
+            return "return x"
         # a binder's context `s.bind` gives maps the fields after it
         bind = f"b, t = s.bind({roles[at][0]}, {roles[at][1] == 'bound'}); " if scoped else ""
         args = _fill(_MAPPED, outer, "s") + ["b"] * bool(scoped) + _fill(_MAPPED, scoped, "t")
-        mapped = f"{bind}return {getattr(cls, '_build', 'K')}({', '.join(args)})"
-    walkers = [(_MAP, mapped)]
-    if issubclass(cls, Expr):
-        kids = [f"*{v}" if r == "children" else v for v, r in roles if r in ("child", "children")]
-        walkers += [(_CHILDREN, f"return ({', '.join(kids)},)" if kids else "return ()"),
-                    (_READS, _union(_fill(_READ, roles, "_FV"))),
-                    (_WRITES, _union(_fill(_WRITE, roles)))]
-    else:
+        return f"{bind}return {getattr(cls, '_build', 'K')}({', '.join(args)})"
+    if table is _FV:
         free, inner = _fill(_NAME, outer, "_FV"), _fill(_NAME, scoped, "_FV")
         if inner:
             free.append(f"({' | '.join(inner)}).difference({roles[at][0]})")
-        walkers += [(_FV, _union(free)), (_NAMES, _union(_fill(_NAME_ALL, roles, "_NAMES")))]
-    if issubclass(cls, Pure):
-        walkers.append((_QUANT, "return " + ("True" if at < len(roles) else
-                                             " or ".join(_fill(_QUANTIFIED, roles, "_QUANT")) or "False")))
-    if issubclass(cls, HeapAtom):
-        _ROOT[cls] = next((attrgetter(v[2:]) for v, r in roles if r == "name"), lambda a: "")
-    for table, body in walkers:
-        table[cls] = _compiled_at_first_call(table, cls, body)
-    return cls
+        return _union(free)
+    if table is _NAMES:
+        return _union(_fill(_NAME_ALL, roles, "_NAMES"))
+    if table is _QUANT:
+        quantified = " or ".join(_fill(_QUANTIFIED, roles, "_QUANT")) or "False"
+        return "return " + ("True" if scoped else quantified)
+    if table is _CHILDREN:
+        kids = [f"*{v}" if r == "children" else v for v, r in roles if r in ("child", "children")]
+        return f"return ({', '.join(kids)},)" if kids else "return ()"
+    return _union(_fill(_READ if table is _READS else _WRITE, roles, "_FV"))
 
 
 # ---------------------------------------------------------------------------
@@ -969,10 +970,6 @@ class Program:
 
 
 BUILTIN_PROCS = {"countDown", "await", "create_latch", "create_thread", "fork", "join"}
-
-
-def _expr_children(e: Expr) -> tuple[Expr, ...]:
-    return _CHILDREN[type(e)](e)
 
 
 def walk_expr(e: Expr):

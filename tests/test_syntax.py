@@ -15,7 +15,7 @@ from latchproof.syntax import (
     FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
     HeapAtom, Name, Perm, PForall, PointsTo, ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec,
     VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, rename, star, substitute,
-    walk_expr, _expr_children,
+    walk_expr,
 )
 from latchproof.verifier import verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
@@ -198,7 +198,7 @@ def test_term_arithmetic(a, b, k):
 def test_walk_expr_pre_order(load):
     def reference(e):
         yield e
-        for c in _expr_children(e):
+        for c in syntax._CHILDREN[type(e)](e):
             yield from reference(c)
     for name in ["cdl2", "barrier", "race_concrete"]:
         for proc in load(name).proc_decls:
