@@ -12,7 +12,7 @@ which gives one record per procedure.
 
     python scripts/sweep.py                   run the set, print the counts
     python scripts/sweep.py --against HEAD~1  also run HEAD~1's src; print the
-                                              first differing records and
+                                              first five differing records and
                                               their count, exit 1 on any
 
 The other revision's `src` is extracted with `git archive` into a temporary
@@ -74,7 +74,6 @@ def run(src: pathlib.Path, programs: pathlib.Path, names: list[str]) -> list[dic
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="REV", help="a git revision to compare with")
-    ap.add_argument("--show", type=int, default=5, help="differing records to print")
     ns = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="latchproof-sweep-") as tmp:
         tmp = pathlib.Path(tmp)
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
     ours_at, theirs_at = {key(r): r for r in ours}, {key(r): r for r in theirs}
     keys = dict.fromkeys([*theirs_at, *ours_at])
     differ = [k for k in keys if ours_at.get(k) != theirs_at.get(k)]
-    for k in differ[:ns.show]:
+    for k in differ[:5]:
         theirs_r, ours_r = dict(theirs_at.get(k) or {}), dict(ours_at.get(k) or {})
         traces = theirs_r.pop("trace", []), ours_r.pop("trace", [])
         print(f"{ns.against}: {json.dumps(theirs_r)}\nthis tree: {json.dumps(ours_r)}")
