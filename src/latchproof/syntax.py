@@ -40,7 +40,7 @@ _node = dataclass(eq=True, unsafe_hash=True, slots=True)
 Name = str                          # a variable: root, latch, thread id, resource or read variable
 Written = str                       # a variable that code assigns
 Bound = tuple[str, ...]             # bound names, renamed apart from a substitution's images
-Shadow = tuple[str, ...]            # bound names that only shadow a substitution
+Shadow = tuple[str, ...]            # bound names that shadow a map, renamed apart from its images
 Arcs = frozenset[tuple[str, str]]   # wait-for arcs between latches
 
 _ROLE = {
@@ -659,9 +659,9 @@ def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] 
     A resource variable standing as an atom is starred out into its formula,
     which distributes over disjunction; `x` as a heap atom keeps such an atom
     as it is. Existentials, quantified and spec-bound names shadow `rho` and
-    `res`. An existential that an image mentions, and a quantified name that
-    `rho` maps or its terms mention, is renamed apart first. The images are
-    not substituted in turn."""
+    `res`. An existential or a spec-bound name that an image mentions, and a
+    quantified name that `rho` maps or its terms mention, is renamed apart
+    first. The images are not substituted in turn."""
     if not (rho or perms or res):
         return x
     s = _Subst(rho or {}, perms or {}, res or {}, gen or names.default_gen())
@@ -713,12 +713,15 @@ class _Subst:
 
     def bind(self, vs: tuple[str, ...], apart: bool):
         """The bound names `vs` and the substitution for the fields they
-        scope. With `apart`, each one that `rho` maps or its terms mention
-        is renamed to a fresh name first, in binding order."""
+        scope. Each one that the terms of the map under them mention is
+        renamed to a fresh name first, in binding order; with `apart`, so is
+        each one that `rho` maps, and the terms are those of all of `rho`."""
         s = self.under(vs)
-        if apart and self.rho:
-            images = {v for t in self.rho.values() for v, _ in t.coeffs}
-            ren = {v: self.gen.fresh(v.split("#")[0]) for v in vs if v in self.rho or v in images}
+        rho = self.rho if apart else s.rho
+        if rho:
+            images = {v for t in rho.values() for v, _ in t.coeffs}
+            ren = {v: self.gen.fresh(v.split("#")[0])
+                   for v in vs if v in images or apart and v in rho}
             if ren:
                 s = _Subst(s.rho | {v: Term.var(w) for v, w in ren.items()}, s.perms, s.res, s.gen)
                 vs = tuple([ren.get(v, v) for v in vs])

@@ -25,8 +25,8 @@ from . import pure as solver
 from .diagnostics import Span, NO_SPAN
 from .entail import EntailmentOutcome, _payload_value_vars, entail
 from .lemmas import (
-    Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _key, _min_count,
-    ambiguous_disjuncts, branch_start, may_mention, normalize, split_for,
+    Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _is_trivial_payload, _key,
+    _min_count, ambiguous_disjuncts, branch_start, may_mention, normalize, split_for,
 )
 from .parser import format_state, unparse_atom
 from .pure import SolverUnknown, Status
@@ -323,11 +323,14 @@ class _ProcVerifier:
     # -- the dispatcher -----------------------------------------------------
 
     def exec(self, state: Formula, e: Expr) -> Formula:
+        # a sequence (right-nested by the parser) runs in a loop, so the
+        # stack depth a run needs does not grow with the program's length
+        while isinstance(e, Seq):
+            state = self.exec(state, e.first)
+            e = e.second
         span = getattr(e, "span", NO_SPAN) or NO_SPAN
         if isinstance(e, Skip):
             return state
-        if isinstance(e, Seq):
-            return self.exec(self.exec(state, e.first), e.second)
         if isinstance(e, Atomic):
             return self.exec(state, e.body)
         if isinstance(e, Assert):
@@ -452,9 +455,10 @@ class _ProcVerifier:
         added = []
         for d in state.disjuncts:
             if _implied(d.pure, plt(Term.of(0), count)):
-                closed = _close_payload(payload, d, lhs)
-                added.append((LatchIn(lhs, RForm(closed)), LatchOut(lhs, RForm(closed)),
-                              Cnt(lhs, count, FULL)))
+                closed = RForm(_close_payload(payload, d, lhs))
+                # Unit would drop predicates that carry nothing at once
+                added.append((Cnt(lhs, count, FULL),) if _is_trivial_payload(closed) else
+                             (LatchIn(lhs, closed), LatchOut(lhs, closed), Cnt(lhs, count, FULL)))
             elif _implied(d.pure, peq(count, Term.of(0))):
                 added.append((Cnt(lhs, Term.of(-1), FULL),))
             else:

@@ -670,16 +670,28 @@ def _create_work(monkeypatch, program):
 
 def test_a_create_step_places_only_its_own_atoms(monkeypatch):
     # each create step extends the heap its state was normalized in by its
-    # LatchIn, LatchOut and CNT, and the new latch's name, found in no
-    # atom, needs no renaming walk of the state
+    # CNT alone, as its LatchIn and LatchOut carry nothing, and the new
+    # latch's name, found in no atom, needs no renaming walk of the state
     for n in (16, 64):
         v, placed, renamed = _create_work(monkeypatch, _chain(n))
-        assert v.kind == "Verified" and placed == [3] * n and renamed == 0
+        assert v.kind == "Verified" and placed == [1] * n and renamed == 0
     v, placed, renamed = _create_work(monkeypatch, _fan_in(16))
-    assert v.kind == "Verified" and placed == [3] and renamed == 0
+    assert v.kind == "Verified" and placed == [1] and renamed == 0
     ring = _latch_program(16, [f"await(c{i}); countDown(c{(i + 1) % 16})" for i in range(16)])
     v, placed, renamed = _create_work(monkeypatch, ring)
-    assert v.lemma == "E3" and placed == [3] * 16 and renamed == 0
+    assert v.lemma == "E3" and placed == [1] * 16 and renamed == 0
+
+
+def test_a_latch_with_a_payload_places_its_latch_predicates(monkeypatch):
+    # a payload that carries something keeps its LatchIn and LatchOut
+    source = ("data cell { int val; }\n\nvoid main()\n  requires emp\n  ensures  emp;\n{\n"
+              "  x = new cell(0); c = create_latch(1) with x::cell(w) & w > 2;\n"
+              "  ( countDown(c) || await(c) )\n}\n")
+    v, placed, renamed = _create_work(monkeypatch, parse_program(SourceFile("payload", source)))
+    assert placed == [3] and renamed == 0
+    assert v.trace.render().splitlines()[2] == (
+        "  7:20  x::cell(0) * LatchIn(c, ex w. x::cell(w) & 2<w)"
+        " * LatchOut(c, ex w. x::cell(w) & 2<w) * CNT(c,1) * WAIT{}")
 
 
 def test_a_reassigned_latch_is_renamed(monkeypatch):
@@ -689,8 +701,8 @@ def test_a_reassigned_latch_is_renamed(monkeypatch):
               "  ( countDown(c) || countDown(c) || await(c) )\n}\n")
     v, placed, renamed = _create_work(monkeypatch, parse_program(SourceFile("relatch", source)))
     # the renamed state is a new one, whose heap is built again: its three
-    # atoms and the three new ones
-    assert v.kind == "Verified" and placed == [3, 6] and renamed == 1
+    # atoms and the new CNT
+    assert v.kind == "Verified" and placed == [1, 4] and renamed == 1
     # the old latch keeps its share under the name drawn for it, c#2
     assert v.trace.render().splitlines() == [
         "  3:1  WAIT{}",

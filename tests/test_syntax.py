@@ -12,7 +12,7 @@ from latchproof.diagnostics import Span
 from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
-    FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
+    EMP, FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
     HeapAtom, Name, Perm, PForall, PointsTo, ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec,
     VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, rename, star, substitute,
     walk_expr,
@@ -123,6 +123,14 @@ def test_substitute_leaves_spec_bound_names_alone():
     spec = ThreadSpec("t", ("k",), F("x::cell(k)"), F("x::cell(k) * y::cell(j)"))
     out = substitute(spec, {"t": Term.var("u"), "k": Term.of(1), "j": Term.of(2)})
     assert out == ThreadSpec("u", ("k",), F("x::cell(k)"), F("x::cell(k) * y::cell(2)"))
+
+
+def test_substitute_renames_a_spec_bound_name_that_an_image_mentions():
+    # `j`'s image `k` must stay free: the spec's own `k` is renamed apart
+    spec = ThreadSpec("t", ("k",), F("x::cell(k) * y::cell(j)"), EMP)
+    out = substitute(spec, {"j": Term.var("k")}, gen=names.FreshGen(0))
+    assert out == ThreadSpec("t", ("k#1",), F("x::cell(k#1) * y::cell(k)"), EMP)
+    assert free_vars(out) == {"t", "x", "y", "k"}
 
 
 def test_star_renames_clashing_existentials_in_binding_order():

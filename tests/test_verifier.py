@@ -1,3 +1,4 @@
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from latchproof.lemmas import split_for
 from latchproof.pure import SolverResult, Status
 from latchproof.syntax import Cnt, PAnd, Term
 from latchproof.verifier import VerifyOptions, check_leak, verify_program
-from tests.test_golden import ROOT, fan_in_source
+from tests.test_golden import ROOT, chain_source, fan_in_source, ring_source
 
 
 def F(s):
@@ -239,6 +240,31 @@ def test_exec_deterministic(load):
     t1 = [format_state(f) for _, f in by_proc(vs1)["main"].trace.points]
     t2 = [format_state(f) for _, f in by_proc(vs2)["main"].trace.points]
     assert t1 == t2
+
+
+# -- the stack a verification needs does not grow with the program ------------
+
+def _depth():
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_stack_depth_does_not_depend_on_program_length():
+    # a statement sequence runs in a loop: a long straight-line prefix, or
+    # a block after 128 create steps, needs no frame per statement
+    skips = "void main() requires emp ensures emp;\n{ " + "skip; " * 1000 + "}\n"
+    programs = [parse_program(SourceFile(name, src)) for name, src in (
+        ("chain-128", chain_source(128)), ("ring-128", ring_source(128)), ("skips", skips))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 60)
+    try:
+        verdicts = [by_proc(verify_program(p, VerifyOptions()))["main"] for p in programs]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(v.kind, v.lemma) for v in verdicts] == [
+        ("Verified", None), ("DeadlockError", "E3"), ("Verified", None)]
 
 
 # -- completion-order arcs beside a full wait-for view ------------------------
