@@ -6,22 +6,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .diagnostics import fresh, record
 from .lemmas import verify_lemma_table
 from .oracle import OracleBounds, OracleError, explore
 from .parser import ParseError, SourceFile, format_state, parse_program
 from .verifier import Verdict, VerifyOptions, verify_program
 
 
-@dataclass
+@record
 class RunConfig:
     files: list[str]
     mode: str = "verify"            # verify | oracle | both
     json: bool = False
     dump_trace: bool = False
-    oracle_bounds: OracleBounds = field(default_factory=OracleBounds)
+    oracle_bounds: OracleBounds = fresh(OracleBounds)
 
 
 def _parse_args(argv) -> RunConfig:
@@ -44,10 +44,10 @@ def _parse_args(argv) -> RunConfig:
     )
 
 
-@dataclass
+@record
 class FileReport:
     file: str
-    verdicts: list[Verdict] = field(default_factory=list)
+    verdicts: list[Verdict] = fresh(list)
     oracle: Optional[object] = None
     error: Optional[str] = None
 

@@ -20,12 +20,11 @@ across atoms. A note records when an alternative candidate existed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import names
 from . import pure as solver
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, fresh, record
 from .pure import SolverUnknown
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
@@ -34,13 +33,13 @@ from .syntax import (
 )
 
 
-@dataclass
+@record
 class EntailmentOutcome:
     success: bool
     bindings: dict[str, Formula]        # discovered resource bindings D
     residue: Formula                    # frame Delta_R
-    var_bindings: dict[str, Term] = dc_field(default_factory=dict)
-    perm_bindings: dict[str, Perm] = dc_field(default_factory=dict)
+    var_bindings: dict[str, Term] = fresh(dict)
+    perm_bindings: dict[str, Perm] = fresh(dict)
     failure_reason: Optional[Diagnostic] = None
     notes: tuple[str, ...] = ()
 

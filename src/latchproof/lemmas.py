@@ -25,7 +25,6 @@ then rewrites from the keys of those atoms alone.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
 from . import names
@@ -41,10 +40,10 @@ from .syntax import (
     eq as peq, le as ple, lt as plt,
 )
 from .waitgraph import is_cyclic
-from .diagnostics import Diagnostic, NO_SPAN
+from .diagnostics import Diagnostic, NO_SPAN, fresh, record, replace
 
 
-@dataclass(frozen=True)
+@record
 class Inconsistency:
     kind: str                      # RaceError | DeadlockError | SpecFailure
     lemma: Optional[str]           # E1 | E2 | E3 | None
@@ -66,7 +65,7 @@ class NormalizationDiverged(Exception):
 # Resource-preservation accounting (RS)
 
 
-@dataclass(frozen=True)
+@record
 class RSItem:
     polarity: str      # 'in' (consumed by the abstraction) | 'out'
     payload: str       # canonical rendering of one *-component
@@ -148,7 +147,7 @@ def _symbolic(a: HeapAtom) -> bool:
     return isinstance(a, Cnt) and not a.count.is_const
 
 
-@dataclass(eq=True, unsafe_hash=True, slots=True)
+@record
 class Rewrite:
     """What a rule does to a disjunct at one match, by slot: `put` replaces
     atoms where they stand, the atoms at `drop` go, `add` is appended, and a
@@ -551,7 +550,7 @@ def _forked_before_join(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional
 # demand.
 
 
-@dataclass(frozen=True)
+@record
 class Lemma:
     name: str
     lhs: Formula
@@ -764,20 +763,20 @@ def normalize(delta: Formula, gen=None,
 # Demand-driven splitting at par/fork points
 
 
-@dataclass
+@record
 class SplitTarget:
     formula: Formula               # required pre-state of one branch
-    E: set[str] = field(default_factory=set)
+    E: set[str] = fresh(set)
 
 
-@dataclass
+@record
 class SplitResult:
     branches: list[Formula]
     frame: Formula
     # per branch: the variable, resource and permission bindings its target took
-    bindings: list[EntailmentOutcome] = field(default_factory=list)
+    bindings: list[EntailmentOutcome] = fresh(list)
     # symbolic permissions of the state, rewritten as sums of the shares given out
-    refined: dict[str, Perm] = field(default_factory=dict)
+    refined: dict[str, Perm] = fresh(dict)
 
 
 def _min_count(target_pure: Pure, count: Term, available: int) -> Optional[int]:

@@ -40,8 +40,7 @@ non-exhaustive search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .diagnostics import record
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, ConstE, CountDown, CreateLatch, CreateThread,
     Expr, FieldRead, FieldWrite, Fork, Formula, If, Join, New, Par, Program, ResVarAtom,
@@ -53,20 +52,20 @@ class OracleError(Exception):
     pass
 
 
-@dataclass
+@record
 class OracleBounds:
     max_threads: int = 6
     max_states: int = 10**5
     max_steps: int = 64
 
 
-@dataclass(frozen=True)
+@record
 class Outcome:
     kind: str        # Clean | Race | Deadlock | Leak
     detail: str = ""
 
 
-@dataclass
+@record
 class OracleReport:
     explored: int
     outcomes: set[Outcome]
@@ -107,7 +106,7 @@ def _has_resvar(f: Formula) -> bool:
 # ('restore', saved_env, lhs) | ('joinkids', tid1, ..., tidN)
 
 
-@dataclass
+@record
 class _Thread:
     tid: int
     env: dict

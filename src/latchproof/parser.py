@@ -33,12 +33,11 @@ Columns count characters from 1; a tab is one column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import names
-from .diagnostics import Span
+from .diagnostics import Span, record
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cmp, ConstE, Cnt, CountDown, CreateLatch,
     CreateThread, DataDecl, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
@@ -58,7 +57,7 @@ class ParseError(Exception):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
+@record
 class SourceFile:
     path: str
     text: str
@@ -93,7 +92,7 @@ _TOKEN = re.compile("|".join([
 ]))
 
 
-@dataclass(slots=True)
+@record
 class Token:
     kind: str  # 'ident' | 'int' | 'decimal' | 'sym' | 'kw' | 'eof'
     text: str

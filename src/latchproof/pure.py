@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Optional
 
 from . import names
+from .diagnostics import record
 from .syntax import (
     Cmp, PAnd, PExists, PForall, PNot, POr, PTrue, PFalse, Pure, Term,
     TRUE, FALSE, free_vars, pand, por, pure_eval, pure_has_quantifier, substitute,
@@ -35,7 +35,7 @@ class Status(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass
+@record
 class SolverResult:
     status: Status
     model: Optional[dict[str, int]] = None

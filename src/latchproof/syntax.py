@@ -9,22 +9,21 @@ node kind declares its fields' roles, and the walkers are derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .diagnostics import Diagnostic, Span, NO_SPAN
+from .diagnostics import Diagnostic, Span, NO_SPAN, at_first_call, record
 from . import names
 
 
-# Every node is slotted and write-once: no field is assigned after
-# construction, which tests/test_syntax.py checks. Equality and hashing are
-# generated over the compared fields. Not `frozen=True`: its __init__ sets
-# each field through object.__setattr__, which makes a node about three
-# times as slow to build.
-_node = dataclass(eq=True, unsafe_hash=True, slots=True)
+# Every node is a record (diagnostics.py), slotted and write-once: no field
+# is assigned after construction, which tests/test_syntax.py checks. Not
+# frozen: a frozen __init__ sets each field through object.__setattr__,
+# which makes a node about three times as slow to build. Not a dataclass:
+# `dataclasses` took 44 of the 55 ms of an `import latchproof` with a warm
+# bytecode cache, and records cut perfbench's setup_s from 40 to 12 ms.
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,7 @@ class Expr:
 # Walkers, derived from the field roles
 #
 # For each kind and each question, one function is written from the kind's
-# roles as source text (as `dataclasses` builds __init__) and compiled, so
+# roles as source text (as a record's methods are) and compiled, so
 # that a call costs one dict lookup on the node's class and no loop over its
 # fields. Fields are visited in declaration order. Each function is written
 # at its first call, so that an import writes and compiles none: compiling
@@ -117,28 +116,20 @@ def _union(sets: list[str]) -> str:
 
 
 def _kind(cls):
-    """`_node` for a node kind, whose walkers are derived from its roles."""
-    cls = _node(cls)
-    roles = [(f"x.{f.name}", _ROLE[f.type]) for f in fields(cls)]
+    """A record for a node kind, whose walkers are derived from its roles."""
+    cls = record(cls)
+    roles = [(f"x.{n}", _ROLE[t]) for n, t in cls.__annotations__.items()]
     tables = [_MAP, *((_CHILDREN, _READS, _WRITES) if issubclass(cls, Expr) else (_FV, _NAMES))]
     if issubclass(cls, Pure):
         tables.append(_QUANT)
     if issubclass(cls, HeapAtom):
         _ROOT[cls] = next((attrgetter(v[2:]) for v, r in roles if r == "name"), lambda a: "")
     for table in tables:
-        table[cls] = _derived_at_first_call(table, cls, roles)
+        table[cls] = at_first_call(
+            lambda table=table: (f"def f(x, s=None):\n {_body(table, cls, roles)}", globals(),
+                                 {"K": cls}),
+            lambda f, table=table: table.__setitem__(cls, f))
     return cls
-
-
-def _derived_at_first_call(table: dict, cls: type, roles) -> Callable:
-    """A stand-in for `table[cls]` that writes and compiles the walker at first call."""
-    def first_call(x, s=None):
-        namespace: dict = {}
-        exec(f"def make(K):\n def walker(x, s=None):\n  {_body(table, cls, roles)}\n"
-             " return walker", globals(), namespace)
-        table[cls] = walker = namespace["make"](cls)
-        return walker(x, s)
-    return first_call
 
 
 def _body(table: dict, cls: type, roles) -> str:
@@ -172,7 +163,7 @@ def _body(table: dict, cls: type, roles) -> str:
 # Linear integer terms
 
 
-@_node
+@record
 class Term:
     """Linear term: sum of coeff*var plus a constant, in canonical order."""
 
@@ -263,7 +254,7 @@ class Term:
 # Permissions: exact fraction plus an optional bag of symbolic parts
 
 
-@_node
+@record
 class Perm:
     frac: Fraction = Fraction(1)
     vars: tuple[str, ...] = ()
@@ -427,6 +418,10 @@ def pand(parts: Iterable[Pure]) -> Pure:
             continue
         if isinstance(p, PFalse):
             return FALSE
+        if not out and isinstance(p, PAnd):
+            # every PAnd is built here, so its parts are flat and distinct
+            out.extend(p.parts)
+            continue
         # a repeated conjunct adds nothing: keep the first of each, in order
         # (a list scan: conjunctions are short, and hashing a Pure is slower)
         for q in p.parts if isinstance(p, PAnd) else (p,):
@@ -567,7 +562,7 @@ class Disjunct:
 @_kind
 class Formula:
     disjuncts: tuple[Disjunct, ...]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
     def is_emp(self) -> bool:
         return all(not d.heap for d in self.disjuncts)
@@ -808,40 +803,40 @@ class _Rename:
 
 @_kind
 class Skip(Expr):
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class VarRead(Expr):
     name: Name
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class ConstE(Expr):
     value: int
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class FieldRead(Expr):
     base: Name
     fieldname: str
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class New(Expr):
     ctor: str
     args: tuple[Term, ...]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class CreateLatch(Expr):
     count: Term
     payload: Optional[Formula]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
@@ -849,58 +844,58 @@ class CreateThread(Expr):
     proc: str
     pre: Formula
     post: Formula
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Call(Expr):
     name: str
     args: tuple[Term, ...]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class CountDown(Expr):
     var: Name
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Await(Expr):
     var: Name
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Fork(Expr):
     var: Name
     args: tuple[Term, ...]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Join(Expr):
     var: Name
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Seq(Expr):
     first: Expr
     second: Expr
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Par(Expr):
     branches: tuple[Expr, ...]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Atomic(Expr):
     body: Expr
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
@@ -908,14 +903,14 @@ class If(Expr):
     cond: Pure
     then: Expr
     els: Expr
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Assign(Expr):
     lhs: Written
     rhs: Expr
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
@@ -923,39 +918,39 @@ class FieldWrite(Expr):
     base: Name
     fieldname: str
     rhs: Term
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 @_kind
 class Assert(Expr):
     formula: Formula
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@_node
+@record
 class SpecPair:
     pre: Formula
     post: Formula
 
 
-@_node
+@record
 class DataDecl:
     name: str
     fields: tuple[tuple[str, str], ...]  # (type, field name)
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@_node
+@record
 class ProcDecl:
     name: str
     ret: str
     params: tuple[tuple[str, str], ...]  # (type, name)
     specs: tuple[SpecPair, ...]
     body: Optional[Expr]
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@_node
+@record
 class Program:
     data_decls: tuple[DataDecl, ...]
     proc_decls: tuple[ProcDecl, ...]

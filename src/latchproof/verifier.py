@@ -17,12 +17,11 @@ own runs would have drawn.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import names
 from . import pure as solver
-from .diagnostics import Span, NO_SPAN
+from .diagnostics import Span, NO_SPAN, fresh, record, replace
 from .entail import EntailmentOutcome, _payload_value_vars, entail
 from .lemmas import (
     Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _is_trivial_payload, _key,
@@ -40,9 +39,9 @@ from .syntax import (
 )
 
 
-@dataclass
+@record
 class SymTrace:
-    points: list[tuple[Span, Formula]] = field(default_factory=list)
+    points: list[tuple[Span, Formula]] = fresh(list)
 
     def add(self, span: Span, state: Formula):
         self.points.append((span, state))
@@ -51,7 +50,7 @@ class SymTrace:
         return "\n".join(f"  {sp.line}:{sp.col}  {format_state(f)}" for sp, f in self.points)
 
 
-@dataclass
+@record
 class Verdict:
     kind: str                       # Verified | RaceError | DeadlockError | LeakError | SpecFailure
     proc: str
@@ -66,7 +65,7 @@ class Verdict:
         return self.kind == "Verified"
 
 
-@dataclass
+@record
 class VerifyOptions:
     variance: bool = False  # ignored (one payload matcher); perfbench/run.py sets it
     collect_trace: bool = True
@@ -78,15 +77,15 @@ class VerdictError(Exception):
         super().__init__(message)
 
 
-@dataclass
+@record
 class _Abduction:
     """What a `||` branch has found missing: its demands on the state it is
     split from, named by fresh names (E) and variables it has not assigned."""
-    demands: list[Disjunct] = field(default_factory=list)
-    E: set[str] = field(default_factory=set)
-    written: set[str] = field(default_factory=set)
+    demands: list[Disjunct] = fresh(list)
+    E: set[str] = fresh(set)
+    written: set[str] = fresh(set)
     # permission variables rewritten since: read shares made full, shares split
-    perms: dict[str, Perm] = field(default_factory=dict)
+    perms: dict[str, Perm] = fresh(dict)
 
 
 LEAKABLE = (LatchIn, LatchOut, ThreadNode, ThreadSpec)

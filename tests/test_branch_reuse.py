@@ -4,7 +4,6 @@ run is copied with the variables renamed and its fresh names renamed to the
 ones a run of its own would draw. Checked here against verification that
 runs every branch."""
 
-import dataclasses
 import os
 import pathlib
 import subprocess
@@ -13,6 +12,7 @@ import sys
 import pytest
 
 from latchproof import names, verifier
+from latchproof.diagnostics import replace
 from latchproof.oracle import OracleBounds, explore
 from latchproof.parser import SourceFile, parse_program, unparse_program
 from latchproof.syntax import Atomic, If, Par, Seq, rename
@@ -55,13 +55,13 @@ def _repeat_first(e, ren):
         branches = tuple(_repeat_first(b, ren) for b in e.branches)
         return Par(branches[:1] + (rename(branches[0], lambda v: ren.get(v, v)),) + branches[1:], e.span)
     if isinstance(e, Seq):
-        return dataclasses.replace(e, first=_repeat_first(e.first, ren),
+        return replace(e, first=_repeat_first(e.first, ren),
                                    second=_repeat_first(e.second, ren))
     if isinstance(e, If):
-        return dataclasses.replace(e, then=_repeat_first(e.then, ren),
+        return replace(e, then=_repeat_first(e.then, ren),
                                    els=_repeat_first(e.els, ren))
     if isinstance(e, Atomic):
-        return dataclasses.replace(e, body=_repeat_first(e.body, ren))
+        return replace(e, body=_repeat_first(e.body, ren))
     return e
 
 
@@ -70,8 +70,8 @@ def _variant(source: str, ren=None) -> str:
     `ren`, after it; printed again so that the copies have spans of their
     own."""
     p = parse_program(SourceFile("t", source))
-    return unparse_program(dataclasses.replace(p, proc_decls=tuple(
-        dataclasses.replace(d, body=_repeat_first(d.body, ren or {})) if d.body is not None else d
+    return unparse_program(replace(p, proc_decls=tuple(
+        replace(d, body=_repeat_first(d.body, ren or {})) if d.body is not None else d
         for d in p.proc_decls)))
 
 

@@ -1,10 +1,10 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from latchproof import lemmas, names, pure, verifier
+from latchproof.diagnostics import replace
 from latchproof.lemmas import (
     Inconsistency, LEMMAS, NormalizationDiverged, SplitFailure, SplitTarget,
     ambiguous_disjuncts, check_consistency, normalize, rs, rs_net, split_for,
@@ -164,7 +164,7 @@ def test_rs_table_startup_check():
 
 
 def _with_rule(name, rule):
-    return tuple(dataclasses.replace(lm, rule=rule) if lm.name == name else lm
+    return tuple(replace(lm, rule=rule) if lm.name == name else lm
                  for lm in LEMMAS)
 
 
@@ -442,7 +442,7 @@ def test_batched_rules_match_one_key_at_a_time(monkeypatch):
                 widest["batch"] = max(widest["batch"], n)
                 yield step
         return run
-    batched = tuple(dataclasses.replace(lm, rule=counted(lm.rule)) for lm in lemmas._REWRITES)
+    batched = tuple(replace(lm, rule=counted(lm.rule)) for lm in lemmas._REWRITES)
     r = random.Random(17)
     outcomes = set()
     for _ in range(400):
@@ -610,7 +610,7 @@ def _join_work(monkeypatch, program):
     original_join, original_entail = verifier._ProcVerifier._join, lemmas.entail
     original_nothing_taken = lemmas.nothing_taken
     with monkeypatch.context() as m:
-        m.setattr(lemmas, "_REWRITES", tuple(dataclasses.replace(lm, rule=counted(lm.rule))
+        m.setattr(lemmas, "_REWRITES", tuple(replace(lm, rule=counted(lm.rule))
                                              for lm in lemmas._REWRITES))
         m.setattr(verifier._ProcVerifier, "_join", join)
         m.setattr(lemmas, "entail", nested_entail)

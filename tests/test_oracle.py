@@ -1,7 +1,7 @@
-import dataclasses
 
 import pytest
 
+from latchproof.diagnostics import replace
 from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import SourceFile, parse_program
 from latchproof.syntax import Atomic, If, Par, Seq, walk_expr
@@ -187,17 +187,17 @@ def _nest(e):
         tail = rest[0] if len(rest) == 1 else Par(tuple(rest), e.span)
         return Par((first, tail), e.span)
     if isinstance(e, Seq):
-        return dataclasses.replace(e, first=_nest(e.first), second=_nest(e.second))
+        return replace(e, first=_nest(e.first), second=_nest(e.second))
     if isinstance(e, If):
-        return dataclasses.replace(e, then=_nest(e.then), els=_nest(e.els))
+        return replace(e, then=_nest(e.then), els=_nest(e.els))
     if isinstance(e, Atomic):
-        return dataclasses.replace(e, body=_nest(e.body))
+        return replace(e, body=_nest(e.body))
     return e
 
 
 def _nested_program(p):
-    return dataclasses.replace(p, proc_decls=tuple(
-        dataclasses.replace(d, body=_nest(d.body)) if d.body is not None else d
+    return replace(p, proc_decls=tuple(
+        replace(d, body=_nest(d.body)) if d.body is not None else d
         for d in p.proc_decls))
 
 

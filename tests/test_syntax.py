@@ -1,24 +1,25 @@
 from __future__ import annotations
 
-import dataclasses
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from latchproof import lemmas, names, syntax
-from latchproof.diagnostics import Span
+from latchproof.diagnostics import RECORDS, Span
 from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
     EMP, FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
-    HeapAtom, Name, Perm, PForall, PointsTo, ResVarAtom, RVar, Seq, Skip, Term, ThreadSpec,
-    VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, rename, star, substitute,
-    walk_expr,
+    HeapAtom, Name, PAnd, Perm, PFalse, PForall, PointsTo, PTrue, ResVarAtom, RVar, Seq, Skip, Term,
+    ThreadSpec, VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, pand, por, rename,
+    star, substitute, walk_expr,
 )
 from latchproof.verifier import verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
+from tests.test_oracle_reduction import GENERATED
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -227,14 +228,18 @@ def test_walk_expr_deep_sequence():
 # -- nodes: slotted, write-once, compared by class and fields ---------------------
 
 def _node_classes():
-    return [c for c in vars(syntax).values() if isinstance(c, type)
-            and dataclasses.is_dataclass(c) and c.__module__ == syntax.__name__] + [lemmas.Rewrite]
+    """The 46 node kinds of syntax.py and lemmas.Rewrite, as `record` built them."""
+    classes = [c for c in RECORDS if c.__module__ == syntax.__name__] + [lemmas.Rewrite]
+    assert len(classes) == 47
+    return classes
 
 
 def test_nodes_are_slotted_and_not_frozen():
     for cls in _node_classes():
-        assert "__slots__" in vars(cls) and not cls.__dataclass_params__.frozen, cls
-    assert not hasattr(Cnt("c", Term.of(1)), "__dict__")
+        assert vars(cls)["__slots__"] == tuple(cls.__annotations__), cls
+    node = Cnt("c", Term.of(1))
+    assert not hasattr(node, "__dict__")
+    node.perm = FULL    # no frozen __setattr__ stands in the way
 
 
 def test_nodes_are_write_once(monkeypatch):
@@ -285,3 +290,53 @@ def test_equal_nodes_hash_alike():
     ]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b)
+
+
+# -- pand: a leading PAnd's parts are taken as they stand ----------------------
+
+def _pand_scanning_all(parts):
+    """`pand` scanning every operand's parts for repeats, a leading PAnd's too."""
+    out = []
+    for p in parts:
+        if p == TRUE:
+            continue
+        if p == FALSE:
+            return FALSE
+        for q in p.parts if isinstance(p, PAnd) else (p,):
+            if q not in out:
+                out.append(q)
+    return TRUE if not out else out[0] if len(out) == 1 else PAnd(tuple(out))
+
+
+def _flat_and_distinct(parts) -> bool:
+    return (len(parts) > 1 and len(set(parts)) == len(parts)
+            and not any(isinstance(q, (PAnd, PTrue, PFalse)) for q in parts))
+
+
+def test_every_pand_has_flat_distinct_parts(monkeypatch):
+    """`pand` takes a leading PAnd operand's parts without scanning them, which
+    is sound because every PAnd is built by `pand` (or a map whose `_build` is
+    `pand`): checked over seeded compositions, the corpus and seeded programs."""
+    built = [0]
+
+    def checked(self, name, value):
+        built[0] += 1
+        assert _flat_and_distinct(value), value
+        object.__setattr__(self, name, value)
+    monkeypatch.setattr(PAnd, "__setattr__", checked)
+    rng = random.Random("pand")
+    atoms = [Cmp(op, Term.var(v), Term.of(k)) for op in ("eq", "le") for v in "xy" for k in (0, 1)]
+    made = atoms + [TRUE, FALSE]
+    for _ in range(2000):
+        ops = [rng.choice(made) for _ in range(rng.randint(0, 4))]
+        got = pand(ops)
+        assert got == _pand_scanning_all(ops), ops
+        made.append(got if rng.random() < 0.8 else por([got, rng.choice(atoms)]))
+        if rng.random() < 0.3:
+            made.append(substitute(got, {"x": Term.var("y")}))
+    composed = built[0]
+    sources = [p.read_text() for p in sorted(CORPUS.glob("*.lp"))] + GENERATED
+    sources += [build(n) for build in (fan_in_source, chain_source, ring_source) for n in (4, 8)]
+    for text in sources:
+        verify_program(parse_program(SourceFile("t", text)))
+    assert composed > 400 and built[0] - composed > 1000
