@@ -20,6 +20,12 @@ The keys left out hold no match, so the matches found are those a scan of
 the whole heap finds, in the same order. A normal form's heap is kept for
 the next step that stars atoms onto it (a new latch, cell or thread), which
 then rewrites from the keys of those atoms alone.
+
+Each lemma's trigger, derived from its lhs, says what its pattern needs:
+the key kinds of its atoms, how many keys of each kind and how many atoms
+one of them holds (two atoms of one latch for N2; two latches and a wait
+view for W2). A rule or check whose trigger no dirty key meets cannot match
+and is not entered (Forgy, "Rete", Artificial Intelligence 19(1), 1982).
 """
 
 from __future__ import annotations
@@ -33,11 +39,11 @@ from .entail import EntailmentOutcome, entail, nothing_taken
 from .parser import parse_formula, unparse_atom
 from .pure import SolverUnknown, Status
 from .syntax import (
-    Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
+    Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
     TRUE, all_names, atom_root, formula, free_vars, pand, pure_eval, star,
     substitute,
-    eq as peq, le as ple, lt as plt,
+    eq as peq,
 )
 from .waitgraph import is_cyclic
 from .diagnostics import Diagnostic, NO_SPAN, fresh, record, replace
@@ -172,6 +178,7 @@ class _Heap:
         self.index: dict[str, dict[tuple, list[int]]] = {}
         self.symbolic: set[int] = set()    # slots of counts that are not constants
         self._names: Optional[set[str]] = None
+        self._status: Optional[Status] = None
         for a in d.heap:
             self._place(len(self.slots), a)
 
@@ -189,6 +196,14 @@ class _Heap:
                 if a is not None:
                     self._names |= all_names(a)
         return self._names
+
+    def status(self) -> Status:
+        """The solver's answer on whether the pure part is satisfiable,
+        asked at most once per heap."""
+        if self._status is None:
+            self._status = (Status.SAT if isinstance(self.pure, PTrue)
+                            else solver.is_sat(self.pure, want_model=False).status)
+        return self._status
 
     def _place(self, s: int, a: HeapAtom) -> Optional[tuple]:
         k = _key(a)
@@ -252,6 +267,40 @@ class _Heap:
         return touched, rest
 
 
+# A trigger, and what a heap holds: for each key kind, how many keys hold
+# atoms and the most atoms one key holds.
+Trigger = tuple[tuple[str, tuple[int, int]], ...]
+
+
+def _held(h: _Heap) -> dict[str, tuple[int, int]]:
+    return {kind: (len(of_kind), max(map(len, of_kind.values())))
+            for kind, of_kind in h.index.items() if of_kind}
+
+
+def _trigger(lhs: Formula) -> Trigger:
+    """What a heap must hold for `lhs` to match in it."""
+    return tuple(_held(_Heap(lhs.single())).items())
+
+
+def _may_match(h: _Heap, trigger: Trigger, keys: Optional[set[tuple]],
+               held: Optional[dict[str, tuple[int, int]]]) -> bool:
+    """Whether a pattern with `trigger` can match at one of the `keys` of h;
+    with `keys` None, anywhere in h, whose `_held` is `held`."""
+    if keys is None:
+        for kind, (n, most) in trigger:
+            have = held.get(kind)
+            if have is None or have[0] < n or have[1] < most:
+                return False
+        return True
+    for kind, (_, most) in trigger:
+        of_kind = h.index.get(kind)
+        if of_kind:
+            for k in keys:
+                if k[0] == kind and len(of_kind.get(k, ())) >= most:
+                    return True
+    return False
+
+
 def _keyed(h: _Heap, keys: Optional[set[tuple]], kind: str, least: int = 1) -> list[list[int]]:
     """The slots of each of the `keys` of one kind (every key when None)
     that holds at least `least` atoms, in the order of their first slots.
@@ -303,6 +352,20 @@ def _implied(pi: Pure, p: Pure) -> bool:
         return solver.implies(pi, p)
     except SolverUnknown:
         return False
+
+
+_ZERO = Term.of(0)
+
+
+def _entails(h: _Heap, a: Term, op: str, b: Term) -> bool:
+    """h's pure part entails `a op b` (op "lt" or "le"). Between constants
+    that is a comparison of integers; a false one holds only under an
+    unsatisfiable pure part (`_implied`'s ex-falso answer), about which h
+    asks the solver once."""
+    if a.is_const and b.is_const:
+        holds = a.const < b.const if op == "lt" else a.const <= b.const
+        return holds or h.status() == Status.UNSAT
+    return _implied(h.pure, Cmp(op, a, b))
 
 
 def _cell_of(d: Disjunct, base: str) -> Optional[tuple[int, PointsTo]]:
@@ -394,8 +457,7 @@ def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Combine all provably non-negative counter shares of a latch at once
     (the pairwise lemma taken to its fixpoint). A merge pins every other
     count the pure part fixes, so a later latch's shares are read after it."""
-    for group in _merge_groups(h, keys, lambda t: t.is_const and t.const >= 0
-                               or _implied(h.pure, ple(Term.of(0), t))):
+    for group in _merge_groups(h, keys, lambda t: _entails(h, _ZERO, "le", t)):
         shares = [h.slots[s] for s in group]
         merged = Cnt(shares[0].latch, Term.total([a.count for a in shares]),
                      Perm.total([a.perm for a in shares]))
@@ -407,9 +469,8 @@ def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
 
 def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Absorb every exhausted share of a latch into its final state at once."""
-    for group in _merge_groups(
-            h, keys, lambda t: t.is_const and t.const <= 0 or _implied(h.pure, ple(t, Term.of(0))),
-            lambda cnts: _shares(h, cnts, _final(h))):
+    for group in _merge_groups(h, keys, lambda t: _entails(h, t, "le", _ZERO),
+                               lambda cnts: _shares(h, cnts, _final(h))):
         shares = [h.slots[s] for s in group]
         yield Rewrite(drop=tuple(group), add=(
             Cnt(shares[0].latch, Term.of(-1), Perm.total([a.perm for a in shares])),))
@@ -485,7 +546,7 @@ def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
         if isinstance(a, Cnt):
             if a.count.is_const and a.count.const == -1:
                 finals.add(a.latch)
-            elif _implied(h.pure, plt(Term.of(0), a.count)):
+            elif _entails(h, _ZERO, "lt", a.count):
                 positives.add(a.latch)
     arcs = {(c2, c1) for c1 in positives for c2 in finals if c1 != c2}
     put = tuple((s, Wait(a.arcs | arcs, a.perm)) for s, a in views if not arcs <= a.arcs)
@@ -502,7 +563,7 @@ def _e1(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Resource still flowing in while the latch already expired."""
     for _, a, same in _by_key(h, keys, "latch", 2):
         if isinstance(a, LatchIn) and _shares(h, same, _final(h)):
-            if solver.is_sat(h.pure, want_model=False).status != Status.SAT:
+            if h.status() != Status.SAT:
                 return None
             return f"latch {a.latch} expired while resource still in-flight"
     return None
@@ -518,7 +579,7 @@ def _e2(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
         k = h.keys[i]
         if k not in finals:
             finals[k] = set(_shares(h, same, _final(h)))
-        if finals[k] - {i} and _implied(h.pure, plt(Term.of(0), a.count)):
+        if finals[k] - {i} and _entails(h, _ZERO, "lt", a.count):
             return f"latch {a.latch}: pending countdowns can never complete"
     return None
 
@@ -559,11 +620,12 @@ class Lemma:
     # rewrites: (_Heap, gen, keys=None) -> the Rewrite of each match;
     # inconsistency lemmas: (_Heap, keys=None) -> message | None
     rule: Optional[Callable] = None
+    trigger: Trigger = ()          # what a heap must hold for lhs to match: `_trigger(lhs)`
 
 
 def _lemma_table() -> tuple[Lemma, ...]:
     F = parse_formula
-    return (
+    table = (
         Lemma("Unit", F("LatchIn(c, emp)"), F("emp"), rule=_unit),
         Lemma("N2", F("CNT(c,n1)@f1 * CNT(c,n2)@f2 & n1>=0 & n2>=0"),
               F("CNT(c,n1+n2)@f3"), rule=_n2),
@@ -591,6 +653,7 @@ def _lemma_table() -> tuple[Lemma, ...]:
               F("CNT(c,n1)@1/2 * CNT(c,n2)@1/2")),
         Lemma("ThrdSplit", F("thread(t, Q1 * Q2)"), F("thread(t, Q1) * thread(t, Q2)")),
     )
+    return tuple(replace(lm, trigger=_trigger(lm.lhs)) for lm in table)
 
 
 LEMMAS = _lemma_table()
@@ -599,16 +662,20 @@ _CHECKS = tuple(lm for lm in LEMMAS if lm.rhs is None)
 
 
 def verify_lemma_table() -> None:
-    """Startup check: every rule fires on its own lhs, and every rewrite
-    (run by its rule, or declarative where it has none) preserves resources."""
+    """Startup check: every rule fires on its own lhs, which its trigger
+    admits, and every rewrite (run by its rule, or declarative where it has
+    none) preserves resources."""
     gen = names.FreshGen()
     for lemma in LEMMAS:
+        h = _Heap(lemma.lhs.single())
+        if lemma.rule is not None and not _may_match(h, lemma.trigger, None, _held(h)):
+            raise AssertionError(f"the trigger of lemma {lemma.name} skips its own lhs")
         if lemma.rule is None:
             out = lemma.rhs
         elif lemma.rhs is None:
-            out = lemma.rule(_Heap(lemma.lhs.single()))
+            out = lemma.rule(h)
         else:
-            h, out = _Heap(lemma.lhs.single()), None
+            out = None
             for step in lemma.rule(h, gen):
                 _, rest = h.apply(step, gen)
                 out = Formula((h.disjunct(), *rest))
@@ -626,7 +693,10 @@ def verify_lemma_table() -> None:
 def _inconsistency(h: _Heap, keys: Optional[set[tuple]],
                    state: Optional[Formula] = None) -> Optional[Inconsistency]:
     """The first inconsistency lemma, in table order, that fires on h."""
+    held = _held(h) if keys is None else None
     for lemma in _CHECKS:
+        if not _may_match(h, lemma.trigger, keys, held):
+            continue
         message = lemma.rule(h, keys)
         if message is not None:
             cited = lemma.name if lemma.error != "SpecFailure" else None
@@ -684,12 +754,13 @@ def normalize(delta: Formula, gen=None,
     not found clean since their atoms last changed (None: every key). A rule
     with keys to look at rewrites all of its matches among them at once,
     lowest slot first, and so shows every one of them clean; a rule or check
-    with an empty set is not run. Each match's rewrite adds the keys whose
-    atoms it removed or added to every set, or sets them all to every key
-    when it changed the pure part or the existentials, and the checks run
-    after each match: the states checked, and so the first inconsistency,
-    are those of rewriting one match at a time. After a rule has fired the
-    table starts again from its first rule.
+    with an empty set, or whose trigger none of its keys meets, is not run.
+    Each match's rewrite adds the keys whose atoms it removed or added to
+    every set, or sets them all to every key when it changed the pure part
+    or the existentials, and the checks run after each match: the states
+    checked, and so the first inconsistency, are those of rewriting one
+    match at a time. After a rule has fired the table starts again from its
+    first rule.
 
     A disjunct this function returned has every key clean for every rule
     and check. Starring atoms onto it is a rewrite that touched their keys
@@ -720,11 +791,16 @@ def normalize(delta: Formula, gen=None,
             fired = True
             while fired:
                 fired = False
+                held = None     # read once per round: the heap changes only as it ends
                 for r, lemma in enumerate(_REWRITES):
                     keys = dirty[r]
                     if keys is not None and not keys:
                         continue
                     dirty[r] = set()
+                    if keys is None and held is None:
+                        held = _held(h)
+                    if not _may_match(h, lemma.trigger, keys, held):
+                        continue
                     for step in lemma.rule(h, gen, keys):
                         fired = True
                         steps += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .diagnostics import Diagnostic, Span, NO_SPAN, at_first_call, record
@@ -101,10 +101,10 @@ _READ = {r: _NAME[r] for r in ("name", "term", "terms", "pure")}
 _QUANTIFIED = {"pure": "$[type(@)](@)", "nodes": "any($[type(y)](y) for y in @)"}
 _WRITE = {"written": "{@}"}
 _MAPPED = {"name": "$.name(@)", "written": "$.name(@)", "term": "$.term(@)",
-           "terms": "tuple([$.term(y) for y in @])", "perm": "$.perm(@)", "arcs": "$.arcs(@)",
+           "terms": "_each($.term, @)", "perm": "$.perm(@)", "arcs": "$.arcs(@)",
            "pure": "$.map(@)", "formula": "$.form(@)", "payload": "$.payload(@)",
-           "child": "$.map(@)", "nodes": "tuple([$.map(y) for y in @])",
-           "children": "tuple([$.map(y) for y in @])", "kept": "@"}
+           "child": "$.map(@)", "nodes": "_each($.map, @)", "children": "_each($.map, @)",
+           "kept": "@"}
 
 
 def _fill(templates: dict[str, str], roles, table: str = "") -> list[str]:
@@ -113,6 +113,13 @@ def _fill(templates: dict[str, str], roles, table: str = "") -> list[str]:
 
 def _union(sets: list[str]) -> str:
     return "return " + (" | ".join(sets) or "set()")
+
+
+def _each(f: Callable, xs: tuple) -> tuple:
+    """`f` applied to each item of `xs`: `xs` itself when `f` returns every
+    item as it is."""
+    ys = [f(y) for y in xs]
+    return xs if all(map(is_, ys, xs)) else tuple(ys)
 
 
 def _kind(cls):
@@ -140,9 +147,18 @@ def _body(table: dict, cls: type, roles) -> str:
         if all(r == "kept" for _, r in roles):
             return "return x"
         # a binder's context `s.bind` gives maps the fields after it
-        bind = f"b, t = s.bind({roles[at][0]}, {roles[at][1] == 'bound'}); " if scoped else ""
+        lines = [f"b, t = s.bind({roles[at][0]}, {roles[at][1] == 'bound'})"] if scoped else []
         args = _fill(_MAPPED, outer, "s") + ["b"] * bool(scoped) + _fill(_MAPPED, scoped, "t")
-        return f"{bind}return {getattr(cls, '_build', 'K')}({', '.join(args)})"
+        same = []
+        for i, ((v, _), arg) in enumerate(zip(roles, args)):
+            if arg != v:
+                if arg != "b":
+                    lines.append(f"y{i} = {arg}")
+                    args[i] = f"y{i}"
+                same.append(f"{args[i]} is {v}")
+        # a node none of whose fields the map changed is returned as it is
+        lines.append(f"if {' and '.join(same)}: return x")
+        return "\n ".join(lines + [f"return {getattr(cls, '_build', 'K')}({', '.join(args)})"])
     if table is _FV:
         free, inner = _fill(_NAME, outer, "_FV"), _fill(_NAME, scoped, "_FV")
         if inner:
@@ -219,6 +235,10 @@ class Term:
         return None
 
     def subst(self, rho: dict[str, "Term"]) -> "Term":
+        """This term with `rho`'s terms put for its variables: the term
+        itself when `rho` maps none of them."""
+        if not any(v in rho for v, _ in self.coeffs):
+            return self
         out = Term.of(self.const)
         for v, c in self.coeffs:
             out = out + (rho[v].scale(c) if v in rho else Term(((v, c),), 0))
@@ -738,8 +758,11 @@ class _Subst:
         return p.subst(self.perms) if self.perms else p
 
     def arcs(self, arcs: Arcs) -> Arcs:
+        if not self.rho:
+            return arcs
         name = self.name
-        return frozenset([(name(u), name(v)) for u, v in arcs]) if self.rho else arcs
+        out = frozenset([(name(u), name(v)) for u, v in arcs])
+        return arcs if out == arcs else out
 
     def payload(self, arg: ResArg) -> ResArg:
         if type(arg) is RVar and arg.name in self.res:
@@ -749,9 +772,14 @@ class _Subst:
     def form(self, f: Formula) -> Formula:
         if not (self.rho or self.perms or self.res):
             return f
-        return Formula(tuple(x for d in f.disjuncts for x in self.disjuncts(d)), f.span)
+        out = tuple([x for d in f.disjuncts for x in self.disjuncts(d)])
+        if len(out) == len(f.disjuncts) and all(map(is_, out, f.disjuncts)):
+            return f
+        return Formula(out, f.span)
 
     def disjuncts(self, d: Disjunct) -> tuple[Disjunct, ...]:
+        """`d` under this substitution: `d` alone and as it is when nothing
+        in it changes."""
         s = self
         if d.exists:
             s = self.under(d.exists)
@@ -763,6 +791,8 @@ class _Subst:
             else:
                 heap.append(s.map(a))
         pure = s.map(d.pure) if s.rho else d.pure
+        if not images and pure is d.pure and all(map(is_, heap, d.heap)):
+            return (d,)
         out = (Disjunct(d.exists, tuple(heap), pure),)
         for image in images:
             out = star(Formula(out), image, s.gen).disjuncts
@@ -781,7 +811,7 @@ class _Rename:
     form = payload = map
 
     def bind(self, vs: tuple[str, ...], apart: bool):
-        return tuple([self.name(v) for v in vs]), self
+        return _each(self.name, vs), self
 
     def term(self, t: Term) -> Term:
         name = self.name
@@ -794,7 +824,8 @@ class _Rename:
 
     def arcs(self, arcs: Arcs) -> Arcs:
         name = self.name
-        return frozenset([(name(u), name(v)) for u, v in arcs])
+        out = frozenset([(name(u), name(v)) for u, v in arcs])
+        return arcs if out == arcs else out
 
 
 # ---------------------------------------------------------------------------

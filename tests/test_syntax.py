@@ -12,10 +12,10 @@ from latchproof.diagnostics import RECORDS, Span
 from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import parse_formula, parse_program, SourceFile
 from latchproof.syntax import (
-    EMP, FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Formula, LatchIn, LatchOut, Par,
-    HeapAtom, Name, PAnd, Perm, PFalse, PForall, PointsTo, PTrue, ResVarAtom, RVar, Seq, Skip, Term,
-    ThreadSpec, VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, pand, por, rename,
-    star, substitute, walk_expr,
+    EMP, FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Expr, Formula, LatchIn, LatchOut,
+    Par, HeapAtom, Name, PAnd, Perm, PFalse, PForall, PointsTo, PTrue, Pure, ResVarAtom, RVar, Seq,
+    Skip, Term, ThreadSpec, VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, pand,
+    por, rename, star, substitute, walk_expr,
 )
 from latchproof.verifier import verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
@@ -223,6 +223,86 @@ def test_walk_expr_deep_sequence():
     e = Par((e, Skip()))
     nodes = list(walk_expr(e))
     assert len(nodes) == 10003 and nodes[0] is e and nodes[-1] == Skip()
+
+
+# -- maps give back the nodes they leave untouched ---------------------------------
+
+_ATOMS = ["x::cell(v)@f", "y::cell(v+1)@1/2", "CNT(c,n+1)@1/2", "CNT(e,-1)@g",
+          "LatchIn(c, ex w. y::cell(w) & w>n)", "LatchOut(d, P)", "WAIT{c->d}@1/3",
+          "thread(t, x::cell(1) | emp & m>0)", "threadspec(u, P, Q)", "dead(t)", "R"]
+_PURES = ["n>=0", "(ex k. 2*k=n)", "(all k. k<m | k>n)", "!(m=2)", "n=m | m<0", "v=1"]
+
+
+def _seeded_formulas(count):
+    r = random.Random("untouched")
+    for _ in range(count):
+        disjuncts = []
+        for _ in range(r.randint(1, 2)):
+            body = " * ".join(r.sample(_ATOMS, r.randint(0, 5))) or "emp"
+            text = " & ".join([body] + r.sample(_PURES, r.randint(0, 2)))
+            disjuncts.append(("ex v. " if r.random() < 0.3 else "") + text)
+        yield F(" | ".join(disjuncts))
+
+
+def _nodes(x):
+    """x and every node under it, down to its terms and permissions."""
+    kinds = set(RECORDS)
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if type(y) in kinds:
+            yield y
+            stack.extend(getattr(y, n) for n in type(y).__slots__)
+        elif isinstance(y, (tuple, frozenset)):
+            stack.extend(y)
+
+
+def _programs():
+    sources = [p.read_text() for p in sorted(CORPUS.glob("*.lp"))] + GENERATED
+    return [parse_program(SourceFile("t", text)) for text in sources]
+
+
+def _formula_nodes():
+    for x in [*_seeded_formulas(300), *_programs()]:
+        yield from (y for y in _nodes(x) if isinstance(y, (Formula, Disjunct, HeapAtom, Pure)))
+
+
+def test_maps_return_untouched_nodes_as_they_are():
+    # a name no node holds: every map below changes nothing and so must
+    # give back its input itself, allocating nothing
+    seen = {"formula": 0, "code": 0, "term": 0}
+    for x in _formula_nodes():
+        assert substitute(x, {"zz#0": Term.of(7)}) is x, x
+        assert substitute(x, perms={"zz#0": FULL}) is x, x
+        assert rename(x, lambda v: v) is x, x
+        seen["formula"] += 1
+    for x in [y for p in _programs() for y in _nodes(p)]:
+        if isinstance(x, Expr):
+            assert rename(x, lambda v: v) is x, x
+            seen["code"] += 1
+        elif isinstance(x, Term):
+            assert x.subst({"zz#0": Term.of(7)}) is x and x.subst({}) is x
+            seen["term"] += 1
+        elif isinstance(x, Perm):
+            assert rename(x, lambda v: v) is x
+    assert min(seen.values()) > 1000, seen
+
+
+def test_a_map_that_renames_one_atom_keeps_the_others():
+    changed = 0
+    for d in (y for y in _formula_nodes() if isinstance(y, Disjunct)):
+        for i, a in enumerate(d.heap):
+            others = set(d.exists) | all_names(d.pure) | set().union(
+                *[all_names(b) for j, b in enumerate(d.heap) if j != i])
+            own = sorted(free_vars(a) - others)
+            if not own:
+                continue
+            for out in (substitute(d, {own[0]: Term.var("zz#1")}),
+                        rename(d, lambda v: "zz#1" if v == own[0] else v)):
+                assert out.heap[i] != a and out.pure is d.pure
+                assert all(b is d.heap[j] for j, b in enumerate(out.heap) if j != i), d
+            changed += 1
+    assert changed > 1000, changed
 
 
 # -- nodes: slotted, write-once, compared by class and fields ---------------------
