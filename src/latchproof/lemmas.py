@@ -340,14 +340,7 @@ def _by_key(h: _Heap, keys: Optional[set[tuple]], kind: str,
 
 
 def _implied(pi: Pure, p: Pure) -> bool:
-    """pi entails p; an undecided query counts as not entailed. A ground p
-    is decided by evaluation, and a false one holds only under an
-    unsatisfiable pi."""
-    if not free_vars(p):
-        if pure_eval(p, {}):
-            return True
-        return (not isinstance(pi, PTrue)
-                and solver.is_sat(pi, want_model=False).status == Status.UNSAT)
+    """pi entails p; an undecided query counts as not entailed."""
     try:
         return solver.implies(pi, p)
     except SolverUnknown:
@@ -355,16 +348,16 @@ def _implied(pi: Pure, p: Pure) -> bool:
 
 
 _ZERO = Term.of(0)
+_COMPARE = {"lt": int.__lt__, "le": int.__le__, "eq": int.__eq__}
 
 
 def _entails(h: _Heap, a: Term, op: str, b: Term) -> bool:
-    """h's pure part entails `a op b` (op "lt" or "le"). Between constants
-    that is a comparison of integers; a false one holds only under an
-    unsatisfiable pure part (`_implied`'s ex-falso answer), about which h
-    asks the solver once."""
+    """h's pure part entails `a op b` (op "lt", "le" or "eq"). Between
+    constants that is a comparison of integers; a false one holds only
+    under an unsatisfiable pure part (ex falso), about which h asks the
+    solver once."""
     if a.is_const and b.is_const:
-        holds = a.const < b.const if op == "lt" else a.const <= b.const
-        return holds or h.status() == Status.UNSAT
+        return _COMPARE[op](a.const, b.const) or h.status() == Status.UNSAT
     return _implied(h.pure, Cmp(op, a, b))
 
 
@@ -420,7 +413,7 @@ def _wait_union(waits: list[Wait]) -> Wait:
     return Wait(frozenset().union(*(w.arcs for w in waits)), Perm.total([w.perm for w in waits]))
 
 
-def _unit(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _unit(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Latch predicates with nothing to carry are units and disappear."""
     units = sorted(i for same in _keyed(h, keys, "latch") for i in same
                    if isinstance(h.slots[i], (LatchIn, LatchOut))
@@ -453,7 +446,7 @@ def _merge_groups(h: _Heap, keys: Optional[set[tuple]], holds,
     return sorted(groups)
 
 
-def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _n2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Combine all provably non-negative counter shares of a latch at once
     (the pairwise lemma taken to its fixpoint). A merge pins every other
     count the pure part fixes, so a later latch's shares are read after it."""
@@ -467,7 +460,7 @@ def _n2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
         yield Rewrite(drop=tuple(group), put=put, add=(merged,))
 
 
-def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _n1(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Absorb every exhausted share of a latch into its final state at once."""
     for group in _merge_groups(h, keys, lambda t: _entails(h, t, "le", _ZERO),
                                lambda cnts: _shares(h, cnts, _final(h))):
@@ -476,7 +469,7 @@ def _n1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
             Cnt(shares[0].latch, Term.of(-1), Perm.total([a.perm for a in shares])),))
 
 
-def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _n3(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """An expired latch releases the resource trapped in its out-flow."""
     for i, a, same in _by_key(h, keys, "latch", 2):
         if isinstance(a, LatchOut) and _shares(h, same, _final(h)):
@@ -484,21 +477,21 @@ def _n3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
             return
 
 
-def _dead_idem(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _dead_idem(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     repeats = sorted(i for same in _keyed(h, keys, "thread", 2)
                      for i in [s for s in same if isinstance(h.slots[s], Dead)][1:])
     for i in repeats:
         yield Rewrite(drop=(i,))
 
 
-def _dead_release(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _dead_release(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     for i, a, same in _by_key(h, keys, "thread", 2):
         if isinstance(a, ThreadNode) and any(isinstance(h.slots[j], Dead) for j in same):
             yield Rewrite(drop=(i,), release=RForm(a.post))
             return
 
 
-def _cell_merge(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _cell_merge(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Two shares of a cell that hold the same values are one share: read
     shares handed to `||` branches come back whole at the join. Each share
     merges into the first one with its values, one at a time."""
@@ -514,14 +507,14 @@ def _cell_merge(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Re
             yield Rewrite(drop=(j,), put=((i, replace(a, perm=a.perm + b.perm)),))
 
 
-def _w3(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _w3(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Union all wait-for shares at once."""
     waits = [i for same in _keyed(h, keys, "wait") for i in same]
     if len(waits) > 1:
         yield Rewrite(drop=tuple(waits), add=(_wait_union([h.slots[i] for i in waits]),))
 
 
-def _w1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _w1(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """A complete acyclic wait-for view resets."""
     for i, a, _ in _by_key(h, keys, "wait"):
         if a.arcs and a.perm.is_one and not is_cyclic(a.arcs):
@@ -529,7 +522,7 @@ def _w1(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
             return
 
 
-def _w2(h: _Heap, gen, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
+def _w2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Record completion order: a positive share of c1 beside the final state
     of c2 means c2 completes before c1 (arc c2->c1). A full view is skipped:
     these arcs run from final latches to positive ones, so W1 would erase
@@ -617,8 +610,8 @@ class Lemma:
     lhs: Formula
     rhs: Optional[Formula]         # None for inconsistency lemmas
     error: Optional[str] = None    # verdict kind for inconsistency lemmas
-    # rewrites: (_Heap, gen, keys=None) -> the Rewrite of each match;
-    # inconsistency lemmas: (_Heap, keys=None) -> message | None
+    # (_Heap, keys=None) -> a rewrite's Rewrite of each match, or an
+    # inconsistency lemma's message | None
     rule: Optional[Callable] = None
     trigger: Trigger = ()          # what a heap must hold for lhs to match: `_trigger(lhs)`
 
@@ -676,7 +669,7 @@ def verify_lemma_table() -> None:
             out = lemma.rule(h)
         else:
             out = None
-            for step in lemma.rule(h, gen):
+            for step in lemma.rule(h):
                 _, rest = h.apply(step, gen)
                 out = Formula((h.disjunct(), *rest))
         if out is None:
@@ -801,7 +794,7 @@ def normalize(delta: Formula, gen=None,
                         held = _held(h)
                     if not _may_match(h, lemma.trigger, keys, held):
                         continue
-                    for step in lemma.rule(h, gen, keys):
+                    for step in lemma.rule(h, keys):
                         fired = True
                         steps += 1
                         if steps > cap:

@@ -161,12 +161,17 @@ def _tid_of(value):
     return value
 
 
+def _read(env: dict, v: str):
+    """The value of the variable `v` in `env`."""
+    if v not in env:
+        raise OracleError(f"unbound variable {v}")
+    return env[v]
+
+
 def _eval_term(t: Term, env: dict) -> int:
     val = t.const
     for v, c in t.coeffs:
-        if v not in env:
-            raise OracleError(f"unbound variable {v}")
-        x = env[v]
+        x = _read(env, v)
         if not isinstance(x, int):
             raise OracleError(f"arithmetic on non-integer {v}={x}")
         val += c * x
@@ -232,9 +237,9 @@ class _Machine:
             return True
         node = item[1]
         if isinstance(node, Await):
-            return st.latches[t.env[node.var]] == 0
+            return st.latches[_read(t.env, node.var)] == 0
         if isinstance(node, Join):
-            target = _tid_of(t.env.get(node.var))
+            target = _tid_of(_read(t.env, node.var))
             return target in st.threads and st.threads[target].status == "done"
         return True
 
@@ -364,17 +369,17 @@ class _Machine:
             t.cont = (("joinkids", *kids),) + t.cont
             return
         if isinstance(node, CountDown):
-            lid = t.env[node.var]
+            lid = _read(t.env, node.var)
             if st.latches[lid] > 0:
                 st.latches[lid] -= 1
             return
         if isinstance(node, Await):
-            lid = t.env[node.var]
+            lid = _read(t.env, node.var)
             if st.latches[lid] != 0:
                 raise OracleError("await stepped while blocked")
             return
         if isinstance(node, Fork):
-            desc = t.env.get(node.var)
+            desc = _read(t.env, node.var)
             if not (isinstance(desc, tuple) and desc[0] == "tdesc"):
                 raise OracleError(f"fork of non-thread value {desc}")
             _, proc_name, kid_tid = desc
@@ -388,7 +393,7 @@ class _Machine:
             kid.status = "run"
             return
         if isinstance(node, Join):
-            target = _tid_of(t.env.get(node.var))
+            target = _tid_of(_read(t.env, node.var))
             if st.threads[target].status != "done":
                 raise OracleError("join stepped while blocked")
             return
@@ -397,7 +402,7 @@ class _Machine:
             t.cont = (("call", node.name, tuple(argvals), None),) + t.cont
             return
         if isinstance(node, FieldWrite):
-            loc = t.env[node.base]
+            loc = _read(t.env, node.base)
             ctor, vals = st.heap[loc]
             idx = self._fidx(ctor, node.fieldname)
             vals = list(vals)
@@ -413,11 +418,7 @@ class _Machine:
 
     def _eval_arg(self, a: Term, env: dict):
         v = a.is_var()
-        if v is not None:
-            if v not in env:
-                raise OracleError(f"unbound variable {v}")
-            return env[v]
-        return _eval_term(a, env)
+        return _read(env, v) if v is not None else _eval_term(a, env)
 
     def _exec_assign(self, st: _State, t: _Thread, node: Assign) -> None:
         rhs = node.rhs
@@ -443,12 +444,12 @@ class _Machine:
             t.cont = (("call", rhs.name, tuple(argvals), node.lhs),) + t.cont
             return
         if isinstance(rhs, FieldRead):
-            loc = t.env[rhs.base]
+            loc = _read(t.env, rhs.base)
             ctor, vals = st.heap[loc]
             t.env[node.lhs] = vals[self._fidx(ctor, rhs.fieldname)]
             return
         if isinstance(rhs, VarRead):
-            t.env[node.lhs] = t.env[rhs.name]
+            t.env[node.lhs] = _read(t.env, rhs.name)
             return
         if isinstance(rhs, ConstE):
             t.env[node.lhs] = rhs.value

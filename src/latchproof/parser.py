@@ -16,6 +16,12 @@ Surface syntax:
 Uppercase-initial identifiers are resource variables. Decimal permissions
 are converted to exact fractions.
 
+A kind led by a keyword (the atoms above but the points-to, `skip`,
+`assert`, `countDown`, `await`, `join`, `new` and `create_thread`) declares
+its surface form next to its fields in syntax.py, and its parse and print
+cases here are derived from that form (see "Surface forms" below). The
+rest of the grammar is written out here.
+
 Lexical grammar. Outside comments, any character that starts none of these
 ASCII tokens is a parse error:
 
@@ -34,17 +40,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from . import names
-from .diagnostics import Span, record
+from .diagnostics import RECORDS, Span, record
 from .syntax import (
-    Assert, Assign, Atomic, Await, Call, Cmp, ConstE, Cnt, CountDown, CreateLatch,
-    CreateThread, DataDecl, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
-    HeapAtom, If, Join, LatchIn, LatchOut, New, Par, Perm, PExists, PForall,
-    PNot, PointsTo, ProcDecl, Program, Pure, PTrue, ResArg, ResVarAtom,
-    RForm, RVar, Seq, Skip, SpecPair, Term, ThreadNode, ThreadSpec, VarRead, Wait,
-    TRUE, FALSE, FULL, atom_root, is_resvar, pand, por, substitute,
+    _ROLE, FORMS, Assign, Atomic, Call, Cmp, ConstE, Cnt, CreateLatch, DataDecl, Disjunct,
+    Expr, FieldRead, FieldWrite, Fork, Formula, HeapAtom, If, Par, Perm, PExists, PForall,
+    PNot, PointsTo, ProcDecl, Program, Pure, PTrue, ResVarAtom, RForm, RVar, Seq, Skip,
+    SpecPair, Term, VarRead, Wait, TRUE, FALSE, FULL, atom_root, is_resvar, pand, por,
+    substitute,
 )
 
 
@@ -78,18 +84,18 @@ KEYWORDS = {
     "join", "ex", "all",
 }
 
-# One alternative per token class, tried in order; `bad` catches any other
+# One alternative per token class, tried in order, after the blanks before
+# the token (one match, not two, per token); `bad` catches any other
 # character. Longer symbols come first so that `||` is not lexed as `|`, `|`.
-_TOKEN = re.compile("|".join([
+_TOKEN = re.compile("[ \t\r]*(?:" + "|".join([
     r"(?P<newline>\n)",
-    r"(?P<space>[ \t\r]+)",
     r"(?P<comment>//[^\n]*)",
     r"(?P<decimal>[0-9]+\.[0-9]+)",
     r"(?P<int>[0-9]+)",
     r"(?P<word>[A-Za-z_][A-Za-z0-9_#]*)",
     "(?P<sym>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")",
-    r"(?P<bad>.)",
-]))
+    r"(?P<bad>[^ \t\r])",
+]) + ")")
 
 
 @record
@@ -108,8 +114,8 @@ def tokenize(text: str) -> list[Token]:
         if kind == "newline":
             line += 1
             line_start = m.end()
-        elif kind != "space" and kind != "comment":
-            word, col = m.group(), m.start() - line_start + 1
+        elif kind != "comment":
+            word, col = m.group(kind), m.start(kind) - line_start + 1
             if kind == "word":
                 kind = "kw" if word in KEYWORDS else "ident"
             elif kind == "bad":
@@ -152,11 +158,12 @@ class _P:
         self.i += 1
         return t
 
-    def expect_ident(self) -> Token:
+    def ident(self, what: str = "an identifier", kind: str = "ident") -> str:
+        """The text of the current token, which must be of `kind`."""
         t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(t.line, t.col, "an identifier", t.text)
-        return self.take()
+        if t.kind != kind:
+            raise ParseError(t.line, t.col, what, t.text)
+        return self.take().text
 
     def span(self) -> Span:
         t = self.peek()
@@ -165,6 +172,17 @@ class _P:
     def err(self, expected: str):
         t = self.peek()
         raise ParseError(t.line, t.col, expected, t.text)
+
+    def items(self, item: Callable, sep: str = ",", close: Optional[str] = None) -> list:
+        """`item()`s separated by `sep`; none when the token `close` comes
+        first."""
+        if close is not None and self.at(close):
+            return []
+        out = [item()]
+        while self.at(sep):
+            self.take()
+            out.append(item())
+        return out
 
     # ----- terms -----
 
@@ -192,7 +210,7 @@ class _P:
             k = sign * int(t.text)
             if self.at("*"):
                 self.take()
-                v = self.expect_ident().text
+                v = self.ident()
                 coeffs[v] = coeffs.get(v, 0) + k
                 return 0
             return k
@@ -206,6 +224,9 @@ class _P:
             self.expect(")")
             return const
         self.err("a term")
+
+    def terms(self, close: str = ")") -> tuple[Term, ...]:
+        return tuple(self.items(self.term, close=close))
 
     # ----- pure formulas -----
 
@@ -221,10 +242,7 @@ class _P:
             return PNot(self.pure_unit())
         if self.at("ex") or self.at("all"):
             kw = self.take().text
-            vs = [self.expect_ident().text]
-            while self.at(","):
-                self.take()
-                vs.append(self.expect_ident().text)
+            vs = self.items(self.ident)
             self.expect(".")
             body = self.pure_or()
             return (PExists if kw == "ex" else PForall)(tuple(vs), body)
@@ -278,7 +296,7 @@ class _P:
             num = int(t.text)
             if self.at("/"):
                 self.take()
-                den = int(self.expect_int().text)
+                den = int(self.ident("an integer", "int"))
                 return Perm.of(Fraction(num, den))
             return Perm.of(Fraction(num))
         if t.kind == "decimal":
@@ -289,92 +307,48 @@ class _P:
             return Perm.pvar(t.text)
         self.err("a permission")
 
-    def expect_int(self) -> Token:
-        t = self.peek()
-        if t.kind != "int":
-            raise ParseError(t.line, t.col, "an integer", t.text)
-        return self.take()
+    def form(self, kind: type, sp: Optional[Span]):
+        """A node of `kind` read by its surface form, whose leading word is
+        the current token; an expression's span is `sp`."""
+        self.i += 1
+        values = []
+        for step in _SURFACE[kind][0]:
+            if step.__class__ is str:
+                self.expect(step)
+            else:
+                values.append(step(self))
+        return kind(*values) if sp is None else kind(*values, sp)
 
-    def payload(self) -> ResArg:
+    def arc(self) -> tuple[str, str]:
+        a = self.ident()
+        self.expect("->")
+        return a, self.ident()
+
+    def arcs(self, close: str) -> frozenset[tuple[str, str]]:
+        return frozenset(self.items(self.arc, close=close))
+
+    def share(self) -> Perm:
+        """A permission; none written means "some fraction": a fresh symbolic
+        permission, threaded through by unification and never printed back."""
+        return self.perm_suffix() or Perm.pvar(names.fresh("fp"))
+
+    def payload(self) -> RForm:
         return RForm(self.formula())
 
     def heap_atom(self) -> Optional[HeapAtom]:
         t = self.peek()
-        if self.at("LatchIn") or self.at("LatchOut"):
-            kw = self.take().text
-            self.expect("(")
-            latch = self.expect_ident().text
-            self.expect(",")
-            arg = self.payload()
-            self.expect(")")
-            return (LatchIn if kw == "LatchIn" else LatchOut)(latch, arg)
-        if self.at("CNT"):
-            self.take()
-            self.expect("(")
-            latch = self.expect_ident().text
-            self.expect(",")
-            count = self.term()
-            self.expect(")")
-            perm = self.perm_suffix()
-            # No annotation means "some fraction": a fresh symbolic permission,
-            # threaded through by unification and never printed back.
-            return Cnt(latch, count, perm if perm is not None else Perm.pvar(names.fresh("fp")))
-        if self.at("WAIT"):
-            self.take()
-            self.expect("{")
-            arcs = set()
-            if not self.at("}"):
-                while True:
-                    a = self.expect_ident().text
-                    self.expect("->")
-                    b = self.expect_ident().text
-                    arcs.add((a, b))
-                    if self.at(","):
-                        self.take()
-                        continue
-                    break
-            self.expect("}")
-            perm = self.perm_suffix()
-            return Wait(frozenset(arcs), perm if perm is not None else Perm.pvar(names.fresh("fp")))
-        if self.at("thread"):
-            self.take()
-            self.expect("(")
-            tid = self.expect_ident().text
-            self.expect(",")
-            post = self.formula()
-            self.expect(")")
-            return ThreadNode(tid, post)
-        if self.at("threadspec"):
-            self.take()
-            self.expect("(")
-            tid = self.expect_ident().text
-            self.expect(",")
-            pre = self.formula()
-            self.expect(",")
-            post = self.formula()
-            self.expect(")")
-            return ThreadSpec(tid, (), pre, post)
-        if self.at("dead"):
-            self.take()
-            self.expect("(")
-            tid = self.expect_ident().text
-            self.expect(")")
-            return Dead(tid)
+        kind = FORMS.get(t.text)
+        if kind is not None and issubclass(kind, HeapAtom):
+            return self.form(kind, None)
         if t.kind == "ident":
             if self.peek(1).text == "::":
                 root = self.take().text
                 self.take()
-                ctor = self.expect_ident().text
+                ctor = self.ident()
                 self.expect("(")
-                args = []
-                if not self.at(")"):
-                    args.append(self.term())
-                    while self.at(","):
-                        self.take()
-                        args.append(self.term())
+                args = self.terms()
                 self.expect(")")
-                perm = self.perm_suffix()
-                return PointsTo(root, ctor, tuple(args), perm if perm is not None else FULL)
+                return PointsTo(root, ctor, args, self.perm_suffix() or FULL)
             if is_resvar(t.text):
                 # a bare resource variable, unless it starts a pure comparison
                 nxt = self.peek(1).text
@@ -387,10 +361,7 @@ class _P:
         exists: list[str] = []
         if self.at("ex"):
             self.take()
-            exists.append(self.expect_ident().text)
-            while self.at(","):
-                self.take()
-                exists.append(self.expect_ident().text)
+            exists = self.items(self.ident)
             self.expect(".")
         atoms: list = []
         pure: Pure = TRUE
@@ -416,11 +387,7 @@ class _P:
 
     def formula(self) -> Formula:
         span = self.span()
-        ds = [self.disjunct()]
-        while self.at("|"):
-            self.take()
-            ds.append(self.disjunct())
-        return Formula(tuple(ds), span)
+        return Formula(tuple(self.items(self.disjunct, "|")), span)
 
     # ----- statements -----
 
@@ -436,84 +403,50 @@ class _P:
             out = Seq(s, out, s.span)
         return out
 
+    def block(self) -> Expr:
+        self.expect("{")
+        body = self.stmt_seq()
+        self.expect("}")
+        return body
+
     def stmt(self) -> Expr:
         sp = self.span()
-        if self.at("skip"):
-            self.take()
-            return Skip(sp)
-        if self.at("assert"):
-            self.take()
-            return Assert(self.formula(), sp)
+        kind = FORMS.get(self.toks[self.i].text)
+        if kind is not None and issubclass(kind, Expr) and not kind._rhs:
+            return self.form(kind, sp)
         if self.at("atomic"):
             self.take()
-            self.expect("{")
-            body = self.stmt_seq()
-            self.expect("}")
-            return Atomic(body, sp)
+            return Atomic(self.block(), sp)
         if self.at("if"):
             self.take()
             self.expect("(")
             cond = self.pure_or()
             self.expect(")")
-            self.expect("{")
-            then = self.stmt_seq()
-            self.expect("}")
+            then = self.block()
             self.expect("else")
-            self.expect("{")
-            els = self.stmt_seq()
-            self.expect("}")
-            return If(cond, then, els, sp)
+            return If(cond, then, self.block(), sp)
         if self.at("("):
             self.take()
-            branches = [self.stmt_seq()]
-            while self.at("||"):
-                self.take()
-                branches.append(self.stmt_seq())
+            branches = self.items(self.stmt_seq, "||")
             self.expect(")")
             return branches[0] if len(branches) == 1 else Par(tuple(branches), sp)
-        if self.at("countDown"):
-            self.take()
-            self.expect("(")
-            v = self.expect_ident().text
-            self.expect(")")
-            return CountDown(v, sp)
-        if self.at("await"):
-            self.take()
-            self.expect("(")
-            v = self.expect_ident().text
-            self.expect(")")
-            return Await(v, sp)
         if self.at("fork"):
             self.take()
             self.expect("(")
-            v = self.expect_ident().text
+            v = self.ident()
             args = []
             while self.at(","):
                 self.take()
                 args.append(self.term())
             self.expect(")")
             return Fork(v, tuple(args), sp)
-        if self.at("join"):
-            self.take()
-            self.expect("(")
-            v = self.expect_ident().text
-            self.expect(")")
-            return Join(v, sp)
         if self.at_ident():
+            if self.peek(1).text == "(":
+                return self.rhs_expr()      # a call, read as on the right of `=`
             name = self.take().text
-            if self.at("("):
-                self.take()
-                args = []
-                if not self.at(")"):
-                    args.append(self.term())
-                    while self.at(","):
-                        self.take()
-                        args.append(self.term())
-                self.expect(")")
-                return Call(name, tuple(args), sp)
             if self.at("."):
                 self.take()
-                fieldname = self.expect_ident().text
+                fieldname = self.ident()
                 self.expect("=")
                 rhs = self.term()
                 return FieldWrite(name, fieldname, rhs, sp)
@@ -525,18 +458,9 @@ class _P:
 
     def rhs_expr(self) -> Expr:
         sp = self.span()
-        if self.at("new"):
-            self.take()
-            ctor = self.expect_ident().text
-            self.expect("(")
-            args = []
-            if not self.at(")"):
-                args.append(self.term())
-                while self.at(","):
-                    self.take()
-                    args.append(self.term())
-            self.expect(")")
-            return New(ctor, tuple(args), sp)
+        kind = FORMS.get(self.toks[self.i].text)
+        if kind is not None and issubclass(kind, Expr) and kind._rhs:
+            return self.form(kind, sp)
         if self.at("create_latch"):
             self.take()
             self.expect("(")
@@ -547,27 +471,12 @@ class _P:
                 self.take()
                 payload = self.formula()
             return CreateLatch(count, payload, sp)
-        if self.at("create_thread"):
-            self.take()
-            self.expect("(")
-            proc = self.expect_ident().text
-            self.expect(")")
-            self.expect("with")
-            pre = self.formula()
-            self.expect(",")
-            post = self.formula()
-            return CreateThread(proc, pre, post, sp)
         if self.at_ident() and self.peek(1).text == "(":
             name = self.take().text
             self.take()
-            args = []
-            if not self.at(")"):
-                args.append(self.term())
-                while self.at(","):
-                    self.take()
-                    args.append(self.term())
+            args = self.terms()
             self.expect(")")
-            return Call(name, tuple(args), sp)
+            return Call(name, args, sp)
         if self.at_ident() and self.peek(1).text == "." and self.peek(2).kind == "ident":
             base = self.take().text
             self.take()
@@ -576,9 +485,9 @@ class _P:
         t = self.peek()
         if t.kind == "int" or self.at("-"):
             term = self.term()
-            if term.is_const:
-                return ConstE(term.const, sp)
-            return VarRead(str(term), sp)  # unreachable for well-formed input
+            if not term.is_const:
+                raise ParseError(t.line, t.col, "an integer or a variable", str(term))
+            return ConstE(term.const, sp)
         if self.at_ident():
             v = self.take().text
             return VarRead(v, sp)
@@ -589,38 +498,26 @@ class _P:
     def data_decl(self) -> DataDecl:
         sp = self.span()
         self.expect("data")
-        name = self.expect_ident().text
+        name = self.ident()
         self.expect("{")
         fields = []
         while not self.at("}"):
-            ftype = self.type_name()
-            fname = self.expect_ident().text
+            ftype = self.ident("a type name")
+            fname = self.ident()
             self.expect(";")
             fields.append((ftype, fname))
         self.expect("}")
         return DataDecl(name, tuple(fields), sp)
 
-    def type_name(self) -> str:
-        t = self.peek()
-        if t.kind == "ident":
-            return self.take().text
-        self.err("a type name")
+    def param(self) -> tuple[str, str]:
+        return self.ident("a type name"), self.ident()
 
     def proc_decl(self) -> ProcDecl:
         sp = self.span()
-        ret = self.type_name()
-        name = self.expect_ident().text
+        ret = self.ident("a type name")
+        name = self.ident()
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                ptype = self.type_name()
-                pname = self.expect_ident().text
-                params.append((ptype, pname))
-                if self.at(","):
-                    self.take()
-                    continue
-                break
+        params = self.items(self.param, close=")")
         self.expect(")")
         specs = []
         while self.at("requires"):
@@ -650,65 +547,109 @@ class _P:
         return Program(tuple(datas), tuple(procs))
 
 
+def _invented(f: Formula) -> list[tuple[str, str]]:
+    """(latch, or "" for a wait-for view; permission variable) of each share
+    in f whose permission the parser invented, in order."""
+    return [(atom_root(a), pv) for d in f.disjuncts for a in d.heap if isinstance(a, (Cnt, Wait))
+            and (pv := a.perm.single_var()) is not None and "#" in pv]
+
+
 def _thread_pair_perms(pair: SpecPair) -> SpecPair:
     """An unannotated counter or wait-for share means *some* fraction, held
     across the pair: rewrite the post's invented permission variables to the
-    pre's for the same latch, so permissions are conserved by every
+    pre's first for the same latch, so permissions are conserved by every
     specification."""
-    def invented(perm: Perm) -> Optional[str]:
-        pv = perm.single_var()
-        return pv if pv is not None and "#" in pv else None
-
-    pre_share: dict = {}
-    wait_share = None
-    for d in pair.pre.disjuncts:
-        for a in d.heap:
-            if isinstance(a, Cnt):
-                pv = invented(a.perm)
-                if pv is not None and a.latch not in pre_share:
-                    pre_share[a.latch] = pv
-            elif isinstance(a, Wait) and wait_share is None:
-                pv = invented(a.perm)
-                if pv is not None:
-                    wait_share = pv
-    rho: dict = {}
-    for d in pair.post.disjuncts:
-        for a in d.heap:
-            if isinstance(a, Cnt):
-                pv = invented(a.perm)
-                if pv is not None and a.latch in pre_share:
-                    rho[pv] = Perm.pvar(pre_share[a.latch])
-            elif isinstance(a, Wait) and wait_share is not None:
-                pv = invented(a.perm)
-                if pv is not None:
-                    rho[pv] = Perm.pvar(wait_share)
+    pre_share: dict[str, str] = {}
+    for key, pv in _invented(pair.pre):
+        pre_share.setdefault(key, pv)
+    rho = pre_share and {pv: Perm.pvar(pre_share[key])
+                         for key, pv in _invented(pair.post) if key in pre_share}
     if not rho:
         return pair
     return SpecPair(pair.pre, substitute(pair.post, perms=rho))
 
 
+def _whole(text: str, rule: Callable):
+    p = _P(tokenize(text))
+    x = rule(p)
+    t = p.peek()
+    if t.kind != "eof":
+        raise ParseError(t.line, t.col, "end of formula", t.text)
+    return x
+
+
 def parse_program(src: SourceFile) -> Program:
-    p = _P(tokenize(src.text))
-    prog = p.program()
-    return prog
+    return _P(tokenize(src.text)).program()
 
 
 def parse_formula(text: str) -> Formula:
-    p = _P(tokenize(text))
-    f = p.formula()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(t.line, t.col, "end of formula", t.text)
-    return f
+    return _whole(text, _P.formula)
 
 
 def parse_pure(text: str) -> Pure:
-    p = _P(tokenize(text))
-    q = p.pure_or()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(t.line, t.col, "end of formula", t.text)
-    return q
+    return _whole(text, _P.pure_or)
+
+
+# ---------------------------------------------------------------------------
+# Surface forms
+#
+# A kind's `_form` (syntax.py) is split at the names of its fields. Each
+# piece between them is printed as written and read as the tokens it lexes
+# to; the first token is the leading word, by which the parser chose the
+# kind. Each field is read and printed by its role:
+#
+#     name, str   an identifier
+#     term        a term
+#     terms       terms separated by ", "
+#     perm        an `@` permission, not printed when full or invented;
+#                 read absent, see `_P.share`
+#     arcs        `a->b` separated by ", ", in order
+#     formula     a formula
+#     payload     a formula, as a predicate's payload
+#
+# A list ends at the token after it in the form. A form names its fields in
+# the order they are declared, all but an expression's span, which is where
+# its leading word stands, and bound names, which it reads as none.
+
+_READ = {"name": _P.ident, "kept": _P.ident, "term": _P.term, "terms": _P.terms, "perm": _P.share,
+         "arcs": _P.arcs, "formula": _P.formula, "payload": _P.payload}
+_WORDS = re.compile(r"(\w+)")
+
+
+class _Surfaces(dict):
+    """kind -> the steps that read its form (a token to expect or a reader)
+    and the pieces that print it (text or a field and its printer)."""
+
+    def __missing__(self, kind: type) -> tuple[list, list]:
+        roles = {n: _ROLE[t] for n, t in kind.__annotations__.items()}
+        pieces = [""]       # literal text and field names, alternating
+        for word in _WORDS.split(kind._form):
+            if word in roles:
+                pieces += [word, ""]
+            else:
+                pieces[-1] += word
+        after = {field: [t.text for t in tokenize(text)[:-1]]
+                 for field, text in zip(["", *pieces[1::2]], pieces[::2])}
+        steps = after[""][1:]
+        for n, r in roles.items():
+            if n in after:
+                read = _READ[r]
+                steps += [partial(read, close=after[n][0]) if r in ("terms", "arcs") else read,
+                          *after[n]]
+            elif r in ("bound", "shadow"):
+                steps.append(lambda p: ())
+        shown = [s if i % 2 == 0 else (s, _SHOW[roles[s]]) for i, s in enumerate(pieces) if s]
+        self[kind] = steps, shown
+        return self[kind]
+
+
+_SURFACE = _Surfaces()
+
+
+def _show(x) -> str:
+    """`x` printed by its kind's surface form."""
+    return "".join([s if s.__class__ is str else s[1](getattr(x, s[0]))
+                    for s in _SURFACE[type(x)][1]])
 
 
 # ---------------------------------------------------------------------------
@@ -724,78 +665,46 @@ def _perm_str(perm: Perm) -> str:
     return f"@{perm}"
 
 
-_ATOM_ORDER = {
-    PointsTo: 0, LatchIn: 1, LatchOut: 2, Cnt: 3, Wait: 4,
-    ThreadNode: 5, ThreadSpec: 6, Dead: 7, ResVarAtom: 8,
-}
+# atoms print in the order their kinds are declared, and a kind declared
+# after this module is loaded, last
+_ATOM_ORDER = {k: i for i, k in enumerate([k for k in RECORDS if issubclass(k, HeapAtom)])}
 
 
 def unparse_atom(a) -> str:
     if isinstance(a, PointsTo):
         args = ",".join(str(t) for t in a.args)
         return f"{a.root}::{a.ctor}({args}){_perm_str(a.perm)}"
-    if isinstance(a, LatchIn):
-        return f"LatchIn({a.latch}, {unparse_resarg(a.payload)})"
-    if isinstance(a, LatchOut):
-        return f"LatchOut({a.latch}, {unparse_resarg(a.payload)})"
-    if isinstance(a, Cnt):
-        return f"CNT({a.latch},{a.count}){_perm_str(a.perm)}"
-    if isinstance(a, Wait):
-        arcs = ", ".join(f"{x}->{y}" for x, y in sorted(a.arcs))
-        return f"WAIT{{{arcs}}}{_perm_str(a.perm)}"
-    if isinstance(a, ThreadNode):
-        return f"thread({a.tid}, {unparse_formula(a.post)})"
-    if isinstance(a, ThreadSpec):
-        return f"threadspec({a.tid}, {unparse_formula(a.pre)}, {unparse_formula(a.post)})"
-    if isinstance(a, Dead):
-        return f"dead({a.tid})"
     if isinstance(a, ResVarAtom):
         return a.name
-    raise TypeError(a)
-
-
-def unparse_resarg(arg: ResArg) -> str:
-    if isinstance(arg, RVar):
-        return arg.name
-    return unparse_formula(arg.formula)
+    return _show(a)
 
 
 def unparse_disjunct(d: Disjunct) -> str:
-    atoms = sorted(d.heap, key=lambda a: (_ATOM_ORDER[type(a)], atom_root(a), unparse_atom(a)))
-    parts = []
-    if d.exists:
-        parts.append(f"ex {','.join(d.exists)}. ")
-    if atoms:
-        parts.append(" * ".join(unparse_atom(a) for a in atoms))
-        if not isinstance(d.pure, PTrue):
-            parts.append(f" & {d.pure}")
-    else:
-        parts.append(f"emp & {d.pure}")
-    return "".join(parts)
+    atoms = sorted(d.heap, key=lambda a: (_ATOM_ORDER.get(type(a), len(_ATOM_ORDER)),
+                                          atom_root(a), unparse_atom(a)))
+    heap = " * ".join(unparse_atom(a) for a in atoms) or "emp"
+    pure = "" if atoms and isinstance(d.pure, PTrue) else f" & {d.pure}"
+    return (f"ex {','.join(d.exists)}. " if d.exists else "") + heap + pure
 
 
 def unparse_formula(f: Formula) -> str:
     return " | ".join(unparse_disjunct(d) for d in f.disjuncts)
 
 
+_SHOW = {
+    "name": str, "kept": str, "term": str, "terms": lambda ts: ", ".join([str(t) for t in ts]),
+    "perm": _perm_str, "arcs": lambda arcs: ", ".join([f"{a}->{b}" for a, b in sorted(arcs)]),
+    "formula": unparse_formula,
+    "payload": lambda arg: arg.name if type(arg) is RVar else unparse_formula(arg.formula),
+}
+
+
 def format_state(f: Formula) -> str:
     """Annotated-trace rendering: atoms sorted, `& true` suppressed."""
-    parts = []
-    for d in f.disjuncts:
-        s = unparse_disjunct(d)
-        if s.endswith(" & true"):
-            s = s[: -len(" & true")]
-        if s == "emp & true":
-            s = "emp"
-        parts.append(s)
-    return " | ".join(parts)
+    return " | ".join(unparse_disjunct(d).removesuffix(" & true") for d in f.disjuncts)
 
 
 def unparse_expr(e: Expr, indent: str = "  ") -> str:
-    if isinstance(e, Skip):
-        return f"{indent}skip;"
-    if isinstance(e, Assert):
-        return f"{indent}assert {unparse_formula(e.formula)};"
     if isinstance(e, Seq):
         return f"{unparse_expr(e.first, indent)}\n{unparse_expr(e.second, indent)}"
     if isinstance(e, Par):
@@ -812,31 +721,20 @@ def unparse_expr(e: Expr, indent: str = "  ") -> str:
         return f"{indent}{e.lhs} = {unparse_rhs(e.rhs)};"
     if isinstance(e, FieldWrite):
         return f"{indent}{e.base}.{e.fieldname} = {e.rhs};"
-    if isinstance(e, CountDown):
-        return f"{indent}countDown({e.var});"
-    if isinstance(e, Await):
-        return f"{indent}await({e.var});"
     if isinstance(e, Fork):
         args = "".join(f", {t}" for t in e.args)
         return f"{indent}fork({e.var}{args});"
-    if isinstance(e, Join):
-        return f"{indent}join({e.var});"
-    if isinstance(e, Call):
-        args = ", ".join(str(t) for t in e.args)
-        return f"{indent}{e.name}({args});"
     return f"{indent}{unparse_rhs(e)};"
 
 
 def unparse_rhs(e: Expr) -> str:
-    if isinstance(e, New):
-        return f"new {e.ctor}({', '.join(str(t) for t in e.args)})"
+    if hasattr(e, "_form"):
+        return _show(e)
     if isinstance(e, CreateLatch):
         s = f"create_latch({e.count})"
         if e.payload is not None:
             s += f" with {unparse_formula(e.payload)}"
         return s
-    if isinstance(e, CreateThread):
-        return f"create_thread({e.proc}) with {unparse_formula(e.pre)}, {unparse_formula(e.post)}"
     if isinstance(e, Call):
         return f"{e.name}({', '.join(str(t) for t in e.args)})"
     if isinstance(e, VarRead):

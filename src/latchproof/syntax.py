@@ -9,6 +9,7 @@ node kind declares its fields' roles, and the walkers are derived from them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter, is_
@@ -35,6 +36,11 @@ from . import names
 # formula, a payload (ResArg) or code (Expr), or a tuple of nodes; or a str,
 # int or Span, kept as it is. A bound-name field binds its names in the
 # fields after it.
+#
+# A kind led by a keyword also declares its surface form `_form`: its text as
+# printed, each field's name where its value stands ("CNT(latch,count)perm"),
+# from which parser.py derives its parse and print cases. `_rhs = True` marks
+# an expression that stands only on the right of an assignment.
 
 Name = str                          # a variable: root, latch, thread id, resource or read variable
 Written = str                       # a variable that code assigns
@@ -68,6 +74,7 @@ class HeapAtom:
 
 class Expr:
     __slots__ = ()
+    _rhs = False
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +96,7 @@ _MAP: dict[type, Callable] = {type(None): lambda x, s: x}   # (node, context) ->
 _CHILDREN: dict[type, Callable] = {}    # code: the sub-expressions, in order
 _READS: dict[type, Callable] = {}       # code: the variables a node itself reads
 _WRITES: dict[type, Callable] = {}      # code: the variables a node itself assigns
+FORMS: dict[str, type] = {}             # each kind with a surface form, by its leading word
 
 # Per walker, the code for a field of each role: `@` is the field's value,
 # `$` the walker's table or the map's context. A role it lacks adds nothing.
@@ -136,6 +144,8 @@ def _kind(cls):
             lambda table=table: (f"def f(x, s=None):\n {_body(table, cls, roles)}", globals(),
                                  {"K": cls}),
             lambda f, table=table: table.__setitem__(cls, f))
+    if "_form" in cls.__dict__:
+        FORMS[re.match(r"\w+", cls._form)[0]] = cls
     return cls
 
 
@@ -527,12 +537,14 @@ class PointsTo(HeapAtom):
 class LatchIn(HeapAtom):
     latch: Name
     payload: ResArg
+    _form = "LatchIn(latch, payload)"
 
 
 @_kind
 class LatchOut(HeapAtom):
     latch: Name
     payload: ResArg
+    _form = "LatchOut(latch, payload)"
 
 
 @_kind
@@ -540,18 +552,21 @@ class Cnt(HeapAtom):
     latch: Name
     count: Term
     perm: Perm = FULL
+    _form = "CNT(latch,count)perm"
 
 
 @_kind
 class Wait(HeapAtom):
     arcs: Arcs
     perm: Perm = FULL
+    _form = "WAIT{arcs}perm"
 
 
 @_kind
 class ThreadNode(HeapAtom):
     tid: Name
     post: Formula
+    _form = "thread(tid, post)"
 
 
 @_kind
@@ -560,11 +575,13 @@ class ThreadSpec(HeapAtom):
     bound: Shadow
     pre: Formula
     post: Formula
+    _form = "threadspec(tid, pre, post)"   # parsed with no bound names
 
 
 @_kind
 class Dead(HeapAtom):
     tid: Name
+    _form = "dead(tid)"
 
 
 @_kind
@@ -835,6 +852,7 @@ class _Rename:
 @_kind
 class Skip(Expr):
     span: Span = NO_SPAN
+    _form = "skip"
 
 
 @_kind
@@ -861,6 +879,8 @@ class New(Expr):
     ctor: str
     args: tuple[Term, ...]
     span: Span = NO_SPAN
+    _form = "new ctor(args)"
+    _rhs = True
 
 
 @_kind
@@ -876,6 +896,8 @@ class CreateThread(Expr):
     pre: Formula
     post: Formula
     span: Span = NO_SPAN
+    _form = "create_thread(proc) with pre, post"
+    _rhs = True
 
 
 @_kind
@@ -889,12 +911,14 @@ class Call(Expr):
 class CountDown(Expr):
     var: Name
     span: Span = NO_SPAN
+    _form = "countDown(var)"
 
 
 @_kind
 class Await(Expr):
     var: Name
     span: Span = NO_SPAN
+    _form = "await(var)"
 
 
 @_kind
@@ -908,6 +932,7 @@ class Fork(Expr):
 class Join(Expr):
     var: Name
     span: Span = NO_SPAN
+    _form = "join(var)"
 
 
 @_kind
@@ -956,6 +981,7 @@ class FieldWrite(Expr):
 class Assert(Expr):
     formula: Formula
     span: Span = NO_SPAN
+    _form = "assert formula"
 
 
 @record

@@ -24,8 +24,8 @@ from . import pure as solver
 from .diagnostics import Span, NO_SPAN, fresh, record, replace
 from .entail import EntailmentOutcome, _payload_value_vars, entail
 from .lemmas import (
-    Inconsistency, SplitFailure, SplitTarget, _cell_of, _implied, _is_trivial_payload, _key,
-    _min_count, ambiguous_disjuncts, branch_start, may_mention, normalize, split_for,
+    _ZERO, Inconsistency, SplitFailure, SplitTarget, _Heap, _cell_of, _entails,
+    _is_trivial_payload, _key, _min_count, ambiguous_disjuncts, branch_start, may_mention, normalize, split_for,
 )
 from .parser import format_state, unparse_atom
 from .pure import SolverUnknown, Status
@@ -453,12 +453,13 @@ class _ProcVerifier:
         payload = substitute(payload, rho, gen=self.gen)
         added = []
         for d in state.disjuncts:
-            if _implied(d.pure, plt(Term.of(0), count)):
+            facts = _Heap(Disjunct((), (), d.pure))     # asks the solver at most once
+            if _entails(facts, _ZERO, "lt", count):
                 closed = RForm(_close_payload(payload, d, lhs))
                 # Unit would drop predicates that carry nothing at once
                 added.append((Cnt(lhs, count, FULL),) if _is_trivial_payload(closed) else
                              (LatchIn(lhs, closed), LatchOut(lhs, closed), Cnt(lhs, count, FULL)))
-            elif _implied(d.pure, peq(count, Term.of(0))):
+            elif _entails(facts, count, "eq", _ZERO):
                 added.append((Cnt(lhs, Term.of(-1), FULL),))
             else:
                 raise VerdictError(

@@ -4,8 +4,11 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from latchproof.cli import main
 from tests.conftest import CORPUS
+from tests.test_golden import chain_source, fan_in_source, ring_source
 
 
 def run_cli(capsys, *args):
@@ -151,3 +154,48 @@ def test_oracle_error_keeps_verdicts(tmp_path, capsys):
     assert {"main"} == {e["proc"] for e in data if e.get("verdict") == "Verified"}
     [err] = [e for e in data if "error" in e]
     assert set(err) == {"file", "error"} and err["error"].startswith("oracle error")
+
+
+def _fan_in_short(n, count):
+    return fan_in_source(n).replace(f"create_latch({n})", f"create_latch({count})")
+
+
+# name: (source, arguments before the file, exit code, substrings of the output)
+PROGRAMS = {
+    "cdl2_concrete": ((CORPUS / "cdl2_concrete.lp").read_text(), ["both"], 0,
+                      ["main: Verified", "oracle: Clean"]),
+    "oracle_race_minimal": ((CORPUS / "oracle_race_minimal.lp").read_text(), ["both"], 1,
+                            ["oracle: Leak, Race"]),
+    # identical branches: three countdowns open a latch of 3; one of 4 deadlocks
+    "repeated-3": (fan_in_source(3), ["both"], 0, ["main: Verified", "oracle: Clean"]),
+    "repeated-4": (_fan_in_short(3, 4), ["both"], 1, ["oracle: Deadlock"]),
+    # branches that differ in their latches: a chain of four links verifies,
+    # a ring of three latches deadlocks
+    "chain-4": (chain_source(4), ["both"], 0, ["main: Verified", "oracle: Clean"]),
+    "ring-3": (ring_source(3), ["both"], 1, ["DeadlockError", "oracle: Deadlock"]),
+    # blocks at the sizes whose join each rule rewrites in one round
+    "fan-in-64": (fan_in_source(64), ["verify"], 0, ["main: Verified"]),
+    "chain-24": (chain_source(24), ["verify"], 0, ["main: Verified"]),
+    "ring-24": (ring_source(24), ["verify", "--json"], 1,
+                ['"verdict": "DeadlockError"', '"lemma": "E3"']),
+    # the oracle reads each variable through one check: an unbound one is an
+    # oracle error, not a verdict
+    "unbound-read": ("void main() requires emp ensures emp; { x = z; }", ["oracle"], 2,
+                     ["error: oracle error: unbound variable z"]),
+    "unbound-await": ("void main() requires emp ensures emp; { await(d); }", ["oracle"], 2,
+                      ["error: oracle error: unbound variable d"]),
+    # a term with a variable on the right of `=` is a parse error, not a name
+    "arithmetic-rhs": ("void main(int y) requires emp ensures emp; { x = 1 + y; }", ["verify"],
+                       2, ["parse error: 1:50: expected an integer or a variable, got 'y+1'"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_program_exit_code_and_output(name, tmp_path, capsys):
+    source, args, want, expected = PROGRAMS[name]
+    f = tmp_path / f"{name}.lp"
+    f.write_text(source)
+    code, out = run_cli(capsys, *args, str(f))
+    assert code == want, out
+    for text in expected:
+        assert text in out

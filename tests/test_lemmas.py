@@ -40,13 +40,13 @@ def test_n_way_join_merges_each_latch_and_the_wait_shares_at_once():
     h = lemmas._Heap(F("CNT(c,1)@1/5 * CNT(c,0)@1/5 * CNT(c,2)@1/5 * CNT(c,0)@1/5 * "
                        "CNT(c,0)@1/5 * WAIT{a->b}@1/5 * WAIT{}@1/5 * WAIT{b->c}@1/5 * "
                        "WAIT{}@1/5 * WAIT{}@1/5").single())
-    [n2] = lemmas._n2(h, names.FreshGen())
+    [n2] = lemmas._n2(h)
     assert n2.drop == (0, 1, 2, 3, 4) and n2.add == (Cnt("c", Term.of(3), Perm.one()),)
-    [w3] = lemmas._w3(h, names.FreshGen())
+    [w3] = lemmas._w3(h)
     assert w3.drop == (5, 6, 7, 8, 9)
     assert w3.add == (Wait(frozenset({("a", "b"), ("b", "c")}), Perm.one()),)
     h = lemmas._Heap(F("CNT(c,0)@1/4 * CNT(c,-1)@1/4 * CNT(c,0)@1/4 * CNT(c,-1)@1/4").single())
-    [n1] = lemmas._n1(h, names.FreshGen())
+    [n1] = lemmas._n1(h)
     assert n1.drop == (0, 1, 2, 3) and n1.add == (Cnt("c", Term.of(-1), Perm.one()),)
 
 
@@ -170,7 +170,7 @@ def _with_rule(name, rule):
 
 def test_rs_check_runs_the_rules(monkeypatch):
     # N3's rule, swapped for one that drops the released payload
-    def lossy(h, gen):
+    def lossy(h):
         yield lemmas.Rewrite(drop=tuple(s for s, a in enumerate(h.slots)
                                         if not isinstance(a, Cnt)))
     monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("N3", lossy))
@@ -179,7 +179,7 @@ def test_rs_check_runs_the_rules(monkeypatch):
 
 
 def test_rs_check_needs_each_rule_to_fire(monkeypatch):
-    monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("W1", lambda d, gen: iter(())))
+    monkeypatch.setattr(lemmas, "LEMMAS", _with_rule("W1", lambda d: iter(())))
     with pytest.raises(AssertionError, match="W1 does not fire"):
         verify_lemma_table()
 
@@ -334,7 +334,7 @@ def _rewrite_first(d, gen):
     scanning every key."""
     for lemma in lemmas._REWRITES:
         h = lemmas._Heap(d)
-        step = next(lemma.rule(h, gen), None)
+        step = next(lemma.rule(h), None)
         if step is not None:
             _, rest = h.apply(step, gen)
             return [h.disjunct(), *rest]
@@ -455,7 +455,7 @@ def _match_slot(step):
 
 def _one_key_at_a_time(delta, gen):
     """Reference: each round asks the first rewrite rule in table order that
-    matches about each key alone, `rule(h, gen, {k})` in slot order, takes
+    matches about each key alone, `rule(h, {k})` in slot order, takes
     the match at the lowest slot, applies it by itself and checks the whole
     disjunct."""
     out = []
@@ -469,7 +469,7 @@ def _one_key_at_a_time(delta, gen):
                               key=h.keys.index)
                 for lemma in lemmas._REWRITES:
                     firsts = [rw for k in keys
-                              if (rw := next(lemma.rule(h, gen, {k}), None)) is not None]
+                              if (rw := next(lemma.rule(h, {k}), None)) is not None]
                     if firsts:
                         step = min(firsts, key=_match_slot)
                         break
@@ -517,8 +517,8 @@ def test_batched_rules_match_one_key_at_a_time(monkeypatch):
     widest = {"batch": 0}
 
     def counted(rule):
-        def run(h, gen, keys=None):
-            for n, step in enumerate(rule(h, gen, keys), 1):
+        def run(h, keys=None):
+            for n, step in enumerate(rule(h, keys), 1):
                 widest["batch"] = max(widest["batch"], n)
                 yield step
         return run
@@ -606,16 +606,28 @@ def test_atoms_added_to_a_normal_form_normalize_as_starred(monkeypatch):
 
 # -- solver work -------------------------------------------------------------------
 
-def test_implied_decides_ground_consequents_by_evaluation(monkeypatch):
-    x, zero = Term.var("x"), Term.of(0)
-    assert lemmas._implied(TRUE, lt(zero, Term.of(1)))
-    assert not lemmas._implied(le(zero, x), lt(zero, Term.of(-1)))
-    assert lemmas._implied(pand([le(zero, x), lt(x, zero)]), lt(zero, Term.of(-1)))
-
-    def no_solver(*args, **kwargs):
-        raise AssertionError("a true ground consequent needs no solver call")
-    monkeypatch.setattr(pure, "is_sat", no_solver)
-    assert lemmas._implied(le(zero, x), lt(zero, Term.of(1)))
+def test_create_latch_compares_a_constant_count_as_an_integer(monkeypatch):
+    calls = []
+    is_sat = pure.is_sat
+    monkeypatch.setattr(pure, "is_sat", lambda *a, **k: calls.append(a) or is_sat(*a, **k))
+    # positive, then zero, then the error; a false comparison holds only ex
+    # falso, and a true one asks the solver nothing
+    for pre, count, state, solver_calls in [
+        ("n >= 0", "1", "CNT(c,1) * WAIT{} & 0<=n", 0),
+        ("emp", "1", "CNT(c,1) * WAIT{}", 0),
+        ("n >= 0", "0", "CNT(c,-1) * WAIT{} & 0<=n", 1),
+        ("n >= 0", "-1", None, 1),
+        ("emp", "-1", None, 0),
+        ("n >= 0 & n < 0", "-1", "CNT(c,-1) * WAIT{} & 0<=n & n<0", 1),
+    ]:
+        src = f"void main(int n) requires {pre} ensures emp; {{ c = create_latch({count}); skip }}"
+        calls.clear()
+        [v] = verify_program(parse_program(SourceFile("t", src)), VerifyOptions())
+        if state is None:
+            assert v.kind == "SpecFailure" and "count sign undecided" in v.message
+        else:
+            assert v.kind == "Verified" and format_state(v.trace.points[1][1]) == state
+        assert len(calls) == solver_calls, (pre, count)
 
 
 def test_entails_compares_constants_as_integers(monkeypatch):
@@ -713,8 +725,8 @@ def _join_work(monkeypatch, program):
     in_join = [False]
 
     def counted(rule):
-        def run(h, gen, keys=None):
-            for n, step in enumerate(rule(h, gen, keys)):
+        def run(h, keys=None):
+            for n, step in enumerate(rule(h, keys)):
                 counts["rounds"] += in_join[0] and n == 0
                 yield step
         return run

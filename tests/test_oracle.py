@@ -237,3 +237,12 @@ def test_n_way_block_takes_n_plus_one_thread_slots():
     assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 3
     with pytest.raises(OracleError, match="thread bound exceeded"):
         run(fan_in_source(5))
+
+
+@pytest.mark.parametrize("body, name", [
+    ("x = z", "z"), ("await(d)", "d"), ("countDown(d)", "d"), ("join(t)", "t"),
+    ("fork(t)", "t"), ("x.val = 1", "x"), ("y = x.val", "x"), ("y = new cell(z)", "z"),
+])
+def test_an_unbound_variable_is_an_oracle_error(body, name):
+    with pytest.raises(OracleError, match=f"^unbound variable {name}$"):
+        run(f"data cell {{ int val; }} void main() requires emp ensures emp; {{ {body} }}")

@@ -9,8 +9,10 @@ from latchproof.parser import (
     unparse_formula, unparse_program,
 )
 from latchproof.syntax import (
-    Cnt, Dead, Disjunct, Formula, LatchIn, LatchOut, Par, Perm, PointsTo,
-    ResVarAtom, RForm, Seq, Term, ThreadNode, ThreadSpec, Wait, TRUE, walk_expr,
+    Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch, CreateThread, Dead,
+    DataDecl, Disjunct, FieldRead, FieldWrite, Fork, Formula, If, Join, LatchIn, LatchOut, New,
+    Par, Perm, PointsTo, ProcDecl, Program, ResVarAtom, RForm, Seq, Skip, SpecPair, Term,
+    ThreadNode, ThreadSpec, VarRead, Wait, EMP, TRUE, walk_expr,
 )
 
 
@@ -97,6 +99,19 @@ def test_non_token_character_is_a_parse_error(ch):
     with pytest.raises(ParseError) as e:
         parse_program(SourceFile("t", src))
     assert str(e.value) == f"1:45: expected a token, got {ch!r}"
+
+
+@pytest.mark.parametrize("rhs, term", [("1 + y", "y+1"), ("2*y", "2*y"), ("-y", "-y"),
+                                       ("-1 - y", "-y-1")])
+def test_arithmetic_on_the_right_of_an_assignment_is_a_parse_error(rhs, term):
+    # a term with a variable is not a variable: it is an error at the term,
+    # as `y + 1` already is after the variable `y`
+    src = f"void main(int y) requires emp ensures emp; {{ x = {rhs}; }}"
+    with pytest.raises(ParseError) as e:
+        parse_program(SourceFile("t", src))
+    assert str(e.value) == f"1:50: expected an integer or a variable, got {term!r}"
+    assert parse_program(SourceFile("t", src.replace(rhs, "-3 + 5"))).proc("main").body == Assign(
+        "x", ConstE(2))
 
 
 def test_end_of_input_after_a_comment_is_one_past_the_last_column():
@@ -237,8 +252,8 @@ _perm = st.one_of(
 
 @st.composite
 def _atom(draw, depth=1):
-    kind = draw(st.sampled_from(
-        ["pts", "cnt", "wait", "dead", "resvar"] + (["latchin", "latchout"] if depth else [])))
+    kind = draw(st.sampled_from(["pts", "cnt", "wait", "dead", "resvar"] + (
+        ["latchin", "latchout", "thread", "threadspec"] if depth else [])))
     if kind == "pts":
         return PointsTo(draw(_ident), "cell", (draw(_term),), draw(_perm))
     if kind == "cnt":
@@ -250,6 +265,10 @@ def _atom(draw, depth=1):
         return Dead(draw(_ident))
     if kind == "resvar":
         return ResVarAtom(draw(_resvar))
+    if kind == "thread":
+        return ThreadNode(draw(_ident), draw(_formula(depth - 1)))
+    if kind == "threadspec":
+        return ThreadSpec(draw(_ident), (), draw(_formula(depth - 1)), draw(_formula(depth - 1)))
     payload = draw(_formula(depth - 1))
     cls = LatchIn if kind == "latchin" else LatchOut
     return cls(draw(_ident), RForm(payload))
@@ -267,3 +286,61 @@ def test_fuzzed_round_trip(f):
     text = unparse_formula(f)
     reparsed = parse_formula(text)
     assert unparse_formula(reparsed) == text
+
+
+# -- seeded program round trip -------------------------------------------------
+
+_FORMULAS = ["emp", "x::cell(1)@1/2 * CNT(c,2)@1/2 & 0<n", "LatchIn(c, P) * dead(t) | emp & n=1",
+             "WAIT{a->b}@1/2 * thread(t, x::cell(v)) * threadspec(u, P, emp)"]
+
+
+def _random_code(r: random.Random, depth: int):
+    """A statement drawn from every statement and right-hand side, built as
+    the parser builds it."""
+    def var():
+        return r.choice("cdtx")
+
+    def term():
+        return r.choice([Term.var("n"), Term.of(-2)])
+
+    def form():
+        return parse_formula(r.choice(_FORMULAS))
+
+    def block():
+        return _random_block(r, depth - 1)
+
+    rhs = [lambda: New("cell", tuple(term() for _ in range(r.randint(0, 2)))),
+           lambda: CreateThread("f", form(), form()), lambda: CreateLatch(term(), None),
+           lambda: CreateLatch(Term.of(1), form()), lambda: Call("g", (term(),)),
+           lambda: VarRead(var()), lambda: ConstE(r.randint(-3, 3)), lambda: FieldRead("x", "val")]
+    stmts = [Skip, lambda: Assert(form()), lambda: CountDown(var()), lambda: Await(var()),
+             lambda: Join(var()), lambda: Fork(var(), (term(),) * r.randint(0, 2)),
+             lambda: Call("f", ()), lambda: FieldWrite("x", "val", term()),
+             lambda: Assign(var(), r.choice(rhs)())]
+    if depth:
+        stmts += [lambda: Atomic(block()),
+                  lambda: If(parse_formula("n = 1").single().pure, block(), block()),
+                  lambda: Par(tuple(block() for _ in range(r.randint(2, 3))))]
+    return r.choice(stmts)()
+
+
+def _random_block(r: random.Random, depth: int):
+    code = [_random_code(r, depth) for _ in range(r.randint(1, 3))]
+    out = code[-1]
+    for s in reversed(code[:-1]):
+        out = Seq(s, out)
+    return out
+
+
+def test_seeded_programs_print_and_parse_back():
+    r = random.Random(11)
+    kinds = set()
+    for _ in range(200):
+        body = _random_block(r, 2)
+        kinds |= {type(n) for n in walk_expr(body)}
+        p = Program((DataDecl("cell", (("int", "val"),)),),
+                    (ProcDecl("main", "void", (("int", "n"),), (SpecPair(EMP, EMP),), body),))
+        text = unparse_program(p)
+        assert parse_program(SourceFile("rt", text)) == p, text
+    assert kinds >= {Skip, Assert, CountDown, Await, Join, Fork, Call, FieldWrite, Assign, Atomic,
+                     If, Par, Seq, New, CreateThread, CreateLatch, VarRead, ConstE, FieldRead}

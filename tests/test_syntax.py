@@ -10,12 +10,12 @@ from hypothesis import given, strategies as st
 from latchproof import lemmas, names, syntax
 from latchproof.diagnostics import RECORDS, Span
 from latchproof.oracle import OracleBounds, OracleError, explore
-from latchproof.parser import parse_formula, parse_program, SourceFile
+from latchproof.parser import parse_formula, parse_program, unparse_formula, SourceFile
 from latchproof.syntax import (
     EMP, FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Expr, Formula, LatchIn, LatchOut,
     Par, HeapAtom, Name, PAnd, Perm, PFalse, PForall, PointsTo, PTrue, Pure, ResVarAtom, RVar, Seq,
-    Skip, Term, ThreadSpec, VarRead, Wait, all_names, atom_root, check_wellformed, free_vars, pand,
-    por, rename, star, substitute, walk_expr,
+    Skip, Term, ThreadSpec, VarRead, Wait, all_names, atom_root, check_wellformed, formula,
+    free_vars, pand, por, rename, star, substitute, walk_expr,
 )
 from latchproof.verifier import verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
@@ -94,10 +94,12 @@ def test_renaming_reaches_bound_names_and_keeps_canonical_order():
 
 @syntax._kind
 class _Pool(HeapAtom):
-    """A throwaway kind, declared here alone: a name, a term and a formula."""
+    """A throwaway kind, declared here alone: a name, a term and a formula,
+    and its surface form."""
     root: Name
     size: Term
     member: Formula
+    _form = "pool(root, size, member)"
 
 
 def test_a_new_kind_needs_one_declaration():
@@ -118,6 +120,11 @@ def test_a_new_kind_needs_one_declaration():
     ren = {"p": "r", "n": "m", "v": "u", "f": "g"}
     assert rename(a, lambda v: ren.get(v, v)) == _Pool(
         "r", Term.var("m") + Term.of(1), F("ex u. u::cell(m)@g * x::cell(w) & u > 0"))
+    # the parser and the printer read it from its form, beside the other atoms
+    f = formula(Cnt("c", Term.of(2), Perm.pvar("g")), a, pure=Cmp("lt", Term.of(0), Term.var("n")))
+    text = unparse_formula(f)
+    assert text == "CNT(c,2)@g * pool(p, n+1, ex v. v::cell(n)@f * x::cell(w) & 0<v) & 0<n"
+    assert parse_formula(text) == f
 
 
 def test_substitute_leaves_spec_bound_names_alone():
