@@ -41,10 +41,11 @@ non-exhaustive search.
 from __future__ import annotations
 
 from .diagnostics import record
+from .parser import unparse_formula
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, ConstE, CountDown, CreateLatch, CreateThread,
     Expr, FieldRead, FieldWrite, Fork, Formula, If, Join, New, Par, Program, ResVarAtom,
-    RForm, Seq, Skip, Term, VarRead, pure_eval, pure_has_quantifier, walk_expr,
+    RForm, Seq, Skip, Term, VarRead, free_vars, pure_eval, pure_has_quantifier, walk_expr,
 )
 
 
@@ -85,7 +86,7 @@ def _check_concrete(program: Program):
                 if _has_resvar(node.payload):
                     raise OracleError(
                         "oracle mode requires concrete `with` payloads "
-                        f"(abstract resource in {node.payload})")
+                        f"(abstract resource in {unparse_formula(node.payload)})")
             elif isinstance(node, If) and pure_has_quantifier(node.cond):
                 raise OracleError(
                     f"oracle mode requires quantifier-free `if` guards (guard {node.cond})")
@@ -168,13 +169,18 @@ def _read(env: dict, v: str):
     return env[v]
 
 
+def _read_int(env: dict, v: str) -> int:
+    """The value of the variable `v` in `env`, which must be an integer."""
+    x = _read(env, v)
+    if not isinstance(x, int):
+        raise OracleError(f"arithmetic on non-integer {v}={x}")
+    return x
+
+
 def _eval_term(t: Term, env: dict) -> int:
     val = t.const
     for v, c in t.coeffs:
-        x = _read(env, v)
-        if not isinstance(x, int):
-            raise OracleError(f"arithmetic on non-integer {v}={x}")
-        val += c * x
+        val += c * _read_int(env, v)
     return val
 
 
@@ -353,8 +359,8 @@ class _Machine:
                 self._exec_atomic_sub(st, t, sub)
             return
         if isinstance(node, If):
-            env_ints = {k: v for k, v in t.env.items() if isinstance(v, int)}
-            branch = node.then if pure_eval(node.cond, env_ints) else node.els
+            values = {v: _read_int(t.env, v) for v in free_vars(node.cond)}
+            branch = node.then if pure_eval(node.cond, values) else node.els
             t.cont = (("run", branch),) + t.cont
             return
         if isinstance(node, Par):

@@ -706,16 +706,17 @@ def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] 
 
 
 def rename(x, name: Callable[[str], str]):
-    """A formula, disjunct, heap atom, pure formula, permission or code `x`
-    with each name `v` in it replaced by `name(v)`, in bound positions too:
-    existentials, quantified and spec-bound variables, permission and
-    resource variables, latch and thread ids, wait arcs, and the variables
-    code reads and writes. `name` must be one-to-one on the names that
-    occur, and a new name must not be one that occurs and stays, so nothing
-    is renamed apart. Term coefficients and permission variables are put
-    back in order; spans are kept."""
+    """A formula, disjunct, heap atom, pure formula, permission, term or
+    code `x` with each name `v` in it replaced by `name(v)`, in bound
+    positions too: existentials, quantified and spec-bound variables,
+    permission and resource variables, latch and thread ids, wait arcs, and
+    the variables code reads and writes. `name` must be one-to-one on the
+    names that occur, and a new name must not be one that occurs and stays,
+    so nothing is renamed apart. Term coefficients and permission variables
+    are put back in order; spans are kept."""
     r = _Rename(name)
-    return r.perm(x) if type(x) is Perm else r.map(x)
+    t = type(x)
+    return r.perm(x) if t is Perm else r.term(x) if t is Term else r.map(x)
 
 
 class _Subst:

@@ -9,9 +9,12 @@ of the state every branch gets; the atoms it finds missing are abduced as
 its demands (bi-abduction's anti-frame), the state is split by them, and
 the join stars the frame with each run's post under the split's bindings.
 Branches whose code is the same up to the names of its variables run once
-when the shared start names none of those variables: the others copy that
-run, with the variables renamed and the fresh names renamed to those their
-own runs would have drawn.
+when the shared start names none of those variables. Each other branch
+copies that run: it draws the fresh names its own run would have drawn, and
+its demands are renamed to them and to its variables. When the split binds
+a copy as it bound the first run, up to that renaming, the copy takes the
+first run's bound post and trace points, renamed only where they name a
+renamed name; otherwise the copy's post is renamed and bound itself.
 """
 
 from __future__ import annotations
@@ -549,11 +552,11 @@ class _ProcVerifier:
         try:
             start = branch_start(state, len(e.branches))
             runs = self._run_branches(start, e.branches)
-            targets = [SplitTarget(Formula((_merged(ab.demands),)), ab.E) for _, ab, _ in runs]
+            targets = [SplitTarget(Formula((_merged(ab.demands),)), ab.E) for _, ab, *_ in runs]
             if self.abduct is not None:
                 # a nested block: the enclosing branch abduces what the state lacks
-                state = self._ensure(state, set().union(*(ab.E for _, ab, _ in runs)),
-                                     _merged([d for _, ab, _ in runs for d in ab.demands]), span)
+                state = self._ensure(state, set().union(*(ab.E for _, ab, *_ in runs)),
+                                     _merged([d for _, ab, *_ in runs for d in ab.demands]), span)
             split = split_for(state, targets, gen=self.gen, rigid=self.rigid)
         except SplitFailure as ex:
             raise VerdictError("SpecFailure", span, ex.diag.message)
@@ -561,23 +564,57 @@ class _ProcVerifier:
             self._refine(split.refined)
         for b in split.branches:
             self._trace(span, b)
-        results = []
-        for (post, _, points), bound, code in zip(runs, split.bindings, e.branches):
-            result = bound.bind(post, self.gen)
+        results, memo = [], {}
+        copied = {copy[0] for *_, copy in runs if copy is not None}
+        for i, (run, bound, code) in enumerate(zip(runs, split.bindings, e.branches)):
+            result, points = self._bind_run(run, bound, memo, i if i in copied else None)
             for sp, f in points:
-                self._trace(sp, result if f is post else bound.bind(f, self.gen))
+                self._trace(sp, f)
             results.append(self._branch_local(result, code))
         return self._join(split.frame, results, span)
+
+    def _bind_run(self, run, bound: EntailmentOutcome, memo: dict, key: Optional[int]):
+        """A run's post and trace points under the split's bindings `bound`.
+        A copy takes the bound post and points of the run it copies when
+        `bound`, pulled back through the copy's name table, are that run's
+        bindings and binding that run drew no fresh name: the table is
+        one-to-one on the names of the run's post and bindings, so binding
+        the copy's renamed post would give the same result renamed by the
+        table, drawing no name either. They are renamed only where they name
+        a key of the table, so fan-in copies share one post. Any other copy
+        is renamed and bound. `key` is the index of a run that has copies,
+        under which its bound result is kept in `memo` for them."""
+        post, _, points, copy = run
+        if copy is not None:
+            first, table = copy
+            hit = memo.get(first)
+            if hit is not None and _pulled_back(bound, table) == hit[0]:
+                _, result, forms, met = hit
+                points = [(sp, f) for (sp, _), f in zip(points, forms)]
+                return (result, points) if met.isdisjoint(table) else _renamed(result, points, table)
+            post, points = _renamed(post, points, table)
+        gen = _Recorder(self.gen) if key is not None else self.gen
+        result = bound.bind(post, gen)
+        points = [(sp, result if f is post else bound.bind(f, gen)) for sp, f in points]
+        if key is not None and not gen.drawn:
+            forms = [f for _, f in points]
+            memo[key] = ((bound.var_bindings, bound.perm_bindings, bound.bindings), result, forms,
+                         set().union(all_names(result), *map(all_names, forms)))
+        return result, points
 
     def _run_branches(self, start: Formula, codes: tuple[Expr, ...]) -> list:
         """Each branch's run from `start`. A code with the shape of an
         earlier branch's is that code under a renaming σ of its variables.
         When neither side's variables occur in `start`, whose names alone
         the run sees, its run is the earlier run under σ up to the names it
-        draws, so it is not run again: its copy draws the same prefixes
-        under σ in the same order and takes the names a run of its own
-        would have drawn. Equal code is the case σ = identity. A run that
-        warned is not copied, since its warnings name the branch's spans."""
+        draws, so it is not run again. Its copy draws the same prefixes
+        under σ in the same order, taking the names a run of its own would
+        have drawn, and keeps the earlier run's post and trace points for
+        `_bind_run` to bind once for all copies that the split binds alike.
+        Equal code is the case σ = identity. A run that warned is not
+        copied, since its warnings name the branch's spans. Each run is
+        (post, abduction, trace points, copy), where copy is None or (the
+        index of the run copied, the copy's name table)."""
         # a shape keeps the node type, so a code of a type no other branch
         # has is its own shape
         kinds = Counter(type(code) for code in codes)
@@ -592,9 +629,9 @@ class _ProcVerifier:
         firsts, runs = {}, []
         for code, (shape, vs) in zip(codes, shapes):
             if shape in firsts:
-                run, drawn, spans, first_vs = firsts[shape]
+                first, drawn, spans, first_vs = firsts[shape]
                 sigma = {u: v for u, v in zip(first_vs, vs) if u != v}
-                runs.append(self._copy_run(run, drawn, spans, code, sigma))
+                runs.append(self._copy_run(first, runs[first], drawn, spans, code, sigma))
                 continue
             if counts[shape] == 1:
                 runs.append(self._run_branch(start, code))
@@ -605,7 +642,7 @@ class _ProcVerifier:
             if len(self.warnings) == warned:
                 # the spans of the code's nodes, in walk order, for its copies' trace points
                 spans = [e.span for e in walk_expr(code)] if runs[-1][2] else []
-                firsts[shape] = runs[-1], self.gen.drawn, spans, vs
+                firsts[shape] = len(runs) - 1, self.gen.drawn, spans, vs
             self.gen = outer
         return runs
 
@@ -637,38 +674,36 @@ class _ProcVerifier:
                 for sp in callee.specs:
                     yield from (sp.pre, sp.post)
 
-    def _copy_run(self, run, drawn: list[tuple[str, str]], spans: list[Span], copy: Expr,
-                  sigma: dict[str, str]):
-        """`run` of a code as a run of `copy`, which is that code under the
-        renaming `sigma` of its variables: `sigma` applied throughout, each
-        name the run drew renamed to a fresh one drawn under `sigma` of its
-        prefix, and the trace points at `copy`'s spans. `spans` are those of
-        the code's nodes, in walk order."""
-        post, ab, points = run
+    def _copy_run(self, first: int, run, drawn: list[tuple[str, str]], spans: list[Span],
+                  copy: Expr, sigma: dict[str, str]):
+        """`run`, branch `first`'s, as a run of `copy`, which is that code
+        under the renaming `sigma` of its variables. The copy's name table
+        is `sigma` and each name the run drew mapped to a fresh one drawn
+        under `sigma` of its prefix. The demands and their fresh names are
+        renamed by it, for the split; the post and the trace points, moved
+        to `copy`'s spans, are left to `_bind_run`. `spans` are those of the code's nodes, in walk
+        order."""
+        post, ab, points, _ = run
         table = {name: self.gen.fresh(sigma.get(prefix, prefix)) for prefix, name in drawn} | sigma
 
         def ren(v: str) -> str:
             return table.get(v, v)
-        new_post = rename(post, ren)
-        new_ab = _Abduction([rename(d, ren) for d in ab.demands], set(map(ren, ab.E)),
-                            set(map(ren, ab.written)),
-                            {ren(v): rename(p, ren) for v, p in ab.perms.items()})
+        new_ab = _Abduction([rename(d, ren) for d in ab.demands], set(map(ren, ab.E)))
         if points:
             at = {sp: e.span for sp, e in zip(spans, walk_expr(copy))}
-            points = [(at.get(sp, sp), new_post if f is post else rename(f, ren))
-                      for sp, f in points]
-        return new_post, new_ab, points
+            points = [(at.get(sp, sp), f) for sp, f in points]
+        return post, new_ab, points, (first, table)
 
     def _run_branch(self, start: Formula, code: Expr):
         """Run one `||` branch from `start`, abducing what it lacks: its post,
-        its `_Abduction` and the trace points it made."""
+        its `_Abduction`, the trace points it made and None (it is no copy)."""
         outer, self.abduct = self.abduct, _Abduction()
         mark = len(self.trace.points)
         post = self.exec(start, code)    # a verdict error ends the whole procedure
         ab, self.abduct = self.abduct, outer
         points = self.trace.points[mark:]
         del self.trace.points[mark:]
-        return post, ab, points
+        return post, ab, points, None
 
     def _branch_local(self, result: Formula, code: Expr) -> Formula:
         """A branch's writes to variables stay in its thread: the values it
@@ -764,7 +799,36 @@ def _draw_order(name: str) -> tuple[str, int]:
     return prefix, int(n) if n else -1
 
 
+def _renamed(post: Formula, points: list, table: dict[str, str]):
+    """A run's post and trace points with each name renamed by `table`."""
+    def ren(v: str) -> str:
+        return table.get(v, v)
+    new = rename(post, ren)
+    return new, [(sp, new if f is post else rename(f, ren)) for sp, f in points]
+
+
+def _pulled_back(bound: EntailmentOutcome, table: dict[str, str]):
+    """The variable, permission and resource bindings of `bound` with each
+    name that `table` maps to renamed back to it; None when they name a key
+    of `table` that is not also an image, so that they are not the image
+    under `table` of any bindings."""
+    back = dict(zip(table.values(), table))
+    stray = []
+
+    def name(v: str) -> str:
+        u = back.get(v, v)
+        if u is v and v in table:
+            stray.append(v)
+        return u
+    pulled = ({name(v): rename(t, name) for v, t in bound.var_bindings.items()},
+              {name(v): rename(p, name) for v, p in bound.perm_bindings.items()},
+              {name(v): rename(f, name) for v, f in bound.bindings.items()})
+    return None if stray else pulled
+
+
 def _merged(ds: list[Disjunct]) -> Disjunct:
+    if len(ds) == 1 and not ds[0].exists:
+        return ds[0]    # equal to what merging it would build
     return Disjunct((), tuple(a for d in ds for a in d.heap), pand([d.pure for d in ds]))
 
 

@@ -13,9 +13,12 @@ import pytest
 
 from latchproof import names, verifier
 from latchproof.diagnostics import replace
+from latchproof.entail import EntailmentOutcome
 from latchproof.oracle import OracleBounds, explore
-from latchproof.parser import SourceFile, parse_program, unparse_program
-from latchproof.syntax import Atomic, If, Par, Seq, rename
+from latchproof.parser import (
+    SourceFile, parse_formula, parse_program, unparse_formula, unparse_program,
+)
+from latchproof.syntax import EMP, Atomic, If, Par, Seq, Term, rename
 from latchproof.verifier import VerifyOptions, verify_program
 from tests.test_golden import chain_source, fan_in_source, ring_source
 from tests.test_oracle_reduction import GENERATED
@@ -163,6 +166,80 @@ def test_chain_and_ring_run_one_link(n, monkeypatch):
     assert kind == "Verified" and len(runs) == 3
     [(_, kind, *_)], runs = _branch_runs(ring_source(n), monkeypatch)
     assert kind == "DeadlockError" and len(runs) == 1
+
+
+def _binds(source: str, monkeypatch):
+    """The outcomes of verifying `source`, and how many times the join
+    bound a run's post or a trace point to the split's bindings."""
+    count, inside = [0], [False]
+    bind, bind_run = EntailmentOutcome.bind, verifier._ProcVerifier._bind_run
+
+    def counted(self, *args):
+        count[0] += inside[0]
+        return bind(self, *args)
+
+    def flagged(self, *args):
+        inside[0] = True
+        try:
+            return bind_run(self, *args)
+        finally:
+            inside[0] = False
+    with monkeypatch.context() as m:
+        m.setattr(EntailmentOutcome, "bind", counted)
+        m.setattr(verifier._ProcVerifier, "_bind_run", flagged)
+        return _outcomes(source), count[0]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_copies_take_the_bound_post_of_their_run(n, monkeypatch):
+    # the split binds every countDown of a fan-in, and every link of a chain,
+    # alike up to the copy's names: only the runs are bound, the first
+    # countDown and the await, or the first countDown, the first link (its
+    # post and its await's trace point) and the last await
+    [(_, kind, *_)], binds = _binds(fan_in_source(n), monkeypatch)
+    assert kind == "Verified" and binds == 2
+    [(_, kind, *_)], binds = _binds(chain_source(n), monkeypatch)
+    assert kind == "Verified" and binds == 4
+
+
+def test_copy_the_split_serves_differently_is_bound_itself(monkeypatch):
+    # the second reader of x gets half the share the first left: its
+    # bindings are no image of the first's, so it is renamed and bound
+    source = CELLS + """void main() requires emp ensures emp;
+    { x = new cell(0); ( y = x.val || y = x.val ); x.val = 1 }"""
+    outcomes, binds = _binds(source, monkeypatch)
+    (_, kind, _, _, _, trace) = outcomes[-1]
+    read = [line.split(None, 1)[1] for line in trace.splitlines() if line.endswith("& y=0")]
+    assert kind == "Verified" and binds == 2
+    assert read == ["x::cell(0)@1/2 * WAIT{}@1/3 & y=0", "x::cell(0)@1/4 * WAIT{}@1/3 & y=0"]
+    _agrees_with_every_branch(source, monkeypatch)
+
+
+def test_run_whose_binding_draws_a_name_is_not_reused():
+    # binding k#1 to a under `ex a.` renames the binder apart, drawing a
+    # name: a copy that took that result would skip a draw of its own
+    program = parse_program(SourceFile("t", "void main() requires emp ensures emp; { skip }"))
+    gen = names.FreshGen()
+    pv = verifier._ProcVerifier(program, program.proc("main"), VerifyOptions(), gen)
+    post = rename(parse_formula("ex a. CNT(c,k) & a = k"), lambda v: "k#1" if v == "k" else v)
+    memo: dict = {}
+    first, _ = pv._bind_run((post, None, [], None),
+                            EntailmentOutcome(True, {}, EMP, {"k#1": Term.var("a")}), memo, 0)
+    copy, _ = pv._bind_run((post, None, [], (0, {"k#1": "k#2"})),
+                           EntailmentOutcome(True, {}, EMP, {"k#2": Term.var("a")}), memo, None)
+    assert (unparse_formula(first), unparse_formula(copy)) == \
+        ("ex a#1. CNT(c,a) & a#1=a", "ex a#2. CNT(c,a) & a#2=a")
+    assert gen.fresh("a") == "a#3"
+
+
+def test_bindings_that_name_a_renamed_name_are_no_image():
+    # under a table that renames x to y, bindings are pulled back from y to
+    # x, and bindings that still name x are the image of none
+    table = {"x": "y", "n#1": "n#2"}
+    pulled = verifier._pulled_back(EntailmentOutcome(True, {}, EMP, {"n#2": Term.var("y")}), table)
+    assert pulled == ({"n#1": Term.var("x")}, {}, {})
+    assert verifier._pulled_back(
+        EntailmentOutcome(True, {}, EMP, {"n#2": Term.var("x")}), table) is None
 
 
 def _agrees_with_every_branch(source: str, monkeypatch):

@@ -184,6 +184,13 @@ PROGRAMS = {
                      ["error: oracle error: unbound variable z"]),
     "unbound-await": ("void main() requires emp ensures emp; { await(d); }", ["oracle"], 2,
                       ["error: oracle error: unbound variable d"]),
+    # an `if` guard too: an unbound z does not read as 0 and take the deadlocking arm
+    "unbound-guard": ("void main() requires emp ensures emp; "
+                      "{ if (z = 0) { c = create_latch(1); await(c) } else { skip } }", ["both"], 2,
+                      ["error: oracle error: unbound variable z"]),
+    # an abstract payload is named as the program writes it
+    "abstract-payload": ((CORPUS / "cdl2.lp").read_text(), ["oracle"], 2,
+                         ["(abstract resource in P * Q)"]),
     # a term with a variable on the right of `=` is a parse error, not a name
     "arithmetic-rhs": ("void main(int y) requires emp ensures emp; { x = 1 + y; }", ["verify"],
                        2, ["parse error: 1:50: expected an integer or a variable, got 'y+1'"]),

@@ -118,6 +118,8 @@ def test_rp_match_distinct_roots():
      "no LatchOut atom for latch d (distinct roots)"),
     ("thread(t, x::cell(1))", "thread(u, x::cell(1))", "no thread node for u"),
     ("emp", "WAIT{}@1/2", "no WAIT atom in antecedent"),
+    # a wait-for share whose arcs cover the consequent's keeps the rest of it
+    ("WAIT{c->d}@1", "WAIT{c->d}@1/2", "WAIT{c->d}@1/2"),
     ("threadspec(t, emp, emp)", "threadspec(u, emp, emp)", "no thread descriptor for u"),
     ("dead(t)", "dead(u)", "no dead(u) in antecedent"),
     ("P", "Q", "no resource Q in antecedent"),
@@ -136,6 +138,13 @@ def test_each_kind_misses_or_matches_a_proved_equal_root(ante, cons, expected):
     else:
         assert r.success and r.bindings == {}
         assert canon(r.residue) == expected
+
+
+def test_wait_share_must_cover_the_consequent_arcs():
+    r = entail(set(), F("WAIT{}@1"), F("WAIT{c->d}@1/2"))
+    assert not r.success
+    assert (r.failure_reason.code, r.failure_reason.message) == \
+        ("MatchFailure", "wait-for arcs not covered")
 
 
 # -- addVar -------------------------------------------------------------------

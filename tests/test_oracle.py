@@ -242,6 +242,7 @@ def test_n_way_block_takes_n_plus_one_thread_slots():
 @pytest.mark.parametrize("body, name", [
     ("x = z", "z"), ("await(d)", "d"), ("countDown(d)", "d"), ("join(t)", "t"),
     ("fork(t)", "t"), ("x.val = 1", "x"), ("y = x.val", "x"), ("y = new cell(z)", "z"),
+    ("if (z = 0) { skip } else { skip }", "z"),
 ])
 def test_an_unbound_variable_is_an_oracle_error(body, name):
     with pytest.raises(OracleError, match=f"^unbound variable {name}$"):

@@ -194,7 +194,7 @@ def test_frame_property(frame, extra):
 def branch_demands(p, code):
     """The atoms a `||` branch abduces when it runs from emp."""
     pv = verifier._ProcVerifier(p, p.proc("main"), VerifyOptions(), names.FreshGen())
-    _, abduction, _ = pv._run_branch(F("emp"), code)
+    _, abduction, *_ = pv._run_branch(F("emp"), code)
     return [a for d in abduction.demands for a in d.heap]
 
 
