@@ -202,7 +202,7 @@ class _Heap:
         asked at most once per heap."""
         if self._status is None:
             self._status = (Status.SAT if isinstance(self.pure, PTrue)
-                            else solver.is_sat(self.pure, want_model=False).status)
+                            else solver.is_sat(self.pure).status)
         return self._status
 
     def _place(self, s: int, a: HeapAtom) -> Optional[tuple]:
@@ -849,19 +849,17 @@ class SplitResult:
 
 
 def _min_count(target_pure: Pure, count: Term, available: int) -> Optional[int]:
-    """The least count in 0..available that `target_pure` allows. A guard on
-    the count alone is evaluated: counts of fresh spec instances have fresh
-    names, which the solver's cache never holds."""
-    if count.is_const:
-        return count.const if count.const <= available else None
+    """The least count in 0..available that `target_pure` allows for the
+    symbolic `count`. A guard on the count alone is evaluated: counts of
+    fresh spec instances have fresh names, which the solver's cache never
+    holds."""
     v = count.is_var()
     alone = v is not None and free_vars(target_pure) <= {v}
     for k in range(0, available + 1):
         if alone:
             if pure_eval(target_pure, {v: k}):
                 return k
-        elif solver.is_sat(pand([target_pure, peq(count, Term.of(k))]),
-                           want_model=False).status == Status.SAT:
+        elif solver.is_sat(pand([target_pure, peq(count, Term.of(k))])).status == Status.SAT:
             return k
     return None
 
@@ -888,13 +886,26 @@ def branch_start(delta: Formula, k: int) -> Formula:
     return Formula((Disjunct((), tuple(_shared(delta, k)), delta.single().pure),))
 
 
+def _split_symbolic(perm: Perm, ways: int, gen, latch: str) -> tuple[dict[str, Perm], Perm]:
+    """A symbolic permission split `ways` ways: each of its variables becomes
+    `ways` copies of a fresh one, and each way gets as many copies as `perm`
+    has variables. Returns the rewrite of its variables and one way's share;
+    a fraction beside the variables cannot be split so."""
+    if perm.frac:
+        raise SplitFailure(Diagnostic("SpecFailure", f"cannot split symbolic permission of {latch}"))
+    g = Perm.pvar(gen.fresh("f"))
+    return {v: sum([g] * (ways - 1), g) for v in perm.vars}, sum([g] * (len(perm.vars) - 1), g)
+
+
 def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
               rigid=frozenset()) -> SplitResult:
     """Partition a (single-disjunct) state among branch targets, splitting
     counters by demanded amounts, payload predicates by need, a cell's
     permission in halves for each target that reads it (a permission
     variable), and wait-for permissions evenly; leftovers form the
-    continuation frame. The `rigid` names are passed on to `entail`."""
+    continuation frame. A target's counter demand has a constant count, as
+    abduction makes it: a symbolic one is a SplitFailure. The `rigid` names
+    are passed on to `entail`."""
     gen = gen or names.default_gen()
     shared = _shared(delta, len(targets))
     d = delta.single()
@@ -909,9 +920,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         elif not isinstance(a, (Wait, Dead)):
             pool.append(a)
 
-    # Resolve every target's counter demands first.
-    demands: list[list[tuple[str, int, Perm, Optional[str]]]] = []
-    count_bindings: list[dict[str, Term]] = []
+    # Resolve every target's counter demands first: (latch, count, share).
+    demands: list[list[tuple[str, int, Perm]]] = []
     avail: dict[tuple[str, bool], tuple[Term, Perm]] = {
         key: (g[0].count if key[1] else Term.total([a.count for a in g]),
               Perm.total([a.perm for a in g]))
@@ -922,52 +932,44 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         if len(t.formula.disjuncts) != 1:
             raise SplitFailure(Diagnostic("SpecFailure", "disjunctive branch target"))
         td = t.formula.single()
-        my: list[tuple[str, int, Perm, Optional[str]]] = []
+        my: list[tuple[str, int, Perm]] = []
         rest_atoms = []
-        rho_counts: dict[str, Term] = {}
         for a in td.heap:
-            if isinstance(a, Cnt):
-                v = a.count.is_var()
-                # a share that counts nothing down is served by the final
-                # state where no pending share is left
-                if _count_is(td.pure, a.count, -1) or (
-                        a.count.is_const and a.count.const == 0 and (a.latch, True) in avail
-                        and (a.latch, False) not in avail):
-                    key = (a.latch, True)
-                    if key not in avail:
-                        raise SplitFailure(Diagnostic(
-                            "SpecFailure", f"branch needs expired latch {a.latch}"))
-                    my.append((a.latch, -1, a.perm, v))
-                    if v is not None:
-                        rho_counts[v] = Term.of(-1)
-                    continue
-                key = (a.latch, False)
-                if key not in avail:
-                    raise SplitFailure(Diagnostic(
-                        "SpecFailure", f"no counter available for latch {a.latch}"))
-                have, _ = avail[key]
-                if not have.is_const:
-                    raise SplitFailure(Diagnostic(
-                        "SpecFailure", f"cannot split symbolic count for {a.latch}"))
-                need = _min_count(td.pure, a.count, have.const)
-                if need is None:
-                    raise SplitFailure(Diagnostic(
-                        "SpecFailure",
-                        f"latch {a.latch}: demanded count exceeds available {have.const}"))
-                my.append((a.latch, need, a.perm, v))
-                if v is not None:
-                    rho_counts[v] = Term.of(need)
-            else:
+            if not isinstance(a, Cnt):
                 rest_atoms.append(a)
+                continue
+            if not a.count.is_const:
+                raise SplitFailure(Diagnostic(
+                    "SpecFailure", f"latch {a.latch}: cannot serve symbolic count {a.count}"))
+            need = a.count.const
+            # a share that counts nothing down is served by the final
+            # state where no pending share is left
+            if need == -1 or (need == 0 and (a.latch, True) in avail
+                              and (a.latch, False) not in avail):
+                if (a.latch, True) not in avail:
+                    raise SplitFailure(Diagnostic(
+                        "SpecFailure", f"branch needs expired latch {a.latch}"))
+                my.append((a.latch, -1, a.perm))
+                continue
+            key = (a.latch, False)
+            if key not in avail:
+                raise SplitFailure(Diagnostic(
+                    "SpecFailure", f"no counter available for latch {a.latch}"))
+            have, _ = avail[key]
+            if not have.is_const:
+                raise SplitFailure(Diagnostic(
+                    "SpecFailure", f"cannot split symbolic count for {a.latch}"))
+            if need > have.const:
+                raise SplitFailure(Diagnostic(
+                    "SpecFailure",
+                    f"latch {a.latch}: demanded count exceeds available {have.const}"))
+            my.append((a.latch, need, a.perm))
         demands.append(my)
-        count_bindings.append(rho_counts)
-        td_rest = Disjunct(td.exists, tuple(rest_atoms), td.pure)
-        if rho_counts:
-            td_rest = substitute(td_rest, rho_counts, gen=gen)
-        rest_targets.append(td_rest)
+        rest_targets.append(Disjunct(td.exists, tuple(rest_atoms), td.pure))
 
-    # Check totals and compute permission shares per latch.
-    shares: dict[tuple[str, bool], Perm] = {}
+    # Check totals and compute permission shares per latch; a share of None
+    # means the named shares take the whole permission.
+    shares: dict[tuple[str, bool], Optional[Perm]] = {}
     refined: dict[str, Perm] = {}
     remainders: dict[tuple[str, bool], int] = {}
     by_key: dict[tuple[str, bool], list] = {}
@@ -978,6 +980,8 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         named = [dm[2] for dm in wanted if dm[2].is_concrete]
         unnamed = len(wanted) - len(named)
         if not key[1]:
+            if not count.is_const:
+                continue    # no branch may demand it, so the frame keeps it whole
             total = sum(dm[1] for dm in wanted)
             if total > count.const:
                 raise SplitFailure(Diagnostic(
@@ -988,25 +992,27 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         if not perm.is_concrete:
             if not wanted:
                 continue
-            if named or perm.frac:
+            if named:
                 raise SplitFailure(Diagnostic(
                     "SpecFailure", f"cannot split symbolic permission of {key[0]}"))
-            # each permission variable becomes unnamed + 1 copies of a fresh
-            # one, and each share as many copies as there were variables
-            g = Perm.pvar(gen.fresh("f"))
-            refined.update({v: sum([g] * unnamed, g) for v in perm.vars})
-            shares[key] = sum([g] * (len(perm.vars) - 1), g)
+            more, shares[key] = _split_symbolic(perm, unnamed + 1, gen, key[0])
+            refined.update(more)
             continue
-        left = perm
-        for p in named:
-            left = left.minus(p)
-        shares[key] = left.divide(unnamed + 1)
+        left = perm.frac - sum(p.frac for p in named)
+        if left > 0:
+            shares[key] = Perm.of(left / (unnamed + 1))
+        elif left == 0 and not unnamed and not remainders.get(key):
+            shares[key] = None
+        else:
+            raise SplitFailure(Diagnostic(
+                "SpecFailure", f"latch {key[0]}: the branches' shares sum to {perm.frac - left}, "
+                f"{'more than' if left else 'leaving none of'} its permission {perm}"))
 
     # Consume each target's remaining atoms by entailment.
     remaining = Formula((Disjunct((), tuple(pool), pi),))
     branches: list[Formula] = []
     bindings: list[EntailmentOutcome] = []
-    for t, td, my, rho_counts in zip(targets, rest_targets, demands, count_bindings):
+    for t, td, my in zip(targets, rest_targets, demands):
         rd = remaining.single()
         halves = {}
         for a in td.heap:
@@ -1029,37 +1035,31 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         branch_atoms = list(consumed.heap)
         branch_pure = [pi, consumed.pure]
         perms = {**r.perm_bindings, **halves}
-        for latch, need, perm_spec, count_var in my:
+        for latch, need, perm_spec in my:
             key = (latch, need == -1)
             share = perm_spec if perm_spec.is_concrete else shares[key]
             pvs = perm_spec.vars
             each = share.divide(len(pvs)) if len(pvs) > 1 and share.is_concrete else share
             if len(pvs) > 1 and not share.is_concrete:
-                if share.frac:
-                    raise SplitFailure(Diagnostic(
-                        "SpecFailure", f"cannot split symbolic permission of {latch}"))
-                # the demand sums several variables: the share's own variables
-                # split as many ways, into copies of a fresh one
-                part = Perm.pvar(gen.fresh("f"))
-                more = {u: sum([part] * (len(pvs) - 1), part) for u in share.vars}
+                # the demand sums several variables: the share splits as many ways
+                more, each = _split_symbolic(share, len(pvs), gen, latch)
                 refined = {v: p.subst(more) for v, p in refined.items()} | more
-                each, share = sum([part] * (len(share.vars) - 1), part), share.subst(more)
+                share = share.subst(more)
             perms.update({v: each for v in pvs})
             branch_atoms.append(Cnt(latch, Term.of(need), share))
         branch_atoms.extend(shared)
         branches.append(Formula((Disjunct(consumed.exists, tuple(branch_atoms),
                                           pand(branch_pure)),)))
-        r.var_bindings.update(rho_counts)
         r.perm_bindings = perms
         bindings.append(r)
 
     frame_atoms = list(remaining.single().heap)
     for key, (count, perm) in avail.items():
-        if key in shares:
-            left = -1 if key[1] else remainders.get(key, 0)
-            frame_atoms.append(Cnt(key[0], Term.of(left), shares[key]))
-        else:
+        if key not in shares:
             frame_atoms.append(Cnt(key[0], count, perm))
+        elif shares[key] is not None:
+            left = -1 if key[1] else remainders[key]
+            frame_atoms.append(Cnt(key[0], Term.of(left), shares[key]))
     frame_atoms.extend(shared)
     frame = Formula((Disjunct(remaining.single().exists, tuple(frame_atoms),
                               remaining.single().pure),))
@@ -1079,6 +1079,6 @@ def ambiguous_disjuncts(f: Formula) -> list[tuple[int, int]]:
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
             if keys[i] == keys[j] and solver.is_sat(
-                    pand([ds[i].pure, ds[j].pure]), want_model=False).status != Status.UNSAT:
+                    pand([ds[i].pure, ds[j].pure])).status != Status.UNSAT:
                 out.append((i, j))
     return out

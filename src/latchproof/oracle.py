@@ -156,17 +156,21 @@ class _State:
         )
 
 
-def _tid_of(value):
-    if isinstance(value, tuple) and value and value[0] == "tdesc":
-        return value[2]
-    return value
-
-
 def _read(env: dict, v: str):
     """The value of the variable `v` in `env`."""
     if v not in env:
         raise OracleError(f"unbound variable {v}")
     return env[v]
+
+
+def _ref(env: dict, v: str, kind: str) -> tuple:
+    """The value of the variable `v` in `env`, which must name an object of
+    `kind`: ("cell", id), ("latch", id) or ("thread", procedure, thread id).
+    Ids are tagged, so an integer or arithmetic on an id names no object."""
+    x = _read(env, v)
+    if not (isinstance(x, tuple) and x[0] == kind):
+        raise OracleError(f"{v}={x} is not a {kind}")
+    return x
 
 
 def _read_int(env: dict, v: str) -> int:
@@ -243,10 +247,9 @@ class _Machine:
             return True
         node = item[1]
         if isinstance(node, Await):
-            return st.latches[_read(t.env, node.var)] == 0
+            return st.latches[_ref(t.env, node.var, "latch")[1]] == 0
         if isinstance(node, Join):
-            target = _tid_of(_read(t.env, node.var))
-            return target in st.threads and st.threads[target].status == "done"
+            return st.threads[_ref(t.env, node.var, "thread")[2]].status == "done"
         return True
 
     def footprint(self, st: _State, t: _Thread) -> tuple[set, set]:
@@ -375,20 +378,16 @@ class _Machine:
             t.cont = (("joinkids", *kids),) + t.cont
             return
         if isinstance(node, CountDown):
-            lid = _read(t.env, node.var)
+            lid = _ref(t.env, node.var, "latch")[1]
             if st.latches[lid] > 0:
                 st.latches[lid] -= 1
             return
         if isinstance(node, Await):
-            lid = _read(t.env, node.var)
-            if st.latches[lid] != 0:
+            if st.latches[_ref(t.env, node.var, "latch")[1]] != 0:
                 raise OracleError("await stepped while blocked")
             return
         if isinstance(node, Fork):
-            desc = _read(t.env, node.var)
-            if not (isinstance(desc, tuple) and desc[0] == "tdesc"):
-                raise OracleError(f"fork of non-thread value {desc}")
-            _, proc_name, kid_tid = desc
+            _, proc_name, kid_tid = _ref(t.env, node.var, "thread")
             callee = self.program.proc(proc_name)
             argvals = [self._eval_arg(a, t.env) for a in node.args]
             kid = st.threads[kid_tid]
@@ -399,8 +398,7 @@ class _Machine:
             kid.status = "run"
             return
         if isinstance(node, Join):
-            target = _tid_of(_read(t.env, node.var))
-            if st.threads[target].status != "done":
+            if st.threads[_ref(t.env, node.var, "thread")[2]].status != "done":
                 raise OracleError("join stepped while blocked")
             return
         if isinstance(node, Call):
@@ -408,7 +406,7 @@ class _Machine:
             t.cont = (("call", node.name, tuple(argvals), None),) + t.cont
             return
         if isinstance(node, FieldWrite):
-            loc = _read(t.env, node.base)
+            loc = _ref(t.env, node.base, "cell")[1]
             ctor, vals = st.heap[loc]
             idx = self._fidx(ctor, node.fieldname)
             vals = list(vals)
@@ -431,27 +429,26 @@ class _Machine:
         if isinstance(rhs, New):
             loc = st.fresh()
             st.heap[loc] = (rhs.ctor, tuple(_eval_term(a, t.env) for a in rhs.args))
-            t.env[node.lhs] = loc
+            t.env[node.lhs] = ("cell", loc)
             return
         if isinstance(rhs, CreateLatch):
             lid = st.fresh()
             st.latches[lid] = _eval_term(rhs.count, t.env)
-            t.env[node.lhs] = lid
+            t.env[node.lhs] = ("latch", lid)
             return
         if isinstance(rhs, CreateThread):
             if len(st.threads) + 1 > self.bounds.max_threads:
                 raise OracleError("thread bound exceeded")
             kid = _Thread(st.fresh(), {}, (), status="created")
             st.threads[kid.tid] = kid
-            t.env[node.lhs] = ("tdesc", rhs.proc, kid.tid)
+            t.env[node.lhs] = ("thread", rhs.proc, kid.tid)
             return
         if isinstance(rhs, Call):
             argvals = [self._eval_arg(a, t.env) for a in rhs.args]
             t.cont = (("call", rhs.name, tuple(argvals), node.lhs),) + t.cont
             return
         if isinstance(rhs, FieldRead):
-            loc = _read(t.env, rhs.base)
-            ctor, vals = st.heap[loc]
+            ctor, vals = st.heap[_ref(t.env, rhs.base, "cell")[1]]
             t.env[node.lhs] = vals[self._fidx(ctor, rhs.fieldname)]
             return
         if isinstance(rhs, VarRead):

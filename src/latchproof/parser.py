@@ -291,17 +291,16 @@ class _P:
             return None
         self.take()
         t = self.peek()
-        if t.kind == "int":
+        if t.kind in ("int", "decimal"):
             self.take()
-            num = int(t.text)
-            if self.at("/"):
+            text = t.text
+            if t.kind == "int" and self.at("/"):
                 self.take()
-                den = int(self.ident("an integer", "int"))
-                return Perm.of(Fraction(num, den))
-            return Perm.of(Fraction(num))
-        if t.kind == "decimal":
-            self.take()
-            return Perm.of(Fraction(t.text))
+                text += "/" + self.ident("an integer", "int")
+            try:
+                return Perm.of(Fraction(text))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(t.line, t.col, "a permission in (0, 1]", text) from None
         if t.kind == "ident":
             self.take()
             return Perm.pvar(t.text)

@@ -1,11 +1,11 @@
 """Decision procedure for the pure fragment (linear integer arithmetic).
 
 Satisfiability goes through negation normal form, quantifier elimination,
-and a DNF split (is_sat drops repeated conjuncts first); each conjunct is a
-system of dense integer rows decided exactly by Pugh's Omega test: gcd
-normalization with floor tightening, equality elimination by unit
-substitution or the symmetric-mod step, Fourier-Motzkin on the real shadow
-where it is exact, else the dark shadow and then grey-shadow splinters. A
+and a DNF split; each conjunct is a system of dense integer rows decided
+exactly by Pugh's Omega test: gcd normalization with floor tightening,
+equality elimination by unit substitution or the symmetric-mod step,
+Fourier-Motzkin on the real shadow where it is exact, else the dark shadow
+and then grey-shadow splinters. A
 Sat answer carries a model built by back-substitution and checked by
 evaluation. `eliminate` projects quantified variables on the same rows:
 each leaves by a unit equality or, in Pugh's exact case (every lower or
@@ -364,15 +364,11 @@ def _project_rows(eqs: list, les: list, vs: list[str],
 _sat_cache: dict = {}
 
 
-def is_sat(p: Pure, want_model: bool = True) -> SolverResult:
-    if isinstance(p, PAnd):  # a `par` join repeats each guard
-        p = pand(dict.fromkeys(p.parts))
-    key = p
-    cached = _sat_cache.get(key)
-    if cached is not None and (not want_model or cached.model is not None or cached.status != Status.SAT):
-        return cached
-    res = _is_sat_internal(p)
-    _sat_cache[key] = res
+def is_sat(p: Pure) -> SolverResult:
+    """Whether `p` has an integer model; a Sat answer carries one."""
+    res = _sat_cache.get(p)
+    if res is None:
+        res = _sat_cache[p] = _is_sat_internal(p)
     return res
 
 
@@ -412,7 +408,7 @@ def _is_sat_internal(p: Pure) -> SolverResult:
 def implies(p1: Pure, p2: Pure) -> bool:
     if isinstance(p2, PTrue) or p1 == p2:
         return True
-    res = is_sat(pand([p1, _nnf(PNot(p2), True)]), want_model=False)
+    res = is_sat(pand([p1, _nnf(PNot(p2), True)]))
     if res.status == Status.UNKNOWN:
         raise SolverUnknown(res.reason or "implication undecided")
     return res.status == Status.UNSAT

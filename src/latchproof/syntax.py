@@ -766,7 +766,7 @@ class _Subst:
             return name
         v = t.is_var()
         if v is None:
-            raise ValueError(f"cannot substitute non-variable term for identifier {name}")
+            raise ValueError(f"cannot substitute non-variable term {t} for identifier {name}")
         return v
 
     def term(self, t: Term) -> Term:
@@ -1026,9 +1026,6 @@ class Program:
         return None
 
 
-BUILTIN_PROCS = {"countDown", "await", "create_latch", "create_thread", "fork", "join"}
-
-
 def walk_expr(e: Expr):
     """Every node under e, e included, in pre-order."""
     stack = [e]
@@ -1038,15 +1035,16 @@ def walk_expr(e: Expr):
         stack.extend(reversed(_CHILDREN[type(node)](node)))
 
 
-def _used_vars(e: Expr) -> set[str]:
-    return set().union(*[_READS[type(n)](n) for n in walk_expr(e)])
-
-
 def _assigned_vars(e: Expr) -> set[str]:
     return set().union(*[_WRITES[type(n)](n) for n in walk_expr(e)])
 
 
 def check_wellformed(p: Program) -> list[Diagnostic]:
+    """The program's structural faults, each procedure body walked once. A
+    program without any is what the verifier and the oracle take: each call
+    and `create_thread` names a declared procedure, each `new` a declared
+    data type, and each procedure with a body has a specification. The
+    latch and thread primitives are keywords, so no `Call` names one."""
     diags: list[Diagnostic] = []
     seen: dict[str, ProcDecl] = {}
     for proc in p.proc_decls:
@@ -1068,8 +1066,42 @@ def check_wellformed(p: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("DuplicateParam", f"duplicate parameter in {proc.name}", proc.span))
         if not proc.specs:
             diags.append(Diagnostic("NoSpec", f"procedure {proc.name} lacks a specification", proc.span))
-        scope = set(param_names) | _assigned_vars(proc.body)
-        loose = {v for v in _used_vars(proc.body) - scope if not is_resvar(v)}
+        reads, scope, found = set(), set(param_names), []
+        for node in walk_expr(proc.body):
+            kind = type(node)
+            reads |= _READS[kind](node)
+            scope |= _WRITES[kind](node)
+            if kind is Call:
+                callee = p.proc(node.name)
+                if callee is None:
+                    found.append(Diagnostic("UndeclaredProc", f"call to undeclared procedure {node.name!r}", node.span))
+                elif len(callee.params) != len(node.args):
+                    found.append(
+                        Diagnostic(
+                            "ArityMismatch",
+                            f"call to {node.name}: {len(node.args)} args, {len(callee.params)} params",
+                            node.span,
+                        )
+                    )
+            elif kind is CreateThread:
+                if p.proc(node.proc) is None:
+                    found.append(Diagnostic("UndeclaredProc", f"create_thread of undeclared procedure {node.proc!r}", node.span))
+            elif kind is New:
+                dd = p.data(node.ctor)
+                if dd is None:
+                    found.append(Diagnostic("UnknownData", f"new of undeclared data type {node.ctor!r}", node.span))
+                elif len(dd.fields) != len(node.args):
+                    found.append(
+                        Diagnostic(
+                            "ArityMismatch",
+                            f"new {node.ctor}: {len(node.args)} args, {len(dd.fields)} fields",
+                            node.span,
+                        )
+                    )
+            elif kind is Atomic:
+                if any(isinstance(m, Par) for m in walk_expr(node.body)):
+                    found.append(Diagnostic("ParInAtomic", "atomic body contains a parallel composition", node.span))
+        loose = {v for v in reads - scope if not is_resvar(v)}
         if loose:
             diags.append(
                 Diagnostic(
@@ -1078,36 +1110,5 @@ def check_wellformed(p: Program) -> list[Diagnostic]:
                     proc.span,
                 )
             )
-        for node in walk_expr(proc.body):
-            if isinstance(node, (Call,)):
-                callee = p.proc(node.name)
-                if callee is None and node.name not in BUILTIN_PROCS:
-                    diags.append(Diagnostic("UndeclaredProc", f"call to undeclared procedure {node.name!r}", node.span))
-                elif callee is not None and len(callee.params) != len(node.args):
-                    diags.append(
-                        Diagnostic(
-                            "ArityMismatch",
-                            f"call to {node.name}: {len(node.args)} args, {len(callee.params)} params",
-                            node.span,
-                        )
-                    )
-            elif isinstance(node, CreateThread):
-                callee = p.proc(node.proc)
-                if callee is None:
-                    diags.append(Diagnostic("UndeclaredProc", f"create_thread of undeclared procedure {node.proc!r}", node.span))
-            elif isinstance(node, New):
-                dd = p.data(node.ctor)
-                if dd is None:
-                    diags.append(Diagnostic("UnknownData", f"new of undeclared data type {node.ctor!r}", node.span))
-                elif len(dd.fields) != len(node.args):
-                    diags.append(
-                        Diagnostic(
-                            "ArityMismatch",
-                            f"new {node.ctor}: {len(node.args)} args, {len(dd.fields)} fields",
-                            node.span,
-                        )
-                    )
-            elif isinstance(node, Atomic):
-                if any(isinstance(m, Par) for m in walk_expr(node.body)):
-                    diags.append(Diagnostic("ParInAtomic", "atomic body contains a parallel composition", node.span))
+        diags.extend(found)
     return diags

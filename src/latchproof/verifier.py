@@ -101,7 +101,7 @@ class _ProcVerifier:
         self.proc = proc
         self.opts = opts
         self.gen = gen
-        self.trace = SymTrace()
+        self.trace = SymTrace()                     # these three: per spec pair
         self.warnings: list[str] = []
         self.abduct: Optional[_Abduction] = None    # set while a `||` branch runs
         # the program variables: entailment never instantiates their values
@@ -159,10 +159,13 @@ class _ProcVerifier:
             return [({P, Q}, pre, post)]
         raise TypeError(e)
 
-    def _user_pairs(self, callee: ProcDecl, args: tuple[Term, ...], res_var: Optional[str]):
+    def _user_pairs(self, callee: ProcDecl, args: tuple[Term, ...], res_var: Optional[str],
+                    span: Span):
         """A callee's spec pairs at a call site: fresh names (the instantiable
         set E) for the first-order spec variables, neither parameters, `res`
-        nor resource variables; formals link to actuals, `res` to the target."""
+        nor resource variables; formals link to actuals, `res` to the target.
+        A formal that the spec names a latch, cell or thread by must get a
+        variable."""
         link = {p: a for (_, p), a in zip(callee.params, args)}
         if res_var is not None:
             link["res"] = Term.var(res_var)
@@ -173,9 +176,12 @@ class _ProcVerifier:
                    for v in free_vars(sp.pre) | free_vars(sp.post)
                    if v not in fixed and not is_resvar(v)}
             rho = {**ren, **link}
-            pairs.append(({t.is_var() for t in ren.values()},
-                          substitute(sp.pre, rho, gen=self.gen),
-                          substitute(sp.post, rho, gen=self.gen)))
+            try:
+                pairs.append(({t.is_var() for t in ren.values()},
+                              substitute(sp.pre, rho, gen=self.gen),
+                              substitute(sp.post, rho, gen=self.gen)))
+            except ValueError as ex:
+                raise VerdictError("SpecFailure", span, f"call {callee.name}: {ex}")
         return pairs
 
     def _apply_pairs(self, state: Formula, pairs, span: Span, what: str,
@@ -388,10 +394,7 @@ class _ProcVerifier:
 
     def _exec_call(self, state: Formula, e: Call, res_var: Optional[str],
                    span: Span) -> Formula:
-        callee = self.program.proc(e.name)
-        if callee is None:
-            raise VerdictError("SpecFailure", span, f"call to undeclared procedure {e.name}")
-        pairs = self._user_pairs(callee, e.args, res_var)
+        pairs = self._user_pairs(self.program.proc(e.name), e.args, res_var, span)
         return self._settle(self._apply_pairs(state, pairs, span, f"call {e.name}"), span)
 
     def _rename_lhs(self, state: Formula, lhs: str) -> tuple[Formula, dict[str, Term]]:
@@ -413,9 +416,6 @@ class _ProcVerifier:
             return self._exec_call(state, rewritten, e.lhs, span)
 
         if isinstance(rhs, New):
-            dd = self.program.data(rhs.ctor)
-            if dd is None:
-                raise VerdictError("SpecFailure", span, f"unknown data type {rhs.ctor}")
             state, rho = self._rename_lhs(state, e.lhs)
             cell = PointsTo(e.lhs, rhs.ctor, tuple(t.subst(rho) for t in rhs.args), FULL)
             return self._settle(state, span, ((cell,),) * len(state.disjuncts))
@@ -424,10 +424,6 @@ class _ProcVerifier:
             return self._exec_create_latch(state, e.lhs, rhs, span)
 
         if isinstance(rhs, CreateThread):
-            callee = self.program.proc(rhs.proc)
-            if callee is None:
-                raise VerdictError("SpecFailure", span,
-                                   f"create_thread of undeclared procedure {rhs.proc}")
             state, rho = self._rename_lhs(state, e.lhs)
             atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, gen=self.gen),
                               substitute(rhs.post, rho, gen=self.gen))
@@ -670,8 +666,8 @@ class _ProcVerifier:
                 yield e.payload
             elif isinstance(e, CreateThread):
                 yield from (e.pre, e.post)
-            elif isinstance(e, Call) and (callee := self.program.proc(e.name)) is not None:
-                for sp in callee.specs:
+            elif isinstance(e, Call):
+                for sp in self.program.proc(e.name).specs:
                     yield from (sp.pre, sp.post)
 
     def _copy_run(self, first: int, run, drawn: list[tuple[str, str]], spans: list[Span],
@@ -724,6 +720,9 @@ class _ProcVerifier:
     # -- whole-procedure driver ----------------------------------------------
 
     def verify_pair(self, pair_idx: int, sp: SpecPair) -> Verdict:
+        """The verdict of the body under the spec pair `sp`, with a trace and
+        warnings of its own."""
+        self.trace, self.warnings, self.abduct = SymTrace(), [], None
         body = self.proc.body
         init = sp.pre
         if self.proc.name == "main" and not any(
@@ -757,7 +756,7 @@ class _ProcVerifier:
 
 
 def _unsat(d: Disjunct) -> bool:
-    return solver.is_sat(d.pure, want_model=False).status == Status.UNSAT
+    return solver.is_sat(d.pure).status == Status.UNSAT
 
 
 # the prefixes the verifier draws fresh names under for itself: spec pairs
@@ -885,21 +884,17 @@ def verify_program(program: Program, opts: VerifyOptions | None = None) -> list[
     for proc in program.proc_decls:
         if proc.body is None:
             continue
-        proc_gen = names.FreshGen()
         warnings: list[str] = []
         for sp in proc.specs:
             for f in (sp.pre, sp.post):
                 for i, j in ambiguous_disjuncts(f):
                     warnings.append(f"{proc.name}: spec disjuncts {i + 1} and {j + 1} overlap "
                                     f"(not resource-precise)")
-        verdict = None
+        pv = _ProcVerifier(program, proc, opts, names.FreshGen())
         for idx, sp in enumerate(proc.specs):
-            verdict = _ProcVerifier(program, proc, opts, proc_gen).verify_pair(idx, sp)
+            verdict = pv.verify_pair(idx, sp)
             if not verdict.ok:
                 break
-        if verdict is None:
-            verdict = Verdict("SpecFailure", proc.name, proc.span, None, None,
-                              "procedure has no specification")
         if warnings:
             verdict.warnings = tuple(list(verdict.warnings) + warnings)
         verdicts.append(verdict)

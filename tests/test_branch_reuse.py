@@ -294,6 +294,9 @@ def test_callee_spec_that_binds_the_new_name_blocks_the_copy(monkeypatch):
     ("f = create_latch(1); c = create_latch(1); "
      "( countDown(f) || countDown(c) || await(f) || await(c) ); f = create_latch(0)", 4),
     ("x = new cell(1); y = new cell(2); ( val = x.val || k = y.val )", 2),
+    # a branch whose variables occur in a formula it carries is its own shape
+    ("x = new cell(1); y = new cell(2); ( m = x.val; assert m = m || k = y.val; assert k = k )", 2),
+    ("x = new cell(1); y = new cell(2); ( m = x.val || k = y.val )", 1),
     # a copy draws the names for an assigned variable under its new name
     ("x = new cell(1); y = new cell(2); ( m = x.val || k = y.val ); m = 3", 1),
     ("x = new cell(1); y = new cell(2); "

@@ -160,6 +160,9 @@ def _fan_in_short(n, count):
     return fan_in_source(n).replace(f"create_latch({n})", f"create_latch({count})")
 
 
+HALF_DEC = "void dec(CountDownLatch c) requires CNT(c, 1)@1/2 ensures CNT(c, 0)@1/2; { countDown(c) }\n"
+FULL_DEC = "void dec(CountDownLatch c) requires CNT(c, 1) ensures CNT(c, 0); { countDown(c) }\n"
+
 # name: (source, arguments before the file, exit code, substrings of the output)
 PROGRAMS = {
     "cdl2_concrete": ((CORPUS / "cdl2_concrete.lp").read_text(), ["both"], 0,
@@ -191,6 +194,31 @@ PROGRAMS = {
     # an abstract payload is named as the program writes it
     "abstract-payload": ((CORPUS / "cdl2.lp").read_text(), ["oracle"], 2,
                          ["(abstract resource in P * Q)"]),
+    # a permission outside (0, 1] is a parse error, not a traceback
+    "permission-zero": ("void main() requires emp ensures emp; "
+                        "{ c = create_latch(1); countDown(c); await(c); assert CNT(c,-1)@0 }",
+                        ["verify"], 2, ["parse error: 1:103: expected a permission in (0, 1], got '0'"]),
+    # two named halves take the whole counter: the frame keeps none of it
+    "named-halves": (HALF_DEC + "void main() requires emp ensures emp; "
+                     "{ c = create_latch(2); ( dec(c) || dec(c) ); await(c) }", ["both"], 0,
+                     ["main: Verified", "oracle: Clean"]),
+    "named-halves-and-more": (HALF_DEC + "void main() requires emp ensures emp; "
+                              "{ c = create_latch(3); ( dec(c) || dec(c) || countDown(c) ); await(c) }",
+                              ["verify"], 1, ["leaving none of its permission 1"]),
+    # a value of the wrong kind: a latch, cell or integer where another is
+    # wanted, or arithmetic on a latch
+    "countdown-of-a-cell": ("data cell { int val; } void main() requires emp ensures emp; "
+                            "{ x = new cell(0); countDown(x) }", ["both"], 2,
+                            ["main: potential SpecFailure", "oracle error: x=('cell', 2) is not a latch"]),
+    "read-of-a-latch": ("data cell { int val; } void main() requires emp ensures emp; "
+                        "{ c = create_latch(1); m = c.val; countDown(c); await(c) }", ["both"], 2,
+                        ["no points-to fact for c", "oracle error: c=('latch', 2) is not a cell"]),
+    "await-of-an-integer": ("void main() requires emp ensures emp; { n = 2; await(n) }", ["both"], 2,
+                            ["main: potential SpecFailure", "oracle error: n=2 is not a latch"]),
+    "latch-arithmetic": (FULL_DEC + "void main() requires emp ensures emp; "
+                         "{ c = create_latch(1); dec(c + 1); await(c) }", ["both"], 2,
+                         ["call dec: cannot substitute non-variable term c+1 for identifier c",
+                          "oracle error: arithmetic on non-integer c=('latch', 2)"]),
     # a term with a variable on the right of `=` is a parse error, not a name
     "arithmetic-rhs": ("void main(int y) requires emp ensures emp; { x = 1 + y; }", ["verify"],
                        2, ["parse error: 1:50: expected an integer or a variable, got 'y+1'"]),

@@ -143,6 +143,29 @@ def test_split_overdemand_fails():
                   [SplitTarget(F("CNT(c,1)")), SplitTarget(F("CNT(c,1)"))])
 
 
+def test_named_shares_that_take_the_whole_permission_leave_no_counter():
+    r = split_for(F("CNT(c,2)@1"), [SplitTarget(F("CNT(c,1)@1/2")), SplitTarget(F("CNT(c,1)@1/2"))])
+    assert [format_state(b) for b in r.branches] == ["CNT(c,1)@1/2"] * 2
+    assert format_state(r.frame) == "emp"
+
+
+@pytest.mark.parametrize("delta, targets, message", [
+    ("CNT(c,2)@1", ["CNT(c,1)@1/2", "CNT(c,1)@3/4"],
+     "latch c: the branches' shares sum to 5/4, more than its permission 1"),
+    # nothing is left for an unnamed demand, or for the countdown left over
+    ("CNT(c,3)@1", ["CNT(c,1)@1/2", "CNT(c,1)@1/2", "CNT(c,1)"],
+     "latch c: the branches' shares sum to 1, leaving none of its permission 1"),
+    ("CNT(c,3)@1", ["CNT(c,1)@1/2", "CNT(c,1)@1/2"],
+     "latch c: the branches' shares sum to 1, leaving none of its permission 1"),
+    # abduction makes each demanded count a constant
+    ("CNT(c,2)@1", ["CNT(c,n) & n = 1"], "latch c: cannot serve symbolic count n"),
+], ids=["exceeded", "none-for-an-unnamed-share", "none-for-the-rest", "symbolic-count"])
+def test_split_fails_on_shares_it_cannot_give_and_symbolic_counts(delta, targets, message):
+    with pytest.raises(SplitFailure) as e:
+        split_for(F(delta), [SplitTarget(F(t)) for t in targets])
+    assert e.value.diag.message == message
+
+
 def test_split_permission_conservation():
     delta = F("CNT(c,3)@1")
     r = split_for(delta, [SplitTarget(F("CNT(c,1)")), SplitTarget(F("CNT(c,2)"))])
@@ -666,9 +689,9 @@ def test_constant_counts_on_vacuous_states(text, result):
 def test_a_heap_asks_the_solver_about_its_pure_part_once(monkeypatch):
     asked = []
 
-    def is_sat(p, want_model=True):
+    def is_sat(p):
         asked.append(p)
-        return original(p, want_model)
+        return original(p)
     original = pure.is_sat
     monkeypatch.setattr(pure, "is_sat", is_sat)
     # N2 finds the final share negative twice and E2 the merged one not

@@ -114,6 +114,13 @@ def test_arithmetic_on_the_right_of_an_assignment_is_a_parse_error(rhs, term):
         "x", ConstE(2))
 
 
+@pytest.mark.parametrize("perm", ["0", "3/2", "1.5", "1/0"])
+def test_out_of_range_permission_is_a_parse_error(perm):
+    with pytest.raises(ParseError) as e:
+        parse_formula(f"CNT(c,-1)@{perm}")
+    assert str(e.value) == f"1:11: expected a permission in (0, 1], got {perm!r}"
+
+
 def test_end_of_input_after_a_comment_is_one_past_the_last_column():
     src = "void main() requires emp ensures emp; { x = 1; // c"
     with pytest.raises(ParseError) as e:

@@ -148,6 +148,8 @@ def test_grid_agreement_sample():
         f = _rand_formula(r)
         brute = _brute_model(f)
         res = is_sat(f)
+        # a Sat answer, cached or not, carries its model, and only a Sat one
+        assert (res.status == Status.SAT) == (res.model is not None), f
         if brute is not None:
             assert res.status == Status.SAT, f
             assert pure_eval(f, res.model)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latchproof import lemmas, names, syntax
-from latchproof.diagnostics import RECORDS, Span
+from latchproof.diagnostics import RECORDS, Span, replace
 from latchproof.oracle import OracleBounds, OracleError, explore
 from latchproof.parser import parse_formula, parse_program, unparse_formula, SourceFile
 from latchproof.syntax import (
-    EMP, FALSE, FULL, TRUE, Await, Cmp, Cnt, CountDown, Disjunct, Expr, Formula, LatchIn, LatchOut,
+    EMP, FALSE, FULL, TRUE, Atomic, Await, Call, Cmp, Cnt, CountDown, Disjunct, Expr, Formula, LatchIn, LatchOut,
     Par, HeapAtom, Name, PAnd, Perm, PFalse, PForall, PointsTo, PTrue, Pure, ResVarAtom, RVar, Seq,
     Skip, Term, ThreadSpec, VarRead, Wait, all_names, atom_root, check_wellformed, formula,
     free_vars, pand, por, rename, star, substitute, walk_expr,
@@ -202,6 +202,47 @@ def test_wellformed_undeclared_and_arity():
     diags = check_wellformed(parse_program(SourceFile("t", src)))
     codes = {d.code for d in diags}
     assert "ArityMismatch" in codes and "UndeclaredProc" in codes
+
+
+def test_wellformed_walks_each_body_once(monkeypatch):
+    # one walk per body gathers the reads, the writes and each node's
+    # check; an `atomic` block's body is walked once more, for a `||`
+    src = """
+    data cell { int val; }
+    void f(cell x) requires emp ensures emp; { atomic { x.val = 1 }; ( skip || atomic { skip } ) }
+    void main() requires emp ensures emp; { x = new cell(0); f(x) }
+    """
+    program = parse_program(SourceFile("t", src))
+    f, main = (d.body for d in program.proc_decls)
+    first, second = (n.body for n in walk_expr(f) if isinstance(n, Atomic))
+    walked = []
+    monkeypatch.setattr(syntax, "walk_expr", lambda e: walked.append(e) or walk_expr(e))
+    assert check_wellformed(program) == [] and walked == [f, first, second, main]
+
+
+def test_wellformed_diagnostics_keep_their_order():
+    src = """
+    data cell { int val; }
+    data cell { int val; }
+    void f(int a, int a) { x = new box(1); g(1); y = new cell(1, 2); t = create_thread(h) with emp, emp; atomic { ( skip || skip ) }; z = w; g(v); f(1) }
+    void f() requires emp ensures emp; { skip }
+    """
+    diags = check_wellformed(parse_program(SourceFile("t", src)))
+    assert [(d.code, d.span.line, d.span.col) for d in diags] == [
+        ("DuplicateProc", 5, 5), ("NoMain", 0, 0), ("DuplicateData", 3, 5),
+        ("DuplicateParam", 4, 5), ("NoSpec", 4, 5), ("FreeVar", 4, 5),
+        ("UnknownData", 4, 32), ("UndeclaredProc", 4, 44), ("ArityMismatch", 4, 54),
+        ("UndeclaredProc", 4, 74), ("ParInAtomic", 4, 106), ("UndeclaredProc", 4, 142),
+        ("ArityMismatch", 4, 148)]
+    assert diags[5].message == "variables ['v', 'w'] used in f are neither parameters nor locals"
+
+
+def test_a_call_that_names_a_primitive_is_undeclared():
+    # the primitives are keywords, so only a hand-built `Call` can name one
+    program = parse_program(SourceFile("t", "void main() requires emp ensures emp; { skip }"))
+    main = replace(program.proc_decls[0], body=Call("countDown", ()))
+    [d] = check_wellformed(replace(program, proc_decls=(main,)))
+    assert (d.code, d.message) == ("UndeclaredProc", "call to undeclared procedure 'countDown'")
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 3))

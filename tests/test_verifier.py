@@ -140,6 +140,57 @@ def test_recursive_call_through_spec():
     assert vs["main"].kind == "Verified", vs["main"].message
 
 
+MK_GET = """data cell { int val; }
+cell mk(int v) requires emp ensures res::cell(v); { res = new cell(v) }
+int get(cell x) requires x::cell(v) ensures x::cell(v) & res = v; { res = x.val }
+void main() requires emp ensures emp & k = 3; { y = mk(3); k = get(y) }
+"""
+
+
+@pytest.mark.parametrize("res, kinds", [
+    ("v", ["Verified", "Verified", "Verified"]),
+    # a callee post that gives the wrong `res`: main cannot show k = 3
+    ("v + 1", ["Verified", "SpecFailure", "SpecFailure"]),
+])
+def test_call_result_is_bound_to_its_target(res, kinds):
+    vs = run(MK_GET.replace("res = v;", f"res = {res};"))
+    assert [v.kind for v in vs] == kinds
+    assert vs[2].ok or "k=3 not implied" in vs[2].message
+
+
+def test_one_verifier_per_procedure(monkeypatch):
+    # both spec pairs of f run on one verifier; the verdict carries the
+    # trace of the last pair alone
+    built = []
+    init = verifier._ProcVerifier.__init__
+    monkeypatch.setattr(verifier._ProcVerifier, "__init__",
+                        lambda self, program, proc, *a: built.append(proc.name)
+                        or init(self, program, proc, *a))
+    vs = by_proc(run("""
+    void f(CountDownLatch c) requires CNT(c, 1) ensures CNT(c, 0);
+      requires CNT(c, -1) ensures CNT(c, -1); { countDown(c) }
+    void main() requires emp ensures emp; { c = create_latch(1); f(c); await(c) }"""))
+    assert vs["f"].ok and vs["main"].ok and built == ["f", "main"]
+    assert [format_state(f) for _, f in vs["f"].trace.points] == ["CNT(c,-1)"] * 2
+
+
+@pytest.mark.parametrize("block", ["", "( skip || skip ); "])
+def test_a_block_keeps_a_symbolic_count(block):
+    # a latch of n > 0 that nothing counts down cannot be awaited, after a
+    # block or not; the split once left the frame the count's constant part
+    [v] = run(f"void main(int n) requires n > 0 ensures emp; "
+              f"{{ c = create_latch(n); {block}await(c) }}")
+    assert v.kind == "SpecFailure" and "argument 0 does not equal n;" in v.message
+
+
+def test_a_term_for_a_latch_parameter_is_a_spec_failure():
+    [_, main] = run("""
+    void dec(CountDownLatch c) requires CNT(c, 1) ensures CNT(c, 0); { countDown(c) }
+    void main() requires emp ensures emp; { c = create_latch(1); dec(c + 1); await(c) }""")
+    assert (main.kind, main.at.line, main.message) == (
+        "SpecFailure", 3, "call dec: cannot substitute non-variable term c+1 for identifier c")
+
+
 # -- leak checking -------------------------------------------------------------
 
 def test_leak_trapped_thread_node():
@@ -326,11 +377,11 @@ def test_unknown_guard_keeps_branch(monkeypatch):
     guard = parse_pure("-4*x - 4*y <= -195")
     undecided = []
 
-    def is_sat(p, want_model=True):
+    def is_sat(p):
         if isinstance(p, PAnd) and guard in p.parts:
             undecided.append(p)
             return SolverResult(Status.UNKNOWN)
-        return pure.is_sat(p, want_model)
+        return pure.is_sat(p)
 
     monkeypatch.setattr(verifier, "solver", SimpleNamespace(is_sat=is_sat))
     [v] = run(UNDECIDED_GUARD)
