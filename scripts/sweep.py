@@ -57,8 +57,7 @@ def run(src: pathlib.Path, programs: pathlib.Path, names: list[str]) -> list[dic
     """The CLI's JSON records for the programs `names` in the directory
     `programs`, run through the package under `src`; each record's file is
     the program's name."""
-    env = {k: v for k, v in os.environ.items() if k != "LATCHPROOF_SEED"}
-    env["PYTHONPATH"] = str(src)
+    env = {**os.environ, "PYTHONPATH": str(src)}
     files = [str(programs / f"{name}.lp") for name in names]
     done = subprocess.run([sys.executable, "-m", "latchproof.cli", "verify", "--dump-trace",
                            "--json", *files], capture_output=True, text=True, env=env)

@@ -12,6 +12,7 @@ from .diagnostics import fresh, record
 from .lemmas import verify_lemma_table
 from .oracle import OracleBounds, OracleError, explore
 from .parser import ParseError, SourceFile, format_state, parse_program
+from .syntax import check_wellformed
 from .verifier import Verdict, VerifyOptions, verify_program
 
 
@@ -67,7 +68,10 @@ def _run_file(path: str, cfg: RunConfig) -> FileReport:
     if cfg.mode in ("verify", "both"):
         rep.verdicts = verify_program(program, VerifyOptions())
     if cfg.mode in ("oracle", "both"):
+        diags = check_wellformed(program)   # the oracle runs only a well-formed program
         try:
+            if diags:
+                raise OracleError(str(diags[0]))
             rep.oracle = explore(program, cfg.oracle_bounds)
         except OracleError as e:
             rep.error = f"oracle error: {e}"

@@ -25,10 +25,9 @@ from typing import Optional
 from . import names
 from . import pure as solver
 from .diagnostics import Diagnostic, fresh, record
-from .pure import SolverUnknown
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
-    PAnd, Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
+    PAnd, PExists, Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
     TRUE, atom_root, EMP, free_vars, is_resvar, pand, rename_apart, substitute, eq as peq,
 )
 
@@ -134,16 +133,12 @@ class _Ctx:
     def learned_pure(self) -> Pure:
         return pand(self.learned)
 
-    def implies(self, p: Pure) -> bool:
+    def implies(self, p: Pure) -> Optional[bool]:
+        """Whether what ctx has learned entails `p`; None when undecided."""
         return solver.implies(self.learned_pure(), p)
 
     def roots_eq(self, a: str, c: str) -> bool:
-        if a == c:
-            return True
-        try:
-            return self.implies(peq(Term.var(a), Term.var(c)))
-        except SolverUnknown:
-            return False
+        return a == c or self.implies(peq(Term.var(a), Term.var(c))) is True
 
     def bind_var(self, v: str, t: Term):
         self.rho[v] = t
@@ -266,11 +261,7 @@ def _match_args(ctx: _Ctx, args_a: tuple[Term, ...], args_c: tuple[Term, ...]):
         if v is not None and v in ctx.E and v not in ctx.rho:
             ctx.bind_var(v, ta)
             continue
-        try:
-            ok = ctx.implies(peq(ta, tc))
-        except SolverUnknown:
-            ok = False
-        if not ok:
+        if ctx.implies(peq(ta, tc)) is not True:
             raise _Fail("MatchFailure", f"argument {tc} does not equal {ta}")
 
 
@@ -301,9 +292,9 @@ def _match(ctx: _Ctx, c: HeapAtom):
         snap = ctx.snapshot()
         try:
             leftover = take(ctx, ctx.pool[i], c)
-        except (_Fail, SolverUnknown) as e:
+        except _Fail as e:
             ctx.restore(snap)
-            last = e if isinstance(e, _Fail) else _Fail("MatchFailure", str(e))
+            last = e
             continue
         if leftover is None:
             ctx.pool.pop(i)
@@ -344,9 +335,9 @@ def _take_cnt(ctx: _Ctx, a: Cnt, c: Cnt) -> Optional[HeapAtom]:
     # S3 in reverse: the kept share carries the remaining count.
     count_c = c.count.subst(ctx.rho) if ctx.rho else c.count
     rest = a.count - count_c
-    if ctx.implies(pand([Cmp("le", Term.of(0), rest), Cmp("le", Term.of(0), count_c)])):
+    if ctx.implies(pand([Cmp("le", Term.of(0), rest), Cmp("le", Term.of(0), count_c)])) is True:
         return Cnt(a.latch, rest, leftover_perm)
-    if ctx.implies(pand([Cmp("eq", a.count, count_c), Cmp("le", a.count, Term.of(0))])):
+    if ctx.implies(pand([Cmp("eq", a.count, count_c), Cmp("le", a.count, Term.of(0))])) is True:
         return Cnt(a.latch, a.count, leftover_perm)
     raise _Fail("MatchFailure", f"cannot split count {a.count} into {count_c}")
 
@@ -446,8 +437,6 @@ def entail(E, delta_a: Formula, delta_c: Formula, gen: names.FreshGen | None = N
                 successes.append(_entail_dd(set(E), da, dc, gen, rigid))
             except _Fail as e:
                 failures.append(e.diag)
-            except SolverUnknown as e:
-                failures.append(Diagnostic("SolverUnknown", str(e)))
         if len(successes) > 1:
             return EntailmentOutcome(
                 False, {}, EMP,
@@ -543,10 +532,12 @@ def _entail_dd(E: set[str], da: Disjunct, dc: Disjunct, gen: names.FreshGen,
     pc = pand([dc.pure] + ctx.obligations)
     pc = substitute(pc, ctx.rho, gen=gen)
     if not isinstance(pc, PTrue):
-        try:
-            ok = ctx.implies(pc)
-        except SolverUnknown as e:
-            raise _Fail("PureFailure", f"pure side condition undecided: {e}")
+        # a spec variable that no atom bound may take any value that makes
+        # the side condition hold
+        unbound = sorted((free_vars(pc) & ctx.E) - ctx.rho.keys())
+        ok = ctx.implies(PExists(tuple(unbound), pc) if unbound else pc)
+        if ok is None:
+            raise _Fail("PureFailure", f"pure side condition {pc} undecided")
         if not ok:
             raise _Fail("PureFailure", f"pure part {pc} not implied by antecedent")
 

@@ -37,7 +37,7 @@ from . import names
 from . import pure as solver
 from .entail import EntailmentOutcome, entail, nothing_taken
 from .parser import parse_formula, unparse_atom
-from .pure import SolverUnknown, Status
+from .pure import Status
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
@@ -339,26 +339,19 @@ def _by_key(h: _Heap, keys: Optional[set[tuple]], kind: str,
 # match, since a release may change the pure part and so every key.
 
 
-def _implied(pi: Pure, p: Pure) -> bool:
-    """pi entails p; an undecided query counts as not entailed."""
-    try:
-        return solver.implies(pi, p)
-    except SolverUnknown:
-        return False
-
-
 _ZERO = Term.of(0)
+_FINAL = Term.of(-1)
 _COMPARE = {"lt": int.__lt__, "le": int.__le__, "eq": int.__eq__}
 
 
-def _entails(h: _Heap, a: Term, op: str, b: Term) -> bool:
-    """h's pure part entails `a op b` (op "lt", "le" or "eq"). Between
-    constants that is a comparison of integers; a false one holds only
-    under an unsatisfiable pure part (ex falso), about which h asks the
-    solver once."""
+def _entails(pi: Pure, a: Term, op: str, b: Term) -> bool:
+    """`pi` entails `a op b` (op "lt", "le" or "eq"). Between constants that
+    is a comparison of integers; otherwise the solver is asked, and an
+    undecided answer proves nothing. `normalize` drops a disjunct whose pure
+    part is unsatisfiable, so no rule reasons from one."""
     if a.is_const and b.is_const:
-        return _COMPARE[op](a.const, b.const) or h.status() == Status.UNSAT
-    return _implied(h.pure, Cmp(op, a, b))
+        return _COMPARE[op](a.const, b.const)
+    return solver.implies(pi, Cmp(op, a, b)) is True
 
 
 def _cell_of(d: Disjunct, base: str) -> Optional[tuple[int, PointsTo]]:
@@ -367,15 +360,9 @@ def _cell_of(d: Disjunct, base: str) -> Optional[tuple[int, PointsTo]]:
         if isinstance(a, PointsTo) and a.root == base:
             return i, a
     for i, a in enumerate(d.heap):
-        if isinstance(a, PointsTo) and _implied(d.pure, peq(Term.var(a.root), Term.var(base))):
+        if isinstance(a, PointsTo) and _entails(d.pure, Term.var(a.root), "eq", Term.var(base)):
             return i, a
     return None
-
-
-def _count_is(pi: Pure, t: Term, k: int) -> bool:
-    if t.is_const:
-        return t.const == k
-    return _implied(pi, peq(t, Term.of(k)))
 
 
 def _concretize_counts(pi: Pure, atoms: list[HeapAtom]) -> list[HeapAtom]:
@@ -387,7 +374,7 @@ def _concretize_counts(pi: Pure, atoms: list[HeapAtom]) -> list[HeapAtom]:
             if res.status != Status.SAT or res.model is None:
                 break
             k = a.count.eval(res.model)
-            if _implied(pi, peq(a.count, Term.of(k))):
+            if _entails(pi, a.count, "eq", Term.of(k)):
                 atoms[i] = Cnt(a.latch, Term.of(k), a.perm)
     return atoms
 
@@ -428,7 +415,7 @@ def _shares(h: _Heap, same: list[int], holds) -> list[int]:
 
 
 def _final(h: _Heap) -> Callable[[Term], bool]:
-    return lambda t: _count_is(h.pure, t, -1)
+    return lambda t: _entails(h.pure, t, "eq", _FINAL)
 
 
 def _merge_groups(h: _Heap, keys: Optional[set[tuple]], holds,
@@ -450,7 +437,7 @@ def _n2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Combine all provably non-negative counter shares of a latch at once
     (the pairwise lemma taken to its fixpoint). A merge pins every other
     count the pure part fixes, so a later latch's shares are read after it."""
-    for group in _merge_groups(h, keys, lambda t: _entails(h, _ZERO, "le", t)):
+    for group in _merge_groups(h, keys, lambda t: _entails(h.pure, _ZERO, "le", t)):
         shares = [h.slots[s] for s in group]
         merged = Cnt(shares[0].latch, Term.total([a.count for a in shares]),
                      Perm.total([a.perm for a in shares]))
@@ -462,7 +449,7 @@ def _n2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
 
 def _n1(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Absorb every exhausted share of a latch into its final state at once."""
-    for group in _merge_groups(h, keys, lambda t: _entails(h, t, "le", _ZERO),
+    for group in _merge_groups(h, keys, lambda t: _entails(h.pure, t, "le", _ZERO),
                                lambda cnts: _shares(h, cnts, _final(h))):
         shares = [h.slots[s] for s in group]
         yield Rewrite(drop=tuple(group), add=(
@@ -539,7 +526,7 @@ def _w2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
         if isinstance(a, Cnt):
             if a.count.is_const and a.count.const == -1:
                 finals.add(a.latch)
-            elif _entails(h, _ZERO, "lt", a.count):
+            elif _entails(h.pure, _ZERO, "lt", a.count):
                 positives.add(a.latch)
     arcs = {(c2, c1) for c1 in positives for c2 in finals if c1 != c2}
     put = tuple((s, Wait(a.arcs | arcs, a.perm)) for s, a in views if not arcs <= a.arcs)
@@ -556,8 +543,6 @@ def _e1(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
     """Resource still flowing in while the latch already expired."""
     for _, a, same in _by_key(h, keys, "latch", 2):
         if isinstance(a, LatchIn) and _shares(h, same, _final(h)):
-            if h.status() != Status.SAT:
-                return None
             return f"latch {a.latch} expired while resource still in-flight"
     return None
 
@@ -572,7 +557,7 @@ def _e2(h: _Heap, keys: Optional[set[tuple]] = None) -> Optional[str]:
         k = h.keys[i]
         if k not in finals:
             finals[k] = set(_shares(h, same, _final(h)))
-        if finals[k] - {i} and _entails(h, _ZERO, "lt", a.count):
+        if finals[k] - {i} and _entails(h.pure, _ZERO, "lt", a.count):
             return f"latch {a.latch}: pending countdowns can never complete"
     return None
 
@@ -699,10 +684,12 @@ def _inconsistency(h: _Heap, keys: Optional[set[tuple]],
 
 
 def check_consistency(delta: Formula) -> Optional[Inconsistency]:
-    """Fire the inconsistency lemmas on each disjunct, every key looked at."""
+    """Fire the inconsistency lemmas on each disjunct, every key looked at;
+    one whose pure part is unsatisfiable is no state and reports nothing."""
     for d in delta.disjuncts:
-        bad = _inconsistency(_Heap(d), None, delta)
-        if bad is not None:
+        h = _Heap(d)
+        bad = _inconsistency(h, None, delta)
+        if bad is not None and h.status() != Status.UNSAT:
             return bad
     return None
 
@@ -743,23 +730,16 @@ def normalize(delta: Formula, gen=None,
     is that of normalizing `star(delta_i, formula(*added[i]))` for each i,
     which has no span.
 
-    For each rewrite rule, and for the checks, the fixpoint keeps the keys
-    not found clean since their atoms last changed (None: every key). A rule
-    with keys to look at rewrites all of its matches among them at once,
-    lowest slot first, and so shows every one of them clean; a rule or check
-    with an empty set, or whose trigger none of its keys meets, is not run.
-    Each match's rewrite adds the keys whose atoms it removed or added to
-    every set, or sets them all to every key when it changed the pure part
-    or the existentials, and the checks run after each match: the states
-    checked, and so the first inconsistency, are those of rewriting one
-    match at a time. After a rule has fired the table starts again from its
-    first rule.
+    Each disjunct's pure part is decided once, as the fixpoint starts from
+    it (one of `delta` or of a disjunctive release, or a heap a release
+    rebuilt with a new pure part): an unsatisfiable one is no state and is
+    dropped, so no rule or check reasons from it.
 
     A disjunct this function returned has every key clean for every rule
     and check. Starring atoms onto it is a rewrite that touched their keys
     alone, so when its heap is still carried the fixpoint starts from that
-    heap with only those keys dirty; any other disjunct starts from a new
-    heap with every key dirty."""
+    heap with only those keys dirty, and keeps the answer about its pure
+    part; any other disjunct starts from a new heap with every key dirty."""
     gen = gen or names.default_gen()
     out: list[Disjunct] = []
     for i, d0 in enumerate(delta.disjuncts):
@@ -775,57 +755,81 @@ def normalize(delta: Formula, gen=None,
             h = _Heap(Disjunct(d0.exists, tuple(_concretize_counts(d0.pure, d0.heap)), d0.pure))
             start = None
         queue: list[Disjunct] = []
-        while True:
-            # one key set per rewrite, in table order, and the checks' last
-            dirty: list[Optional[set[tuple]]] = (
-                [None] * (len(_REWRITES) + 1) if start is None
-                else [set(start) for _ in range(len(_REWRITES) + 1)])
-            steps = 0
-            fired = True
-            while fired:
-                fired = False
-                held = None     # read once per round: the heap changes only as it ends
-                for r, lemma in enumerate(_REWRITES):
-                    keys = dirty[r]
-                    if keys is not None and not keys:
-                        continue
-                    dirty[r] = set()
-                    if keys is None and held is None:
-                        held = _held(h)
-                    if not _may_match(h, lemma.trigger, keys, held):
-                        continue
-                    for step in lemma.rule(h, keys):
-                        fired = True
-                        steps += 1
-                        if steps > cap:
-                            raise NormalizationDiverged(f"no fixpoint after {steps} rounds")
-                        touched, rest = h.apply(step, gen)
-                        queue.extend(rest)
-                        if touched is None:
-                            dirty = [None] * len(dirty)
-                        for ks in dirty:
-                            if ks is not None:
-                                ks |= touched
-                        if step.release is not None and dirty[r] is not None:
-                            # the rule stops at a release: it has not shown its keys clean
-                            dirty[r] = None if keys is None else dirty[r] | keys
-                        bad = _inconsistency(h, dirty[-1])
-                        if bad is not None:
-                            return bad
-                        dirty[-1] = set()
-                    if fired:
-                        break
-            if dirty[-1] is None or dirty[-1]:
+        while h is not None:
+            d = _fixpoint(h, start, cap, gen, queue)
+            if isinstance(d, Inconsistency):
+                return d
+            if d is not None:
+                _carry(d, h)
+                out.append(d)
+            h, start = (_Heap(queue.pop(0)), None) if queue else (None, None)
+    return Formula(tuple(out), delta.span if added is None else NO_SPAN)
+
+
+def _fixpoint(h: _Heap, start: Optional[set[tuple]], cap: int, gen, queue: list[Disjunct]):
+    """h rewritten to fixpoint from the dirty keys `start` (None: every key,
+    for a new heap): its normal form, the first Inconsistency, or None when
+    its pure part is unsatisfiable; a disjunctive release queues the rest.
+
+    For each rewrite rule, and for the checks, the fixpoint keeps the keys
+    not found clean since their atoms last changed (None: every key). A rule
+    with keys to look at rewrites all of its matches among them at once,
+    lowest slot first, and so shows every one of them clean; a rule or check
+    with an empty set, or whose trigger none of its keys meets, is not run.
+    Each match's rewrite adds the keys whose atoms it removed or added to
+    every set, or sets them all to every key when it changed the pure part
+    or the existentials, and the checks run after each match: the states
+    checked, and so the first inconsistency, are those of rewriting one
+    match at a time. After a rule has fired the table starts again from its
+    first rule."""
+    if start is None and h.status() == Status.UNSAT:
+        return None
+    # one key set per rewrite, in table order, and the checks' last
+    dirty: list[Optional[set[tuple]]] = (
+        [None] * (len(_REWRITES) + 1) if start is None
+        else [set(start) for _ in range(len(_REWRITES) + 1)])
+    steps = 0
+    fired = True
+    while fired:
+        fired = False
+        held = None     # read once per round: the heap changes only as it ends
+        for r, lemma in enumerate(_REWRITES):
+            keys = dirty[r]
+            if keys is not None and not keys:
+                continue
+            dirty[r] = set()
+            if keys is None and held is None:
+                held = _held(h)
+            if not _may_match(h, lemma.trigger, keys, held):
+                continue
+            for step in lemma.rule(h, keys):
+                fired = True
+                steps += 1
+                if steps > cap:
+                    raise NormalizationDiverged(f"no fixpoint after {steps} rounds")
+                touched, rest = h.apply(step, gen)
+                queue.extend(rest)
+                if touched is None:
+                    if h.status() == Status.UNSAT:
+                        return None
+                    dirty = [None] * len(dirty)
+                for ks in dirty:
+                    if ks is not None:
+                        ks |= touched
+                if step.release is not None and dirty[r] is not None:
+                    # the rule stops at a release: it has not shown its keys clean
+                    dirty[r] = None if keys is None else dirty[r] | keys
                 bad = _inconsistency(h, dirty[-1])
                 if bad is not None:
                     return bad
-            d = h.disjunct()
-            _carry(d, h)
-            out.append(d)
-            if not queue:
+                dirty[-1] = set()
+            if fired:
                 break
-            h, start = _Heap(queue.pop(0)), None
-    return Formula(tuple(out), delta.span if added is None else NO_SPAN)
+    if dirty[-1] is None or dirty[-1]:
+        bad = _inconsistency(h, dirty[-1])
+        if bad is not None:
+            return bad
+    return h.disjunct()
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +919,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
     cnts: dict[tuple[str, bool], list[Cnt]] = {}
     for a in d.heap:
         if isinstance(a, Cnt):
-            final = _count_is(pi, a.count, -1)
+            final = _entails(pi, a.count, "eq", _FINAL)
             cnts.setdefault((a.latch, final), []).append(a)
         elif not isinstance(a, (Wait, Dead)):
             pool.append(a)

@@ -2,19 +2,15 @@
 
 Names carry a '#' which the surface syntax never produces for user
 identifiers, so generated names cannot collide with parsed programs.
-Counters are monotone per prefix, giving deterministic traces for a
-fixed seed (LATCHPROOF_SEED offsets the counters).
+Counters are monotone per prefix, giving deterministic traces; a seed
+offsets them.
 """
 
 from __future__ import annotations
 
-import os
-
 
 class FreshGen:
-    def __init__(self, seed: int | None = None):
-        if seed is None:
-            seed = int(os.environ.get("LATCHPROOF_SEED", "0"))
+    def __init__(self, seed: int = 0):
         self._base = seed
         self._counters: dict[str, int] = {}
 
@@ -23,9 +19,7 @@ class FreshGen:
         self._counters[prefix] = n
         return f"{prefix}#{n}"
 
-    def reset(self, seed: int | None = None):
-        if seed is not None:
-            self._base = seed
+    def reset(self):
         self._counters.clear()
 
 
@@ -36,8 +30,8 @@ def fresh(prefix: str) -> str:
     return _default.fresh(prefix)
 
 
-def reset_fresh(seed: int | None = None):
-    _default.reset(seed)
+def reset_fresh():
+    _default.reset()
 
 
 def default_gen() -> FreshGen:

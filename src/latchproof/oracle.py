@@ -490,7 +490,9 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
     """Depth-first enumeration of all schedules with memoized states, closed
     under local steps: env and continuation steps, `countDown`, and an enabled
     `await` or join. Each visited state steps every enabled thread; races,
-    deadlocks and leaks stay exact (see the module docstring)."""
+    deadlocks and leaks stay exact (see the module docstring). The program
+    must be well-formed (`check_wellformed` finds nothing): a malformed one
+    may give a wrong answer or fail with any exception."""
     bounds = bounds or OracleBounds()
     _check_concrete(program)
     machine = _Machine(program, bounds)

@@ -9,9 +9,13 @@ and then grey-shadow splinters. A
 Sat answer carries a model built by back-substitution and checked by
 evaluation. `eliminate` projects quantified variables on the same rows:
 each leaves by a unit equality or, in Pugh's exact case (every lower or
-every upper bound has a unit coefficient), by the real shadow. Unknown
-comes from the step budget (MAX_STEPS), from the DNF and disequality
-blow-up guards, and from a projection outside that exact case.
+every upper bound has a unit coefficient), by the real shadow.
+
+Unknown comes from the step budget (MAX_STEPS), from the DNF and
+disequality blow-up guards, and from a projection outside that exact case,
+each raising `SolverUnknown`, which no other module sees: `is_sat` answers
+Unknown and `implies` None, and each caller says at the call what an
+undecided answer means (`implies(...) is True` where it proves nothing).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class SolverResult:
 
 
 class SolverUnknown(Exception):
-    """Raised when implication/elimination cannot be decided within limits."""
+    """Raised inside this module when a query cannot be decided within limits."""
 
 
 MAX_STEPS = 10**5  # safety budget: solver steps per query
@@ -405,13 +409,12 @@ def _is_sat_internal(p: Pure) -> SolverResult:
         return SolverResult(Status.UNKNOWN, None, str(e))
 
 
-def implies(p1: Pure, p2: Pure) -> bool:
+def implies(p1: Pure, p2: Pure) -> Optional[bool]:
+    """Whether `p1` entails `p2`: True, False, or None when undecided."""
     if isinstance(p2, PTrue) or p1 == p2:
         return True
     res = is_sat(pand([p1, _nnf(PNot(p2), True)]))
-    if res.status == Status.UNKNOWN:
-        raise SolverUnknown(res.reason or "implication undecided")
-    return res.status == Status.UNSAT
+    return None if res.status == Status.UNKNOWN else res.status == Status.UNSAT
 
 
 def eliminate(p: Pure, vars: Collection[str]) -> Pure:

@@ -27,11 +27,11 @@ from . import pure as solver
 from .diagnostics import Span, NO_SPAN, fresh, record, replace
 from .entail import EntailmentOutcome, _payload_value_vars, entail
 from .lemmas import (
-    _ZERO, Inconsistency, SplitFailure, SplitTarget, _Heap, _cell_of, _entails,
+    _ZERO, Inconsistency, SplitFailure, SplitTarget, _cell_of, _entails,
     _is_trivial_payload, _key, _min_count, ambiguous_disjuncts, branch_start, may_mention, normalize, split_for,
 )
 from .parser import format_state, unparse_atom
-from .pure import SolverUnknown, Status
+from .pure import Status
 from .syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch,
     CreateThread, Dead, Disjunct, Expr, FieldRead, FieldWrite, Fork, Formula,
@@ -452,13 +452,12 @@ class _ProcVerifier:
         payload = substitute(payload, rho, gen=self.gen)
         added = []
         for d in state.disjuncts:
-            facts = _Heap(Disjunct((), (), d.pure))     # asks the solver at most once
-            if _entails(facts, _ZERO, "lt", count):
+            if _entails(d.pure, _ZERO, "lt", count):
                 closed = RForm(_close_payload(payload, d, lhs))
                 # Unit would drop predicates that carry nothing at once
                 added.append((Cnt(lhs, count, FULL),) if _is_trivial_payload(closed) else
                              (LatchIn(lhs, closed), LatchOut(lhs, closed), Cnt(lhs, count, FULL)))
-            elif _entails(facts, count, "eq", _ZERO):
+            elif _entails(d.pure, count, "eq", _ZERO):
                 added.append((Cnt(lhs, Term.of(-1), FULL),))
             else:
                 raise VerdictError(
@@ -708,14 +707,17 @@ class _ProcVerifier:
         return substitute(result, rho, gen=self.gen)
 
     def _join(self, frame: Formula, results: list[Formula], span: Span) -> Formula:
-        """frame * results, without the paths a split's bindings ruled out."""
+        """frame * results, normalized, which drops the paths a split's
+        bindings ruled out; that none is left is an error unless a part had
+        none to begin with."""
         combined = frame
         for r in results:
             combined = star(combined, r, self.gen)
-        live = tuple(d for d in combined.disjuncts if not _unsat(d))
-        if not live and not any(all(map(_unsat, f.disjuncts)) for f in (frame, *results)):
+        joined = self._normalize(combined, span)
+        if not joined.disjuncts and not any(all(map(_unsat, f.disjuncts))
+                                            for f in (frame, *results)):
             raise VerdictError("SpecFailure", span, "state became inconsistent at the join")
-        return self._normalize(Formula(live or combined.disjuncts), span)
+        return joined
 
     # -- whole-procedure driver ----------------------------------------------
 
@@ -748,9 +750,6 @@ class _ProcVerifier:
         except VerdictError as ve:
             return Verdict(ve.kind, self.proc.name, ve.span, self.trace, ve.lemma,
                            ve.message, tuple(self.warnings))
-        except SolverUnknown as su:
-            return Verdict("SpecFailure", self.proc.name, span, self.trace, None,
-                           f"solver resource limit: {su}", tuple(self.warnings))
         return Verdict("Verified", self.proc.name, span, self.trace, None, "",
                        tuple(self.warnings))
 

@@ -326,8 +326,8 @@ def test_trace_does_not_depend_on_hash_seed():
         "    for v in verify_program(parse_program(SourceFile('t', src)), VerifyOptions()):\n"
         "        print(v.proc, v.kind, v.message)\n"
         "        print(v.trace.render())\n")
-    env = {k: v for k, v in os.environ.items() if k != "LATCHPROOF_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
                            env={**env, "PYTHONHASHSEED": str(seed)}).stdout
             for seed in range(4)}

@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -103,36 +102,26 @@ def test_oracle_mode(capsys):
     assert "Clean" in out and "exhaustive" in out
 
 
-def test_seed_env_reproducible(tmp_path):
-    env_script = (
-        "import os; os.environ['LATCHPROOF_SEED']='7'; "
-        "from latchproof.cli import main; import sys; "
-        f"sys.exit(main(['verify', r'{CORPUS / 'cdl2.lp'}', '--dump-trace']))"
-    )
-    r1 = subprocess.run([sys.executable, "-c", env_script], capture_output=True, text=True)
-    r2 = subprocess.run([sys.executable, "-c", env_script], capture_output=True, text=True)
-    assert r1.stdout == r2.stdout
-    assert r1.returncode == 0
+def test_traces_are_reproducible():
+    # two runs in fresh processes print the same traces
+    argv = ["verify", str(CORPUS / "cdl2.lp"), "--dump-trace"]
+    r1, r2 = (subprocess.run([sys.executable, "-m", "latchproof.cli", *argv],
+                             capture_output=True, text=True) for _ in range(2))
+    assert r1.returncode == 0 and r1.stdout == r2.stdout
 
 
-def test_seed_env_offsets_every_procedure(tmp_path):
-    # two procedures with the same body draw the same fresh names: a seed
-    # only offsets each name's number
+def test_procedures_with_the_same_body_draw_the_same_names(tmp_path):
     text = (CORPUS / "sender_receiver.lp").read_text()
     main_proc = text[text.index("void main()"):]
     f = tmp_path / "two_mains.lp"
     f.write_text(text + main_proc.replace("void main()", "void other()"))
-
-    def trace(seed):
-        r = subprocess.run([sys.executable, "-m", "latchproof.cli", "verify", str(f),
-                            "--dump-trace"], capture_output=True, text=True,
-                           env={**os.environ, "LATCHPROOF_SEED": seed})
-        assert r.returncode == 0, r.stderr
-        return r.stdout
-
-    base = trace("0")
-    assert "w#3" in base and "other: Verified" in base
-    assert trace("7") == re.sub(r"#(\d+)", lambda m: f"#{int(m.group(1)) + 7}", base)
+    r = subprocess.run([sys.executable, "-m", "latchproof.cli", "verify", str(f), "--dump-trace"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    main_trace = r.stdout[r.stdout.index("main: Verified"):r.stdout.index("other: Verified")]
+    other_trace = r.stdout[r.stdout.index("other: Verified"):]
+    drawn = re.findall(r"\w+#\d+", main_trace)
+    assert "w#3" in drawn and re.findall(r"\w+#\d+", other_trace) == drawn
 
 
 QUANTIFIED_CONCRETE = (
@@ -181,16 +170,28 @@ PROGRAMS = {
     "chain-24": (chain_source(24), ["verify"], 0, ["main: Verified"]),
     "ring-24": (ring_source(24), ["verify", "--json"], 1,
                 ['"verdict": "DeadlockError"', '"lemma": "E3"']),
-    # the oracle reads each variable through one check: an unbound one is an
-    # oracle error, not a verdict
-    "unbound-read": ("void main() requires emp ensures emp; { x = z; }", ["oracle"], 2,
+    # the oracle reads each variable through one check: one read before it
+    # is assigned is an oracle error, not a verdict
+    "unbound-read": ("void main() requires emp ensures emp; { x = z; z = 0 }", ["oracle"], 2,
                      ["error: oracle error: unbound variable z"]),
-    "unbound-await": ("void main() requires emp ensures emp; { await(d); }", ["oracle"], 2,
-                      ["error: oracle error: unbound variable d"]),
+    "unbound-await": ("void main() requires emp ensures emp; { await(d); d = create_latch(0) }",
+                      ["oracle"], 2, ["error: oracle error: unbound variable d"]),
     # an `if` guard too: an unbound z does not read as 0 and take the deadlocking arm
     "unbound-guard": ("void main() requires emp ensures emp; "
-                      "{ if (z = 0) { c = create_latch(1); await(c) } else { skip } }", ["both"], 2,
-                      ["error: oracle error: unbound variable z"]),
+                      "{ if (z = 0) { c = create_latch(1); await(c) } else { skip }; z = 0 }",
+                      ["both"], 2, ["error: oracle error: unbound variable z"]),
+    # the oracle runs no program that the well-formedness check rejects: its
+    # first diagnostic is the oracle error
+    "undeclared-thread-proc": ("void main() requires emp ensures emp; "
+                               "{ t = create_thread(nope) with emp, emp; fork(t); join(t) }",
+                               ["both"], 2, ["<program>: potential SpecFailure",
+                                             "error: oracle error: 1:45: [UndeclaredProc]"]),
+    "undeclared-data": ("data cell { int val; } void main() requires emp ensures emp; "
+                        "{ x = new box(1); y = x.val }", ["oracle"], 2,
+                        ["error: oracle error: 1:68: [UnknownData] new of undeclared data type 'box'"]),
+    "arity-mismatch": ("void f(int a) requires emp ensures emp; { skip } "
+                       "void main() requires emp ensures emp; { f(1, 2) }", ["oracle"], 2,
+                       ["error: oracle error: 1:90: [ArityMismatch] call to f: 2 args, 1 params"]),
     # an abstract payload is named as the program writes it
     "abstract-payload": ((CORPUS / "cdl2.lp").read_text(), ["oracle"], 2,
                          ["(abstract resource in P * Q)"]),

@@ -1,7 +1,6 @@
 """The showcase traces, the corpus agreement matrix, the symbolic traces of
 generated program families and the corpus token streams, byte for byte."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -18,9 +17,8 @@ GOLDEN = ROOT / "tests" / "golden"
 
 @pytest.mark.parametrize("name", ["showcase", "corpus"])
 def test_script_output_matches_golden(name):
-    env = {k: v for k, v in os.environ.items() if k != "LATCHPROOF_SEED"}
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / f"run_{name}.py")],
-                         capture_output=True, env=env, check=True).stdout
+                         capture_output=True, check=True).stdout
     assert out == (GOLDEN / f"{name}.txt").read_bytes()
 
 
@@ -64,9 +62,8 @@ def render_families() -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_family_traces_match_golden(monkeypatch):
-    monkeypatch.delenv("LATCHPROOF_SEED", raising=False)
-    names.reset_fresh(0)
+def test_family_traces_match_golden():
+    names.reset_fresh()
     assert render_families() == (GOLDEN / "families.txt").read_text()
 
 
@@ -88,6 +85,5 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["tokens"]:
         sys.stdout.write(render_tokens())
     else:
-        os.environ.pop("LATCHPROOF_SEED", None)
-        names.reset_fresh(0)
+        names.reset_fresh()
         sys.stdout.write(render_families())

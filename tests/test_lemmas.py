@@ -364,6 +364,12 @@ def _rewrite_first(d, gen):
     return None
 
 
+def _no_state(d):
+    """A disjunct whose pure part is unsatisfiable is no state: both
+    references drop it wherever they meet it."""
+    return pure.is_sat(d.pure).status == pure.Status.UNSAT
+
+
 def _full_scan_normalize(delta, gen):
     """Reference: restart the table after every rewrite and check the whole
     disjunct after every step."""
@@ -374,7 +380,7 @@ def _full_scan_normalize(delta, gen):
         while queue:
             d = queue.pop(0)
             rounds = 0
-            while True:
+            while not _no_state(d):
                 step = _rewrite_first(d, gen)
                 if step is not None:
                     rounds += 1
@@ -386,8 +392,8 @@ def _full_scan_normalize(delta, gen):
                 if bad is not None:
                     return bad
                 if step is None:
+                    out.append(d)
                     break
-            out.append(d)
     return Formula(tuple(out), delta.span)
 
 
@@ -486,7 +492,7 @@ def _one_key_at_a_time(delta, gen):
         queue = [Disjunct(d0.exists, tuple(lemmas._concretize_counts(d0.pure, d0.heap)), d0.pure)]
         while queue:
             h = lemmas._Heap(queue.pop(0))
-            while True:
+            while not _no_state(h.disjunct()):
                 step = None
                 keys = sorted(dict.fromkeys(k for k in h.keys if k is not None),
                               key=h.keys.index)
@@ -502,8 +508,8 @@ def _one_key_at_a_time(delta, gen):
                 if bad is not None:
                     return bad
                 if step is None:
+                    out.append(h.disjunct())
                     break
-            out.append(h.disjunct())
     return Formula(tuple(out), delta.span)
 
 
@@ -633,15 +639,17 @@ def test_create_latch_compares_a_constant_count_as_an_integer(monkeypatch):
     calls = []
     is_sat = pure.is_sat
     monkeypatch.setattr(pure, "is_sat", lambda *a, **k: calls.append(a) or is_sat(*a, **k))
-    # positive, then zero, then the error; a false comparison holds only ex
-    # falso, and a true one asks the solver nothing
-    for pre, count, state, solver_calls in [
-        ("n >= 0", "1", "CNT(c,1) * WAIT{} & 0<=n", 0),
-        ("emp", "1", "CNT(c,1) * WAIT{}", 0),
-        ("n >= 0", "0", "CNT(c,-1) * WAIT{} & 0<=n", 1),
-        ("n >= 0", "-1", None, 1),
-        ("emp", "-1", None, 0),
-        ("n >= 0 & n < 0", "-1", "CNT(c,-1) * WAIT{} & 0<=n & n<0", 1),
+    # positive, then zero, then the error: a comparison of constants asks
+    # the solver nothing, so the only question is the one normalize asks
+    # about the pure part of the pre-condition
+    for pre, count, state in [
+        ("n >= 0", "1", "CNT(c,1) * WAIT{} & 0<=n"),
+        ("emp", "1", "CNT(c,1) * WAIT{}"),
+        ("n >= 0", "0", "CNT(c,-1) * WAIT{} & 0<=n"),
+        ("n >= 0", "-1", None),
+        ("emp", "-1", None),
+        # an unsatisfiable pre-condition is no state: nothing to create a latch in
+        ("n >= 0 & n < 0", "-1", ""),
     ]:
         src = f"void main(int n) requires {pre} ensures emp; {{ c = create_latch({count}); skip }}"
         calls.clear()
@@ -650,33 +658,30 @@ def test_create_latch_compares_a_constant_count_as_an_integer(monkeypatch):
             assert v.kind == "SpecFailure" and "count sign undecided" in v.message
         else:
             assert v.kind == "Verified" and format_state(v.trace.points[1][1]) == state
-        assert len(calls) == solver_calls, (pre, count)
+        asked = [] if pre == "emp" else [F(pre).single().pure]
+        assert [p for p, in calls] == asked, (pre, count)
 
 
 def test_entails_compares_constants_as_integers(monkeypatch):
     x, zero, one = Term.var("x"), Term.of(0), Term.of(1)
-
-    def heap(pi):
-        return lemmas._Heap(Disjunct((), (), pi))
-    assert lemmas._entails(heap(TRUE), zero, "lt", one)
-    assert not lemmas._entails(heap(le(zero, x)), zero, "lt", Term.of(-1))
-    # a false comparison holds only under an unsatisfiable pure part
-    assert lemmas._entails(heap(pand([le(zero, x), lt(x, zero)])), zero, "le", Term.of(-1))
-    assert lemmas._entails(heap(le(zero, x)), zero, "le", x)
+    assert lemmas._entails(TRUE, zero, "lt", one)
+    assert not lemmas._entails(le(zero, x), zero, "lt", Term.of(-1))
+    assert lemmas._entails(le(zero, x), zero, "le", x)
 
     def no_solver(*args, **kwargs):
-        raise AssertionError("a true comparison of constants needs no solver call")
+        raise AssertionError("a comparison of constants needs no solver call")
     monkeypatch.setattr(pure, "is_sat", no_solver)
-    assert lemmas._entails(heap(le(zero, x)), zero, "lt", one)
-    assert lemmas._entails(heap(le(zero, x)), Term.of(-1), "le", zero)
+    assert lemmas._entails(le(zero, x), zero, "lt", one)
+    assert lemmas._entails(le(zero, x), Term.of(-1), "le", zero)
+    # with no ex-falso branch: a false one is false under any pure part
+    assert not lemmas._entails(pand([le(zero, x), lt(x, zero)]), zero, "le", Term.of(-1))
 
 
 @pytest.mark.parametrize("text, result", [
-    # an unsatisfiable pure part makes every ground fact implied: N2 merges
-    # a final share as if it were non-negative (`_e1` tests satisfiability
-    # first and declines such a state; N2, N1, E2 and W2 do not)
-    ("CNT(c,1)@1/2 * CNT(c,-1)@1/2 & 1 = 0", "CNT(c,0) & 1=0"),
-    ("CNT(c,-1)@1/2 * CNT(c,-1)@1/2 & x = 1 & x = 2", "CNT(c,-2) & x=1 & x=2"),
+    # a disjunct whose pure part is unsatisfiable is no state: it
+    # normalizes to none, and no rule reasons from it ex falso
+    ("CNT(c,1)@1/2 * CNT(c,-1)@1/2 & 1 = 0", ""),
+    ("CNT(c,-1)@1/2 * CNT(c,-1)@1/2 & x = 1 & x = 2", ""),
     ("CNT(c,1)@1/2 * CNT(c,-1)@1/2 & x = 1", "E2"),
     ("CNT(c,-1)@1/2 * CNT(c,-1)@1/2", "CNT(c,-1)"),
 ])
@@ -684,6 +689,21 @@ def test_constant_counts_on_vacuous_states(text, result):
     out = normalize(F(text), names.FreshGen(0))
     assert (out.lemma if isinstance(out, Inconsistency) else format_state(out)) == result
     assert out == _full_scan_normalize(F(text), names.FreshGen(0))
+
+
+@pytest.mark.parametrize("text, result", [
+    # one disjunct of two, which E2 matches with nothing to deadlock
+    ("CNT(c,1)@1/2 * CNT(c,-1)@1/2 & x = 1 & x = 2 | CNT(c,-1) & x = 1", "CNT(c,-1) & x=1"),
+    # a heap a release rebuilt with a new pure part
+    ("LatchOut(c, emp & x = 2) * CNT(c,-1) & x = 1", ""),
+    # a disjunct a disjunctive release made
+    ("LatchOut(c, emp & x = 2 | d::cell(1)) * CNT(c,-1) & x = 1", "d::cell(1) * CNT(c,-1) & x=1"),
+])
+def test_an_unsatisfiable_disjunct_is_no_state(text, result):
+    f = F(text)
+    out = normalize(f, names.FreshGen(0))
+    assert format_state(out) == result and out == _full_scan_normalize(f, names.FreshGen(0))
+    assert check_consistency(f) is None
 
 
 def test_a_heap_asks_the_solver_about_its_pure_part_once(monkeypatch):
@@ -694,8 +714,8 @@ def test_a_heap_asks_the_solver_about_its_pure_part_once(monkeypatch):
         return original(p)
     original = pure.is_sat
     monkeypatch.setattr(pure, "is_sat", is_sat)
-    # N2 finds the final share negative twice and E2 the merged one not
-    # positive, each a false ground fact, before N1 absorbs it
+    # normalize asks as it starts from the disjunct; N2 finding the final
+    # share negative and E2 the merged one not positive ask nothing
     out = normalize(F("CNT(c,-1)@1/2 * CNT(c,0)@1/4 * CNT(c,0)@1/4 & x = 1"), names.FreshGen(0))
     assert format_state(out) == "CNT(c,-1) & x=1" and asked == [F("emp & x = 1").single().pure]
 

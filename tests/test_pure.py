@@ -85,6 +85,14 @@ def test_projection_outside_exact_case_is_unknown():
     assert "cannot eliminate k" in res.reason
 
 
+def test_undecided_implication_is_none():
+    # whether v > 0 entails "v is even" asks about "v is odd", which the
+    # solver cannot project: neither True nor False, and nothing is raised
+    assert implies(S("v > 0"), S("ex k. 2*k = v")) is None
+    assert implies(S("v = 1"), S("v > 0")) is True
+    assert implies(S("v > 0"), S("v > 1")) is False
+
+
 def _rand_term(r):
     t = Term.of(r.randint(-5, 5))
     for v in ("x", "y", "z"):

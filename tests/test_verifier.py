@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from latchproof import names, pure, verifier
+from latchproof import lemmas, names, pure, verifier
 from latchproof.oracle import OracleBounds, explore
 from latchproof.parser import (
     SourceFile, format_state, parse_formula, parse_program, parse_pure,
@@ -388,6 +388,27 @@ def test_unknown_guard_keeps_branch(monkeypatch):
     assert undecided and v.kind != "Verified"
 
 
+def test_unknown_pure_part_keeps_a_race(monkeypatch):
+    # the latch expires with P never deposited; the pure part of every
+    # state comes back Unknown, which must not hide the race from E1
+    src = ("void probe(CountDownLatch c, int n) requires LatchIn(c, P) * CNT(c, 1) & n > 0 "
+           "ensures LatchIn(c, P) * CNT(c, -1); { countDown(c); await(c) } "
+           "void main() requires emp ensures emp; { skip }")
+    guard = parse_pure("n > 0")
+    undecided = []
+
+    def is_sat(p):
+        if p == guard or isinstance(p, PAnd) and guard in p.parts:
+            undecided.append(p)
+            return SolverResult(Status.UNKNOWN)
+        return pure.is_sat(p)
+
+    monkeypatch.setattr(lemmas, "solver", SimpleNamespace(is_sat=is_sat, implies=pure.implies))
+    v = by_proc(run(src))["probe"]
+    assert undecided and v.kind != "Verified"
+    assert (v.kind, v.lemma) == ("RaceError", "E1")
+
+
 def test_far_guard_witness_reaches_deadlock():
     # x=320, y=-270 satisfies the precondition and the guard
     [v] = run(UNDECIDED_GUARD)
@@ -719,3 +740,59 @@ def test_clean_reads_in_branches_verify(post, body):
         "t", f"data cell {{ int val; }}\nvoid main() requires emp ensures {post}; {{ {body} }}"))
     assert explore(p).kinds == {"Clean"}
     assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == "Verified"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: verifier.py trusts a thread's `with pre, post` as written, and `fork` "
+    "ignores its arguments"))
+def test_a_thread_spec_is_checked_against_its_procedure():
+    # `down` counts c down, but main's thread spec says it holds c's count
+    # and fork passes d: the thread never counts d down, so main deadlocks
+    src = """
+    void down(CountDownLatch c) requires CNT(c, 1) ensures CNT(c, 0); { countDown(c) }
+    void main() requires emp ensures emp;
+    {
+      c = create_latch(1); d = create_latch(1);
+      t = create_thread(down) with CNT(c, 1), CNT(c, 0);
+      fork(t, d); join(t); await(c); countDown(d); await(d)
+    }
+    """
+    p = parse_program(SourceFile("t", src))
+    assert explore(p).kinds == {"Deadlock"}
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind != "Verified"
+
+
+# -- a spec variable no atom binds is existential in the side condition -----------
+
+UNBOUND_SPEC_VAR = (
+    "void dec(CountDownLatch c) requires CNT(c, n) & n >= m & m >= 1{extra} "
+    "ensures CNT(c, n - 1); {{ countDown(c) }}\n"
+    "void main() requires emp ensures emp; "
+    "{{ c = create_latch(2); ( dec(c) || dec(c) || await(c) ) }}")
+
+
+@pytest.mark.parametrize("extra, kind", [
+    ("", "Verified"),
+    # no m has m >= 1 and m <= 0: the call's side condition cannot hold
+    (" & m <= 0", "SpecFailure"),
+])
+def test_unbound_spec_variable_is_existential(extra, kind):
+    p = parse_program(SourceFile("t", UNBOUND_SPEC_VAR.format(extra=extra)))
+    assert by_proc(verify_program(p, VerifyOptions()))["main"].kind == kind
+    assert explore(p).kinds == {"Clean"}
+
+
+# -- RP-INST: a consequent resource variable that no atom binds takes the rest ----
+
+TAKE_ALL = ("data cell { int val; }\n"
+            "void take() requires ex P. P ensures emp;\n"
+            "void main() requires emp ensures emp; { x = new cell(1); take()%s }")
+
+
+def test_a_lone_resource_variable_takes_every_sendable_atom():
+    [v] = run(TAKE_ALL % "")
+    assert v.kind == "Verified"
+    # the cell goes to `take`; the wait-for view is no resource and stays
+    assert format_state(v.trace.points[-1][1]) == "WAIT{}"
+    [v] = run(TAKE_ALL % "; x.val = 2")
+    assert v.kind == "SpecFailure" and "no points-to fact for x" in v.message
