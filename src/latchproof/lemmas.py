@@ -21,6 +21,12 @@ the whole heap finds, in the same order. A normal form's heap is kept for
 the next step that stars atoms onto it (a new latch, cell or thread), which
 then rewrites from the keys of those atoms alone.
 
+A count is pinned where the heap places it: a symbolic count that the
+disjunct's pure part pins to one constant is placed as that constant,
+whether the disjunct starts the fixpoint, a step stars it on, or a rewrite
+or a release puts it there. So no heap holds a count its pure part pins,
+and a normal form normalizes to itself.
+
 Each lemma's trigger, derived from its lhs, says what its pattern needs:
 the key kinds of its atoms, how many keys of each kind and how many atoms
 one of them holds (two atoms of one latch for N2; two latches and a wait
@@ -35,15 +41,14 @@ from typing import Callable, Iterator, Optional
 
 from . import names
 from . import pure as solver
-from .entail import EntailmentOutcome, entail, nothing_taken
+from .entail import EntailmentOutcome, entail
 from .parser import parse_formula, unparse_atom
 from .pure import Status
 from .syntax import (
-    Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
-    Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, all_names, atom_root, formula, free_vars, pand, pure_eval, star,
-    substitute,
-    eq as peq,
+    Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, PAnd, Perm, PNot,
+    PointsTo, POr, Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode,
+    ThreadSpec, Wait, TRUE, all_names, atom_root, formula, free_vars, pand, pure_eval,
+    pure_has_quantifier, star, substitute,
 )
 from .waitgraph import is_cyclic
 from .diagnostics import Diagnostic, NO_SPAN, fresh, record, replace
@@ -149,10 +154,6 @@ def _key(a: HeapAtom) -> Optional[tuple]:
     return None
 
 
-def _symbolic(a: HeapAtom) -> bool:
-    return isinstance(a, Cnt) and not a.count.is_const
-
-
 @record
 class Rewrite:
     """What a rule does to a disjunct at one match, by slot: `put` replaces
@@ -168,7 +169,8 @@ class _Heap:
     """A disjunct being rewritten. Its atoms sit in numbered slots in heap
     order; a rewrite empties the slots of the atoms it removes and appends
     new ones, so a slot keeps its number while its atom stays, and the index
-    from each key to its slots is updated from the rewrite alone."""
+    from each key to its slots is updated from the rewrite alone. A count
+    the pure part pins is placed as its constant (`_pinned`)."""
 
     def __init__(self, d: Disjunct):
         self.exists, self.pure = d.exists, d.pure
@@ -176,7 +178,6 @@ class _Heap:
         self.keys: list[Optional[tuple]] = []      # each slot's key
         # kind -> key -> its slots, ascending
         self.index: dict[str, dict[tuple, list[int]]] = {}
-        self.symbolic: set[int] = set()    # slots of counts that are not constants
         self._names: Optional[set[str]] = None
         self._status: Optional[Status] = None
         for a in d.heap:
@@ -206,6 +207,8 @@ class _Heap:
         return self._status
 
     def _place(self, s: int, a: HeapAtom) -> Optional[tuple]:
+        if isinstance(a, Cnt) and not a.count.is_const:
+            a = _pinned(self.pure, a)
         k = _key(a)
         if s == len(self.slots):
             self.slots.append(a)
@@ -214,22 +217,9 @@ class _Heap:
             self.slots[s], self.keys[s] = a, k
         if k is not None:
             insort(self.index.setdefault(k[0], {}).setdefault(k, []), s)
-        if _symbolic(a):
-            self.symbolic.add(s)
         if self._names is not None:
             self._names |= all_names(a)
         return k
-
-    def extend(self, atoms: tuple[HeapAtom, ...]) -> set[tuple]:
-        """Star `atoms` onto this heap, with the counts the pure part pins
-        made constants, as `normalize` does on entry to every count of a
-        disjunct (those already here in their order first, then the new
-        ones). Returns the keys whose atoms changed."""
-        kept = sorted(self.symbolic)
-        pinned = _concretize_counts(self.pure, [self.slots[s] for s in kept] + list(atoms))
-        put = tuple((s, c) for s, c in zip(kept, pinned) if c is not self.slots[s])
-        touched, _ = self.apply(Rewrite(put=put, add=tuple(pinned[len(kept):])), None)
-        return touched
 
     def _empty(self, s: int) -> Optional[tuple]:
         k = self.keys[s]
@@ -238,7 +228,6 @@ class _Heap:
             of_kind[k].remove(s)
             if not of_kind[k]:
                 del of_kind[k]
-        self.symbolic.discard(s)
         self.slots[s] = self.keys[s] = None
         return k
 
@@ -365,18 +354,14 @@ def _cell_of(d: Disjunct, base: str) -> Optional[tuple[int, PointsTo]]:
     return None
 
 
-def _concretize_counts(pi: Pure, atoms: list[HeapAtom]) -> list[HeapAtom]:
-    """Replace symbolic CNT counts that the pure part pins to a constant."""
-    atoms = list(atoms)
-    for i, a in enumerate(atoms):
-        if _symbolic(a):
-            res = solver.is_sat(pi)
-            if res.status != Status.SAT or res.model is None:
-                break
-            k = a.count.eval(res.model)
-            if _entails(pi, a.count, "eq", Term.of(k)):
-                atoms[i] = Cnt(a.latch, Term.of(k), a.perm)
-    return atoms
+def _pinned(pi: Pure, a: Cnt) -> Cnt:
+    """`a` with the constant count `pi` pins its count to, when it pins one:
+    the only value a model of `pi` gives the count."""
+    res = solver.is_sat(pi)
+    if res.status != Status.SAT or res.model is None:
+        return a
+    k = Term.of(a.count.eval(res.model))
+    return Cnt(a.latch, k, a.perm) if _entails(pi, a.count, "eq", k) else a
 
 
 def _release(host: Disjunct, payload: ResArg, gen) -> list[Disjunct]:
@@ -435,16 +420,12 @@ def _merge_groups(h: _Heap, keys: Optional[set[tuple]], holds,
 
 def _n2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
     """Combine all provably non-negative counter shares of a latch at once
-    (the pairwise lemma taken to its fixpoint). A merge pins every other
-    count the pure part fixes, so a later latch's shares are read after it."""
+    (the pairwise lemma taken to its fixpoint)."""
     for group in _merge_groups(h, keys, lambda t: _entails(h.pure, _ZERO, "le", t)):
         shares = [h.slots[s] for s in group]
-        merged = Cnt(shares[0].latch, Term.total([a.count for a in shares]),
-                     Perm.total([a.perm for a in shares]))
-        kept = sorted(h.symbolic - set(group))
-        *pinned, merged = _concretize_counts(h.pure, [h.slots[s] for s in kept] + [merged])
-        put = tuple((s, c) for s, c in zip(kept, pinned) if c is not h.slots[s])
-        yield Rewrite(drop=tuple(group), put=put, add=(merged,))
+        yield Rewrite(drop=tuple(group), add=(Cnt(
+            shares[0].latch, Term.total([a.count for a in shares]),
+            Perm.total([a.perm for a in shares])),))
 
 
 def _n1(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
@@ -521,10 +502,10 @@ def _w2(h: _Heap, keys: Optional[set[tuple]] = None) -> Iterator[Rewrite]:
              if not h.slots[s].perm.is_one]
     if not views:
         return
-    finals, positives = set(), set()
+    finals, positives, final = set(), set(), _final(h)
     for _, a, _ in _by_key(h, None, "latch"):
         if isinstance(a, Cnt):
-            if a.count.is_const and a.count.const == -1:
+            if final(a.count):
                 finals.add(a.latch)
             elif _entails(h.pure, _ZERO, "lt", a.count):
                 positives.add(a.latch)
@@ -748,12 +729,11 @@ def normalize(delta: Formula, gen=None,
         entry = _CARRIED.pop(id(d0), None)
         if entry is not None:
             h = entry[1]
-            start = h.extend(atoms)
+            start, _ = h.apply(Rewrite(add=atoms), None)
         else:
             if atoms:
                 d0 = star(Formula((d0,)), formula(*atoms), gen).single()
-            h = _Heap(Disjunct(d0.exists, tuple(_concretize_counts(d0.pure, d0.heap)), d0.pure))
-            start = None
+            h, start = _Heap(d0), None
         queue: list[Disjunct] = []
         while h is not None:
             d = _fixpoint(h, start, cap, gen, queue)
@@ -852,20 +832,34 @@ class SplitResult:
     refined: dict[str, Perm] = fresh(dict)
 
 
-def _min_count(target_pure: Pure, count: Term, available: int) -> Optional[int]:
-    """The least count in 0..available that `target_pure` allows for the
-    symbolic `count`. A guard on the count alone is evaluated: counts of
-    fresh spec instances have fresh names, which the solver's cache never
-    holds."""
+def _offsets(p: Pure) -> Iterator[int]:
+    """|lhs.const - rhs.const| of each comparison in a quantifier-free `p`."""
+    if isinstance(p, Cmp):
+        yield abs(p.lhs.const - p.rhs.const)
+    elif isinstance(p, (PAnd, POr)):
+        for q in p.parts:
+            yield from _offsets(q)
+    elif isinstance(p, PNot):
+        yield from _offsets(p.body)
+
+
+_SCAN_MAX = 64
+
+
+def _min_count(guard: Pure, count: Term) -> Optional[int]:
+    """The least count, 0 or more, that `guard` allows for the symbolic
+    `count`; None when it allows none or the solver cannot tell. A guard on
+    a count variable alone is evaluated, since counts of fresh spec
+    instances have fresh names, which the solver's cache never holds: past
+    1 + the largest offset of its comparisons, none of them changes truth.
+    Any other guard, or one whose offsets would make the scan longer than
+    `_SCAN_MAX` counts, goes to the solver."""
     v = count.is_var()
-    alone = v is not None and free_vars(target_pure) <= {v}
-    for k in range(0, available + 1):
-        if alone:
-            if pure_eval(target_pure, {v: k}):
-                return k
-        elif solver.is_sat(pand([target_pure, peq(count, Term.of(k))])).status == Status.SAT:
-            return k
-    return None
+    if v is not None and free_vars(guard) <= {v} and not pure_has_quantifier(guard):
+        past = 1 + max(_offsets(guard), default=0)
+        if past < _SCAN_MAX:
+            return next((k for k in range(past + 1) if pure_eval(guard, {v: k})), None)
+    return solver.least(guard, count, 0)
 
 
 def _shared(delta: Formula, k: int) -> list[HeapAtom]:
@@ -1025,10 +1019,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
                 if held is not None and held[1].perm.is_concrete:
                     halves[a.perm.single_var()] = held[1].perm.divide(2)
         target_f = substitute(Formula((td,)), perms=halves)
-        # a target of counters alone takes nothing more, without a nested entailment
-        r = nothing_taken(remaining, target_f)
-        if r is None:
-            r = entail(set(t.E), remaining, target_f, gen=gen, rigid=rigid)
+        r = entail(set(t.E), remaining, target_f, gen=gen, rigid=rigid)
         if not r.success:
             raise SplitFailure(Diagnostic(
                 "SpecFailure",

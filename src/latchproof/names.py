@@ -2,20 +2,18 @@
 
 Names carry a '#' which the surface syntax never produces for user
 identifiers, so generated names cannot collide with parsed programs.
-Counters are monotone per prefix, giving deterministic traces; a seed
-offsets them.
+Counters are monotone per prefix, giving deterministic traces.
 """
 
 from __future__ import annotations
 
 
 class FreshGen:
-    def __init__(self, seed: int = 0):
-        self._base = seed
+    def __init__(self):
         self._counters: dict[str, int] = {}
 
     def fresh(self, prefix: str) -> str:
-        n = self._counters.get(prefix, self._base) + 1
+        n = self._counters.get(prefix, 0) + 1
         self._counters[prefix] = n
         return f"{prefix}#{n}"
 

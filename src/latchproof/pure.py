@@ -14,8 +14,9 @@ every upper bound has a unit coefficient), by the real shadow.
 Unknown comes from the step budget (MAX_STEPS), from the DNF and
 disequality blow-up guards, and from a projection outside that exact case,
 each raising `SolverUnknown`, which no other module sees: `is_sat` answers
-Unknown and `implies` None, and each caller says at the call what an
-undecided answer means (`implies(...) is True` where it proves nothing).
+Unknown, and `implies` and `least` None, and each caller says at the call
+what an undecided answer means (`implies(...) is True` where it proves
+nothing).
 """
 
 from __future__ import annotations
@@ -415,6 +416,26 @@ def implies(p1: Pure, p2: Pure) -> Optional[bool]:
         return True
     res = is_sat(pand([p1, _nnf(PNot(p2), True)]))
     return None if res.status == Status.UNKNOWN else res.status == Status.UNSAT
+
+
+def least(p: Pure, t: Term, floor: int) -> Optional[int]:
+    """The least value, `floor` or more, that `t` takes in a model of `p`:
+    a binary search between `floor` and the value of the last model found.
+    None when `t` takes no such value, or a query is undecided."""
+    lo, hi = floor, None        # no value lies below lo; hi, once found, is one
+    while hi is None or lo < hi:
+        query = [p, Cmp("le", Term.of(lo), t)]
+        if hi is not None:
+            mid = (lo + hi - 1) // 2
+            query.append(Cmp("le", t, Term.of(mid)))
+        res = is_sat(pand(query))
+        if res.status == Status.SAT:
+            hi = t.eval(res.model)
+        elif res.status == Status.UNSAT and hi is not None:
+            lo = mid + 1
+        else:
+            return None
+    return hi
 
 
 def eliminate(p: Pure, vars: Collection[str]) -> Pure:

@@ -238,7 +238,7 @@ class _ProcVerifier:
         for a in want.heap:
             if isinstance(a, Cnt):
                 held = [b.count for b in d.heap if isinstance(b, Cnt) and b.latch == a.latch]
-                k = a.count.const if a.count.is_const else _min_count(want.pure, a.count, 1)
+                k = a.count.const if a.count.is_const else _min_count(want.pure, a.count)
                 if k is None or held and (Term.of(-1) in held
                                           or not all(t.is_const for t in held)):
                     continue

@@ -1,11 +1,17 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from latchproof import names
 from latchproof.parser import SourceFile, parse_program
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+
+# every @given test draws the same examples on every run, and keeps no
+# database of failing examples between runs
+settings.register_profile("seeded", derandomize=True, database=None)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(autouse=True)

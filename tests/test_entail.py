@@ -64,7 +64,7 @@ def test_nothing_taken_is_the_derivation_of_emp():
     repeated = Formula((Disjunct((), (), PAnd((p, p))), Disjunct((), (), PAnd((p,)))))
     for a in [F("emp"), F("x::cell(1) & n > 0 & m > 0"), repeated,
               F("CNT(c, 2)@1/2 * LatchIn(c, P) | x::cell(v) * WAIT{c->d}@1/2 & v = 2")]:
-        gen = names.FreshGen(0)
+        gen = names.FreshGen()
         per = [_entail_dd(set(), d, EMP.single(), gen, frozenset()) for d in a.disjuncts]
         assert all(not (r["D"] or r["rho"] or r["permb"] or r["notes"]) for r in per)
         assert nothing_taken(a, EMP) == EntailmentOutcome(
@@ -259,10 +259,11 @@ def test_apply_alpha_renames_existentials():
 
 def test_apply_renames_clashing_existentials_in_binding_order():
     # eight clashing names: drawing them in set order would scramble them
-    bound = tuple(f"v#{i}" for i in range(1, 9))
+    gen = names.FreshGen()
+    bound = tuple(gen.fresh("v") for _ in range(8))
     delta = Formula((Disjunct(bound, (ResVarAtom("V"),), TRUE),))
     image = Formula((Disjunct((), tuple(PointsTo(v, "cell", ()) for v in bound), TRUE),))
-    f = substitute(delta, res={"V": image}, gen=names.FreshGen(8))
+    f = substitute(delta, res={"V": image}, gen=gen)
     assert f.single().exists == tuple(f"v#{i}" for i in range(9, 17))
 
 

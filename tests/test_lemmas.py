@@ -1,3 +1,5 @@
+import copy
+import importlib
 import random
 from fractions import Fraction
 
@@ -14,9 +16,13 @@ from latchproof.parser import (
     SourceFile, format_state, parse_formula, parse_program, unparse_atom,
 )
 from latchproof.syntax import (
-    Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE, pand, le, lt, star,
+    Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE, pand, le, lt, por, star,
 )
 from latchproof.verifier import VerifyOptions, verify_program
+
+
+# the module: the package's own `entail` attribute is the function
+entail_module = importlib.import_module("latchproof.entail")
 
 
 def F(s):
@@ -149,6 +155,27 @@ def test_named_shares_that_take_the_whole_permission_leave_no_counter():
     assert format_state(r.frame) == "emp"
 
 
+def test_a_guard_on_the_count_alone_is_scanned_to_its_least_count(monkeypatch):
+    # seeded guards on n alone, against the solver's exact search: the scan
+    # stops past the point where no comparison changes truth
+    r = random.Random(29)
+    scanned = []
+    for _ in range(200):
+        parts = [F(f"{r.choice(['', '2*', '3*', '-'])}n {r.choice(['<', '<=', '=', '!=', '>'])} "
+                   f"{r.randint(-9, 9)}").single().pure for _ in range(r.randint(1, 3))]
+        guard = pand(parts) if r.random() < 0.7 else por(parts)
+        with monkeypatch.context() as m:
+            m.setattr(pure, "least", lambda *a: scanned.append(a))
+            got = lemmas._min_count(guard, Term.var("n"))
+        assert got == pure.least(guard, Term.var("n"), 0), guard
+    assert not scanned
+    # a far offset goes to the solver in place of a scan of a million counts
+    least = pure.least
+    monkeypatch.setattr(pure, "least", lambda *a: scanned.append(a) or least(*a))
+    assert lemmas._min_count(F("n >= 1000000").single().pure, Term.var("n")) == 1000000
+    assert len(scanned) == 1
+
+
 @pytest.mark.parametrize("delta, targets, message", [
     ("CNT(c,2)@1", ["CNT(c,1)@1/2", "CNT(c,1)@3/4"],
      "latch c: the branches' shares sum to 5/4, more than its permission 1"),
@@ -245,7 +272,7 @@ def _entered(monkeypatch, f, added=None):
     with monkeypatch.context() as m:
         m.setattr(lemmas, "_REWRITES", tuple(counted(lm) for lm in lemmas._REWRITES))
         m.setattr(lemmas, "_CHECKS", tuple(counted(lm) for lm in lemmas._CHECKS))
-        out = normalize(f, names.FreshGen(0), added)
+        out = normalize(f, names.FreshGen(), added)
     return names_in, out
 
 
@@ -257,7 +284,7 @@ def test_rules_run_only_where_their_trigger_is_met(monkeypatch):
                                            " * WAIT{}@1/3 * WAIT{}@1/3 & x=1"))
     assert entered == ["Unit", "N2", "N1", "N3", "W3", "E2"] and out.lemma == "E2"
     # a carried normal form extended by a cell: only the cell's key is dirty
-    nf = normalize(F("CNT(c,1) * CNT(d,-1) * WAIT{}"), names.FreshGen(0))
+    nf = normalize(F("CNT(c,1) * CNT(d,-1) * WAIT{}"), names.FreshGen())
     entered, _ = _entered(monkeypatch, nf, ((PointsTo("x", "cell", (Term.of(1),)),),))
     assert entered == []
     # two latches and a partial wait view: W2 records that d completes first
@@ -348,6 +375,12 @@ def test_normalize_idempotent_and_conserving_random():
             continue
         assert normalize(out) == out
         assert _cnt_perm_totals(out) == _cnt_perm_totals(f)
+    # released payloads bring counts, some of which their pure parts pin
+    r = random.Random(3)
+    for _ in range(1500):
+        out = normalize(_random_disjunct(r))
+        if isinstance(out, Formula):
+            assert normalize(out) == out, format_state(out)
 
 
 # -- the indexed fixpoint against a full scan ------------------------------------
@@ -375,7 +408,7 @@ def _full_scan_normalize(delta, gen):
     disjunct after every step."""
     out = []
     for d0 in delta.disjuncts:
-        queue = [Disjunct(d0.exists, tuple(lemmas._concretize_counts(d0.pure, d0.heap)), d0.pure)]
+        queue = [lemmas._Heap(d0).disjunct()]
         cap = 10 * (len(d0.heap) + 1) + 10
         while queue:
             d = queue.pop(0)
@@ -436,8 +469,8 @@ def test_indexed_fixpoint_matches_full_scan():
     outcomes, carried, merged = set(), 0, 0
     for _ in range(1500):
         f = _random_disjunct(r)
-        want = _full_scan_normalize(f, names.FreshGen(0))
-        got = normalize(f, names.FreshGen(0))
+        want = _full_scan_normalize(f, names.FreshGen())
+        got = normalize(f, names.FreshGen())
         assert got == want, format_state(f)
         outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
         merged += isinstance(got, Formula) and sum(
@@ -447,13 +480,14 @@ def test_indexed_fixpoint_matches_full_scan():
         # added to its normal form as a step adds them
         d = f.single()
         cut = r.randint(0, len(d.heap) - 1)
-        nf = normalize(Formula((Disjunct(d.exists, d.heap[:cut], d.pure),)), names.FreshGen(0))
+        gen = names.FreshGen()
+        nf = normalize(Formula((Disjunct(d.exists, d.heap[:cut], d.pure),)), gen)
         if isinstance(nf, Inconsistency):
             continue
         added = (d.heap[cut:],) * len(nf.disjuncts)
-        want = _full_scan_normalize(_starred(nf, added), names.FreshGen(50))
+        want = _full_scan_normalize(_starred(nf, added), copy.deepcopy(gen))
         assert all(lemmas._CARRIED[id(e)][0] is e for e in nf.disjuncts)
-        assert normalize(nf, names.FreshGen(50), added) == want, format_state(f)
+        assert normalize(nf, gen, added) == want, format_state(f)
         outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
         carried += 1
     assert outcomes == {"normal form", "E1", "E2", "E3", None}   # None: the thread protocol
@@ -461,7 +495,8 @@ def test_indexed_fixpoint_matches_full_scan():
 
 
 @pytest.mark.parametrize("text, heap", [
-    # a released payload brings a count its pure part pins: the next N2 pins it
+    # a released payload brings a count its pure part pins: it is pinned as
+    # the release places it
     ("LatchOut(c1, CNT(c3,n)@1/2 * CNT(c2,0)@1/4 & n=1) * CNT(c1,-1)@1/2 * CNT(c2,1)@1/2",
      ["CNT(c1,-1)@1/2", "CNT(c3,1)@1/2", "CNT(c2,1)@3/4"]),
     # a release makes three latches match N2 at once: they merge in heap order
@@ -470,9 +505,9 @@ def test_indexed_fixpoint_matches_full_scan():
      ["CNT(c3,-1)@1/2", "CNT(c4,1)@1/2", "CNT(c2,1)@1/2", "CNT(c1,1)@1/2"]),
 ])
 def test_rewrites_after_a_release(text, heap):
-    out = normalize(F(text), names.FreshGen(0))
+    out = normalize(F(text), names.FreshGen())
     assert [unparse_atom(a) for a in out.single().heap] == heap
-    assert out == _full_scan_normalize(F(text), names.FreshGen(0))
+    assert out == _full_scan_normalize(F(text), names.FreshGen())
 
 
 # -- batched rules against one key at a time ---------------------------------------
@@ -489,7 +524,7 @@ def _one_key_at_a_time(delta, gen):
     disjunct."""
     out = []
     for d0 in delta.disjuncts:
-        queue = [Disjunct(d0.exists, tuple(lemmas._concretize_counts(d0.pure, d0.heap)), d0.pure)]
+        queue = [lemmas._Heap(d0).disjunct()]
         while queue:
             h = lemmas._Heap(queue.pop(0))
             while not _no_state(h.disjunct()):
@@ -556,10 +591,10 @@ def test_batched_rules_match_one_key_at_a_time(monkeypatch):
     outcomes = set()
     for _ in range(400):
         f = _random_heap(r)
-        want = _one_key_at_a_time(f, names.FreshGen(0))
+        want = _one_key_at_a_time(f, names.FreshGen())
         with monkeypatch.context() as m:
             m.setattr(lemmas, "_REWRITES", batched)
-            got = normalize(f, names.FreshGen(0))
+            got = normalize(f, names.FreshGen())
         # the same atoms in the same heap order, or the same first
         # inconsistency: kind, lemma, message and the state it was found in
         assert got == want, format_state(f)
@@ -594,42 +629,44 @@ def test_atoms_added_to_a_normal_form_normalize_as_starred(monkeypatch):
     r = random.Random(23)
     outcomes, extended = set(), 0
     for _ in range(400):
-        nf = normalize(_random_heap(r), names.FreshGen(0))
+        gen = names.FreshGen()
+        nf = normalize(_random_heap(r), gen)
         if isinstance(nf, Inconsistency):
             continue
         added = _added(r, nf)
-        want = normalize(_starred(nf, added), names.FreshGen(50))
+        # both sides continue the generator that drew the normal form's names
+        want = normalize(_starred(nf, added), copy.deepcopy(gen))
         # the normal form's heaps are carried: the same atoms in the same
         # heap order, or the same first inconsistency (kind, lemma, message
         # and the state it was found in)
         assert all(lemmas._CARRIED[id(d)][0] is d for d in nf.disjuncts)
-        got = normalize(nf, names.FreshGen(50), added)
+        got = normalize(nf, copy.deepcopy(gen), added)
         assert got == want, format_state(nf)
         extended += 1
         if isinstance(got, Formula):
             # their entries were used: extending the same normal form again
             # takes the full path, to the same result
             built[0] = 0
-            assert normalize(nf, names.FreshGen(50), added) == want
+            assert normalize(nf, gen, added) == want
             assert built[0] >= len(nf.disjuncts)
             assert [repr(d) for d in got.disjuncts] == [repr(d) for d in want.disjuncts]
         outcomes.add(want.lemma if isinstance(want, Inconsistency) else "normal form")
     assert outcomes >= {"normal form", "E1", "E2", "E3"} and extended > 80
-    # a released payload left a count its pure part pins, which is pinned
-    # on entry to the next normalization, the carried one too
-    nf = normalize(F("LatchOut(c1, CNT(c3,n)@1/2 & n=1) * CNT(c1,-1)@1/2"), names.FreshGen(0))
-    assert [unparse_atom(a) for a in nf.single().heap] == ["CNT(c1,-1)@1/2", "CNT(c3,n)@1/2"]
+    # a released payload brings a count its pure part pins, which is pinned
+    # as the release places it, so the carried heap holds the constant
+    nf = normalize(F("LatchOut(c1, CNT(c3,n)@1/2 & n=1) * CNT(c1,-1)@1/2"), names.FreshGen())
+    assert [unparse_atom(a) for a in nf.single().heap] == ["CNT(c1,-1)@1/2", "CNT(c3,1)@1/2"]
     added = (F("CNT(c2,1)").single().heap,)
-    want = normalize(_starred(nf, added), names.FreshGen(0))
-    got = normalize(nf, names.FreshGen(0), added)
+    want = normalize(_starred(nf, added), names.FreshGen())
+    got = normalize(nf, names.FreshGen(), added)
     assert got == want and [unparse_atom(a) for a in got.single().heap] == [
         "CNT(c1,-1)@1/2", "CNT(c3,1)@1/2", "CNT(c2,1)"]
     # a state normalize did not return takes the full path
     fresh = _random_heap(r)
     added = _added(r, fresh)
     built[0] = 0
-    assert normalize(fresh, names.FreshGen(0), added) == normalize(_starred(fresh, added),
-                                                                   names.FreshGen(0))
+    assert normalize(fresh, names.FreshGen(), added) == normalize(_starred(fresh, added),
+                                                                   names.FreshGen())
     assert built[0] >= 2 * len(fresh.disjuncts)
 
 
@@ -686,9 +723,9 @@ def test_entails_compares_constants_as_integers(monkeypatch):
     ("CNT(c,-1)@1/2 * CNT(c,-1)@1/2", "CNT(c,-1)"),
 ])
 def test_constant_counts_on_vacuous_states(text, result):
-    out = normalize(F(text), names.FreshGen(0))
+    out = normalize(F(text), names.FreshGen())
     assert (out.lemma if isinstance(out, Inconsistency) else format_state(out)) == result
-    assert out == _full_scan_normalize(F(text), names.FreshGen(0))
+    assert out == _full_scan_normalize(F(text), names.FreshGen())
 
 
 @pytest.mark.parametrize("text, result", [
@@ -701,8 +738,8 @@ def test_constant_counts_on_vacuous_states(text, result):
 ])
 def test_an_unsatisfiable_disjunct_is_no_state(text, result):
     f = F(text)
-    out = normalize(f, names.FreshGen(0))
-    assert format_state(out) == result and out == _full_scan_normalize(f, names.FreshGen(0))
+    out = normalize(f, names.FreshGen())
+    assert format_state(out) == result and out == _full_scan_normalize(f, names.FreshGen())
     assert check_consistency(f) is None
 
 
@@ -716,7 +753,7 @@ def test_a_heap_asks_the_solver_about_its_pure_part_once(monkeypatch):
     monkeypatch.setattr(pure, "is_sat", is_sat)
     # normalize asks as it starts from the disjunct; N2 finding the final
     # share negative and E2 the merged one not positive ask nothing
-    out = normalize(F("CNT(c,-1)@1/2 * CNT(c,0)@1/4 * CNT(c,0)@1/4 & x = 1"), names.FreshGen(0))
+    out = normalize(F("CNT(c,-1)@1/2 * CNT(c,0)@1/4 * CNT(c,0)@1/4 & x = 1"), names.FreshGen())
     assert format_state(out) == "CNT(c,-1) & x=1" and asked == [F("emp & x = 1").single().pure]
 
 
@@ -762,10 +799,10 @@ def _fan_in(n):
 
 def _join_work(monkeypatch, program):
     """The rewrite rounds of the `||` join's normalize (rule calls that
-    rewrote something), the nested entail calls of the split and the
-    targets it served as taking nothing."""
+    rewrote something), and the split's entail calls: those that ran a
+    nested entailment, and those `nothing_taken` served as taking nothing."""
     counts = {"rounds": 0, "entail": 0, "served": 0}
-    in_join = [False]
+    in_join, split_call = [False], [False]
 
     def counted(rule):
         def run(h, keys=None):
@@ -781,22 +818,24 @@ def _join_work(monkeypatch, program):
         finally:
             in_join[0] = False
 
-    def nested_entail(*args, **kwargs):
-        counts["entail"] += 1
+    def split_entail(*args, **kwargs):
+        split_call[0] = True
         return original_entail(*args, **kwargs)
 
     def served(*args):
         out = original_nothing_taken(*args)
-        counts["served"] += out is not None
+        if split_call[0]:   # the fast path a split's entail call tries first
+            split_call[0] = False
+            counts["served" if out is not None else "entail"] += 1
         return out
     original_join, original_entail = verifier._ProcVerifier._join, lemmas.entail
-    original_nothing_taken = lemmas.nothing_taken
+    original_nothing_taken = entail_module.nothing_taken
     with monkeypatch.context() as m:
         m.setattr(lemmas, "_REWRITES", tuple(replace(lm, rule=counted(lm.rule))
                                              for lm in lemmas._REWRITES))
         m.setattr(verifier._ProcVerifier, "_join", join)
-        m.setattr(lemmas, "entail", nested_entail)
-        m.setattr(lemmas, "nothing_taken", served)
+        m.setattr(lemmas, "entail", split_entail)
+        m.setattr(entail_module, "nothing_taken", served)
         [v] = verify_program(program, VerifyOptions(collect_trace=False))
     assert v.kind == "Verified"
     return counts

@@ -207,6 +207,27 @@ def test_boxed_systems_match_brute_force():
     assert min(seen.values()) >= 100, seen
 
 
+def test_least_matches_brute_force():
+    # the least value, floor or more, of a random term over a boxed system
+    r = random.Random(13)
+    grid = list(itertools.product(range(-BOX, BOX + 1), repeat=2))
+    found = 0
+    for _ in range(100):
+        f = _boxed_system(r, ("x", "y"))
+        t = Term.var("x").scale(r.randint(-3, 3)) + Term.var("y").scale(r.randint(-3, 3))
+        t, floor = t + Term.of(r.randint(-5, 5)), r.randint(-20, 20)
+        values = [t.eval({"x": x, "y": y}) for x, y in grid if pure_eval(f, {"x": x, "y": y})]
+        want = min((v for v in values if v >= floor), default=None)
+        assert pure.least(f, t, floor) == want, (f, t, floor)
+        found += want is not None
+    assert found >= 50, found
+
+
+def test_least_is_none_when_undecided(monkeypatch):
+    monkeypatch.setattr(pure, "is_sat", lambda p: pure.SolverResult(Status.UNKNOWN))
+    assert pure.least(S("x >= 2"), Term.var("x"), 0) is None
+
+
 def _planted2(r):
     """2-3 inequalities a*x + b*y <= k (|a|, |b| <= 9, |k| <= 300) that the
     planted point (x0, y0), |x0|, |y0| <= 300, satisfies."""

@@ -109,7 +109,7 @@ def test_a_new_kind_needs_one_declaration():
     assert atom_root(a) == "p"
     # every field is substituted, and the bound v is renamed apart from n's image
     b = substitute(a, {"p": Term.var("q"), "n": Term.var("v"), "w": Term.of(3)},
-                   gen=names.FreshGen(0))
+                   gen=names.FreshGen())
     assert (b.root, b.size) == ("q", Term.var("v") + Term.of(1))
     d = b.member.single()
     assert d.exists == ("v#1",) and d.heap == (
@@ -136,18 +136,18 @@ def test_substitute_leaves_spec_bound_names_alone():
 def test_substitute_renames_a_spec_bound_name_that_an_image_mentions():
     # `j`'s image `k` must stay free: the spec's own `k` is renamed apart
     spec = ThreadSpec("t", ("k",), F("x::cell(k) * y::cell(j)"), EMP)
-    out = substitute(spec, {"j": Term.var("k")}, gen=names.FreshGen(0))
+    out = substitute(spec, {"j": Term.var("k")}, gen=names.FreshGen())
     assert out == ThreadSpec("t", ("k#1",), F("x::cell(k#1) * y::cell(k)"), EMP)
     assert free_vars(out) == {"t", "x", "y", "k"}
 
 
 def test_star_renames_clashing_existentials_in_binding_order():
     # eight clashing names: drawing them in set order would scramble them
-    bound = tuple(f"v#{i}" for i in range(1, 9))
+    gen = names.FreshGen()
+    bound = tuple(gen.fresh("v") for _ in range(8))
     left = Formula((Disjunct((), tuple(PointsTo(v, "cell", ()) for v in bound), TRUE),))
     right = Formula((Disjunct(bound, tuple(PointsTo("x", "cell", (Term.var(v),)) for v in bound),
                               TRUE),))
-    gen = names.FreshGen(8)
     assert star(left, right, gen).single().exists == tuple(f"v#{i}" for i in range(9, 17))
 
 

@@ -705,6 +705,36 @@ def test_counter_shares_split_in_nested_blocks(count, kind):
         {"Clean"} if kind == "Verified" else {"Deadlock"})
 
 
+DEC2 = """
+void dec2(CountDownLatch c) requires CNT(c, n) & {guard} ensures CNT(c, n - 2);
+{{ countDown(c); countDown(c) }}
+void main() requires emp ensures emp; {{ c = create_latch({count}); ( dec2(c) || await(c) ) }}
+"""
+
+
+@pytest.mark.parametrize("guard, solved", [
+    ("n >= 2", False), ("n >= k & k >= 2", True),
+    # a quantified guard cannot be evaluated: it goes to the solver
+    ("(ex k. n = 2 * k & k >= 1)", True),
+])
+@pytest.mark.parametrize("count, kind, message, outcomes", [
+    (2, "Verified", "", {"Clean"}),
+    (3, "DeadlockError", "latch c: pending countdowns can never complete", {"Deadlock"}),
+    (1, "SpecFailure", "latch c: demanded count exceeds available 1", None),
+])
+def test_a_branch_abduces_the_least_count_its_callee_allows(
+        monkeypatch, guard, solved, count, kind, message, outcomes):
+    # the branch calling dec2 abduces CNT(c, 2): a guard on the count alone
+    # is evaluated, one naming another variable goes to the solver
+    least, asked = pure.least, []
+    monkeypatch.setattr(pure, "least", lambda *a: asked.append(a) or least(*a))
+    p = parse_program(SourceFile("t", DEC2.format(guard=guard, count=count)))
+    main = by_proc(verify_program(p, VerifyOptions()))["main"]
+    assert (main.kind, main.message) == (kind, message) and bool(asked) == solved
+    if outcomes is not None:
+        assert explore(p).kinds == outcomes
+
+
 def test_fork_in_a_branch():
     # the abduced descriptor threadspec(t, P, Q) * P names its resources apart
     # from the fork's own spec pair, which then binds them
