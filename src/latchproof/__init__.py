@@ -1,17 +1,10 @@
 """latchproof: a static verifier for CountDownLatch programs with
-concurrent abstract predicates, plus an exhaustive-interleaving oracle."""
+concurrent abstract predicates, plus an exhaustive-interleaving oracle.
+Each name is imported from its submodule (`latchproof.verifier`,
+`latchproof.oracle`, ...); the package itself loads neither of those two."""
 
 __version__ = "0.1.0"
 
-from .entail import EntailmentOutcome, entail
-from .lemmas import normalize, check_consistency, split_for, verify_lemma_table
-from .oracle import OracleBounds, OracleReport, explore
-from .parser import SourceFile, parse_formula, parse_program, unparse
-from .verifier import Verdict, VerifyOptions, verify_program
+from .lemmas import verify_lemma_table
 
-__all__ = [
-    "EntailmentOutcome", "entail", "normalize", "check_consistency", "split_for",
-    "verify_lemma_table", "OracleBounds", "OracleReport", "explore", "SourceFile",
-    "parse_formula", "parse_program", "unparse", "Verdict", "VerifyOptions",
-    "verify_program", "__version__",
-]
+__all__ = ["verify_lemma_table", "__version__"]

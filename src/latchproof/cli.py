@@ -16,16 +16,7 @@ from .syntax import check_wellformed
 from .verifier import Verdict, VerifyOptions, verify_program
 
 
-@record
-class RunConfig:
-    files: list[str]
-    mode: str = "verify"            # verify | oracle | both
-    json: bool = False
-    dump_trace: bool = False
-    oracle_bounds: OracleBounds = fresh(OracleBounds)
-
-
-def _parse_args(argv) -> RunConfig:
+def _parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(
         prog="latchproof",
         description="Static verifier and interleaving oracle for CountDownLatch programs",
@@ -37,12 +28,7 @@ def _parse_args(argv) -> RunConfig:
                     help="print the symbolic state at every program point")
     ap.add_argument("--max-states", type=int, default=10**5)
     ap.add_argument("--max-steps", type=int, default=64)
-    ns = ap.parse_args(argv)
-    return RunConfig(
-        files=ns.files, mode=ns.mode, json=ns.json,
-        dump_trace=ns.dump_trace,
-        oracle_bounds=OracleBounds(max_states=ns.max_states, max_steps=ns.max_steps),
-    )
+    return ap.parse_args(argv)
 
 
 @record
@@ -53,7 +39,7 @@ class FileReport:
     error: Optional[str] = None
 
 
-def _run_file(path: str, cfg: RunConfig) -> FileReport:
+def _run_file(path: str, cfg: argparse.Namespace) -> FileReport:
     rep = FileReport(path)
     try:
         text = open(path, encoding="utf-8").read()
@@ -72,7 +58,8 @@ def _run_file(path: str, cfg: RunConfig) -> FileReport:
         try:
             if diags:
                 raise OracleError(str(diags[0]))
-            rep.oracle = explore(program, cfg.oracle_bounds)
+            rep.oracle = explore(program, OracleBounds(max_states=cfg.max_states,
+                                                       max_steps=cfg.max_steps))
         except OracleError as e:
             rep.error = f"oracle error: {e}"
     return rep
@@ -99,7 +86,7 @@ def _verdict_json(path: str, v: Verdict, dump_trace: bool) -> dict:
     return out
 
 
-def _print_human(rep: FileReport, cfg: RunConfig):
+def _print_human(rep: FileReport, dump_trace: bool):
     print(f"== {rep.file}")
     for v in rep.verdicts:
         tag = v.kind if v.ok else f"potential {v.kind}"
@@ -111,7 +98,7 @@ def _print_human(rep: FileReport, cfg: RunConfig):
         print(line)
         for w in v.warnings:
             print(f"    note: {w}")
-        if cfg.dump_trace and v.trace is not None:
+        if dump_trace and v.trace is not None:
             print(v.trace.render())
     if rep.oracle is not None:
         o = rep.oracle
@@ -152,7 +139,7 @@ def main(argv=None) -> int:
         if rep.error:
             json_out.append({"file": rep.file, "error": rep.error})
         if not cfg.json:
-            _print_human(rep, cfg)
+            _print_human(rep, cfg.dump_trace)
     if cfg.json:
         print(json.dumps(json_out, indent=2))
     return exit_code

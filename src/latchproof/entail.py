@@ -28,7 +28,7 @@ from .diagnostics import Diagnostic, fresh, record
 from .syntax import (
     Cmp, Cnt, Dead, Disjunct, Formula, HeapAtom, LatchIn, LatchOut, Perm, PointsTo,
     PAnd, PExists, Pure, PTrue, ResArg, ResVarAtom, RForm, RVar, Term, ThreadNode, ThreadSpec, Wait,
-    TRUE, atom_root, EMP, free_vars, is_resvar, pand, rename_apart, substitute, eq as peq,
+    TRUE, atom_root, EMP, free_vars, freshen, is_resvar, pand, substitute, eq as peq,
 )
 
 
@@ -108,7 +108,7 @@ def _open(d: Disjunct, gen: names.FreshGen) -> tuple[tuple[str, ...], Disjunct]:
     """`d`'s existentials under fresh names, and its body over those names."""
     if not d.exists:
         return (), d
-    d = rename_apart(d, gen)
+    d = freshen(d, gen)
     return d.exists, Disjunct((), d.heap, d.pure)
 
 

@@ -51,7 +51,7 @@ from .syntax import (
     pure_has_quantifier, star, substitute,
 )
 from .waitgraph import is_cyclic
-from .diagnostics import Diagnostic, NO_SPAN, fresh, record, replace
+from .diagnostics import Diagnostic, fresh, record, replace
 
 
 @record
@@ -743,7 +743,7 @@ def normalize(delta: Formula, gen=None,
                 _carry(d, h)
                 out.append(d)
             h, start = (_Heap(queue.pop(0)), None) if queue else (None, None)
-    return Formula(tuple(out), delta.span if added is None else NO_SPAN)
+    return Formula(tuple(out))
 
 
 def _fixpoint(h: _Heap, start: Optional[set[tuple]], cap: int, gen, queue: list[Disjunct]):
@@ -1023,8 +1023,7 @@ def split_for(delta: Formula, targets: list[SplitTarget], gen=None,
         if not r.success:
             raise SplitFailure(Diagnostic(
                 "SpecFailure",
-                f"no partition satisfies a branch precondition: "
-                f"{r.failure_reason.message if r.failure_reason else ''}"))
+                f"no partition satisfies a branch precondition: {r.failure_reason.message}"))
         consumed = r.bind(target_f, gen).single()
         remaining = r.residue
         branch_atoms = list(consumed.heap)

@@ -61,20 +61,10 @@ class OracleBounds:
 
 
 @record
-class Outcome:
-    kind: str        # Clean | Race | Deadlock | Leak
-    detail: str = ""
-
-
-@record
 class OracleReport:
     explored: int
-    outcomes: set[Outcome]
+    kinds: set[str]     # Clean | Race | Deadlock | Leak
     exhaustive: bool
-
-    @property
-    def kinds(self) -> set[str]:
-        return {o.kind for o in self.outcomes}
 
 
 def _check_concrete(program: Program):
@@ -203,42 +193,37 @@ class _Machine:
         st.threads[root.tid] = root
         return st
 
-    def observe(self, st: _State, outcomes: set[Outcome]) -> list[_Thread]:
-        """Add the races among st's enabled threads, and st's outcome if it
-        is terminal, to `outcomes`; return the enabled threads."""
+    def observe(self, st: _State, kinds: set[str]) -> list[_Thread]:
+        """Add a race if two of st's enabled threads race, and st's outcome if
+        it is terminal, to `kinds`; return the enabled threads."""
         runnable = [t for t in st.threads.values() if t.status == "run"]
         enabled = [t for t in runnable if self.enabled(st, t)]
 
         # race check over concurrently enabled primitives
-        fps = [(t.tid, self.footprint(st, t)) for t in enabled]
+        fps = [self.footprint(st, t) for t in enabled]
         for i in range(len(fps)):
             for j in range(i + 1, len(fps)):
-                (ti, (ri, wi)), (tj, (rj, wj)) = fps[i], fps[j]
+                (ri, wi), (rj, wj) = fps[i], fps[j]
                 if (wi & wj) | (wi & rj) | (wj & ri):
-                    outcomes.add(Outcome("Race", f"threads {ti} and {tj} touch "
-                                                 f"overlapping cells"))
+                    kinds.add("Race")
 
         if not enabled:
             if not runnable:
                 if self.emp_contract and st.heap:
-                    outcomes.add(Outcome("Leak", f"{len(st.heap)} cells left on the heap"))
+                    kinds.add("Leak")
                 else:
-                    outcomes.add(Outcome("Clean"))
+                    kinds.add("Clean")
             else:
                 # no thread is enabled, so every runnable one is blocked
-                names = ",".join(str(t.tid) for t in runnable)
-                outcomes.add(Outcome("Deadlock", f"blocked threads {{{names}}}"))
+                kinds.add("Deadlock")
         return enabled
 
     # -- enabledness and footprints -----------------------------------------
 
-    def head(self, st: _State, t: _Thread):
-        return t.cont[0] if t.cont else None
-
     def enabled(self, st: _State, t: _Thread) -> bool:
         if t.status != "run":
             return False
-        item = self.head(st, t)
+        item = t.cont[0] if t.cont else None
         if item is None:
             return True  # will transition to done
         if item[0] == "joinkids":
@@ -257,7 +242,7 @@ class _Machine:
         `atomic` block's cell variables are read in the block's own env as it
         runs: a variable it assigns holds no cell another thread can reach,
         since cells hold integers, unless it copies one that does."""
-        item = self.head(st, t)
+        item = t.cont[0] if t.cont else None
         reads: set = set()
         writes: set = set()
         if item is None or item[0] != "run":
@@ -499,7 +484,7 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
     init = machine.initial()
     limit = bounds.max_steps * bounds.max_threads
     seen: set = set()
-    outcomes: set[Outcome] = set()
+    kinds: set[str] = set()
     exhaustive = True
     stack: list[tuple[_State, int]] = [(init, machine.close(init, 0, limit))]
     explored = 0
@@ -514,8 +499,8 @@ def explore(program: Program, bounds: OracleBounds | None = None) -> OracleRepor
         if explored > bounds.max_states or depth > limit:
             exhaustive = False
             continue
-        for t in machine.observe(st, outcomes):
+        for t in machine.observe(st, kinds):
             child = machine.step(st, t.tid)
             stack.append((child, machine.close(child, depth + 1, limit)))
 
-    return OracleReport(explored, outcomes, exhaustive)
+    return OracleReport(explored, kinds, exhaustive)

@@ -385,8 +385,7 @@ class _P:
         return Disjunct(tuple(exists), tuple(atoms), pure)
 
     def formula(self) -> Formula:
-        span = self.span()
-        return Formula(tuple(self.items(self.disjunct, "|")), span)
+        return Formula(tuple(self.items(self.disjunct, "|")))
 
     # ----- statements -----
 
@@ -608,7 +607,7 @@ def parse_pure(text: str) -> Pure:
 #
 # A list ends at the token after it in the form. A form names its fields in
 # the order they are declared, all but an expression's span, which is where
-# its leading word stands, and bound names, which it reads as none.
+# its leading word stands.
 
 _READ = {"name": _P.ident, "kept": _P.ident, "term": _P.term, "terms": _P.terms, "perm": _P.share,
          "arcs": _P.arcs, "formula": _P.formula, "payload": _P.payload}
@@ -635,8 +634,6 @@ class _Surfaces(dict):
                 read = _READ[r]
                 steps += [partial(read, close=after[n][0]) if r in ("terms", "arcs") else read,
                           *after[n]]
-            elif r in ("bound", "shadow"):
-                steps.append(lambda p: ())
         shown = [s if i % 2 == 0 else (s, _SHOW[roles[s]]) for i, s in enumerate(pieces) if s]
         self[kind] = steps, shown
         return self[kind]
@@ -762,11 +759,3 @@ def unparse_program(p: Program) -> str:
             lines.append("}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
-
-
-def unparse(x) -> str:
-    if isinstance(x, Formula):
-        return unparse_formula(x)
-    if isinstance(x, Program):
-        return unparse_program(x)
-    raise TypeError(x)

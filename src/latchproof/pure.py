@@ -162,8 +162,8 @@ class _Budget:
     def __init__(self, limit: int):
         self.left = limit
 
-    def spend(self, k: int = 1):
-        self.left -= k
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise SolverUnknown("iteration cap exceeded")
 

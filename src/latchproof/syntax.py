@@ -44,12 +44,11 @@ from . import names
 
 Name = str                          # a variable: root, latch, thread id, resource or read variable
 Written = str                       # a variable that code assigns
-Bound = tuple[str, ...]             # bound names, renamed apart from a substitution's images
-Shadow = tuple[str, ...]            # bound names that shadow a map, renamed apart from its images
+Bound = tuple[str, ...]             # bound names, freshened where a substitution could capture them
 Arcs = frozenset[tuple[str, str]]   # wait-for arcs between latches
 
 _ROLE = {
-    "Name": "name", "Written": "written", "Bound": "bound", "Shadow": "shadow",
+    "Name": "name", "Written": "written", "Bound": "bound",
     "Term": "term", "tuple[Term, ...]": "terms", "Perm": "perm", "Arcs": "arcs",
     "Pure": "pure", "tuple[Pure, ...]": "nodes", "Formula": "formula",
     "Optional[Formula]": "formula", "ResArg": "payload", "tuple[HeapAtom, ...]": "nodes",
@@ -104,7 +103,7 @@ _NAME = {"name": "{@}", "term": "@.vars()", "terms": "{v for t in @ for v, _ in 
          "arcs": "{v for arc in @ for v in arc}", "pure": "$[type(@)](@)",
          "formula": "$[type(@)](@)", "payload": "$[type(@)](@)",
          "nodes": "set().union(*[$[type(y)](y) for y in @])"}
-_NAME_ALL = _NAME | {"perm": "set(@.vars)", "bound": "set(@)", "shadow": "set(@)"}
+_NAME_ALL = _NAME | {"perm": "set(@.vars)", "bound": "set(@)"}
 _READ = {r: _NAME[r] for r in ("name", "term", "terms", "pure")}
 _QUANTIFIED = {"pure": "$[type(@)](@)", "nodes": "any($[type(y)](y) for y in @)"}
 _WRITE = {"written": "{@}"}
@@ -151,13 +150,13 @@ def _kind(cls):
 
 def _body(table: dict, cls: type, roles) -> str:
     """The body of the walker in `table` for the kind `cls`."""
-    at = next((i for i, (_, r) in enumerate(roles) if r in ("bound", "shadow")), len(roles))
+    at = next((i for i, (_, r) in enumerate(roles) if r == "bound"), len(roles))
     outer, scoped = roles[:at], roles[at + 1:]
     if table is _MAP:
         if all(r == "kept" for _, r in roles):
             return "return x"
         # a binder's context `s.bind` gives maps the fields after it
-        lines = [f"b, t = s.bind({roles[at][0]}, {roles[at][1] == 'bound'})"] if scoped else []
+        lines = [f"b, t = s.bind({roles[at][0]})"] if scoped else []
         args = _fill(_MAPPED, outer, "s") + ["b"] * bool(scoped) + _fill(_MAPPED, scoped, "t")
         same = []
         for i, ((v, _), arg) in enumerate(zip(roles, args)):
@@ -377,7 +376,6 @@ class PFalse(Pure):
 TRUE = PTrue()
 FALSE = PFalse()
 
-CMP_OPS = ("eq", "ne", "lt", "le")
 _OP_TEXT = {"eq": "=", "ne": "!=", "lt": "<", "le": "<="}
 
 
@@ -572,10 +570,9 @@ class ThreadNode(HeapAtom):
 @_kind
 class ThreadSpec(HeapAtom):
     tid: Name
-    bound: Shadow
     pre: Formula
     post: Formula
-    _form = "threadspec(tid, pre, post)"   # parsed with no bound names
+    _form = "threadspec(tid, pre, post)"
 
 
 @_kind
@@ -599,7 +596,6 @@ class Disjunct:
 @_kind
 class Formula:
     disjuncts: tuple[Disjunct, ...]
-    span: Span = NO_SPAN
 
     def is_emp(self) -> bool:
         return all(not d.heap for d in self.disjuncts)
@@ -615,11 +611,7 @@ def formula(*atoms: HeapAtom, pure: Pure = TRUE) -> Formula:
     return Formula((Disjunct((), atoms, pure),))
 
 
-def emp(pure: Pure = TRUE) -> Formula:
-    return formula(pure=pure)
-
-
-EMP = emp()
+EMP = formula()
 
 
 def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula:
@@ -629,7 +621,7 @@ def star(f1: Formula, f2: Formula, gen: names.FreshGen | None = None) -> Formula
     for d1 in f1.disjuncts:
         for d2 in f2.disjuncts:
             if d2.exists:
-                d2 = rename_apart(d2, gen, set(d1.exists) | free_vars(d1))
+                d2 = freshen(d2, gen, set(d1.exists) | free_vars(d1))
             out.append(
                 Disjunct(d1.exists + d2.exists, d1.heap + d2.heap, pand([d1.pure, d2.pure]))
             )
@@ -671,7 +663,7 @@ def is_resvar(name: str) -> bool:
 # renaming: one map, in two contexts
 
 
-def rename_apart(d: Disjunct, gen: names.FreshGen, avoid: set[str] | None = None) -> Disjunct:
+def freshen(d: Disjunct, gen: names.FreshGen, avoid: set[str] | None = None) -> Disjunct:
     """`d` with each existential in `avoid` (every one when `avoid` is None)
     renamed to a fresh name of its prefix. The names are drawn in binding
     order, so they do not depend on set order."""
@@ -690,10 +682,10 @@ def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] 
     of `perms` and resource variables by the formulas of `res`, all at once.
     A resource variable standing as an atom is starred out into its formula,
     which distributes over disjunction; `x` as a heap atom keeps such an atom
-    as it is. Existentials, quantified and spec-bound names shadow `rho` and
-    `res`. An existential or a spec-bound name that an image mentions, and a
-    quantified name that `rho` maps or its terms mention, is renamed apart
-    first. The images are not substituted in turn."""
+    as it is. Existentials and quantified names shadow `rho` and `res`. An
+    existential that an image mentions, and a quantified name that `rho`
+    maps or its terms mention, is first renamed to a fresh name. The images
+    are not substituted in turn."""
     if not (rho or perms or res):
         return x
     s = _Subst(rho or {}, perms or {}, res or {}, gen or names.default_gen())
@@ -708,12 +700,12 @@ def substitute(x, rho: dict[str, Term] | None = None, *, perms: dict[str, Perm] 
 def rename(x, name: Callable[[str], str]):
     """A formula, disjunct, heap atom, pure formula, permission, term or
     code `x` with each name `v` in it replaced by `name(v)`, in bound
-    positions too: existentials, quantified and spec-bound variables,
-    permission and resource variables, latch and thread ids, wait arcs, and
-    the variables code reads and writes. `name` must be one-to-one on the
-    names that occur, and a new name must not be one that occurs and stays,
-    so nothing is renamed apart. Term coefficients and permission variables
-    are put back in order; spans are kept."""
+    positions too: existentials and quantified variables, permission and
+    resource variables, latch and thread ids, wait arcs, and the variables
+    code reads and writes. `name` must be one-to-one on the names that
+    occur, and a new name must not be one that occurs and stays, so no name
+    is freshened. Term coefficients and permission variables are put back
+    in order; spans are kept."""
     r = _Rename(name)
     t = type(x)
     return r.perm(x) if t is Perm else r.term(x) if t is Term else r.map(x)
@@ -744,17 +736,14 @@ class _Subst:
         return _Subst({k: t for k, t in self.rho.items() if k not in bound}, self.perms,
                       {k: f for k, f in self.res.items() if k not in bound}, self.gen)
 
-    def bind(self, vs: tuple[str, ...], apart: bool):
+    def bind(self, vs: tuple[str, ...]):
         """The bound names `vs` and the substitution for the fields they
-        scope. Each one that the terms of the map under them mention is
-        renamed to a fresh name first, in binding order; with `apart`, so is
-        each one that `rho` maps, and the terms are those of all of `rho`."""
+        scope. Each one that `rho` maps or its terms mention is renamed to a
+        fresh name first, in binding order."""
         s = self.under(vs)
-        rho = self.rho if apart else s.rho
-        if rho:
-            images = {v for t in rho.values() for v, _ in t.coeffs}
-            ren = {v: self.gen.fresh(v.split("#")[0])
-                   for v in vs if v in images or apart and v in rho}
+        if self.rho:
+            images = {v for t in self.rho.values() for v, _ in t.coeffs}
+            ren = {v: self.gen.fresh(v.split("#")[0]) for v in vs if v in images or v in self.rho}
             if ren:
                 s = _Subst(s.rho | {v: Term.var(w) for v, w in ren.items()}, s.perms, s.res, s.gen)
                 vs = tuple([ren.get(v, v) for v in vs])
@@ -793,7 +782,7 @@ class _Subst:
         out = tuple([x for d in f.disjuncts for x in self.disjuncts(d)])
         if len(out) == len(f.disjuncts) and all(map(is_, out, f.disjuncts)):
             return f
-        return Formula(out, f.span)
+        return Formula(out)
 
     def disjuncts(self, d: Disjunct) -> tuple[Disjunct, ...]:
         """`d` under this substitution: `d` alone and as it is when nothing
@@ -801,7 +790,7 @@ class _Subst:
         s = self
         if d.exists:
             s = self.under(d.exists)
-            d = rename_apart(d, s.gen, s.avoid())
+            d = freshen(d, s.gen, s.avoid())
         heap, images = [], []
         for a in d.heap:
             if type(a) is ResVarAtom and a.name in s.res:
@@ -828,7 +817,7 @@ class _Rename:
 
     form = payload = map
 
-    def bind(self, vs: tuple[str, ...], apart: bool):
+    def bind(self, vs: tuple[str, ...]):
         return _each(self.name, vs), self
 
     def term(self, t: Term) -> Term:

@@ -154,7 +154,7 @@ class _ProcVerifier:
             P, Q = g.fresh("P"), g.fresh("Q")
             pf = formula(ResVarAtom(P))
             qf = formula(ResVarAtom(Q))
-            pre = formula(ThreadSpec(t, (), pf, qf), ResVarAtom(P))
+            pre = formula(ThreadSpec(t, pf, qf), ResVarAtom(P))
             post = formula(ThreadNode(t, qf))
             return [({P, Q}, pre, post)]
         raise TypeError(e)
@@ -209,8 +209,7 @@ class _ProcVerifier:
                     if not warn_multi:
                         break
                 else:
-                    attempts.append(
-                        r.failure_reason.message if r.failure_reason else "no derivation")
+                    attempts.append(r.failure_reason.message)
             if chosen is None:
                 raise VerdictError(
                     "SpecFailure", span,
@@ -259,8 +258,8 @@ class _ProcVerifier:
         parts = want.pure.parts if isinstance(want.pure, PAnd) else (want.pure,)
         pure = pand([p for p in parts if atoms and free_vars(p) & E <= bound
                      and not (free_vars(p) - E) & ab.written])
-        # the demand's values get names of their own, apart from those of the
-        # pair the step entails next, drawn in the order the old ones were
+        # the demand's values get names of their own, distinct from those of
+        # the pair the step entails next, drawn in the order the old ones were
         ren = {v: Term.var(self.gen.fresh(v.split("#")[0]))
                for v in sorted(bound & E, key=_draw_order)}
         demand = substitute(Disjunct((), tuple(atoms), pure), ren, gen=self.gen)
@@ -347,8 +346,7 @@ class _ProcVerifier:
                 if not r.success:
                     raise VerdictError(
                         "SpecFailure", span,
-                        f"assertion not entailed: "
-                        f"{r.failure_reason.message if r.failure_reason else ''}")
+                        f"assertion not entailed: {r.failure_reason.message}")
             return state
 
         if isinstance(e, (CountDown, Await, Join, Fork)):
@@ -425,7 +423,7 @@ class _ProcVerifier:
 
         if isinstance(rhs, CreateThread):
             state, rho = self._rename_lhs(state, e.lhs)
-            atom = ThreadSpec(e.lhs, (), substitute(rhs.pre, rho, gen=self.gen),
+            atom = ThreadSpec(e.lhs, substitute(rhs.pre, rho, gen=self.gen),
                               substitute(rhs.post, rho, gen=self.gen))
             return self._settle(state, span, ((atom,),) * len(state.disjuncts))
 
@@ -494,7 +492,7 @@ class _ProcVerifier:
                    if any(f == fieldname for _, f in dd.fields)), None)
         if self.abduct is None or dd is None:
             return state
-        vals = [f for _, f in dd.fields]    # `_missing` renames them apart
+        vals = [f for _, f in dd.fields]    # `_missing` gives them fresh names
         cell = PointsTo(base, dd.name, tuple(map(Term.var, vals)),
                         FULL if write else Perm.pvar("f"))
         return self._ensure(state, set(vals), formula(cell).single(), span)
@@ -536,8 +534,6 @@ class _ProcVerifier:
         out = self._paths([(Disjunct(d.exists, d.heap, pand([d.pure, cond])), arm(branch))
                            for d in state.disjuncts
                            for cond, branch in ((e.cond, e.then), (PNot(e.cond), e.els))], span)
-        if not out:
-            raise VerdictError("SpecFailure", span, "both branches of if are unreachable")
         return self._settle(Formula(tuple(out)), span)
 
     def _par(self, state: Formula, e: Par, span: Span) -> Formula:
@@ -647,7 +643,7 @@ class _ProcVerifier:
         of one shape are renamings of each other. The `kept` names and
         resource variables stay. A code whose variables occur in a formula
         it carries or in the spec of a procedure it calls is its own shape,
-        since a run could rename a bound name apart from them."""
+        since a run could give a bound name there a fresh name."""
         if code not in self.shapes:
             met: dict[str, str] = {}
             shape = rename(code, _placeholders(met, self.kept)), tuple(met)
@@ -740,11 +736,10 @@ class _ProcVerifier:
                     raise VerdictError(
                         "SpecFailure", span,
                         f"post-condition of {self.proc.name} (pair {pair_idx + 1}) "
-                        f"not entailed: "
-                        f"{r.failure_reason.message if r.failure_reason else ''}")
+                        f"not entailed: {r.failure_reason.message}")
                 residues.append(r.residue)
             for residue in residues:
-                leak = check_leak(residue, self.gen)
+                leak = check_leak(residue)
                 if leak is not None:
                     raise VerdictError("LeakError", span, leak)
         except VerdictError as ve:
@@ -849,18 +844,16 @@ def _close_payload(payload: Formula, state: Disjunct, latch: str) -> Formula:
         return payload
     return Formula(tuple(
         Disjunct(d.exists + tuple(sorted(vs & free_vars(d))), d.heap, d.pure)
-        for d in payload.disjuncts), payload.span)
+        for d in payload.disjuncts))
 
 
-def check_leak(residue: Formula, gen=None) -> Optional[str]:
+def check_leak(residue: Formula) -> Optional[str]:
     """A residue may keep resource-less atoms (counters, wait-for shares,
     dead markers) and plain frame cells, but trapped latch or thread
-    resources are leaks."""
-    res = normalize(residue, gen)
-    if isinstance(res, Inconsistency):
-        return None  # inconsistent residues are reported elsewhere
+    resources are leaks. The residue is read as it is: the final state's
+    residue is already in normal form."""
     trapped = []
-    for d in res.disjuncts:
+    for d in residue.disjuncts:
         for a in d.heap:
             if isinstance(a, LEAKABLE):
                 trapped.append(unparse_atom(a))

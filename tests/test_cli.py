@@ -220,6 +220,25 @@ PROGRAMS = {
                          "{ c = create_latch(1); dec(c + 1); await(c) }", ["both"], 2,
                          ["call dec: cannot substitute non-variable term c+1 for identifier c",
                           "oracle error: arithmetic on non-integer c=('latch', 2)"]),
+    # cell accesses: through a root the pure part proves equal to the
+    # cell's, a read into its own base variable, an unknown field, and a
+    # read and a write inside one `atomic` block
+    "proved-equal-root": ("data cell { int val; } void main() requires emp ensures x::cell(1); "
+                          "{ x = new cell(0); y = x; y.val = 1; k = y.val; assert k = 1 }",
+                          ["both"], 0, ["main: Verified", "oracle: Clean"]),
+    "read-into-its-base": ("data cell { int val; } void main() requires emp ensures y::cell(3); "
+                           "{ y = new cell(3); x = y; x = x.val; assert x = 3 }",
+                           ["both"], 0, ["main: Verified", "oracle: Clean"]),
+    "unknown-field": ("data cell { int val; } void main() requires emp ensures emp; "
+                      "{ x = new cell(0); x.foo = 1 }", ["verify"], 1,
+                      ["main: potential SpecFailure -- cell has no field foo"]),
+    "atomic-read-write": ("data cell { int val; } void main() requires emp ensures x::cell(1); "
+                          "{ x = new cell(0); atomic { k = x.val; x.val = 1 } }",
+                          ["both"], 0, ["main: Verified", "oracle: Clean"]),
+    # a `||` block cannot split a count it knows only as n > 0
+    "symbolic-count-split": ("void main(int n) requires n > 0 ensures emp; "
+                             "{ c = create_latch(n); ( countDown(c) || await(c) ) }", ["verify"], 1,
+                             ["main: potential SpecFailure -- cannot split symbolic count for c"]),
     # a term with a variable on the right of `=` is a parse error, not a name
     "arithmetic-rhs": ("void main(int y) requires emp ensures emp; { x = 1 + y; }", ["verify"],
                        2, ["parse error: 1:50: expected an integer or a variable, got 'y+1'"]),

@@ -1,11 +1,10 @@
 import copy
-import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from latchproof import lemmas, names, pure, verifier
+from latchproof import entail as entail_module, lemmas, names, pure, verifier
 from latchproof.diagnostics import replace
 from latchproof.lemmas import (
     Inconsistency, LEMMAS, NormalizationDiverged, SplitFailure, SplitTarget,
@@ -19,10 +18,6 @@ from latchproof.syntax import (
     Cnt, Disjunct, Formula, Perm, PointsTo, Term, Wait, TRUE, pand, le, lt, por, star,
 )
 from latchproof.verifier import VerifyOptions, verify_program
-
-
-# the module: the package's own `entail` attribute is the function
-entail_module = importlib.import_module("latchproof.entail")
 
 
 def F(s):
@@ -427,7 +422,7 @@ def _full_scan_normalize(delta, gen):
                 if step is None:
                     out.append(d)
                     break
-    return Formula(tuple(out), delta.span)
+    return Formula(tuple(out))
 
 
 _PAYLOADS = ["emp", "P", "x::cell(1)", "P | Q", "x::cell(v) & v>0", "ex v. y::cell(v) & v>1",
@@ -545,7 +540,7 @@ def _one_key_at_a_time(delta, gen):
                 if step is None:
                     out.append(h.disjunct())
                     break
-    return Formula(tuple(out), delta.span)
+    return Formula(tuple(out))
 
 
 _TRIVIAL = ["emp", "emp & true"]

@@ -115,13 +115,13 @@ def test_unbounded_recursion_spends_the_step_bound():
     void f() requires emp ensures emp; { f() }
     void main() requires emp ensures emp; { f() }
     """)
-    assert not rep.exhaustive and rep.outcomes == set()
+    assert not rep.exhaustive and rep.kinds == set()
 
 
 def test_outcome_set_deterministic(load):
     r1 = explore(load("race_concrete"))
     r2 = explore(load("race_concrete"))
-    assert r1.outcomes == r2.outcomes
+    assert r1.kinds == r2.kinds
     assert r1.explored == r2.explored
 
 
@@ -237,6 +237,24 @@ def test_n_way_block_takes_n_plus_one_thread_slots():
     assert rep.exhaustive and rep.kinds == {"Clean"} and rep.explored == 3
     with pytest.raises(OracleError, match="thread bound exceeded"):
         run(fan_in_source(5))
+
+
+@pytest.mark.parametrize("guard, kinds", [("k = 1", {"Clean"}), ("k = 2", {"Deadlock"})])
+def test_a_call_binds_its_result(guard, kinds):
+    rep = run(f"""
+    int one() requires emp ensures emp & res = 1; {{ res = 1 }}
+    void main() requires emp ensures emp;
+    {{ k = one(); if ({guard}) {{ skip }} else {{ c = create_latch(1); await(c) }} }}
+    """)
+    assert rep.exhaustive and rep.kinds == kinds
+
+
+def test_a_call_without_a_body_returns_at_once():
+    rep = run("""
+    int prim() requires emp ensures emp;
+    void main() requires emp ensures emp; { prim(); k = prim() }
+    """)
+    assert rep.exhaustive and rep.kinds == {"Clean"}
 
 
 @pytest.mark.parametrize("body, name", [

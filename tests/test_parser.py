@@ -275,7 +275,7 @@ def _atom(draw, depth=1):
     if kind == "thread":
         return ThreadNode(draw(_ident), draw(_formula(depth - 1)))
     if kind == "threadspec":
-        return ThreadSpec(draw(_ident), (), draw(_formula(depth - 1)), draw(_formula(depth - 1)))
+        return ThreadSpec(draw(_ident), draw(_formula(depth - 1)), draw(_formula(depth - 1)))
     payload = draw(_formula(depth - 1))
     cls = LatchIn if kind == "latchin" else LatchOut
     return cls(draw(_ident), RForm(payload))

@@ -9,10 +9,9 @@ import sys
 
 import pytest
 
-from latchproof.diagnostics import Span, replace
-from latchproof.oracle import Outcome
+from latchproof.diagnostics import Diagnostic, Span, replace
 from latchproof.syntax import (
-    EMP, Assign, Cnt, Formula, ProcDecl, Program, Skip, SpecPair, Term, VarRead,
+    EMP, Assign, Cnt, ProcDecl, Program, Skip, SpecPair, Term, VarRead,
 )
 from latchproof.verifier import SymTrace, Verdict, _Abduction, verify_program
 
@@ -51,7 +50,7 @@ def test_replace_keeps_a_nodes_span():
     a = Assign("x", VarRead("y", Span(2, 5)), Span(2, 1))
     b = replace(a, lhs="z")
     assert (b.lhs, b.rhs, b.span) == ("z", a.rhs, Span(2, 1)) and type(b) is Assign
-    assert replace(Formula((), Span(4, 2))).span == Span(4, 2)
+    assert replace(Skip(Span(4, 2))).span == Span(4, 2)
     with pytest.raises(TypeError):
         replace(a, lhz="z")
 
@@ -64,9 +63,9 @@ def test_a_fresh_default_is_made_for_each_instance():
     assert a.E is not b.E and a.demands is not b.demands and a.perms is not b.perms
 
 
-def test_outcomes_and_spans_are_hashable_by_value():
-    assert {Outcome("Race", "x"), Outcome("Race", "x"), Outcome("Clean")} == {
-        Outcome("Clean"), Outcome("Race", "x")}
+def test_records_and_spans_are_hashable_by_value():
+    assert {Diagnostic("NoSpec", "f"), Diagnostic("NoSpec", "f", Span(1, 1)),
+            Diagnostic("FreeVar", "x")} == {Diagnostic("FreeVar", "x"), Diagnostic("NoSpec", "f")}
     spans = {Span(1, 2): "a"}
     assert spans[Span(1, 2)] == "a" and Span(1, 2) != Span(2, 1)
     # equality is by class and compared fields, as with `dataclasses`

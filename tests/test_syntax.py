@@ -79,7 +79,7 @@ def _sample(n, f, v, d, k, P):
         PointsTo(v, "cell", (Term.var(n),), Perm.pvar(f)),
         Wait(frozenset({("c", d)}), FULL),
         LatchIn(d, RVar(P)),
-        ThreadSpec("t", (k,), pre, pre),
+        ThreadSpec("t", pre, pre),
     ), PForall((k,), Cmp("ne", Term.var(k), Term.var(n)))),))
 
 
@@ -125,20 +125,6 @@ def test_a_new_kind_needs_one_declaration():
     text = unparse_formula(f)
     assert text == "CNT(c,2)@g * pool(p, n+1, ex v. v::cell(n)@f * x::cell(w) & 0<v) & 0<n"
     assert parse_formula(text) == f
-
-
-def test_substitute_leaves_spec_bound_names_alone():
-    spec = ThreadSpec("t", ("k",), F("x::cell(k)"), F("x::cell(k) * y::cell(j)"))
-    out = substitute(spec, {"t": Term.var("u"), "k": Term.of(1), "j": Term.of(2)})
-    assert out == ThreadSpec("u", ("k",), F("x::cell(k)"), F("x::cell(k) * y::cell(2)"))
-
-
-def test_substitute_renames_a_spec_bound_name_that_an_image_mentions():
-    # `j`'s image `k` must stay free: the spec's own `k` is renamed apart
-    spec = ThreadSpec("t", ("k",), F("x::cell(k) * y::cell(j)"), EMP)
-    out = substitute(spec, {"j": Term.var("k")}, gen=names.FreshGen())
-    assert out == ThreadSpec("t", ("k#1",), F("x::cell(k#1) * y::cell(k)"), EMP)
-    assert free_vars(out) == {"t", "x", "y", "k"}
 
 
 def test_star_renames_clashing_existentials_in_binding_order():

@@ -124,6 +124,15 @@ def test_if_case_split():
     assert v.kind == "SpecFailure"
 
 
+def test_an_if_on_an_empty_state_runs_like_any_other_step():
+    # the unsatisfiable precondition leaves no state: an `if` on it, like an
+    # `await`, runs it to no state, so both bodies verify
+    src = "void main(int n) requires n > 0 & n < 0 ensures emp; { %s }"
+    kinds = {run(src % body)[0].kind
+             for body in ["if (n = 1) { skip } else { skip }", "c = create_latch(1); await(c)"]}
+    assert kinds == {"Verified"}
+
+
 def test_recursive_call_through_spec():
     src = """
     void down(CountDownLatch c, int k)
