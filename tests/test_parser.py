@@ -128,6 +128,39 @@ def test_end_of_input_after_a_comment_is_one_past_the_last_column():
     assert str(e.value) == "1:52: expected '}'"
 
 
+_H = "void main() requires emp ensures emp;"
+
+# name -> a malformed program and its ParseError's (line, col, str); the
+# sweep (scripts/sweep.py) runs these programs too
+MALFORMED = {
+    "bad-char-after-tab": (_H + "\n{\tx = 1;\t$ }",
+                           (2, 10, "2:10: expected a token, got '$'")),
+    "crlf": ("void main()\r\n  requires emp ensures emp;\r\n{ x = 1;\r\n  y = ; }\r\n",
+             (4, 7, "4:7: expected an expression, got ';'")),
+    "crlf-end-of-input": (_H + "\r\n{ skip;\r\n", (3, 1, "3:1: expected '}'")),
+    "cr-at-end-of-input": (_H + " { skip;\r", (1, 47, "1:47: expected '}'")),
+    "after-comment": ("// a comment\nvoid main() requires emp // two\n  ensures emp;\n{ x = 1 y }\n",
+                      (4, 9, "4:9: expected '}', got 'y'")),
+    "comment-on-last-line": (_H + "\n{ skip;\n// last", (3, 8, "3:8: expected '}'")),
+    "end-of-input": (_H + "\n{ x = ", (2, 7, "2:7: expected an expression")),
+    "permission-zero": ("void main() requires CNT(c, -1)@0 ensures emp; { skip }",
+                        (1, 33, "1:33: expected a permission in (0, 1], got '0'")),
+    "permission-over-zero": ("void main() requires x::cell(1)@3/0 ensures emp; { skip }",
+                             (1, 33, "1:33: expected a permission in (0, 1], got '3/0'")),
+    "keyword-parameter": ("void main(int with) requires emp ensures emp; { skip }",
+                          (1, 15, "1:15: expected an identifier, got 'with'")),
+    "keyword-assigned": (_H + " { x = 1; if = 2 }", (1, 51, "1:51: expected '(', got '='")),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_program_error(name):
+    src, want = MALFORMED[name]
+    with pytest.raises(ParseError) as e:
+        parse_program(SourceFile("t", src))
+    assert (e.value.line, e.value.col, str(e.value)) == want
+
+
 _SYMS = ["::", "->", "||", "!=", "<=", ">=", "==", "(", ")", "{", "}", ",", ";", ".",
          "|", "&", "*", "@", "=", "<", ">", "+", "-", "!", "/"]
 # a comment starts after a space, so that it cannot extend a `/` token
