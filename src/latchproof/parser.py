@@ -39,6 +39,7 @@ Columns count characters from 1; a tab is one column.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -84,103 +85,91 @@ KEYWORDS = {
     "join", "ex", "all",
 }
 
-# One alternative per token class, tried in order, after the blanks before
-# the token (one match, not two, per token); `bad` catches any other
-# character. Longer symbols come first so that `||` is not lexed as `|`, `|`.
-_TOKEN = re.compile("[ \t\r]*(?:" + "|".join([
-    r"(?P<newline>\n)",
-    r"(?P<comment>//[^\n]*)",
-    r"(?P<decimal>[0-9]+\.[0-9]+)",
-    r"(?P<int>[0-9]+)",
-    r"(?P<word>[A-Za-z_][A-Za-z0-9_#]*)",
-    "(?P<sym>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")",
-    r"(?P<bad>[^ \t\r])",
-]) + ")")
+_BLANKS = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
+# one token; longer symbols come first so that `||` is not lexed as `|`, `|`
+_WORD = re.compile(r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_#]*|"
+                   + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))))
+# the blanks before a token, and the token; a NUL that ends the text is its end
+_TOKEN = re.compile(rf"({_BLANKS.pattern})({_WORD.pattern}|\0\Z)")
+_KIND = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_SYMBOLS, "sym"), "": "eof"}
 
 
-@record
-class Token:
-    kind: str  # 'ident' | 'int' | 'decimal' | 'sym' | 'kw' | 'eof'
-    text: str
-    line: int
-    col: int
+def tokenize(text: str) -> tuple[list[str], list[int], list[Optional[str]]]:
+    """The text, start offset and kind of each token, in three lists. The
+    kind is 'kw', 'sym' or 'eof' for a keyword, a symbol or the end, which
+    comes last with text "", and None for an identifier or a number, which
+    its first character tells apart: a letter or `_` is above "9" in ASCII."""
+    # per token: what the search skipped before it (nothing, if every
+    # character starts a token or is blank), its blanks and its text; the end
+    # follows a newline, which ends a comment
+    parts = _TOKEN.split(text + "\n\0")
+    if any(parts[::3]):
+        at = _BLANKS.match(text).end()
+        while m := _WORD.match(text, at):
+            at = _BLANKS.match(text, m.end()).end()
+        raise ParseError(*_position(text, at), "a token", text[at])
+    texts = parts[2::3]
+    del parts[::3]      # blanks and texts, in turn
+    starts = list(accumulate(map(len, parts)))[::2]
+    texts[-1], starts[-1] = "", len(text)
+    return texts, starts, list(map(_KIND.get, texts))
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind != "comment":
-            word, col = m.group(kind), m.start(kind) - line_start + 1
-            if kind == "word":
-                kind = "kw" if word in KEYWORDS else "ident"
-            elif kind == "bad":
-                raise ParseError(line, col, "a token", word)
-            toks.append(Token(kind, word, line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
-    return toks
+def _position(text: str, at: int) -> tuple[int, int]:
+    """The line and column of offset `at` in `text`."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+_CMP = {"=": "eq", "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "lt", ">=": "le"}
+_SEQ_END = {"}", ")", "||", ""}
+
+
 class _P:
-    def __init__(self, toks: list[Token]):
+    def __init__(self, text: str):
         # `eof` ends every token list, and the parser looks ahead only past
-        # tokens that are not `eof`: no `peek` reads beyond it
-        self.toks = toks
-        # at(text) compares against the text of symbols and keywords only
-        self.texts = [t.text if t.kind in ("sym", "kw") else None for t in self.toks]
+        # tokens that are not `eof`: no lookahead reads beyond it. No word or
+        # number is spelt as a keyword or a symbol, so tests for those compare
+        # texts alone.
+        self.text = text
+        self.texts, self.starts, self.kinds = tokenize(text)
         self.i = 0
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[self.i + k]
-
-    def at(self, text: str) -> bool:
-        return self.texts[self.i] == text
-
-    def at_ident(self) -> bool:
-        return self.toks[self.i].kind == "ident"
-
-    def take(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.toks[self.i]
+    def expect(self, text: str) -> None:
         if self.texts[self.i] != text:
-            raise ParseError(t.line, t.col, repr(text), t.text)
+            self.err(repr(text))
         self.i += 1
-        return t
 
-    def ident(self, what: str = "an identifier", kind: str = "ident") -> str:
-        """The text of the current token, which must be of `kind`."""
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, what, t.text)
-        return self.take().text
+    def ident(self, what: str = "an identifier") -> str:
+        """The text of the current token, which must be an identifier."""
+        i = self.i
+        t = self.texts[i]
+        if self.kinds[i] is not None or t[0] <= "9":
+            self.err(what)
+        self.i = i + 1
+        return t
 
     def span(self) -> Span:
-        t = self.peek()
-        return Span(t.line, t.col)
+        return Span(*_position(self.text, self.starts[self.i]))
 
-    def err(self, expected: str):
-        t = self.peek()
-        raise ParseError(t.line, t.col, expected, t.text)
+    def err(self, expected: str, i: Optional[int] = None, got: Optional[str] = None):
+        """Raise the error at token `i`, the current one if none, which got
+        `got`, its text if none."""
+        i = self.i if i is None else i
+        raise ParseError(*_position(self.text, self.starts[i]), expected,
+                         self.texts[i] if got is None else got)
 
     def items(self, item: Callable, sep: str = ",", close: Optional[str] = None) -> list:
         """`item()`s separated by `sep`; none when the token `close` comes
         first."""
-        if close is not None and self.at(close):
+        texts = self.texts
+        if texts[self.i] == close:
             return []
         out = [item()]
-        while self.at(sep):
-            self.take()
+        while texts[self.i] == sep:
+            self.i += 1
             out.append(item())
         return out
 
@@ -190,40 +179,43 @@ class _P:
         """A sum of units, each added into one coefficient map, which is
         put in canonical order once."""
         coeffs: dict[str, int] = {}
-        return Term._norm(coeffs, self.term_sum(coeffs, 1))
+        const = self.term_sum(coeffs, 1)
+        if 0 in coeffs.values():    # a cancelled variable, which `_norm` drops
+            return Term._norm(coeffs, const)
+        return Term(tuple(sorted(coeffs.items())), const)
 
     def term_sum(self, coeffs: dict[str, int], sign: int) -> int:
         """Add `sign` times a sum of units into `coeffs`; returns its constant."""
-        const = self.term_unit(coeffs, sign)
-        while self.at("+") or self.at("-"):
-            const += self.term_unit(coeffs, sign if self.take().text == "+" else -sign)
-        return const
-
-    def term_unit(self, coeffs: dict[str, int], sign: int) -> int:
-        """Add `sign` times one unit into `coeffs`; returns its constant."""
-        if self.at("-"):
-            self.take()
-            return self.term_unit(coeffs, -sign)
-        t = self.peek()
-        if t.kind == "int":
-            self.take()
-            k = sign * int(t.text)
-            if self.at("*"):
-                self.take()
+        texts, kinds, i, const, unit = self.texts, self.kinds, self.i, 0, sign
+        while True:
+            while texts[i] == "-":
+                unit, i = -unit, i + 1
+            t = texts[i]
+            if kinds[i] is not None:
+                if t != "(":
+                    self.err("a term", i)
+                self.i = i + 1
+                const += self.term_sum(coeffs, unit)
+                self.expect(")")
+                i = self.i
+            elif t[0] > "9":
+                coeffs[t] = coeffs.get(t, 0) + unit
+                i += 1
+            elif not t.isdigit():
+                self.err("a term", i)
+            elif texts[i + 1] != "*":
+                const += unit * int(t)
+                i += 1
+            else:
+                self.i = i + 2
                 v = self.ident()
-                coeffs[v] = coeffs.get(v, 0) + k
-                return 0
-            return k
-        if t.kind == "ident":
-            self.take()
-            coeffs[t.text] = coeffs.get(t.text, 0) + sign
-            return 0
-        if self.at("("):
-            self.take()
-            const = self.term_sum(coeffs, sign)
-            self.expect(")")
-            return const
-        self.err("a term")
+                coeffs[v] = coeffs.get(v, 0) + unit * int(t)
+                i += 3
+            t = texts[i]
+            if t != "+" and t != "-":
+                self.i = i
+                return const
+            unit, i = sign if t == "+" else -sign, i + 1
 
     def terms(self, close: str = ")") -> tuple[Term, ...]:
         return tuple(self.items(self.term, close=close))
@@ -231,37 +223,31 @@ class _P:
     # ----- pure formulas -----
 
     def pure_cmp(self) -> Pure:
-        if self.at("true"):
-            self.take()
-            return TRUE
-        if self.at("false"):
-            self.take()
-            return FALSE
-        if self.at("!"):
-            self.take()
+        t = self.texts[self.i]
+        if t == "true" or t == "false":
+            self.i += 1
+            return TRUE if t == "true" else FALSE
+        if t == "!":
+            self.i += 1
             return PNot(self.pure_unit())
-        if self.at("ex") or self.at("all"):
-            kw = self.take().text
+        if t == "ex" or t == "all":
+            self.i += 1
             vs = self.items(self.ident)
             self.expect(".")
-            body = self.pure_or()
-            return (PExists if kw == "ex" else PForall)(tuple(vs), body)
+            return (PExists if t == "ex" else PForall)(tuple(vs), self.pure_or())
         lhs = self.term()
-        t = self.peek()
-        ops = {"=": "eq", "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "lt", ">=": "le"}
-        if t.text not in ops:
+        t = self.texts[self.i]
+        op = _CMP.get(t)
+        if op is None:
             self.err("a comparison operator")
-        self.take()
+        self.i += 1
         rhs = self.term()
-        op = ops[t.text]
-        if t.text in (">", ">="):
-            lhs, rhs = rhs, lhs
-        return Cmp(op, lhs, rhs)
+        return Cmp(op, rhs, lhs) if t[0] == ">" else Cmp(op, lhs, rhs)
 
     def pure_unit(self) -> Pure:
-        if self.at("("):
+        if self.texts[self.i] == "(":
             save = self.i
-            self.take()
+            self.i += 1
             try:
                 inner = self.pure_or()
                 self.expect(")")
@@ -271,51 +257,61 @@ class _P:
         return self.pure_cmp()
 
     def pure_and(self) -> Pure:
-        parts = [self.pure_unit()]
-        while self.at("&"):
-            self.take()
+        part = self.pure_unit()
+        if self.texts[self.i] != "&":
+            return part     # as `pand` would give it back
+        parts = [part]
+        while self.texts[self.i] == "&":
+            self.i += 1
             parts.append(self.pure_unit())
         return pand(parts)
 
     def pure_or(self) -> Pure:
-        parts = [self.pure_and()]
-        while self.at("|"):
-            self.take()
+        part = self.pure_and()
+        if self.texts[self.i] != "|":
+            return part     # as `por` would give it back
+        parts = [part]
+        while self.texts[self.i] == "|":
+            self.i += 1
             parts.append(self.pure_and())
         return por(parts)
 
     # ----- heap atoms and formulas -----
 
     def perm_suffix(self) -> Optional[Perm]:
-        if not self.at("@"):
+        texts, i = self.texts, self.i
+        if texts[i] != "@":
             return None
-        self.take()
-        t = self.peek()
-        if t.kind in ("int", "decimal"):
-            self.take()
-            text = t.text
-            if t.kind == "int" and self.at("/"):
-                self.take()
-                text += "/" + self.ident("an integer", "int")
-            try:
-                return Perm.of(Fraction(text))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(t.line, t.col, "a permission in (0, 1]", text) from None
-        if t.kind == "ident":
-            self.take()
-            return Perm.pvar(t.text)
-        self.err("a permission")
+        i += 1
+        t = texts[i]
+        self.i = i + 1
+        if self.kinds[i] is not None:
+            self.err("a permission", i)
+        if t[0] > "9":
+            return Perm.pvar(t)
+        if t.isdigit() and texts[i + 1] == "/":
+            if not texts[i + 2].isdigit():
+                self.err("an integer", i + 2)
+            self.i = i + 3
+            t += "/" + texts[i + 2]
+        try:
+            return Perm.of(Fraction(t))
+        except (ValueError, ZeroDivisionError):
+            pass
+        self.err("a permission in (0, 1]", i, t)
 
     def form(self, kind: type, sp: Optional[Span]):
         """A node of `kind` read by its surface form, whose leading word is
         the current token; an expression's span is `sp`."""
         self.i += 1
-        values = []
+        texts, values = self.texts, []
         for step in _SURFACE[kind][0]:
-            if step.__class__ is str:
-                self.expect(step)
-            else:
+            if step.__class__ is not str:
                 values.append(step(self))
+            elif texts[self.i] == step:
+                self.i += 1
+            else:
+                self.err(repr(step))
         return kind(*values) if sp is None else kind(*values, sp)
 
     def arc(self) -> tuple[str, str]:
@@ -335,52 +331,50 @@ class _P:
         return RForm(self.formula())
 
     def heap_atom(self) -> Optional[HeapAtom]:
-        t = self.peek()
-        kind = FORMS.get(t.text)
+        i = self.i
+        t = self.texts[i]
+        kind = FORMS.get(t)
         if kind is not None and issubclass(kind, HeapAtom):
             return self.form(kind, None)
-        if t.kind == "ident":
-            if self.peek(1).text == "::":
-                root = self.take().text
-                self.take()
+        if self.kinds[i] is None and t[0] > "9":
+            nxt = self.texts[i + 1]
+            if nxt == "::":
+                self.i = i + 2
                 ctor = self.ident()
                 self.expect("(")
                 args = self.terms()
                 self.expect(")")
-                return PointsTo(root, ctor, args, self.perm_suffix() or FULL)
-            if is_resvar(t.text):
-                # a bare resource variable, unless it starts a pure comparison
-                nxt = self.peek(1).text
-                if nxt not in ("=", "==", "!=", "<", "<=", ">", ">=", "+", "-"):
-                    self.take()
-                    return ResVarAtom(t.text)
+                return PointsTo(t, ctor, args, self.perm_suffix() or FULL)
+            # a bare resource variable, unless it starts a pure comparison
+            if is_resvar(t) and nxt not in _CMP and nxt != "+" and nxt != "-":
+                self.i = i + 1
+                return ResVarAtom(t)
         return None
 
     def disjunct(self) -> Disjunct:
         exists: list[str] = []
-        if self.at("ex"):
-            self.take()
+        if self.texts[self.i] == "ex":
+            self.i += 1
             exists = self.items(self.ident)
             self.expect(".")
         atoms: list = []
         pure: Pure = TRUE
-        if self.at("emp"):
-            self.take()
+        if self.texts[self.i] == "emp":
+            self.i += 1
         else:
             a = self.heap_atom()
             if a is None:
                 # pure-only disjunct: fall through with empty heap
-                pure = self.pure_and()
-                return Disjunct(tuple(exists), (), pure)
+                return Disjunct(tuple(exists), (), self.pure_and())
             atoms.append(a)
-            while self.at("*"):
-                self.take()
+            while self.texts[self.i] == "*":
+                self.i += 1
                 a = self.heap_atom()
                 if a is None:
                     self.err("a heap atom")
                 atoms.append(a)
-        if self.at("&"):
-            self.take()
+        if self.texts[self.i] == "&":
+            self.i += 1
             pure = self.pure_and()
         return Disjunct(tuple(exists), tuple(atoms), pure)
 
@@ -391,9 +385,12 @@ class _P:
 
     def stmt_seq(self) -> Expr:
         stmts = [self.stmt()]
-        while self.at(";"):
-            self.take()
-            if self.at("}") or self.at(")") or self.at("||") or self.peek().kind == "eof":
+        texts = self.texts
+        if texts[self.i] != ";":
+            return stmts[0]
+        while texts[self.i] == ";":
+            self.i += 1
+            if texts[self.i] in _SEQ_END:
                 break
             stmts.append(self.stmt())
         out = stmts[-1]
@@ -408,87 +405,84 @@ class _P:
         return body
 
     def stmt(self) -> Expr:
+        i = self.i
+        t = self.texts[i]
+        nxt = self.texts[i + 1] if self.kinds[i] is None and t[0] > "9" else None
+        if nxt == "(":
+            return self.rhs_expr()      # a call, read as on the right of `=`
         sp = self.span()
-        kind = FORMS.get(self.toks[self.i].text)
+        kind = FORMS.get(t)
         if kind is not None and issubclass(kind, Expr) and not kind._rhs:
             return self.form(kind, sp)
-        if self.at("atomic"):
-            self.take()
+        self.i = i + 1
+        if t == "atomic":
             return Atomic(self.block(), sp)
-        if self.at("if"):
-            self.take()
+        if t == "if":
             self.expect("(")
             cond = self.pure_or()
             self.expect(")")
             then = self.block()
             self.expect("else")
             return If(cond, then, self.block(), sp)
-        if self.at("("):
-            self.take()
+        if t == "(":
             branches = self.items(self.stmt_seq, "||")
             self.expect(")")
             return branches[0] if len(branches) == 1 else Par(tuple(branches), sp)
-        if self.at("fork"):
-            self.take()
+        if t == "fork":
             self.expect("(")
             v = self.ident()
             args = []
-            while self.at(","):
-                self.take()
+            while self.texts[self.i] == ",":
+                self.i += 1
                 args.append(self.term())
             self.expect(")")
             return Fork(v, tuple(args), sp)
-        if self.at_ident():
-            if self.peek(1).text == "(":
-                return self.rhs_expr()      # a call, read as on the right of `=`
-            name = self.take().text
-            if self.at("."):
-                self.take()
-                fieldname = self.ident()
-                self.expect("=")
-                rhs = self.term()
-                return FieldWrite(name, fieldname, rhs, sp)
-            if self.at("="):
-                self.take()
-                return Assign(name, self.rhs_expr(), sp)
-            self.err("'(', '.', or '=' after identifier")
-        self.err("a statement")
+        if nxt == ".":
+            self.i = i + 2
+            fieldname = self.ident()
+            self.expect("=")
+            return FieldWrite(t, fieldname, self.term(), sp)
+        if nxt == "=":
+            self.i = i + 2
+            return Assign(t, self.rhs_expr(), sp)
+        if nxt is None:
+            self.err("a statement", i)
+        self.err("'(', '.', or '=' after identifier", i + 1)
 
     def rhs_expr(self) -> Expr:
+        i = self.i
+        t = self.texts[i]
         sp = self.span()
-        kind = FORMS.get(self.toks[self.i].text)
-        if kind is not None and issubclass(kind, Expr) and kind._rhs:
-            return self.form(kind, sp)
-        if self.at("create_latch"):
-            self.take()
+        form = FORMS.get(t)
+        if form is not None and issubclass(form, Expr) and form._rhs:
+            return self.form(form, sp)
+        if t == "create_latch":
+            self.i = i + 1
             self.expect("(")
             count = self.term()
             self.expect(")")
             payload = None
-            if self.at("with"):
-                self.take()
+            if self.texts[self.i] == "with":
+                self.i += 1
                 payload = self.formula()
             return CreateLatch(count, payload, sp)
-        if self.at_ident() and self.peek(1).text == "(":
-            name = self.take().text
-            self.take()
-            args = self.terms()
-            self.expect(")")
-            return Call(name, args, sp)
-        if self.at_ident() and self.peek(1).text == "." and self.peek(2).kind == "ident":
-            base = self.take().text
-            self.take()
-            fieldname = self.take().text
-            return FieldRead(base, fieldname, sp)
-        t = self.peek()
-        if t.kind == "int" or self.at("-"):
+        if self.kinds[i] is None and t[0] > "9":
+            nxt = self.texts[i + 1]
+            if nxt == "(":
+                self.i = i + 2
+                args = self.terms()
+                self.expect(")")
+                return Call(t, args, sp)
+            if nxt == "." and self.kinds[i + 2] is None and self.texts[i + 2][0] > "9":
+                self.i = i + 3
+                return FieldRead(t, self.texts[i + 2], sp)
+            self.i = i + 1
+            return VarRead(t, sp)
+        if t.isdigit() or t == "-":
             term = self.term()
             if not term.is_const:
-                raise ParseError(t.line, t.col, "an integer or a variable", str(term))
+                self.err("an integer or a variable", i, str(term))
             return ConstE(term.const, sp)
-        if self.at_ident():
-            v = self.take().text
-            return VarRead(v, sp)
         self.err("an expression")
 
     # ----- declarations -----
@@ -499,12 +493,12 @@ class _P:
         name = self.ident()
         self.expect("{")
         fields = []
-        while not self.at("}"):
+        while self.texts[self.i] != "}":
             ftype = self.ident("a type name")
             fname = self.ident()
             self.expect(";")
             fields.append((ftype, fname))
-        self.expect("}")
+        self.i += 1
         return DataDecl(name, tuple(fields), sp)
 
     def param(self) -> tuple[str, str]:
@@ -518,27 +512,24 @@ class _P:
         params = self.items(self.param, close=")")
         self.expect(")")
         specs = []
-        while self.at("requires"):
-            self.take()
+        while self.texts[self.i] == "requires":
+            self.i += 1
             pre = self.formula()
             self.expect("ensures")
             post = self.formula()
             self.expect(";")
             specs.append(_thread_pair_perms(SpecPair(pre, post)))
         body = None
-        if self.at("{"):
-            self.take()
-            if self.at("}"):
-                body = Skip(self.span())
-            else:
-                body = self.stmt_seq()
+        if self.texts[self.i] == "{":
+            self.i += 1
+            body = Skip(self.span()) if self.texts[self.i] == "}" else self.stmt_seq()
             self.expect("}")
         return ProcDecl(name, ret, tuple(params), tuple(specs), body, sp)
 
     def program(self) -> Program:
         datas, procs = [], []
-        while self.peek().kind != "eof":
-            if self.at("data"):
+        while self.texts[self.i] != "":
+            if self.texts[self.i] == "data":
                 datas.append(self.data_decl())
             else:
                 procs.append(self.proc_decl())
@@ -568,16 +559,15 @@ def _thread_pair_perms(pair: SpecPair) -> SpecPair:
 
 
 def _whole(text: str, rule: Callable):
-    p = _P(tokenize(text))
+    p = _P(text)
     x = rule(p)
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(t.line, t.col, "end of formula", t.text)
+    if p.texts[p.i] != "":
+        p.err("end of formula")
     return x
 
 
 def parse_program(src: SourceFile) -> Program:
-    return _P(tokenize(src.text)).program()
+    return _P(src.text).program()
 
 
 def parse_formula(text: str) -> Formula:
@@ -626,7 +616,7 @@ class _Surfaces(dict):
                 pieces += [word, ""]
             else:
                 pieces[-1] += word
-        after = {field: [t.text for t in tokenize(text)[:-1]]
+        after = {field: tokenize(text)[0][:-1]
                  for field, text in zip(["", *pieces[1::2]], pieces[::2])}
         steps = after[""][1:]
         for n, r in roles.items():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from latchproof import names
-from latchproof.parser import SourceFile, parse_program, tokenize
+from latchproof.parser import SourceFile, _position, parse_program, tokenize
 from latchproof.verifier import VerifyOptions, verify_program
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -67,12 +67,20 @@ def test_family_traces_match_golden():
     assert render_families() == (GOLDEN / "families.txt").read_text()
 
 
+def token_rows(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each token of `text`; a token of no fixed
+    kind is an identifier, an int or a decimal by its text."""
+    texts, starts, kinds = tokenize(text)
+    return [(kind or ("ident" if t[0] > "9" else "int" if t.isdigit() else "decimal"), t,
+             *_position(text, at)) for t, at, kind in zip(texts, starts, kinds)]
+
+
 def render_tokens() -> str:
     lines = []
     for path in sorted((ROOT / "corpus").glob("*.lp")):
         lines.append(f"=== {path.name}")
-        lines.extend(f"{t.line}:{t.col} {t.kind} {t.text}".rstrip()
-                     for t in tokenize(path.read_text()))
+        lines.extend(f"{line}:{col} {kind} {t}".rstrip()
+                     for kind, t, line, col in token_rows(path.read_text()))
     return "\n".join(lines) + "\n"
 
 

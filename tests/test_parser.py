@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latchproof.parser import (
-    KEYWORDS, ParseError, SourceFile, parse_formula, parse_program, tokenize,
-    unparse_formula, unparse_program,
+    KEYWORDS, ParseError, SourceFile, parse_formula, parse_program, unparse_formula,
+    unparse_program,
 )
 from latchproof.syntax import (
     Assert, Assign, Atomic, Await, Call, Cnt, ConstE, CountDown, CreateLatch, CreateThread, Dead,
@@ -14,6 +14,7 @@ from latchproof.syntax import (
     Par, Perm, PointsTo, ProcDecl, Program, ResVarAtom, RForm, Seq, Skip, SpecPair, Term,
     ThreadNode, ThreadSpec, VarRead, Wait, EMP, TRUE, walk_expr,
 )
+from tests.test_golden import token_rows
 
 
 def test_trivial_program():
@@ -200,7 +201,7 @@ def test_random_token_sequences_tokenize_back():
             put(tok)
         put(r.choice(["", " ", "\n", " // trailing"]))
         want.append(("eof", "", line, col))
-        assert [(t.kind, t.text, t.line, t.col) for t in tokenize(text)] == want, text
+        assert token_rows(text) == want, text
 
 
 def test_print_parse_fixpoint_on_corpus(load):
