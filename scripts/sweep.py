@@ -5,8 +5,10 @@ revision's.
 
 The set is the corpus, fan-in/chain/ring for N = 2..64, the 150 generated
 programs of tests/test_oracle_reduction.py, 2,000 more from the same
-generator (seeds diff-0 .. diff-1999) and the programs of found defects
-from tests/test_verifier.py. Each side runs
+generator (seeds diff-0 .. diff-1999), the programs of found defects
+from tests/test_verifier.py and the malformed programs of
+tests/test_parser.py, whose records carry the parse error's line, column
+and message. Each side runs
 `latchproof verify --dump-trace --json` over the whole set in one process,
 which gives one record per procedure.
 
@@ -35,6 +37,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from tests.test_golden import chain_source, fan_in_source, ring_source  # noqa: E402
 from tests.test_oracle_reduction import GENERATED, random_program  # noqa: E402
+from tests.test_parser import MALFORMED  # noqa: E402
 from tests.test_verifier import RECEIVER_ALONE, TWO_READERS  # noqa: E402
 
 
@@ -50,6 +53,7 @@ def program_set(corpus_only: bool = False) -> dict[str, str]:
     out.update({f"diff-{i}": random_program(random.Random(f"diff-{i}")) for i in range(2000)})
     out.update({"found-receiver-alone": RECEIVER_ALONE,
                 "found-readers-alone": TWO_READERS % "reader(c, x) || reader(c, x)"})
+    out.update({f"malformed-{name}": source for name, (source, _) in MALFORMED.items()})
     return out
 
 

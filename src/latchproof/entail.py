@@ -448,6 +448,8 @@ def entail(E, delta_a: Formula, delta_c: Formula, gen: names.FreshGen | None = N
             return EntailmentOutcome(False, {}, EMP, failure_reason=reason)
         per_ante.append(successes[0])
 
+    if not per_ante:    # no state, which entails anything and leaves none
+        return EntailmentOutcome(True, {}, delta_a)
     first = per_ante[0]
     D = first["D"]
     for r in per_ante[1:]:

@@ -52,6 +52,25 @@ def test_latchout_split_residue():
         or Cmp("eq", Term.var("v3"), Term.var("v1")) in getattr(d.pure, "parts", ())
 
 
+def test_no_state_entails_anything_and_leaves_none():
+    r = entail(set(), Formula(()), F("x::cell(1)"))
+    assert r.success and r.bindings == {} and r.residue == Formula(())
+
+
+def test_two_derivable_consequent_disjuncts_are_ambiguous():
+    r = entail(set(), F("x::cell(1) * y::cell(2)"), F("x::cell(1) | y::cell(2)"))
+    assert not r.success and r.failure_reason.code == "AmbiguousDisjunct"
+
+
+def test_an_atom_after_the_open_payload_variable_must_be_matched():
+    # the open W takes what the thread's precondition has left once
+    # y::cell(1) is matched; a precondition without y::cell(1) fails
+    cons = F("threadspec(t, W * y::cell(1), emp)")
+    r = entail({"W"}, F("threadspec(t, x::cell(1) * y::cell(1), emp)"), cons)
+    assert r.success and {v: canon(f) for v, f in r.bindings.items()} == {"W": "x::cell(1)"}
+    assert not entail({"W"}, F("threadspec(t, x::cell(1), emp)"), cons).success
+
+
 def test_emp_emp():
     r = entail(set(), F("emp & true"), F("emp & true"))
     assert r.success and canon(r.residue) == "emp & true"

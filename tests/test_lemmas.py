@@ -202,6 +202,17 @@ def test_split_permission_conservation():
     assert counts == 3
 
 
+def test_a_symbolic_permission_splits_into_copies_of_one_fresh_share():
+    # a + b three ways: each variable becomes three copies of the fresh share
+    # g, and each way takes one copy per variable, so the three ways hold
+    # six copies, a + b in all
+    rewrite, share = lemmas._split_symbolic(Perm.pvar("a") + Perm.pvar("b"), 3,
+                                            names.FreshGen(), "c")
+    g = share.vars[0]
+    assert rewrite == {"a": Perm(Fraction(0), (g, g, g)), "b": Perm(Fraction(0), (g, g, g))}
+    assert share == Perm(Fraction(0), (g, g))
+
+
 # -- RS accounting ---------------------------------------------------------------
 
 def test_rs_table_startup_check():
