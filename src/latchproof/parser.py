@@ -34,6 +34,12 @@ ASCII tokens is a parse error:
     blank    space, tab, carriage return, newline
 
 Columns count characters from 1; a tab is one column.
+
+`tokenize` reads the text with one `re.split` into flat lists: each
+token's text, its start offset and a cheap kind (that of a keyword, a
+symbol or the end; an identifier or a number is told apart by its first
+character). The parser reads these lists by index. Line and column are
+worked out from a start offset only where a span or a parse error is made.
 """
 
 from __future__ import annotations
@@ -89,8 +95,10 @@ _BLANKS = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
 # one token; longer symbols come first so that `||` is not lexed as `|`, `|`
 _WORD = re.compile(r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_#]*|"
                    + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))))
-# the blanks before a token, and the token; a NUL that ends the text is its end
-_TOKEN = re.compile(rf"({_BLANKS.pattern})({_WORD.pattern}|\0\Z)")
+# the blanks before a token, and the token; a NUL that ends the text is its
+# end. A match starts where a token ends, not within blanks: past a character
+# that starts no token, the search tries each blank once, not once per blank.
+_TOKEN = re.compile(rf"(?<![ \t\r\n])({_BLANKS.pattern})({_WORD.pattern}|\0\Z)")
 _KIND = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_SYMBOLS, "sym"), "": "eof"}
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,16 @@ def test_malformed_program_error(name):
     with pytest.raises(ParseError) as e:
         parse_program(SourceFile("t", src))
     assert (e.value.line, e.value.col, str(e.value)) == want
+
+
+def test_blanks_before_a_bad_character_are_read_once():
+    # lexing stays linear in the blanks before a bad character: a search
+    # that tried a match at each of these 50,000 blanks took over two minutes
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as e:
+        parse_program(SourceFile("t", "skip" + " " * 50_000 + "$"))
+    assert str(e.value) == "1:50005: expected a token, got '$'"
+    assert time.perf_counter() - start < 2
 
 
 _SYMS = ["::", "->", "||", "!=", "<=", ">=", "==", "(", ")", "{", "}", ",", ";", ".",
