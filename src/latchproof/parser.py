@@ -45,9 +45,9 @@ worked out from a start offset only where a span or a parse error is made.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Optional
 
 from . import names
@@ -93,12 +93,12 @@ KEYWORDS = {
 
 _BLANKS = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
 # one token; longer symbols come first so that `||` is not lexed as `|`, `|`
-_WORD = re.compile(r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_#]*|"
+_LEXEME = re.compile(r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_#]*|"
                    + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))))
 # the blanks before a token, and the token; a NUL that ends the text is its
 # end. A match starts where a token ends, not within blanks: past a character
 # that starts no token, the search tries each blank once, not once per blank.
-_TOKEN = re.compile(rf"(?<![ \t\r\n])({_BLANKS.pattern})({_WORD.pattern}|\0\Z)")
+_TOKEN = re.compile(rf"(?<![ \t\r\n])({_BLANKS.pattern})({_LEXEME.pattern}|\0\Z)")
 _KIND = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_SYMBOLS, "sym"), "": "eof"}
 
 
@@ -113,7 +113,7 @@ def tokenize(text: str) -> tuple[list[str], list[int], list[Optional[str]]]:
     parts = _TOKEN.split(text + "\n\0")
     if any(parts[::3]):
         at = _BLANKS.match(text).end()
-        while m := _WORD.match(text, at):
+        while m := _LEXEME.match(text, at):
             at = _BLANKS.match(text, m.end()).end()
         raise ParseError(*_position(text, at), "a token", text[at])
     texts = parts[2::3]
@@ -187,43 +187,41 @@ class _P:
         """A sum of units, each added into one coefficient map, which is
         put in canonical order once."""
         coeffs: dict[str, int] = {}
-        const = self.term_sum(coeffs, 1)
-        if 0 in coeffs.values():    # a cancelled variable, which `_norm` drops
-            return Term._norm(coeffs, const)
-        return Term(tuple(sorted(coeffs.items())), const)
+        return Term._norm(coeffs, self.term_sum(coeffs, 1))
 
     def term_sum(self, coeffs: dict[str, int], sign: int) -> int:
         """Add `sign` times a sum of units into `coeffs`; returns its constant."""
-        texts, kinds, i, const, unit = self.texts, self.kinds, self.i, 0, sign
-        while True:
-            while texts[i] == "-":
-                unit, i = -unit, i + 1
-            t = texts[i]
-            if kinds[i] is not None:
-                if t != "(":
-                    self.err("a term", i)
-                self.i = i + 1
-                const += self.term_sum(coeffs, unit)
-                self.expect(")")
-                i = self.i
-            elif t[0] > "9":
-                coeffs[t] = coeffs.get(t, 0) + unit
-                i += 1
-            elif not t.isdigit():
+        const = self.term_unit(coeffs, sign)
+        texts = self.texts
+        while (t := texts[self.i]) == "+" or t == "-":
+            self.i += 1
+            const += self.term_unit(coeffs, sign if t == "+" else -sign)
+        return const
+
+    def term_unit(self, coeffs: dict[str, int], sign: int) -> int:
+        """Add `sign` times one unit into `coeffs`; returns its constant."""
+        texts, i = self.texts, self.i
+        while texts[i] == "-":
+            sign, i = -sign, i + 1
+        t = texts[i]
+        self.i = i + 1
+        if self.kinds[i] is not None:
+            if t != "(":
                 self.err("a term", i)
-            elif texts[i + 1] != "*":
-                const += unit * int(t)
-                i += 1
-            else:
-                self.i = i + 2
-                v = self.ident()
-                coeffs[v] = coeffs.get(v, 0) + unit * int(t)
-                i += 3
-            t = texts[i]
-            if t != "+" and t != "-":
-                self.i = i
-                return const
-            unit, i = sign if t == "+" else -sign, i + 1
+            const = self.term_sum(coeffs, sign)
+            self.expect(")")
+            return const
+        if t[0] > "9":
+            coeffs[t] = coeffs.get(t, 0) + sign
+            return 0
+        if not t.isdigit():
+            self.err("a term", i)
+        if texts[i + 1] != "*":
+            return sign * int(t)
+        self.i = i + 2
+        v = self.ident()
+        coeffs[v] = coeffs.get(v, 0) + sign * int(t)
+        return 0
 
     def terms(self, close: str = ")") -> tuple[Term, ...]:
         return tuple(self.items(self.term, close=close))
@@ -267,7 +265,7 @@ class _P:
     def pure_and(self) -> Pure:
         part = self.pure_unit()
         if self.texts[self.i] != "&":
-            return part     # as `pand` would give it back
+            return part     # `pand` gives a lone part back, or one equal to it
         parts = [part]
         while self.texts[self.i] == "&":
             self.i += 1
@@ -277,7 +275,7 @@ class _P:
     def pure_or(self) -> Pure:
         part = self.pure_and()
         if self.texts[self.i] != "|":
-            return part     # as `por` would give it back
+            return part     # `por` gives a lone part back, or one equal to it
         parts = [part]
         while self.texts[self.i] == "|":
             self.i += 1
@@ -506,7 +504,7 @@ class _P:
             fname = self.ident()
             self.expect(";")
             fields.append((ftype, fname))
-        self.i += 1
+        self.expect("}")
         return DataDecl(name, tuple(fields), sp)
 
     def param(self) -> tuple[str, str]:
