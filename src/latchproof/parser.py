@@ -211,10 +211,10 @@ class _P:
             const = self.term_sum(coeffs, sign)
             self.expect(")")
             return const
-        if t[0] > "9":
+        if t[0] > "9":      # an identifier
             coeffs[t] = coeffs.get(t, 0) + sign
             return 0
-        if not t.isdigit():
+        if not t.isdigit():     # a decimal
             self.err("a term", i)
         if texts[i + 1] != "*":
             return sign * int(t)
