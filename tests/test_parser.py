@@ -163,6 +163,12 @@ def test_malformed_program_error(name):
     assert (e.value.line, e.value.col, str(e.value)) == want
 
 
+def test_a_bad_character_is_found_past_a_comment_that_holds_one():
+    with pytest.raises(ParseError) as e:
+        parse_program(SourceFile("t", _H + " { skip // a$\n # }"))
+    assert str(e.value) == "2:2: expected a token, got '#'"
+
+
 def test_blanks_before_a_bad_character_are_read_once():
     # lexing stays linear in the blanks before a bad character: a search
     # that tried a match at each of these 50,000 blanks took over two minutes
